@@ -4,16 +4,20 @@ Conditions stated "for all x" are verified by sampling a box grid; the
 certificate records the grid and marks itself non-exhaustive.  Success means
 the sampled supremum of the relevant measure stays at or below -1e-10, and
 the reported rate eta is the negated supremum.
+
+The grid rules evaluate all their samples as stacks, in chunks of at most
+CHUNK_ELEMENTS elements, so results do not depend on how the grid is split.
+Their ``threads`` keyword is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compound import add_compound, as_matrix, mult_compound
+from .combinatorics import binomial
+from .compound import CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound
 from .dynamics import BoxDomain, SystemModel
 from .errors import (
     BadWeightVector,
@@ -25,9 +29,10 @@ from .measures import (
     MeasureSpec,
     Norm,
     apply_scaling,
-    measure,
+    measure_k_stack,
     measure_k_witness,
-    symmetric_eigenvalues,
+    measure_stack,
+    stack_witness,
     symmetric_eigh,
 )
 
@@ -35,7 +40,6 @@ ETA_TOL = 1e-10
 METZLER_TOL = 1e-12
 MAX_GRID_SAMPLES = 1_000_000
 EQUILIBRIUM_CLUSTER_RADIUS = 1e-6
-DEFAULT_GRID_COUNT = 11
 
 
 @dataclass
@@ -68,24 +72,28 @@ def _norm_label(spec: MeasureSpec) -> str:
     return label
 
 
-def _map_ordered(func, items, threads: int = 1):
-    """Apply func over items, deterministically ordered regardless of threads."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, items))
-    return [func(x) for x in items]
-
-
 def _as_samples(a, time_grid):
-    """Normalize matrix / list-of-matrices / callable-of-t into (t, A) pairs."""
+    """Normalize matrix / list-of-matrices / callable-of-t into (t, A) pairs.
+
+    Refuses an empty sample set and a time grid whose length differs from
+    the list of matrices, either of which would make a verdict vacuous.
+    """
     if callable(a):
         if time_grid is None:
             raise DimensionMismatch("a time grid is required for time-varying input")
-        return [(float(t), as_matrix(a(float(t)), square=True)) for t in time_grid]
-    if isinstance(a, (list, tuple)):
-        times = time_grid if time_grid is not None else range(len(a))
-        return [(float(t), as_matrix(m, square=True)) for t, m in zip(times, a)]
-    return [(0.0, as_matrix(a, square=True))]
+        samples = [(float(t), as_matrix(a(float(t)), square=True)) for t in time_grid]
+    elif isinstance(a, (list, tuple)):
+        times = list(time_grid) if time_grid is not None else range(len(a))
+        if len(times) != len(a):
+            raise DimensionMismatch(
+                f"{len(a)} matrices but a time grid of {len(times)} points"
+            )
+        samples = [(float(t), as_matrix(m, square=True)) for t, m in zip(times, a)]
+    else:
+        samples = [(0.0, as_matrix(a, square=True))]
+    if not samples:
+        raise DimensionMismatch("no samples to certify")
+    return samples
 
 
 def certify_lti(a, k: int, spec: MeasureSpec, time_grid=None) -> Certificate:
@@ -134,12 +142,41 @@ def _grid_points(omega: BoxDomain, counts=None) -> np.ndarray:
         raise DimensionMismatch(
             f"grid of {pts.shape[0]} samples exceeds cap {MAX_GRID_SAMPLES}"
         )
+    if pts.shape[0] == 0:
+        raise DimensionMismatch("grid has no samples")
     return pts
 
 
+def _grid_times(time_grid) -> list[float]:
+    if time_grid is None:
+        return [0.0]
+    times = [float(t) for t in time_grid]
+    if not times:
+        raise DimensionMismatch("empty time grid")
+    return times
+
+
+def _chunks(count: int, per_sample: int):
+    """Slices over count samples, each holding at most CHUNK_ELEMENTS elements."""
+    step = max(1, CHUNK_ELEMENTS // max(1, per_sample))
+    return [slice(s, min(count, s + step)) for s in range(0, count, step)]
+
+
+def _sample_elements(n: int, k: int, materialized: bool) -> int:
+    """Elements per sample of the largest intermediate of a k-compound rule:
+    the C x C compound when it is materialized, else the k x k blocks of the
+    closed-form measure."""
+    c = binomial(n, k)
+    return max(n * n, c * c if materialized else c * k * k)
+
+
+def _jacobians(system: SystemModel, t: float, pts: np.ndarray, scaling=None) -> np.ndarray:
+    j = system.jacobian_stack(t, pts)
+    return j if scaling is None else apply_scaling(j, scaling)
+
+
 def _grid_meta(omega: BoxDomain, counts, time_grid=None) -> dict:
-    cts = counts or omega.counts or (DEFAULT_GRID_COUNT,) * omega.dim
-    meta = {"counts": list(cts), "exhaustive": False,
+    meta = {"counts": list(omega.grid_counts(counts)), "exhaustive": False,
             "lower": [float(v) for v in omega.lower],
             "upper": [float(v) for v in omega.upper]}
     if time_grid is not None:
@@ -166,26 +203,26 @@ def certify_nonlinear_grid(
     if not system._jacobian_checked:
         system.check_jacobian()
     pts = _grid_points(omega, counts)
-    times = [0.0] if time_grid is None else [float(t) for t in time_grid]
-    plain = MeasureSpec(spec.norm)
-
-    def sample(item):
-        t, x = item
-        j = as_matrix(system.jacobian(t, x), square=True)
-        if spec.scaling is not None:
-            j = apply_scaling(j, spec.scaling)
-        if compound_scaling is not None:
-            w = as_matrix(compound_scaling(x), square=True)
-            val = measure(w @ add_compound(j, k) @ np.linalg.inv(w), plain)
-            return val, None
-        mv = measure_k_witness(j, k, plain)
-        return mv.value, mv.witness
-
-    items = [(t, x) for t in times for x in pts]
-    results = _map_ordered(sample, items, threads)
-    worst_ix = int(np.argmax([v for v, _ in results]))
-    worst_val, worst_wit = results[worst_ix]
-    t_w, x_w = items[worst_ix]
+    times = _grid_times(time_grid)
+    n = pts.shape[1]
+    values, witnesses = [], []
+    for t in times:
+        for rows in _chunks(len(pts), _sample_elements(n, k, compound_scaling is not None)):
+            j = _jacobians(system, t, pts[rows], spec.scaling)
+            if compound_scaling is None:
+                v, w = measure_k_stack(j, k, spec.norm)
+                witnesses.append(w)
+            else:
+                wk = as_stack([compound_scaling(x) for x in pts[rows]], square=True)
+                v = measure_stack(wk @ add_compound_stack(j, k) @ np.linalg.inv(wk), spec.norm)
+            values.append(v)
+    values = np.concatenate(values)
+    worst_ix = int(np.argmax(values))
+    worst_val = float(values[worst_ix])
+    worst_wit = None
+    if witnesses:
+        worst_wit = stack_witness(np.concatenate(witnesses), worst_ix)
+    t_w, x_w = times[worst_ix // len(pts)], pts[worst_ix % len(pts)]
     verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
     return Certificate(
         rule="NONLINEAR_GRID",
@@ -282,35 +319,33 @@ def certify_scaled_l1(
     if np.any(vv <= 0.0):
         raise BadWeightVector("weights must be strictly positive")
     pts = _grid_points(omega, counts)
-    times = [0.0] if time_grid is None else [float(t) for t in time_grid]
+    times = _grid_times(time_grid)
+    min_off, qmax, qarg = [], [], []
+    for t in times:
+        for rows in _chunks(len(pts), _sample_elements(pts.shape[1], k, True)):
+            jk = add_compound_stack(system.jacobian_stack(t, pts[rows]), k)
+            if vv.size != jk.shape[-1]:
+                raise BadWeightVector(f"weight vector must have length C(n, {k})")
+            diag = np.arange(jk.shape[-1])
+            off = jk.copy()
+            off[:, diag, diag] = 0.0
+            min_off.append(off.min(axis=(-2, -1)))
+            q = vv @ jk
+            qmax.append(q.max(axis=-1))
+            qarg.append(q.argmax(axis=-1))
+    min_off, qmax, qarg = (np.concatenate(v) for v in (min_off, qmax, qarg))
 
-    def sample(item):
-        t, x = item
-        jk = add_compound(as_matrix(system.jacobian(t, x), square=True), k)
-        off = jk - np.diag(np.diag(jk))
-        min_off = float(np.min(off))
-        q = vv @ jk
-        return min_off, float(np.max(q)), int(np.argmax(q))
+    def where(i):
+        return {"point": [float(u) for u in pts[i % len(pts)]], "time": times[i // len(pts)]}
 
-    items = [(t, x) for t in times for x in pts]
-    if vv.size != add_compound(
-        as_matrix(system.jacobian(items[0][0], items[0][1]), square=True), k
-    ).shape[0]:
-        raise BadWeightVector(f"weight vector must have length C(n, {k})")
-    results = _map_ordered(sample, items, threads)
-
-    metzler_ok = True
+    violations = np.flatnonzero(min_off < -METZLER_TOL)
+    metzler_ok = violations.size == 0
     metzler_witness = None
-    worst_val = -np.inf
-    worst = {}
-    for (t, x), (min_off, qmax, qarg) in zip(items, results):
-        if min_off < -METZLER_TOL and metzler_ok:
-            metzler_ok = False
-            metzler_witness = {"point": [float(u) for u in x], "time": t,
-                               "min_offdiag": min_off}
-        if qmax > worst_val:
-            worst_val = qmax
-            worst = {"point": [float(u) for u in x], "time": t, "column": qarg + 1}
+    if not metzler_ok:
+        metzler_witness = {**where(violations[0]), "min_offdiag": float(min_off[violations[0]])}
+    worst_ix = int(np.argmax(qmax))
+    worst_val = float(qmax[worst_ix])
+    worst = {**where(worst_ix), "column": int(qarg[worst_ix]) + 1}
     verdict = (
         "CERTIFIED" if metzler_ok and worst_val <= -ETA_TOL else "NOT_CERTIFIED"
     )
@@ -347,20 +382,12 @@ def check_bendixson(
     if not system._jacobian_checked:
         system.check_jacobian()
     pts = _grid_points(omega, counts)
-    plain = MeasureSpec(spec.norm)
-
-    def sample(x):
-        j = as_matrix(system.jacobian(0.0, x), square=True)
-        if spec.scaling is not None:
-            j = apply_scaling(j, spec.scaling)
-        return (
-            measure_k_witness(j, 2, plain).value,
-            measure_k_witness(-j, 2, plain).value,
-        )
-
-    results = _map_ordered(sample, pts, threads)
-    fwd = np.array([r[0] for r in results])
-    bwd = np.array([r[1] for r in results])
+    fwd, bwd = [], []
+    for rows in _chunks(len(pts), _sample_elements(pts.shape[1], 2, False)):
+        j = _jacobians(system, 0.0, pts[rows], spec.scaling)
+        fwd.append(measure_k_stack(j, 2, spec.norm)[0])
+        bwd.append(measure_k_stack(-j, 2, spec.norm)[0])
+    fwd, bwd = np.concatenate(fwd), np.concatenate(bwd)
     sup_f, sup_b = float(np.max(fwd)), float(np.max(bwd))
     if sup_f <= -ETA_TOL:
         branch, sup, arg = "forward", sup_f, int(np.argmax(fwd))
@@ -383,25 +410,60 @@ def check_bendixson(
     )
 
 
-def _newton_root(system: SystemModel, x0: np.ndarray, tol: float = 1e-12,
-                 max_iters: int = 50) -> np.ndarray | None:
-    x = x0.astype(float).copy()
+def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
+                   max_iters: int = 50) -> tuple[list[np.ndarray], int]:
+    """Newton's method for f(x) = 0 from every seed at once.
+
+    Returns the roots in seed order and the number of seeds that failed: a
+    non-finite field or step, a singular Jacobian, or no convergence within
+    max_iters.  A seed stops at the first iterate with
+    max|f(x)| <= tol * max(1, max|x|); every seed follows the iterates a
+    one-seed Newton loop would.
+    """
+    x = seeds.astype(float)
+    roots: dict[int, np.ndarray] = {}
+    active = np.arange(len(x))
     for _ in range(max_iters):
-        fx = np.asarray(system.field(0.0, x), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            return None
-        if np.max(np.abs(fx)) <= tol * max(1.0, float(np.max(np.abs(x)))):
-            return x
+        if active.size == 0:
+            break
+        xa = x[active]
+        fx = system.field_stack(0.0, xa)
+        finite = np.all(np.isfinite(fx), axis=1)
+        scale = tol * np.maximum(1.0, np.max(np.abs(xa), axis=1))
+        done = finite & (np.max(np.abs(fx), axis=1) <= scale)
+        for i in active[done]:
+            roots[int(i)] = x[i].copy()
+        going = finite & ~done
+        active, xa, fx = active[going], xa[going], fx[going]
+        if active.size == 0:
+            break
+        jac = system.jacobian_stack(0.0, xa)
         try:
-            step = np.linalg.solve(
-                as_matrix(system.jacobian(0.0, x), square=True), -fx
-            )
+            steps = np.linalg.solve(jac, -fx[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        x = x + step
-    return None
+            # some Jacobian is singular: solve row by row so only those seeds fail
+            steps = np.full_like(fx, np.nan)
+            for r in range(len(fx)):
+                try:
+                    steps[r] = np.linalg.solve(jac[r], -fx[r])
+                except np.linalg.LinAlgError:
+                    pass
+        ok = np.all(np.isfinite(steps), axis=1)
+        active = active[ok]
+        x[active] = xa[ok] + steps[ok]
+    return [roots[i] for i in sorted(roots)], len(x) - len(roots)
+
+
+def _equilibria(system: SystemModel, pts: np.ndarray, omega: BoxDomain):
+    """Clustered census roots inside the box, and the number of failed seeds."""
+    roots, skipped = [], 0
+    for rows in _chunks(len(pts), pts.shape[1] ** 2):
+        found, failed = _newton_census(system, pts[rows])
+        roots += found
+        skipped += failed
+    span = float(np.max(np.maximum(omega.upper - omega.lower, 1e-30)))
+    inside = [r for r in roots if omega.contains(r, tol=1e-6 * span)]
+    return _cluster(inside, omega), skipped
 
 
 def _cluster(points: list[np.ndarray], omega: BoxDomain,
@@ -437,29 +499,13 @@ def check_gas(
     if not system._jacobian_checked:
         system.check_jacobian()
     pts = _grid_points(omega, counts)
-    plain = MeasureSpec(spec.norm)
-
-    def sample(x):
-        j = as_matrix(system.jacobian(0.0, x), square=True)
-        if spec.scaling is not None:
-            j = apply_scaling(j, spec.scaling)
-        return measure_k_witness(j, 2, plain).value
-
-    vals = np.array(_map_ordered(sample, pts, threads))
+    vals = np.concatenate([
+        measure_k_stack(_jacobians(system, 0.0, pts[rows], spec.scaling), 2, spec.norm)[0]
+        for rows in _chunks(len(pts), _sample_elements(pts.shape[1], 2, False))
+    ])
     sup = float(np.max(vals))
     measure_ok = sup <= -ETA_TOL
-
-    roots = []
-    skipped = 0
-    span = float(np.max(np.maximum(omega.upper - omega.lower, 1e-30)))
-    for x in pts:
-        root = _newton_root(system, x)
-        if root is None:
-            skipped += 1
-            continue
-        if omega.contains(root, tol=1e-6 * span):
-            roots.append(root)
-    clusters = _cluster(roots, omega)
+    clusters, skipped = _equilibria(system, pts, omega)
 
     verdict = "CERTIFIED" if (measure_ok and len(clusters) == 1) else "NOT_CERTIFIED"
     return Certificate(
@@ -545,19 +591,14 @@ def control_check(
         return _fd_jacobian(gtheta, x)
 
     pts = _grid_points(omega, counts)
-    spec2 = MeasureSpec(Norm.L2)
-
-    def sample(x):
-        j = as_matrix(system.jacobian(0.0, x), square=True)
-        c1 = float(symmetric_eigenvalues(pm @ j + j.T @ pm)[0])
-        c2 = measure(p2_rt @ add_compound(j, 2) @ p2_irt, spec2)
-        c3 = measure(p_rt @ dgt(x) @ p_irt, spec2)
-        return c1, c2, c3
-
-    results = _map_ordered(sample, pts, threads)
-    c1 = np.array([r[0] for r in results])
-    c2 = np.array([r[1] for r in results])
-    c3 = np.array([r[2] for r in results])
+    c1, c2, c3 = [], [], []
+    for rows in _chunks(len(pts), _sample_elements(pts.shape[1], 2, True)):
+        j = system.jacobian_stack(0.0, pts[rows])
+        c1.append(measure_stack(pm @ j + np.swapaxes(j, -1, -2) @ pm, Norm.L2))
+        c2.append(measure_stack(p2_rt @ add_compound_stack(j, 2) @ p2_irt, Norm.L2))
+        d = as_stack([dgt(x) for x in pts[rows]], square=True)
+        c3.append(measure_stack(p_rt @ d @ p_irt, Norm.L2))
+    c1, c2, c3 = (np.concatenate(c) for c in (c1, c2, c3))
     failures = {}
     if float(np.max(c1)) > semidef_tol:
         i = int(np.argmax(c1))
@@ -579,16 +620,7 @@ def control_check(
         domain=system.domain,
     )
     closed._jacobian_checked = True
-    roots = []
-    skipped = 0
-    for x in pts:
-        root = _newton_root(closed, x)
-        if root is None:
-            skipped += 1
-            continue
-        if omega.contains(root, tol=1e-6 * float(np.max(omega.upper - omega.lower))):
-            roots.append(root)
-    clusters = _cluster(roots, omega)
+    clusters, skipped = _equilibria(closed, pts, omega)
     if len(clusters) != 1:
         failures["equilibrium_census"] = {"count": len(clusters)}
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -227,7 +226,6 @@ def cmd_kcontent(args) -> int:
 
 def cmd_certify(args) -> int:
     rule = args.rule
-    threads = args.threads or (os.cpu_count() or 1)
     if rule == "lti":
         cert = ce.certify_lti(io.load_matrix_json(args.matrix), args.k, _spec_from(args))
     elif rule == "diagonal":
@@ -237,24 +235,21 @@ def cmd_certify(args) -> int:
     elif rule == "grid":
         entry = _load_model(args)
         cert = ce.certify_nonlinear_grid(
-            entry.system, _box_from(args), args.k, _spec_from(args), threads=threads
+            entry.system, _box_from(args), args.k, _spec_from(args)
         )
     elif rule == "scaled-l1":
         entry = _load_model(args)
         if not args.weights:
             raise KContractError("--weights w1,w2,... required for scaled-l1")
         cert = ce.certify_scaled_l1(
-            entry.system, _box_from(args), args.k, _parse_vector(args.weights),
-            threads=threads,
+            entry.system, _box_from(args), args.k, _parse_vector(args.weights)
         )
     elif rule == "bendixson":
         entry = _load_model(args)
-        cert = ce.check_bendixson(entry.system, _box_from(args), _spec_from(args),
-                                  threads=threads)
+        cert = ce.check_bendixson(entry.system, _box_from(args), _spec_from(args))
     elif rule == "gas":
         entry = _load_model(args)
-        cert = ce.check_gas(entry.system, _box_from(args), _spec_from(args),
-                            threads=threads)
+        cert = ce.check_gas(entry.system, _box_from(args), _spec_from(args))
     elif rule == "control":
         entry = _load_model(args)
         if not (args.gmatrix and args.pmatrix):
@@ -270,8 +265,7 @@ def cmd_certify(args) -> int:
         def theta(x, _g=g, _p=p, _e=target, _u=u_star, _k=gain):
             return -_k * (_g.T @ _p @ (x - _e)) + _u
 
-        cert = ce.control_check(entry.system, lambda x: g, theta, p,
-                                _box_from(args), threads=threads)
+        cert = ce.control_check(entry.system, lambda x: g, theta, p, _box_from(args))
     else:  # pragma: no cover - argparse restricts choices
         raise KContractError(f"unknown rule {rule}")
     _emit(io.certificate_to_json(cert), args)
@@ -400,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gain", type=float, default=1.0)
     sp.add_argument("--target", help="setpoint e for the control rule")
     sp.add_argument("--threads", type=int, default=0,
-                    help="grid-map thread count (0 = available parallelism)")
+                    help="accepted for compatibility; has no effect (grid sampling "
+                         "is vectorised and deterministic)")
     _add_common(sp)
     sp.set_defaults(handler=cmd_certify)
 

@@ -2,15 +2,21 @@
 
 Compound matrices are indexed by increasing k-tuples of row/column indices
 ordered lexicographically.  This module provides the rank/unrank bijection
-between those tuples and 0-based positions, plus the tuple-pair classifier
-used to assemble additive compounds entry by entry.
+between those tuples and 0-based positions, the tuple-pair classifier, and
+cached index tables (every subset, every single-swap pair) that compound
+assembly and compound measures read in one vectorised pass.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import (
     DimensionTooLarge,
@@ -87,6 +93,57 @@ def unrank(r: int, n: int, k: int) -> tuple[int, ...]:
 def all_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All of Q_{k,n} in lexicographic (= rank) order."""
     return [unrank(r, n, k) for r in range(binomial(n, k))]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    # cached tables are shared by every caller
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=64)
+def subset_table(n: int, k: int) -> np.ndarray:
+    """Q_{k,n} as a read-only (C(n, k), k) array of 0-based indices, in rank order."""
+    table = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    _read_only(table)
+    return table
+
+
+@dataclass(frozen=True)
+class SwapTable:
+    """Every SINGLE_SWAP pair of Q_{k,n}, as parallel read-only arrays.
+
+    Entry e relates the tuple of rank ``rows[e]`` to the tuple of rank
+    ``cols[e]``: they differ only in 0-based values ``src_i[e]`` (in the
+    first) and ``src_j[e]`` (in the second), and ``sign[e]`` is (-1)**(l+m)
+    as in ``subset_relation``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    src_i: np.ndarray
+    src_j: np.ndarray
+    sign: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def single_swap_table(n: int, k: int) -> SwapTable:
+    """The C(n, k) * k * (n - k) single-swap pairs of Q_{k,n}."""
+    subsets = list(itertools.combinations(range(n), k))
+    position = {s: r for r, s in enumerate(subsets)}
+    pairs, signs = [], []
+    for r, s in enumerate(subsets):
+        outside = [v for v in range(n) if v not in s]
+        for l, u in enumerate(s):
+            rest = list(s[:l] + s[l + 1:])
+            for v in outside:
+                m = bisect.bisect_left(rest, v)
+                pairs.append((r, position[tuple(rest[:m] + [v] + rest[m:])], u, v))
+                signs.append(-1.0 if (l + m) % 2 else 1.0)
+    cols = np.array(pairs, dtype=np.intp).reshape(-1, 4).T.copy()
+    table = SwapTable(cols[0], cols[1], cols[2], cols[3], np.array(signs, dtype=float))
+    _read_only(table.rows, table.cols, table.src_i, table.src_j, table.sign)
+    return table
 
 
 class Relation(Enum):

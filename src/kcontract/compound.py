@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import combinatorics as comb
-from .combinatorics import Relation, all_subsets, binomial, subset_relation
+from .combinatorics import all_subsets, binomial, single_swap_table, subset_table
 from .errors import (
     CompoundSizeCapExceeded,
     DimensionMismatch,
@@ -30,17 +30,30 @@ SIZE_CAP = 20_000
 # Conjugating transforms with condition numbers above this are refused.
 TRANSFORM_COND_CAP = 1e12
 
+# Largest number of float64 elements a vectorised intermediate may hold; bigger
+# jobs are processed in chunks of this many elements.
+CHUNK_ELEMENTS = 2_000_000
+
+
+def _validated(a, ndim: int, square: bool) -> np.ndarray:
+    m = np.ascontiguousarray(a, dtype=float)
+    if m.ndim != ndim:
+        raise DimensionMismatch(f"expected a {ndim}-D array, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise EvaluationFailure("matrix has non-finite entries")
+    if square and m.shape[-2] != m.shape[-1]:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape[-2:]}")
+    return m
+
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
     """Validate and return a C-contiguous float64 2-D array with finite entries."""
-    m = np.ascontiguousarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise EvaluationFailure("matrix has non-finite entries")
-    if square and m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    return m
+    return _validated(a, 2, square)
+
+
+def as_stack(a, square: bool = False) -> np.ndarray:
+    """as_matrix for an (N, rows, cols) stack of matrices."""
+    return _validated(a, 3, square)
 
 
 def minor(a, rows: tuple[int, ...], cols: tuple[int, ...]) -> float:
@@ -85,7 +98,7 @@ def mult_compound(a, k: int) -> np.ndarray:
     col_sets = np.asarray(all_subsets(p, k), dtype=int) - 1  # (C, k)
     rows_total, cols_total = shape.rows, shape.cols
     out = np.empty((rows_total, cols_total))
-    chunk = max(1, 2_000_000 // max(1, cols_total * k * k))
+    chunk = max(1, CHUNK_ELEMENTS // max(1, cols_total * k * k))
     for start in range(0, rows_total, chunk):
         stop = min(rows_total, start + chunk)
         # sub[i, j, a, b] = m[row_sets[start+i, a], col_sets[j, b]]
@@ -102,24 +115,31 @@ def add_compound(a, k: int) -> np.ndarray:
     single entry i_l != j_m carry (-1)**(l+m) * a[i_l, j_m]; all other
     entries are zero.
     """
-    m = as_matrix(a, square=True)
-    n = m.shape[0]
+    return _fill_add_compound(as_matrix(a, square=True), k)
+
+
+def add_compound_stack(a, k: int) -> np.ndarray:
+    """add_compound of every matrix in an (N, n, n) stack, as (N, C, C)."""
+    return _fill_add_compound(as_stack(a, square=True), k)
+
+
+def _fill_add_compound(m: np.ndarray, k: int) -> np.ndarray:
+    n = m.shape[-1]
     if k < 1 or k > n:
         raise OrderTooLarge(f"k={k} outside [1, {n}]")
     if k == 1:
         return m.copy()
-    subsets = all_subsets(n, k)
-    r = len(subsets)
+    r = binomial(n, k)
     _check_cap(r, r)
-    out = np.zeros((r, r))
-    for i, ti in enumerate(subsets):
-        out[i, i] = sum(m[v - 1, v - 1] for v in ti)
-        for j, tj in enumerate(subsets):
-            if i == j:
-                continue
-            rel = subset_relation(ti, tj)
-            if rel.kind is Relation.SINGLE_SWAP:
-                out[i, j] = rel.sign * m[rel.entries[0] - 1, rel.entries[1] - 1]
+    subsets = subset_table(n, k)
+    swaps = single_swap_table(n, k)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    sums = np.zeros(m.shape[:-2] + (r,))
+    for pos in range(k):
+        sums = sums + diag[..., subsets[:, pos]]
+    out = np.zeros(m.shape[:-2] + (r, r))
+    out[..., np.arange(r), np.arange(r)] = sums
+    out[..., swaps.rows, swaps.cols] = swaps.sign * m[..., swaps.src_i, swaps.src_j]
     return out
 
 

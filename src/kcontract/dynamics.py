@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import binomial
-from .compound import add_compound, as_matrix, mult_compound, wedge
+from .compound import add_compound, as_matrix, as_stack, mult_compound, wedge
 from .errors import (
     DimensionMismatch,
     JacobianMismatch,
@@ -29,6 +29,10 @@ NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-8
 SV_DECAY_THRESHOLD = 1e-4
 FLOQUET_STABILITY_MARGIN = 1e-6
+# Per-axis sample count of a box grid when neither the caller nor the box sets one.
+DEFAULT_GRID_COUNT = 11
+# Largest relative disagreement allowed between batch and scalar model callables.
+BATCH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,14 @@ class BoxDomain:
             np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
         )
 
+    def grid_counts(self, counts=None) -> tuple[int, ...]:
+        """Per-axis sample counts: counts, else the box's own, else the default."""
+        return tuple(counts or self.counts or (DEFAULT_GRID_COUNT,) * self.dim)
+
     def grid(self, counts=None) -> np.ndarray:
         """All grid points as an (N, dim) array, row-major over axes."""
-        cts = counts or self.counts or (11,) * self.dim
         axes = []
-        for i, c in enumerate(cts):
+        for i, c in enumerate(self.grid_counts(counts)):
             if c == 1:
                 axes.append(np.array([0.5 * (self.lower[i] + self.upper[i])]))
             else:
@@ -83,6 +90,13 @@ class SystemModel:
     ``field(t, x)`` and ``jacobian(t, x)`` take a float time and a length-n
     state.  ``oracle(t, x0)``, when present, is a closed-form solution used
     to report integration error.  ``period`` marks time-periodic fields.
+
+    ``field_batch(t, X)`` and ``jacobian_batch(t, X)``, when present, take a
+    float time and an (N, n) stack of states and return the (N, n) fields and
+    the (N, n, n) Jacobians, with the same arithmetic as the scalar callables.
+    The grid certificates evaluate every sample through ``field_stack`` and
+    ``jacobian_stack``, which use them, or stack the scalar callables row by
+    row when they are absent.
     """
 
     dim: int
@@ -92,14 +106,41 @@ class SystemModel:
     oracle: callable | None = None
     period: float | None = None
     name: str = ""
+    field_batch: callable | None = None
+    jacobian_batch: callable | None = None
     _jacobian_checked: bool = False
+
+    def field_stack(self, t: float, xs: np.ndarray) -> np.ndarray:
+        """The field at every row of an (N, n) stack of states, as (N, n)."""
+        if self.field_batch is not None:
+            out = np.asarray(self.field_batch(t, xs), dtype=float)
+        else:
+            out = np.stack([np.asarray(self.field(t, x), dtype=float) for x in xs])
+        if out.shape != xs.shape:
+            raise DimensionMismatch(f"field stack has shape {out.shape}, states {xs.shape}")
+        return out
+
+    def jacobian_stack(self, t: float, xs: np.ndarray) -> np.ndarray:
+        """The Jacobian at every row of an (N, n) stack of states, as (N, n, n).
+
+        Every Jacobian passes the checks of ``as_matrix(..., square=True)``.
+        """
+        if self.jacobian_batch is not None:
+            out = as_stack(self.jacobian_batch(t, xs), square=True)
+        else:
+            out = np.stack([as_matrix(self.jacobian(t, x), square=True) for x in xs])
+        if out.shape[0] != len(xs):
+            raise DimensionMismatch(f"{out.shape[0]} Jacobians for {len(xs)} states")
+        return out
 
     def check_jacobian(self, rtol: float = 1e-4, samples: int = 5, seed: int = 7) -> None:
         """Compare the analytic Jacobian with central differences of the field.
 
         Raises JacobianMismatch when the relative error exceeds rtol at any
-        sampled point.  Points are drawn from the declared domain (shrunk a
-        little so differences stay inside) or from the unit box around 0.
+        sampled point, or when a batch callable disagrees with its scalar
+        counterpart there by more than BATCH_RTOL.  Points are drawn from the
+        declared domain (shrunk a little so differences stay inside) or from
+        the unit box around 0.
         """
         rng = np.random.default_rng(seed)
         if self.domain is not None:
@@ -128,7 +169,23 @@ class SystemModel:
                 raise JacobianMismatch(
                     f"Jacobian mismatch {err:.3e} > {rtol:.1e} at x={x}"
                 )
+            self._check_batch(t, x, jac)
         self._jacobian_checked = True
+
+    def _check_batch(self, t: float, x: np.ndarray, jac: np.ndarray) -> None:
+        pairs = []
+        if self.jacobian_batch is not None:
+            pairs.append(("jacobian", jac, self.jacobian_stack(t, x[None])[0]))
+        if self.field_batch is not None:
+            fx = np.asarray(self.field(t, x), dtype=float)
+            pairs.append(("field", fx, self.field_stack(t, x[None])[0]))
+        for what, scalar, batch in pairs:
+            scale = max(1.0, float(np.max(np.abs(scalar))))
+            err = float(np.max(np.abs(batch - scalar))) / scale
+            if not err <= BATCH_RTOL:  # a NaN disagreement fails too
+                raise JacobianMismatch(
+                    f"{what}_batch disagrees with {what} by {err:.3e} at x={x}"
+                )
 
 
 @dataclass

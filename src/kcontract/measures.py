@@ -11,14 +11,14 @@ eigenvalues of the symmetric part for L2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .compound import as_matrix
-from .errors import NonConvergence, OrderTooLarge, SingularScaling
+from .combinatorics import subset_table
+from .compound import CHUNK_ELEMENTS, as_matrix, as_stack
+from .errors import EigensolveFailure, NonConvergence, OrderTooLarge, SingularScaling
 
 # Reciprocal-condition refusal threshold for scaling matrices.
 RCOND_MIN = 1e-12
@@ -61,10 +61,11 @@ class MeasureValue:
 
 
 def apply_scaling(a: np.ndarray, scaling) -> np.ndarray:
-    """Return M A M^{-1}, refusing scalings with rcond below 1e-12."""
+    """Return M A M^{-1} (for each matrix of a stack), refusing scalings with
+    rcond below 1e-12."""
     m = as_matrix(scaling, square=True)
-    if m.shape != a.shape:
-        raise SingularScaling(f"scaling shape {m.shape} != matrix shape {a.shape}")
+    if m.shape != a.shape[-2:]:
+        raise SingularScaling(f"scaling shape {m.shape} != matrix shape {a.shape[-2:]}")
     try:
         minv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
@@ -143,19 +144,40 @@ def symmetric_eigenvalues(s, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
     return values
 
 
-def _measure_witness_plain(a: np.ndarray, norm: Norm) -> MeasureValue:
-    n = a.shape[0]
+def _line_sums(a: np.ndarray, norm: Norm) -> np.ndarray:
+    """Diagonal plus off-diagonal absolute column (L1) or row (Linf) sums of
+    each matrix in a (..., n, n) array."""
     aabs = np.abs(a)
-    if norm is Norm.L1:
-        cols = np.diag(a) + aabs.sum(axis=0) - np.diag(aabs)
-        j = int(np.argmax(cols))  # argmax returns the first (smallest) index on ties
-        return MeasureValue(float(cols[j]), (j + 1,))
-    if norm is Norm.LINF:
-        rows = np.diag(a) + aabs.sum(axis=1) - np.diag(aabs)
-        i = int(np.argmax(rows))
-        return MeasureValue(float(rows[i]), (i + 1,))
-    values, vectors = symmetric_eigh(0.5 * (a + a.T))
-    return MeasureValue(float(values[0]), vectors[:, 0].copy())
+    axis = -2 if norm is Norm.L1 else -1
+    return (np.diagonal(a, axis1=-2, axis2=-1) + aabs.sum(axis=axis)
+            - np.diagonal(aabs, axis1=-2, axis2=-1))
+
+
+def _top_eigenvalues(a: np.ndarray, k: int) -> np.ndarray:
+    """The k largest eigenvalues, descending, of the symmetric part of each
+    matrix in an (N, n, n) stack (LAPACK)."""
+    try:
+        values = np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure("symmetric eigensolve did not converge") from exc
+    return values[..., ::-1][..., :k].copy()
+
+
+def _measure_witness_plain(a: np.ndarray, norm: Norm) -> MeasureValue:
+    if norm is Norm.L2:
+        values, vectors = symmetric_eigh(0.5 * (a + a.T))
+        return MeasureValue(float(values[0]), vectors[:, 0].copy())
+    lines = _line_sums(a, norm)
+    j = int(np.argmax(lines))  # argmax returns the first (smallest) index on ties
+    return MeasureValue(float(lines[j]), (j + 1,))
+
+
+def measure_stack(a, norm: Norm) -> np.ndarray:
+    """mu_1, mu_2 or mu_inf of every matrix in an (N, n, n) stack."""
+    m = as_stack(a, square=True)
+    if norm is Norm.L2:
+        return _top_eigenvalues(m, 1)[:, 0]
+    return _line_sums(m, norm).max(axis=-1)
 
 
 def measure_witness(a, spec: MeasureSpec) -> MeasureValue:
@@ -171,6 +193,69 @@ def measure(a, spec: MeasureSpec) -> float:
     return measure_witness(a, spec).value
 
 
+def _tuple_sum(block: np.ndarray) -> np.ndarray:
+    """Sum each (sample, tuple) block of a gathered (N, C, ...) array.
+
+    Gathers can come out with the sample axis innermost in memory; summing a
+    C-ordered copy keeps numpy's pairwise summation order equal to that of a
+    single matrix, so a sample's value does not depend on the stack it is in.
+    """
+    return np.ascontiguousarray(block).reshape(block.shape[0], block.shape[1], -1).sum(axis=-1)
+
+
+def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form measure of A^[k] for every matrix of an (N, n, n) stack.
+
+    Returns (values, witnesses), both with one row per matrix.  For L1/Linf
+    the value is the max over k-tuples of the signed diagonal sum plus the
+    absolute off-tuple column (L1) or row (Linf) sums, and the witness row is
+    the lexicographically smallest attaining 1-based tuple (integer dtype).
+    For L2 it is the sum of the k largest eigenvalues of the symmetric part,
+    and the witness row holds those eigenvalues.  Work is chunked so no
+    intermediate exceeds CHUNK_ELEMENTS elements.
+    """
+    m = as_stack(a, square=True)
+    n = m.shape[-1]
+    if k < 1 or k > n:
+        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    if norm is Norm.L2:
+        top = _top_eigenvalues(m, k)
+        return top.sum(axis=-1), top
+
+    subsets = subset_table(n, k)
+    aabs = np.abs(m)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    axis = -2 if norm is Norm.L1 else -1
+    off_abs = aabs.sum(axis=axis) - np.diagonal(aabs, axis1=-2, axis2=-1)
+
+    count = m.shape[0]
+    best = np.full(count, -np.inf)
+    arg = np.zeros(count, dtype=np.intp)
+    tuples_per_chunk = min(len(subsets), max(1, CHUNK_ELEMENTS // (k * k)))
+    samples_per_chunk = max(1, CHUNK_ELEMENTS // (tuples_per_chunk * k * k))
+    for s0 in range(0, count, samples_per_chunk):
+        rows = slice(s0, s0 + samples_per_chunk)
+        for c0 in range(0, len(subsets), tuples_per_chunk):
+            ix = subsets[c0:c0 + tuples_per_chunk]
+            inside = (_tuple_sum(aabs[rows][:, ix[:, :, None], ix[:, None, :]])
+                      - _tuple_sum(aabs[rows][:, ix, ix]))
+            vals = _tuple_sum(diag[rows][:, ix]) + _tuple_sum(off_abs[rows][:, ix]) - inside
+            j = np.argmax(vals, axis=1)  # first maximum: the smallest tuple on ties
+            v = vals[np.arange(len(j)), j]
+            better = v > best[rows]
+            best[rows] = np.where(better, v, best[rows])
+            arg[rows] = np.where(better, c0 + j, arg[rows])
+    return best, subsets[arg] + 1
+
+
+def stack_witness(witnesses: np.ndarray, i: int):
+    """Row i of a measure_k_stack witness array, as MeasureValue carries it."""
+    row = witnesses[i]
+    if row.dtype.kind == "i":
+        return tuple(int(v) for v in row)
+    return row.copy()
+
+
 def measure_k_witness(a, k: int, spec: MeasureSpec) -> MeasureValue:
     """Measure of A^[k] by the closed-form k-compound rules, with witness.
 
@@ -181,34 +266,8 @@ def measure_k_witness(a, k: int, spec: MeasureSpec) -> MeasureValue:
     m = as_matrix(a, square=True)
     if spec.scaling is not None:
         raise SingularScaling("measure_k_direct takes an unscaled spec; conjugate A first")
-    n = m.shape[0]
-    if k < 1 or k > n:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
-
-    if spec.norm is Norm.L2:
-        values = symmetric_eigenvalues(0.5 * (m + m.T))
-        return MeasureValue(float(np.sum(values[:k])), values[:k].copy())
-
-    aabs = np.abs(m)
-    diag = np.diag(m)
-    if spec.norm is Norm.L1:
-        col_abs = aabs.sum(axis=0) - np.diag(aabs)
-    else:
-        row_abs = aabs.sum(axis=1) - np.diag(aabs)
-
-    best = -np.inf
-    best_tuple: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(n), k):
-        ix = np.asarray(combo, dtype=int)
-        inside = aabs[np.ix_(ix, ix)].sum() - aabs[ix, ix].sum()
-        if spec.norm is Norm.L1:
-            val = diag[ix].sum() + col_abs[ix].sum() - inside
-        else:
-            val = diag[ix].sum() + row_abs[ix].sum() - inside
-        if val > best:
-            best = val
-            best_tuple = tuple(int(i) + 1 for i in combo)
-    return MeasureValue(float(best), best_tuple)
+    values, witnesses = measure_k_stack(m[None], k, spec.norm)
+    return MeasureValue(float(values[0]), stack_witness(witnesses, 0))
 
 
 def measure_k_direct(a, k: int, spec: MeasureSpec) -> float:

@@ -183,10 +183,38 @@ def _seir3_entry(params: dict) -> ModelEntry:
         )
         return base - zeta * np.eye(3)
 
+    def field_batch(t, xs):
+        x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
+        inc = f1(x1, x3)
+        return np.stack(
+            [
+                -lam * inc + zeta - zeta * x1,
+                lam * inc - c * x2 - zeta * x2,
+                c * x2 - gamma * x3 - zeta * x3,
+            ],
+            axis=1,
+        )
+
+    def jacobian_batch(t, xs):
+        x1, x3 = xs[:, 0], xs[:, 2]
+        d1 = q * x1 ** (q - 1.0) * x3**pw
+        d3 = pw * x1**q * x3 ** (pw - 1.0)
+        base = np.zeros((len(xs), 3, 3))
+        base[:, 0, 0] = -lam * d1
+        base[:, 0, 2] = -lam * d3
+        base[:, 1, 0] = lam * d1
+        base[:, 1, 1] = -c
+        base[:, 1, 2] = lam * d3
+        base[:, 2, 1] = c
+        base[:, 2, 2] = -gamma
+        return base - zeta * np.eye(3)
+
     sys = SystemModel(
         dim=3,
         field=field,
         jacobian=jacobian,
+        field_batch=field_batch,
+        jacobian_batch=jacobian_batch,
         domain=BoxDomain.of([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
         name="seir3",
     )
@@ -213,8 +241,23 @@ def _hopf_entry(params: dict) -> ModelEntry:
             ]
         )
 
+    def field_batch(t, xs):
+        x0, x1 = xs[:, 0], xs[:, 1]
+        r2 = x0 * x0 + x1 * x1
+        return np.stack([-x1 - x0 * (r2 - 1.0), x0 - x1 * (r2 - 1.0)], axis=1)
+
+    def jacobian_batch(t, xs):
+        x0, x1 = xs[:, 0], xs[:, 1]
+        out = np.empty((len(xs), 2, 2))
+        out[:, 0, 0] = 1.0 - 3.0 * x0**2 - x1**2
+        out[:, 0, 1] = -2.0 * x0 * x1 - 1.0
+        out[:, 1, 0] = -2.0 * x0 * x1 + 1.0
+        out[:, 1, 1] = 1.0 - x0**2 - 3.0 * x1**2
+        return out
+
     sys = SystemModel(
-        dim=2, field=field, jacobian=jacobian, period=2.0 * np.pi, name="hopf"
+        dim=2, field=field, jacobian=jacobian, field_batch=field_batch,
+        jacobian_batch=jacobian_batch, period=2.0 * np.pi, name="hopf"
     )
     return ModelEntry(
         name="hopf",

@@ -7,6 +7,7 @@ from kcontract import dynamics as dy
 from kcontract import measures as ms
 from kcontract.errors import (
     BadWeightVector,
+    DimensionMismatch,
     JacobianMismatch,
     NotDiagonal,
     NotPositiveDefinite,
@@ -355,3 +356,111 @@ def test_control_check_rejects_indefinite_p():
             sysm, lambda x: np.eye(2), lambda x: np.zeros(2),
             np.diag([1.0, -0.5]), omega,
         )
+
+
+def _vacuous_cases():
+    expanding = [np.diag([-1.0, -2.0]), np.diag([5.0, 1.0])]
+    hopf = model("hopf").system
+    box = dy.BoxDomain.of([-1, -1], [1, 1], (3, 3))
+    l1 = MeasureSpec(Norm.L1)
+    a, p = _lyapunov_setup()
+    return {
+        "lti-short-grid": lambda: ce.certify_lti(expanding, 2, l1, time_grid=[0.0]),
+        "lti-empty-grid": lambda: ce.certify_lti(expanding, 2, l1, time_grid=[]),
+        "lti-empty-list": lambda: ce.certify_lti([], 2, l1),
+        "diagonal-short-grid": lambda: ce.certify_diagonal(expanding, 2, time_grid=[0.0]),
+        "diagonal-empty-grid": lambda: ce.certify_diagonal(lambda t: expanding[0], 2,
+                                                           time_grid=[]),
+        "row-empty-list": lambda: ce.certify_row_rule([]),
+        "row-long-grid": lambda: ce.certify_row_rule(expanding, time_grid=[0.0, 1.0, 2.0]),
+        "grid-empty-times": lambda: ce.certify_nonlinear_grid(hopf, box, 2, l1, time_grid=[]),
+        "scaled-l1-empty-times": lambda: ce.certify_scaled_l1(
+            linear_system(a), box, 1, [1.0, 1.0], time_grid=[]),
+        "bendixson-empty-grid": lambda: ce.check_bendixson(hopf, box, l1, counts=(0, 3)),
+        "gas-empty-grid": lambda: ce.check_gas(hopf, box, l1, counts=(3, 0)),
+        "control-empty-grid": lambda: ce.control_check(
+            linear_system(a), lambda x: np.ones((2, 1)), lambda x: np.zeros(1), p, box,
+            counts=(0, 0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_vacuous_cases()))
+def test_vacuous_sample_sets_are_refused(case):
+    with pytest.raises(DimensionMismatch):
+        _vacuous_cases()[case]()
+
+
+def _reference_newton(system, x0, tol=1e-12, max_iters=50):
+    """One seed at a time, with the scalar callables."""
+    x = x0.astype(float).copy()
+    for _ in range(max_iters):
+        fx = np.asarray(system.field(0.0, x), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            return None
+        if np.max(np.abs(fx)) <= tol * max(1.0, float(np.max(np.abs(x)))):
+            return x
+        try:
+            step = np.linalg.solve(system.jacobian(0.0, x), -fx)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        x = x + step
+    return None
+
+
+def test_gas_census_equals_per_seed_newton():
+    # seeds with x1 = 0 have an exactly singular Jacobian; seeds with
+    # x2 = 2 have a non-finite field
+    def field(t, x):
+        return np.array([x[0] ** 2 - 1.0, -x[1] if x[1] < 1.75 else np.nan])
+
+    def jac(t, x):
+        return np.array([[2.0 * x[0], 0.0], [0.0, -1.0]])
+
+    sysm = dy.SystemModel(dim=2, field=field, jacobian=jac)
+    omega = dy.BoxDomain.of([-1.5, -1.0], [1.5, 2.0], (13, 7))
+    pts = omega.grid()
+    assert np.any(pts[:, 0] == 0.0) and np.any(pts[:, 1] == 2.0)
+
+    roots, skipped = ce._newton_census(sysm, pts)
+    reference = [_reference_newton(sysm, x) for x in pts]
+    expected = [r for r in reference if r is not None]
+    assert skipped == sum(r is None for r in reference) > 0
+    assert len(roots) == len(expected)
+    for got, want in zip(roots, expected):
+        assert np.array_equal(got, want)
+
+    cert = ce.check_gas(sysm, omega)
+    reference = [_reference_newton(sysm, x) for x in omega.grid()]
+    span = float(np.max(omega.upper - omega.lower))
+    inside = [r for r in reference if r is not None and omega.contains(r, tol=1e-6 * span)]
+    assert cert.extras["seeds_skipped"] == sum(r is None for r in reference)
+    assert cert.extras["equilibria"] == [[float(u) for u in r] for r in ce._cluster(inside, omega)]
+    assert cert.extras["equilibrium_count"] == 2
+
+
+def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
+    entry = model("seir3")
+    omega = dy.BoxDomain.of([0.05] * 3, [0.8] * 3, (6, 5, 7))
+    pts = omega.grid()
+    for norm in ALL_NORMS:
+        whole = ce.certify_nonlinear_grid(entry.system, omega, 2, MeasureSpec(norm))
+        with monkeypatch.context() as mp:
+            for module in (ce, ms):
+                mp.setattr(module, "CHUNK_ELEMENTS", 40)
+            chunked = ce.certify_nonlinear_grid(entry.system, omega, 2, MeasureSpec(norm))
+        values = [ms.measure_k_witness(entry.system.jacobian(0.0, x), 2, MeasureSpec(norm))
+                  for x in pts]
+        worst = int(np.argmax([v.value for v in values]))
+        for cert in (whole, chunked):
+            assert cert.eta == -values[worst].value
+            assert cert.witness["point"] == [float(u) for u in pts[worst]]
+            assert np.array_equal(cert.witness["attaining"], values[worst].witness)
+    weights = np.array([1.0, 1.5, 0.7])
+    whole = ce.certify_scaled_l1(entry.system, omega, 2, weights)
+    with monkeypatch.context() as mp:
+        mp.setattr(ce, "CHUNK_ELEMENTS", 40)
+        chunked = ce.certify_scaled_l1(entry.system, omega, 2, weights)
+    assert (chunked.eta, chunked.witness, chunked.extras) == (
+        whole.eta, whole.witness, whole.extras)

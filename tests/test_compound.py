@@ -109,6 +109,33 @@ def test_add_compound_3x3_k2_pattern(rng):
     assert np.array_equal(cp.add_compound(a, 2), expected)
 
 
+def _pairwise_add_compound(a, k):
+    """Reference: classify every tuple pair with subset_relation."""
+    subsets = cb.all_subsets(a.shape[0], k)
+    out = np.zeros((len(subsets), len(subsets)))
+    for i, ti in enumerate(subsets):
+        out[i, i] = sum(a[v - 1, v - 1] for v in ti)
+        for j, tj in enumerate(subsets):
+            rel = cb.subset_relation(ti, tj)
+            if rel.kind is cb.Relation.SINGLE_SWAP:
+                out[i, j] = rel.sign * a[rel.entries[0] - 1, rel.entries[1] - 1]
+    return out
+
+
+def test_add_compound_matches_pairwise_rule_bitwise(rng):
+    # signed zeros included: the table fill must reproduce every bit
+    for n, k in [(2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 4), (7, 3)]:
+        a = rng.standard_normal((n, n))
+        a[rng.random((n, n)) < 0.3] = 0.0
+        a[rng.random((n, n)) < 0.3] = -0.0
+        ref = _pairwise_add_compound(a, k)
+        assert len(cb.single_swap_table(n, k).rows) == cb.binomial(n, k) * k * (n - k)
+        got = cp.add_compound(a, k)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (n, k)
+        stack = cp.add_compound_stack(np.stack([2.0 * a, a]), k)
+        assert np.array_equal(stack[1].view(np.int64), ref.view(np.int64)), (n, k)
+
+
 def test_add_compound_diagonal_sums():
     d = np.diag([1.0, 2.0, 4.0, 8.0])
     got = cp.add_compound(d, 2)

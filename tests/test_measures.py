@@ -106,6 +106,33 @@ def test_measure_k_matches_compound_construction(rng):
                 assert abs(direct - via) <= 1e-10, (n, k, norm)
 
 
+def test_measure_k_stack_matches_compound_route(rng):
+    for n, k in [(2, 2), (3, 2), (4, 2), (5, 3), (6, 4)]:
+        stack = rng.standard_normal((15, n, n))
+        stack[rng.random(stack.shape) < 0.2] = 0.0
+        for norm in ALL_NORMS:
+            values, witnesses = ms.measure_k_stack(stack, k, norm)
+            for i, a in enumerate(stack):
+                via_compound = ms.measure(cp.add_compound(a, k), MeasureSpec(norm))
+                assert values[i] == pytest.approx(via_compound, rel=1e-12, abs=1e-12)
+                single = ms.measure_k_witness(a, k, MeasureSpec(norm))
+                assert values[i] == single.value
+                assert np.array_equal(ms.stack_witness(witnesses, i), single.witness)
+
+
+@pytest.mark.parametrize("chunk", [ms.CHUNK_ELEMENTS, 4])
+def test_measure_k_ties_take_smallest_tuple(monkeypatch, chunk):
+    # chunk = 4 puts every 2-tuple in its own chunk, so ties span chunks
+    monkeypatch.setattr(ms, "CHUNK_ELEMENTS", chunk)
+    zero = np.zeros((2, 4, 4))
+    for norm in (Norm.L1, Norm.LINF):
+        values, witnesses = ms.measure_k_stack(zero, 2, norm)
+        assert np.array_equal(values, [0.0, 0.0])
+        assert ms.stack_witness(witnesses, 1) == (1, 2)
+        mv = ms.measure_k_witness(zero[0], 2, MeasureSpec(norm))
+        assert mv.witness == (1, 2) and all(type(v) is int for v in mv.witness)
+
+
 def test_measure_witnesses(rng):
     # lexicographically smallest attaining tuple on ties
     a = np.zeros((3, 3))

@@ -4,8 +4,16 @@ import pytest
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import models as mz
-from kcontract.certify import _newton_root
-from kcontract.errors import BadParameter, GammaNearZero, UnknownModel
+from kcontract.certify import _newton_census
+from kcontract.errors import (
+    BadParameter,
+    DimensionMismatch,
+    EvaluationFailure,
+    GammaNearZero,
+    JacobianMismatch,
+    NotSquare,
+    UnknownModel,
+)
 
 
 def test_registry_and_lookup_errors():
@@ -127,8 +135,10 @@ def test_seir_diagnostics_interior_trajectory():
 
 def test_seir_diagnostics_constant_trajectory():
     entry = mz.model("seir3")
-    eq = _newton_root(entry.system, np.array([0.5, 0.1, 0.14]))
-    assert eq is not None and np.min(eq) > 0.01
+    roots, skipped = _newton_census(entry.system, np.array([[0.5, 0.1, 0.14]]))
+    assert skipped == 0
+    eq = roots[0]
+    assert np.min(eq) > 0.01
     times = np.linspace(0.0, 5.0, 11)
     states = np.tile(eq, (11, 1))
     diag = mz.seir_orbit_diagnostics(
@@ -146,6 +156,57 @@ def test_seir_diagnostics_gamma_floor():
     states = np.tile(np.array([0.5, 0.2, 1e-12]), (5, 1))
     with pytest.raises(GammaNearZero):
         mz.seir_orbit_diagnostics(entry, dy.Trajectory(times=times, states=states))
+
+
+def test_batch_callables_match_scalar_ones(rng):
+    for name in ("hopf", "seir3"):
+        sysm = mz.model(name).system
+        xs = 0.05 + 0.9 * rng.random((50, sysm.dim))
+        fields = np.stack([sysm.field(0.0, x) for x in xs])
+        jacs = np.stack([sysm.jacobian(0.0, x) for x in xs])
+        assert np.array_equal(sysm.field_stack(0.0, xs), fields)
+        assert np.allclose(sysm.jacobian_stack(0.0, xs), jacs, rtol=1e-15, atol=1e-15)
+
+
+def test_check_jacobian_rejects_disagreeing_batch():
+    def field(t, x):
+        return np.array([-x[0] + x[1] ** 2, -x[1]])
+
+    def jac(t, x):
+        return np.array([[-1.0, 2.0 * x[1]], [0.0, -1.0]])
+
+    def jac_batch(t, xs):
+        return np.stack([jac(t, x) for x in xs])
+
+    good = dy.SystemModel(dim=2, field=field, jacobian=jac, jacobian_batch=jac_batch)
+    good.check_jacobian()
+    off = dy.SystemModel(dim=2, field=field, jacobian=jac,
+                         jacobian_batch=lambda t, xs: jac_batch(t, xs) * (1.0 + 1e-9))
+    with pytest.raises(JacobianMismatch):
+        off.check_jacobian()
+    bad_field = dy.SystemModel(dim=2, field=field, jacobian=jac,
+                               field_batch=lambda t, xs: -xs)
+    with pytest.raises(JacobianMismatch):
+        bad_field.check_jacobian()
+
+
+def test_jacobian_stack_keeps_matrix_checks():
+    xs = np.zeros((3, 2))
+    cases = [
+        (lambda t, xs: np.full((len(xs), 2, 2), np.nan), EvaluationFailure),
+        (lambda t, xs: np.zeros((len(xs), 2, 3)), NotSquare),
+        (lambda t, xs: np.zeros((len(xs), 2)), DimensionMismatch),
+        (lambda t, xs: np.zeros((1, 2, 2)), DimensionMismatch),
+    ]
+    for batch, error in cases:
+        sysm = dy.SystemModel(dim=2, field=lambda t, x: x, jacobian=lambda t, x: np.eye(2),
+                              jacobian_batch=batch)
+        with pytest.raises(error):
+            sysm.jacobian_stack(0.0, xs)
+    scalar_nan = dy.SystemModel(dim=2, field=lambda t, x: x,
+                                jacobian=lambda t, x: np.full((2, 2), np.inf))
+    with pytest.raises(EvaluationFailure):
+        scalar_nan.jacobian_stack(0.0, xs)
 
 
 def test_lti_model_from_matrix():
