@@ -8,6 +8,7 @@ deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -308,7 +309,10 @@ def _add_common(sp, *, out=True, config=True):
         sp.add_argument("--config", help="JSON file of default flag values (flags win)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args returns a fresh
+    namespace on every call and never changes the parser."""
     parser = argparse.ArgumentParser(
         prog="kcontract",
         description="compound-matrix algebra, matrix measures, and "

@@ -92,7 +92,10 @@ def unrank(r: int, n: int, k: int) -> tuple[int, ...]:
 
 def all_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All of Q_{k,n} in lexicographic (= rank) order."""
-    return [unrank(r, n, k) for r in range(binomial(n, k))]
+    count = binomial(n, k)  # refuses n > MAX_DIMENSION; 0 when k is outside [0, n]
+    if count and k < 1:
+        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    return list(itertools.combinations(range(1, n + 1), k)) if count else []
 
 
 def _read_only(*arrays: np.ndarray) -> None:

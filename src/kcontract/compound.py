@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import combinatorics as comb
-from .combinatorics import all_subsets, binomial, single_swap_table, subset_table
+from .combinatorics import binomial, single_swap_table, subset_table
 from .errors import (
     CompoundSizeCapExceeded,
     DimensionMismatch,
@@ -94,8 +94,8 @@ def mult_compound(a, k: int) -> np.ndarray:
         return m.copy()
     shape = comb.CompoundShape.of(n, p, k)
     _check_cap(shape.rows, shape.cols)
-    row_sets = np.asarray(all_subsets(n, k), dtype=int) - 1  # (R, k)
-    col_sets = np.asarray(all_subsets(p, k), dtype=int) - 1  # (C, k)
+    row_sets = subset_table(n, k)  # (R, k)
+    col_sets = subset_table(p, k)  # (C, k)
     rows_total, cols_total = shape.rows, shape.cols
     out = np.empty((rows_total, cols_total))
     chunk = max(1, CHUNK_ELEMENTS // max(1, cols_total * k * k))
@@ -217,7 +217,8 @@ def k_content(phi, lower, upper, grid) -> float:
     phi maps a point of the k-dimensional box [lower, upper] to R^n.  The
     integrand |d(phi)/dr_1 ^ ... ^ d(phi)/dr_k| (Euclidean norm) is sampled
     at cell midpoints with central-difference partials of step half a cell,
-    then summed (midpoint rule).
+    then summed in cell order (midpoint rule).  The minors of every cell come
+    from one batched determinant over the cached subset table.
     """
     lo = np.asarray(lower, dtype=float).reshape(-1)
     hi = np.asarray(upper, dtype=float).reshape(-1)
@@ -237,7 +238,7 @@ def k_content(phi, lower, upper, grid) -> float:
     mesh = np.meshgrid(*axes, indexing="ij")
     midpoints = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    total = 0.0
+    cells = []
     for c in midpoints:
         partials = []
         for i in range(k):
@@ -250,6 +251,23 @@ def k_content(phi, lower, upper, grid) -> float:
             if not (np.all(np.isfinite(pf)) and np.all(np.isfinite(pb))):
                 raise EvaluationFailure(f"phi returned non-finite values near {c}")
             partials.append((pf - pb) / (2.0 * half[i]))
-        w = wedge(partials)
-        total += float(np.linalg.norm(w)) * cell_volume
+        cells.append(partials)
+    n = cells[0][0].size
+    if any(v.size != n for partials in cells for v in partials):
+        raise DimensionMismatch("phi returned vectors of unequal length")
+    if k > n:
+        raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
+    if k > 1:
+        _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
+
+    # stack[c, :, i] is the i-th partial at cell c; the wedge of a cell's
+    # partials is the vector of all order-k minors of its n x k slice
+    stack = np.swapaxes(np.array(cells), 1, 2)
+    sets = subset_table(n, k)
+    step = max(1, CHUNK_ELEMENTS // (len(sets) * k * k))
+    total = 0.0
+    for s0 in range(0, len(stack), step):
+        minors = np.linalg.det(stack[s0:s0 + step, sets, :])
+        for norm in np.linalg.norm(minors, axis=1).tolist():
+            total += norm * cell_volume
     return total

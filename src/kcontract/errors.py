@@ -64,11 +64,11 @@ class SingularScaling(KContractError):
 
 
 class NonConvergence(EigensolveFailure):
-    """Jacobi sweeps exhausted before the off-diagonal norm dropped below tolerance."""
+    """The LAPACK symmetric eigensolver (eigh/eigvalsh) did not converge."""
 
 
 class QRNonConvergence(EigensolveFailure):
-    """QR iteration cap reached before all eigenvalues deflated."""
+    """The LAPACK nonsymmetric eigenvalue QR iteration (eigvals) did not converge."""
 
 
 # -- dynamics ---------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Matrix JSON schema: {"rows": n, "cols": m, "data": [[...], ...]} (row-major
 decimal floats).  CSV floats carry 17 significant digits so round trips are
-exact; JSON floats use Python's shortest round-trip repr.
+exact; JSON floats use Python's shortest round-trip repr.  ``dump_json``
+writes the text of ``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` in
+one pass: it reads arrays through ``tolist()`` and renders each list of plain
+floats with a single join over ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def matrix_to_json(a) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(v) for v in row] for row in m],
+        "data": m.tolist(),
     }
 
 
@@ -150,9 +153,46 @@ def write_trace_csv(path: str, trace: ParallelotopeTrace) -> None:
             fh.write(f"{_fmt(t)},{_fmt(nv)},{_fmt(log)}\n")
 
 
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append to out the text json.dumps(jsonable(value), sort_keys=True,
+    indent=2) gives value when it is nested at the given indent."""
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack((value.real, value.imag), axis=-1).reshape(-1, 2)
+        value = value.tolist()
+    elif not isinstance(value, (dict, list, tuple)):
+        value = jsonable(value)  # numpy scalars to Python ones, complex to [re, im]
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        for i, (key, v) in enumerate(items):
+            out.append(("{\n" if i == 0 else ",\n") + inner + json.dumps(key) + ": ")
+            _write_json(v, inner, out)
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = ",\n" + inner
+        if set(map(type, value)) == {float}:
+            text = sep.join(map(float.__repr__, value))
+            if "n" in text:  # a nan or inf, which JSON spells NaN / Infinity
+                text = sep.join(map(json.dumps, value))
+            out.append("[\n" + inner + text + "\n" + indent + "]")
+            return
+        for i, v in enumerate(value):
+            out.append(("[\n" + inner) if i == 0 else sep)
+            _write_json(v, inner, out)
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))  # scalars and empty containers
+
+
 def dump_json(obj: dict, path: str | None) -> str:
-    """Serialize deterministically; write to path when given, return the text."""
-    text = json.dumps(jsonable(obj), sort_keys=True, indent=2)
+    """Serialize deterministically; write to path when given, return the text.
+
+    The text equals json.dumps(jsonable(obj), sort_keys=True, indent=2).
+    """
+    out: list[str] = []
+    _write_json(obj, "", out)
+    text = "".join(out)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

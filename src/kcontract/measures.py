@@ -1,12 +1,12 @@
 """Matrix measures (logarithmic norms) for a matrix and its additive compounds.
 
 The L1/L2/Linf measures of A come from the standard column-sum, symmetric
-eigenvalue, and row-sum formulas.  The measure of the k-th additive compound
-A^[k] is evaluated either by materializing the compound (measure of
-add_compound) or, preferably, by the closed-form k-compound rules which never
-build the compound: max over k-tuples of signed diagonal sums plus absolute
-off-tuple column/row sums for L1/Linf, and the sum of the k largest
-eigenvalues of the symmetric part for L2.
+eigenvalue (LAPACK ``eigh``/``eigvalsh``), and row-sum formulas.  The measure
+of the k-th additive compound A^[k] is evaluated either by materializing the
+compound (measure of add_compound) or, preferably, by the closed-form
+k-compound rules which never build the compound: max over k-tuples of signed
+diagonal sums plus absolute off-tuple column/row sums for L1/Linf, and the
+sum of the k largest eigenvalues of the symmetric part for L2.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import numpy as np
 
 from .combinatorics import subset_table
 from .compound import CHUNK_ELEMENTS, as_matrix, as_stack
-from .errors import EigensolveFailure, NonConvergence, OrderTooLarge, SingularScaling
+from .errors import NonConvergence, OrderTooLarge, SingularScaling
 
 # Reciprocal-condition refusal threshold for scaling matrices.
 RCOND_MIN = 1e-12
-
-JACOBI_MAX_SWEEPS = 50
-JACOBI_TOL = 1e-12
 
 
 class Norm(Enum):
@@ -76,72 +73,32 @@ def apply_scaling(a: np.ndarray, scaling) -> np.ndarray:
     return m @ a @ minv
 
 
-def symmetric_eigh(s, max_sweeps: int = JACOBI_MAX_SWEEPS, compute_vectors: bool = True):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+def _descending_eigh(a: np.ndarray, compute_vectors: bool):
+    """Eigenvalues, descending, (and matching eigenvector columns) of the
+    symmetric part of each matrix in a (..., n, n) array (LAPACK)."""
+    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    try:
+        if compute_vectors:
+            values, vectors = np.linalg.eigh(sym)
+            return values[..., ::-1], vectors[..., ::-1]
+        return np.linalg.eigvalsh(sym)[..., ::-1], None
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence("LAPACK symmetric eigensolve did not converge") from exc
 
-    Returns (values, vectors) with values sorted descending and vectors in
-    matching columns (vectors is None when compute_vectors is False).  The
-    input is symmetrized first; sweeps stop once the off-diagonal Frobenius
-    norm falls below 1e-12 times the matrix norm.
+
+def symmetric_eigh(s, compute_vectors: bool = True):
+    """Eigen-decomposition of a symmetric matrix (LAPACK).
+
+    Returns (values, vectors) with values sorted descending and unit-norm
+    vectors in matching columns (vectors is None when compute_vectors is
+    False).  The input is symmetrized first.
     """
-    a = as_matrix(s, square=True)
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n) if compute_vectors else None
-    if n == 1:
-        return a[0, :1].copy(), v
-    norm_s = np.linalg.norm(a)
-    if norm_s == 0.0:
-        return np.zeros(n), v
-    tol = JACOBI_TOL * norm_s
-    # entries this small cannot lift the off-norm above tol; skip rotating them
-    skip = tol / (2.0 * n)
-
-    converged = False
-    for _ in range(max_sweeps + 1):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off < tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                rot_p = a[:, p].copy()
-                rot_q = a[:, q].copy()
-                a[:, p] = c * rot_p - sn * rot_q
-                a[:, q] = sn * rot_p + c * rot_q
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - sn * rot_q
-                a[q, :] = sn * rot_p + c * rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if compute_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - sn * vq
-                    v[:, q] = sn * vp + c * vq
-    if not converged:
-        raise NonConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    values = np.diag(a).copy()
-    order = np.argsort(-values)
-    return values[order], (v[:, order] if compute_vectors else None)
+    return _descending_eigh(as_matrix(s, square=True), compute_vectors)
 
 
-def symmetric_eigenvalues(s, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Descending eigenvalues of a symmetric matrix (cyclic Jacobi)."""
-    values, _ = symmetric_eigh(s, max_sweeps=max_sweeps, compute_vectors=False)
-    return values
+def symmetric_eigenvalues(s) -> np.ndarray:
+    """Descending eigenvalues of a symmetric matrix (LAPACK)."""
+    return symmetric_eigh(s, compute_vectors=False)[0]
 
 
 def _line_sums(a: np.ndarray, norm: Norm) -> np.ndarray:
@@ -153,19 +110,9 @@ def _line_sums(a: np.ndarray, norm: Norm) -> np.ndarray:
             - np.diagonal(aabs, axis1=-2, axis2=-1))
 
 
-def _top_eigenvalues(a: np.ndarray, k: int) -> np.ndarray:
-    """The k largest eigenvalues, descending, of the symmetric part of each
-    matrix in an (N, n, n) stack (LAPACK)."""
-    try:
-        values = np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure("symmetric eigensolve did not converge") from exc
-    return values[..., ::-1][..., :k].copy()
-
-
 def _measure_witness_plain(a: np.ndarray, norm: Norm) -> MeasureValue:
     if norm is Norm.L2:
-        values, vectors = symmetric_eigh(0.5 * (a + a.T))
+        values, vectors = symmetric_eigh(a)
         return MeasureValue(float(values[0]), vectors[:, 0].copy())
     lines = _line_sums(a, norm)
     j = int(np.argmax(lines))  # argmax returns the first (smallest) index on ties
@@ -176,7 +123,7 @@ def measure_stack(a, norm: Norm) -> np.ndarray:
     """mu_1, mu_2 or mu_inf of every matrix in an (N, n, n) stack."""
     m = as_stack(a, square=True)
     if norm is Norm.L2:
-        return _top_eigenvalues(m, 1)[:, 0]
+        return _descending_eigh(m, compute_vectors=False)[0][:, 0]
     return _line_sums(m, norm).max(axis=-1)
 
 
@@ -219,7 +166,7 @@ def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     if k < 1 or k > n:
         raise OrderTooLarge(f"k={k} outside [1, {n}]")
     if norm is Norm.L2:
-        top = _top_eigenvalues(m, k)
+        top = _descending_eigh(m, compute_vectors=False)[0][:, :k].copy()
         return top.sum(axis=-1), top
 
     subsets = subset_table(n, k)

@@ -1,8 +1,7 @@
 """Real nonsymmetric eigenvalues and compound spectral cross-checks.
 
-Eigenvalues come from the classical dense pipeline: Parlett-Reinsch
-balancing, Householder reduction to Hessenberg form, then Francis
-double-shift QR with deflation.  The compound checks compare the spectrum of
+Eigenvalues come from LAPACK (``np.linalg.eigvals``: balancing, Hessenberg
+reduction and shifted QR).  The compound checks compare the spectrum of
 A^[k] (or A^(k)) against k-sums (or k-products) of the spectrum of A.
 """
 
@@ -17,185 +16,24 @@ from .compound import add_compound, as_matrix, mult_compound
 from .errors import OrderTooLarge, QRNonConvergence
 
 DIM_CAP = 64
-QR_ITER_FACTOR = 100
 
 # Eigenvalue-condition heuristic: spectra with nearest-neighbor gaps below
 # scale/ILL_CONDITION_THRESHOLD get the widened matching tolerance.
 ILL_CONDITION_THRESHOLD = 1e6
 
 
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling (powers of 2) to equalize row/column norms."""
-    h = a.copy()
-    n = h.shape[0]
-    radix = 2.0
-    converged = False
-    while not converged:
-        converged = True
-        for i in range(n):
-            c = np.sum(np.abs(h[:, i])) - abs(h[i, i])
-            r = np.sum(np.abs(h[i, :])) - abs(h[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c > r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if c + r < 0.95 * s:
-                converged = False
-                h[i, :] /= f
-                h[:, i] *= f
-    return h
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (similarity)."""
-    h = a.copy()
-    n = h.shape[0]
-    for col in range(n - 2):
-        x = h[col + 1:, col]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(normx, x[0] if x[0] != 0.0 else 1.0)
-        v /= np.linalg.norm(v)
-        h[col + 1:, :] -= 2.0 * np.outer(v, v @ h[col + 1:, :])
-        h[:, col + 1:] -= 2.0 * np.outer(h[:, col + 1:] @ v, v)
-        h[col + 2:, col] = 0.0
-    return h
-
-
-def _house(x: np.ndarray) -> np.ndarray | None:
-    normx = np.linalg.norm(x)
-    if normx == 0.0:
-        return None
-    v = x.copy()
-    v[0] += np.copysign(normx, x[0] if x[0] != 0.0 else 1.0)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return None
-    return v / nv
-
-
-def _eig2(block: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 real block."""
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    half_tr = 0.5 * (a + d)
-    disc = 0.25 * (a - d) ** 2 + b * c
-    if disc >= 0.0:
-        sq = np.sqrt(disc)
-        lam1 = half_tr + (sq if half_tr >= 0.0 else -sq)
-        det = a * d - b * c
-        lam2 = det / lam1 if lam1 != 0.0 else half_tr - (sq if half_tr >= 0.0 else -sq)
-        return complex(lam1), complex(lam2)
-    sq = np.sqrt(-disc)
-    return complex(half_tr, sq), complex(half_tr, -sq)
-
-
-def _francis_step(h: np.ndarray, lo: int, hi: int, shift_s: float, shift_p: float) -> None:
-    """One implicit double-shift bulge chase on the active block h[lo:hi+1, lo:hi+1]."""
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - shift_s * h[lo, lo] + shift_p
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_s)
-    z = h[lo + 2, lo + 1] * h[lo + 1, lo]
-    for k in range(lo, hi - 1):
-        if k > lo:
-            x = h[k, k - 1]
-            y = h[k + 1, k - 1]
-            z = h[k + 2, k - 1] if k + 2 <= hi else 0.0
-        v = _house(np.array([x, y, z]))
-        if v is None:
-            continue
-        c0 = max(lo, k - 1)
-        h[k:k + 3, c0:hi + 1] -= 2.0 * np.outer(v, v @ h[k:k + 3, c0:hi + 1])
-        r1 = min(k + 4, hi + 1)
-        h[lo:r1, k:k + 3] -= 2.0 * np.outer(h[lo:r1, k:k + 3] @ v, v)
-    # final 2-row reflector zeroes the leftover bulge entry h[hi, hi-2]
-    v = _house(np.array([h[hi - 1, hi - 2], h[hi, hi - 2]]))
-    if v is not None:
-        h[hi - 1:hi + 1, hi - 2:hi + 1] -= 2.0 * np.outer(
-            v, v @ h[hi - 1:hi + 1, hi - 2:hi + 1]
-        )
-        h[lo:hi + 1, hi - 1:hi + 1] -= 2.0 * np.outer(
-            h[lo:hi + 1, hi - 1:hi + 1] @ v, v
-        )
-
-
 def eigenvalues(a, dim_cap: int = DIM_CAP) -> np.ndarray:
-    """All eigenvalues of a real square matrix, sorted by (re, im).
-
-    Pipeline: balance, Hessenberg reduction, Francis double-shift QR with
-    deflation and ad-hoc exceptional shifts every 10 stalled iterations.
-    """
+    """All eigenvalues of a real square matrix (LAPACK), as a complex array
+    sorted by (re, im)."""
     m = as_matrix(a, square=True)
     n = m.shape[0]
     if n > dim_cap:
         raise OrderTooLarge(f"dimension {n} exceeds eigenvalue cap {dim_cap}")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(m[0, 0])])
-
-    h = _hessenberg(_balance(m))
-    eps = np.finfo(float).eps
-    anorm = np.linalg.norm(h, 1)
-    out: list[complex] = []
-    hi = n - 1
-    total_iters = 0
-    local_iters = 0
-    iter_cap = QR_ITER_FACTOR * n
-
-    while hi >= 0:
-        # find the start of the active unreduced block
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = anorm
-            if abs(h[lo, lo - 1]) <= eps * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-
-        if lo == hi:
-            out.append(complex(h[hi, hi]))
-            hi -= 1
-            local_iters = 0
-            continue
-        if lo == hi - 1:
-            l1, l2 = _eig2(h[hi - 1:hi + 1, hi - 1:hi + 1])
-            out.extend([l1, l2])
-            hi -= 2
-            local_iters = 0
-            continue
-
-        total_iters += 1
-        local_iters += 1
-        if total_iters > iter_cap:
-            raise QRNonConvergence(f"QR exceeded {iter_cap} iterations")
-
-        if local_iters % 10 == 0:
-            # exceptional ad-hoc shift to break limit cycles
-            s_exc = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            shift_s = 1.5 * s_exc
-            shift_p = -0.4375 * s_exc * s_exc
-        else:
-            shift_s = h[hi - 1, hi - 1] + h[hi, hi]
-            shift_p = (
-                h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-            )
-        _francis_step(h, lo, hi, shift_s, shift_p)
-
-    vals = np.array(out, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    try:
+        vals = np.linalg.eigvals(m).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise QRNonConvergence("LAPACK eigenvalue iteration did not converge") from exc
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def _greedy_match(x: np.ndarray, y: np.ndarray) -> float:

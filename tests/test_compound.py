@@ -300,6 +300,37 @@ def test_k_content_arclength():
     assert abs(got - exact) <= 1e-3
 
 
+def _k_content_per_cell(phi, lower, upper, counts):
+    """The per-cell wedge loop: one wedge and one norm per midpoint cell."""
+    lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    widths = (hi - lo) / np.asarray(counts)
+    axes = [lo[i] + widths[i] * (np.arange(c) + 0.5) for i, c in enumerate(counts)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    total = 0.0
+    for c in np.stack([m.reshape(-1) for m in mesh], axis=1):
+        partials = []
+        for i, step in enumerate(widths / 2.0):
+            e = np.zeros(len(counts))
+            e[i] = step
+            partials.append((np.asarray(phi(c + e)) - np.asarray(phi(c - e))) / (2.0 * step))
+        total += float(np.linalg.norm(cp.wedge(partials))) * float(np.prod(widths))
+    return total
+
+
+def test_k_content_matches_per_cell_wedges():
+    def sphere(r):
+        return np.array([np.cos(r[0]) * np.sin(r[1]), np.sin(r[0]) * np.sin(r[1]), np.cos(r[1])])
+
+    def curve(r):
+        return np.array([r[0], r[0] ** 2, np.sin(3.0 * r[0])])
+
+    cases = [(sphere, [0.0, 0.0], [2.0 * np.pi, np.pi], [23, 17]),
+             (curve, [-1.0], [2.0], [301])]
+    for phi, lower, upper, counts in cases:
+        want = _k_content_per_cell(phi, lower, upper, counts)
+        assert abs(cp.k_content(phi, lower, upper, counts) - want) <= 1e-12 * want
+
+
 def test_error_paths(rng):
     with pytest.raises(NotSquare):
         cp.add_compound(rng.standard_normal((3, 4)), 2)
@@ -313,3 +344,13 @@ def test_error_paths(rng):
         cp.wedge([np.ones(3), np.ones(4)])
     with pytest.raises(EvaluationFailure):
         cp.k_content(lambda r: np.array([np.inf]), [0.0], [1.0], [4])
+    with pytest.raises(OrderTooLarge):
+        cp.k_content(lambda r: np.array([r[0] + r[1]]), [0.0, 0.0], [1.0, 1.0], [2, 2])
+    calls = []
+
+    def growing(r):  # the first two cells map to R^2, the others to R^3
+        calls.append(r)
+        return np.ones(2 if len(calls) <= 4 else 3)
+
+    with pytest.raises(DimensionMismatch):
+        cp.k_content(growing, [0.0], [1.0], [4])

@@ -33,6 +33,59 @@ def test_matrix_json_schema_validation():
         io.matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 2.0]]})
 
 
+def _json_corpus():
+    rng = np.random.default_rng(3)
+    nonfinite = np.array([1.5, np.nan, -np.inf, np.inf, -0.0, 5e-324, 1e300])
+    return [
+        {},
+        [],
+        (),
+        np.zeros(0),
+        np.zeros((0, 3)),
+        nonfinite,
+        list(nonfinite),
+        [float("nan"), -0.0, 0.0, float("-inf")],
+        rng.standard_normal((4, 5)),
+        rng.standard_normal(7).astype(np.float32),
+        (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))),
+        np.array([1 + 2j, np.nan - 0.0j], dtype=np.complex64),
+        [1 + 2j, np.complex128(-0.0 + np.inf * 1j), np.float64(0.1), np.float32(0.1)],
+        [np.int8(-3), np.uint64(2**64 - 1), np.bool_(True), np.bool_(False), True, None, 2**70],
+        np.array([[1, 2], [3, 4]]),
+        np.array([True, False]),
+        np.array([1.0, "x", None, 2 + 1j], dtype=object),
+        {"b": (1, 2.5, "s"), "a": [[], {}, [[]]], 3: "int key", 2.5: "float key",
+         None: 0, True: 1, (1, 2): [], "Zeta": np.float64(-1.25)},
+        {1: "int wins? no, the later str key does", "1": "str"},
+        {"ünïcödé \u2028 \"q\" \\ \n\t\x00": "☃ \ud83d\ude00 ✓", "": ""},
+        {"nested": {"deep": {"deeper": [np.arange(3.0), np.eye(2), {"x": np.nan}]}}},
+        [1, 1.0, "1.0", [1.0, 2], [2.0, np.float64(3.0)]],
+        io.matrix_to_json(rng.standard_normal((6, 6))),
+        "plain string",
+        -0.0,
+        np.float64(np.inf),
+        7,
+    ]
+
+
+def test_dump_json_matches_json_module(tmp_path):
+    for i, obj in enumerate(_json_corpus()):
+        want = json.dumps(io.jsonable(obj), sort_keys=True, indent=2)
+        assert io.dump_json(obj, None) == want, i
+    path = tmp_path / "out.json"
+    obj = {"m": np.arange(4.0).reshape(2, 2)}
+    text = io.dump_json(obj, str(path))
+    assert path.read_text() == text + "\n"
+
+
+def test_matrix_to_json_matches_float_conversion(rng):
+    a = rng.standard_normal((5, 3))
+    a[0, 0] = -0.0
+    data = io.matrix_to_json(a)["data"]
+    assert data == [[float(v) for v in row] for row in a]
+    assert all(type(v) is float for row in data for v in row)
+
+
 def test_trajectory_csv_roundtrip_precision(tmp_path):
     entry = model("diag2")
     traj = dy.integrate(entry.system, [1.0, 1.0], (0.0, 0.01), 1e-3)
@@ -177,6 +230,10 @@ def test_cli_config_merge(tmp_path, diag2_file, capsys):
                  "--config", str(cfg), "--norm", "l2"])
     cert = json.loads(capsys.readouterr().out)
     assert cert["norm"] == "l2"
+    # the parser is shared between calls; config values must not leak
+    code = main(["certify", "--rule", "lti", "--matrix", diag2_file, "--k", "1"])
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["norm"] == "l2" and cert["k"] == 1
 
 
 def test_cli_simulate_and_oracle(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from kcontract import compound as cp
 from kcontract import measures as ms
 from kcontract import spectra as sp
-from kcontract.errors import NonConvergence, SingularScaling
+from kcontract.errors import EigensolveFailure, NonConvergence, SingularScaling
 from kcontract.measures import MeasureSpec, Norm
 
 ALL_NORMS = (Norm.L1, Norm.L2, Norm.LINF)
@@ -71,11 +71,32 @@ def test_symmetric_eigh_reconstruction(rng):
     assert np.all(np.diff(vals) <= 1e-14)
 
 
-def test_jacobi_sweep_cap():
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal((12, 12))
+def test_symmetric_eigh_small_and_zero_matrices(rng):
+    vals, vecs = ms.symmetric_eigh([[-2.5]])
+    assert vals.tolist() == [-2.5] and abs(vecs[0, 0]) == 1.0
+    vals, vecs = ms.symmetric_eigh(np.zeros((4, 4)))
+    assert vals.tolist() == [0.0] * 4
+    assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-14)
+    s = rng.standard_normal((9, 9))
+    vals, vecs = ms.symmetric_eigh(s + s.T)
+    assert np.all(np.diff(vals) <= 0.0)
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-14)
+    assert np.allclose(ms.symmetric_eigenvalues(s + s.T), vals, rtol=0, atol=1e-12)
+
+
+def test_symmetric_eigensolve_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    s = np.array([[2.0, 1.0], [1.0, 3.0]])
     with pytest.raises(NonConvergence):
-        ms.symmetric_eigh(0.5 * (s + s.T), max_sweeps=0)
+        ms.symmetric_eigh(s)
+    with pytest.raises(NonConvergence):
+        ms.symmetric_eigenvalues(s)
+    with pytest.raises(EigensolveFailure):
+        ms.measure_k_direct(s, 2, MeasureSpec(Norm.L2))
 
 
 def test_measure_k_reduces_to_measure(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from kcontract import compound as cp
 from kcontract import spectra as sp
-from kcontract.errors import OrderTooLarge
+from kcontract.errors import EigensolveFailure, OrderTooLarge, QRNonConvergence
 
 from conftest import well_conditioned
 
@@ -106,8 +106,33 @@ def test_hurwitz_equivalence(rng):
             assert direct_hurwitz == compound_hurwitz
 
 
-def test_balance_and_hessenberg_preserve_spectrum(rng):
-    a = rng.standard_normal((6, 6)) * np.logspace(0, 4, 6)  # badly scaled
-    lam = sp.eigenvalues(a)
-    ref = np.linalg.eigvals(a)
-    assert sp._greedy_match(lam, ref) <= 1e-7 * max(1.0, np.max(np.abs(ref)))
+def test_eigenvalues_small_orders_are_complex():
+    empty = sp.eigenvalues(np.zeros((0, 0)))
+    assert empty.shape == (0,) and empty.dtype == complex
+    one = sp.eigenvalues([[2.5]])
+    assert one.dtype == complex and one.tolist() == [2.5 + 0j]
+    real = sp.eigenvalues(np.diag([3.0, -1.0, 2.0]))
+    assert real.dtype == complex and real.tolist() == [-1 + 0j, 2 + 0j, 3 + 0j]
+
+
+def test_eigenvalues_sort_conjugate_pairs(rng):
+    blocks = np.zeros((5, 5))
+    blocks[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+    blocks[2:4, 2:4] = [[-1.0, 3.0], [-3.0, -1.0]]
+    blocks[4, 4] = 0.5
+    t = well_conditioned(rng, 5)
+    lam = sp.eigenvalues(t @ blocks @ np.linalg.inv(t))
+    expected = np.array([-1 - 3j, -1 + 3j, 0.5, 1 - 2j, 1 + 2j])
+    assert np.max(np.abs(lam - expected)) <= 1e-10
+    assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(5))
+    assert np.array_equal(lam[[0, 3]], np.conj(lam[[1, 4]]))
+
+
+def test_eigensolve_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(QRNonConvergence) as info:
+        sp.eigenvalues(np.eye(3))
+    assert isinstance(info.value, EigensolveFailure)
