@@ -282,12 +282,9 @@ def cmd_seir_diagnostics(args) -> int:
                         args.h, domain_exit="warn")
     diag = mz.seir_orbit_diagnostics(entry, traj, window=args.window)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("t,mu,bound,margin,g1,g2\n")
-            for i in range(len(diag.times)):
-                row = (diag.times[i], diag.mu_values[i], diag.bounds[i],
-                       diag.margins[i], diag.g1[i], diag.g2[i])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        io.write_csv(args.out, "t,mu,bound,margin,g1,g2", np.column_stack([
+            diag.times, diag.mu_values, diag.bounds, diag.margins, diag.g1, diag.g2,
+        ]))
     print(io.dump_json({
         "min_margin": diag.min_margin,
         "average_mu": diag.average_mu,

@@ -39,7 +39,7 @@ def _validated(a, ndim: int, square: bool) -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=float)
     if m.ndim != ndim:
         raise DimensionMismatch(f"expected a {ndim}-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise EvaluationFailure("matrix has non-finite entries")
     if square and m.shape[-2] != m.shape[-1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape[-2:]}")
@@ -143,14 +143,48 @@ def _fill_add_compound(m: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _permutation_sign(order) -> int:
-    inversions = sum(
-        1
-        for i in range(len(order))
-        for j in range(i + 1, len(order))
-        if order[i] > order[j]
-    )
-    return -1 if inversions % 2 else 1
+def _minors(stack: np.ndarray) -> np.ndarray:
+    """All order-k minors of every n x k slice of an (N, n, k) stack, as
+    (N, C(n, k)) in lexicographic row order: one LU determinant per minor,
+    batched in chunks of CHUNK_ELEMENTS (k = 1 minors are the entries)."""
+    n, k = stack.shape[1:]
+    if k == 1:
+        return stack[:, :, 0].copy()
+    sets = subset_table(n, k)
+    step = max(1, CHUNK_ELEMENTS // (len(sets) * k * k))
+    out = np.empty((len(stack), len(sets)))
+    for s0 in range(0, len(stack), step):
+        out[s0:s0 + step] = np.linalg.det(stack[s0:s0 + step, sets, :])
+    return out
+
+
+def wedge_stack(frames) -> np.ndarray:
+    """wedge of the k columns of every n x k matrix of an (N, n, k) stack.
+
+    Returns (N, C(n, k)); row i equals wedge(frames[i].T) bit for bit.  Each
+    sample's columns are put in stable lexicographic order, with the sign of
+    that permutation, by comparing them row by row; then every minor of every
+    sample comes from one batched determinant.
+    """
+    w = as_stack(frames)
+    n, k = w.shape[1:]
+    if not 1 <= k <= n:
+        raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
+    if k > 1:
+        _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
+    # less[s, i, j]: column i of sample s sorts strictly before column j
+    less = np.zeros((len(w), k, k), dtype=bool)
+    tied = np.ones_like(less)
+    for row in np.moveaxis(w, 1, 0):
+        less |= tied & (row[:, :, None] < row[:, None, :])
+        tied &= row[:, :, None] == row[:, None, :]
+    # a column's sorted position counts the columns before it, plus equal
+    # columns to its left (the sort is stable); each pair i < j with column
+    # j before column i is one inversion
+    position = less.sum(axis=1) + np.triu(tied, 1).sum(axis=1)
+    order = np.argsort(position, axis=1)
+    sign = np.where(np.tril(less, -1).sum(axis=(1, 2)) % 2, -1.0, 1.0)
+    return sign[:, None] * _minors(np.take_along_axis(w, order[:, None, :], axis=2))
 
 
 def wedge(vectors) -> np.ndarray:
@@ -160,7 +194,7 @@ def wedge(vectors) -> np.ndarray:
     n x k stack of the vectors; coordinates follow lexicographic subset order.
     The columns are canonically reordered (with the permutation sign tracked)
     before the minors are evaluated, so swapping two arguments negates the
-    result bit-for-bit.
+    result bit-for-bit.  This is the one-sample case of wedge_stack.
     """
     cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not cols:
@@ -169,13 +203,9 @@ def wedge(vectors) -> np.ndarray:
     for v in cols:
         if v.size != n:
             raise DimensionMismatch("vectors of unequal length")
-    k = len(cols)
-    if k > n:
-        raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
-    order = sorted(range(k), key=lambda i: tuple(cols[i]))
-    sign = _permutation_sign(order)
-    stack = np.column_stack([cols[i] for i in order])
-    return sign * mult_compound(stack, k)[:, 0]
+    if len(cols) > n:
+        raise OrderTooLarge(f"cannot wedge {len(cols)} vectors in R^{n}")
+    return wedge_stack(np.column_stack(cols)[None])[0]
 
 
 def schwarz_n_minus_1(a) -> np.ndarray:
@@ -238,22 +268,23 @@ def k_content(phi, lower, upper, grid) -> float:
     mesh = np.meshgrid(*axes, indexing="ij")
     midpoints = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    cells = []
+    # phi at the forward and backward point of every partial, cell by cell
+    values = []
     for c in midpoints:
-        partials = []
         for i in range(k):
             fwd = c.copy()
             bwd = c.copy()
             fwd[i] += half[i]
             bwd[i] -= half[i]
-            pf = np.asarray(phi(fwd), dtype=float).reshape(-1)
-            pb = np.asarray(phi(bwd), dtype=float).reshape(-1)
-            if not (np.all(np.isfinite(pf)) and np.all(np.isfinite(pb))):
-                raise EvaluationFailure(f"phi returned non-finite values near {c}")
-            partials.append((pf - pb) / (2.0 * half[i]))
-        cells.append(partials)
-    n = cells[0][0].size
-    if any(v.size != n for partials in cells for v in partials):
+            values.append(np.asarray(phi(fwd), dtype=float).reshape(-1))
+            values.append(np.asarray(phi(bwd), dtype=float).reshape(-1))
+    if not np.isfinite(np.concatenate(values)).all():
+        bad = next(j for j, v in enumerate(values) if not np.isfinite(v).all())
+        raise EvaluationFailure(
+            f"phi returned non-finite values near {midpoints[bad // (2 * k)]}"
+        )
+    n = values[0].size
+    if any(v.size != n for v in values):
         raise DimensionMismatch("phi returned vectors of unequal length")
     if k > n:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
@@ -262,12 +293,9 @@ def k_content(phi, lower, upper, grid) -> float:
 
     # stack[c, :, i] is the i-th partial at cell c; the wedge of a cell's
     # partials is the vector of all order-k minors of its n x k slice
-    stack = np.swapaxes(np.array(cells), 1, 2)
-    sets = subset_table(n, k)
-    step = max(1, CHUNK_ELEMENTS // (len(sets) * k * k))
+    pairs = np.array(values).reshape(len(midpoints), k, 2, n)
+    stack = np.swapaxes((pairs[:, :, 0] - pairs[:, :, 1]) / (2.0 * half)[:, None], 1, 2)
     total = 0.0
-    for s0 in range(0, len(stack), step):
-        minors = np.linalg.det(stack[s0:s0 + step, sets, :])
-        for norm in np.linalg.norm(minors, axis=1).tolist():
-            total += norm * cell_volume
+    for norm in np.linalg.norm(_minors(stack), axis=1).tolist():
+        total += norm * cell_volume
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import binomial
-from .compound import add_compound, as_matrix, as_stack, mult_compound, wedge
+from .compound import add_compound, as_matrix, as_stack, mult_compound, wedge_stack
 from .errors import (
     DimensionMismatch,
     JacobianMismatch,
@@ -278,15 +278,15 @@ def _rk4_path(f, y0: np.ndarray, t_span, h: float):
         k3 = f(t + 0.5 * hh, y + (0.5 * hh) * k2)
         k4 = f(t + hh, y + hh * k3)
         inc = (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(inc)):
-            raise NonFiniteState(f"non-finite state at t={times[i + 1]:.6g}")
         # Kahan-compensated update keeps roundoff from masking RK4 order
         adj = inc - comp
         ynew = y + adj
+        # a non-finite increment makes ynew non-finite too; checking before
+        # comp is updated keeps inf - inf out of the compensation term
+        if not np.isfinite(ynew).all():
+            raise NonFiniteState(f"non-finite state at t={times[i + 1]:.6g}")
         comp = (ynew - y) - adj
         y = ynew
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite state at t={times[i + 1]:.6g}")
         out[i + 1] = y
     return times, out
 
@@ -313,11 +313,12 @@ def integrate(
     times, states = _rk4_path(f, x0, t_span, h)
 
     if system.domain is not None and domain_exit != "ignore":
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(system.domain.upper))))
-        outside = [
-            i for i in range(len(times)) if not system.domain.contains(states[i], tol)
-        ]
-        if outside:
+        box = system.domain
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(box.upper))))
+        outside = np.flatnonzero(
+            ~((states >= box.lower - tol) & (states <= box.upper + tol)).all(axis=1)
+        )
+        if outside.size:
             msg = (
                 f"trajectory left the declared domain at t={times[outside[0]]:.6g}"
             )
@@ -426,28 +427,21 @@ def variational_frame(
     )
 
 
-def _vector_norm(v: np.ndarray, norm: Norm) -> float:
-    if norm is Norm.L1:
-        return float(np.sum(np.abs(v)))
-    if norm is Norm.LINF:
-        return float(np.max(np.abs(v)))
-    return float(np.linalg.norm(v))
-
-
 def volume_trace(frame: FrameTrajectory, norm: Norm = Norm.L2) -> ParallelotopeTrace:
     """Wedge of the frame columns and its norm at every sample.
 
+    All samples are wedged at once (wedge_stack).  The L2 norm is the square
+    root of a row-wise vecdot, which rounds like np.linalg.norm of each row.
     Also fits the decay exponent as the least-squares slope of log norm over
     time (positive-norm samples only).
     """
-    m, n, k = frame.frames.shape
-    r = binomial(n, k)
-    wedges = np.empty((m, r))
-    norms = np.empty(m)
-    for i in range(m):
-        w = wedge([frame.frames[i, :, j] for j in range(k)])
-        wedges[i] = w
-        norms[i] = _vector_norm(w, norm)
+    wedges = wedge_stack(frame.frames)
+    if norm is Norm.L1:
+        norms = np.abs(wedges).sum(axis=1)
+    elif norm is Norm.LINF:
+        norms = np.abs(wedges).max(axis=1)
+    else:
+        norms = np.sqrt(np.vecdot(wedges, wedges))
     slope = None
     mask = norms > 0.0
     if np.count_nonzero(mask) >= 2:

@@ -20,10 +20,6 @@ from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Traject
 from .errors import DimensionMismatch
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def matrix_to_json(a) -> dict:
     m = as_matrix(a)
     return {
@@ -129,28 +125,31 @@ def subspace_to_json(rep: SubspaceReport) -> dict:
     }
 
 
+def write_csv(path: str, header: str, table) -> None:
+    """A header line, then each row of a 2-D float table as "%.17g" values."""
+    rows = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
+
+
 def write_trajectory_csv(path: str, traj: Trajectory, frames: np.ndarray | None = None) -> None:
     """Header "t,x1,...,xn" plus w{i}{j} columns when a frame stack is given."""
     n = traj.states.shape[1]
     cols = ["t"] + [f"x{i + 1}" for i in range(n)]
+    table = [traj.times[:, None], traj.states]
     if frames is not None:
         k = frames.shape[2]
         cols += [f"w{i + 1}{j + 1}" for j in range(k) for i in range(n)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in range(len(traj.times)):
-            vals = [traj.times[row]] + list(traj.states[row])
-            if frames is not None:
-                vals += list(frames[row].T.reshape(-1))
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
+        table.append(np.swapaxes(frames, 1, 2).reshape(len(frames), -1))
+    write_csv(path, ",".join(cols), np.hstack(table))
 
 
 def write_trace_csv(path: str, trace: ParallelotopeTrace) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,norm,log_norm\n")
-        for t, nv in zip(trace.times, trace.norms):
-            log = np.log(nv) if nv > 0 else -np.inf
-            fh.write(f"{_fmt(t)},{_fmt(nv)},{_fmt(log)}\n")
+    norms = trace.norms
+    log = np.log(norms, out=np.full_like(norms, -np.inf), where=norms > 0)
+    write_csv(path, "t,norm,log_norm", np.column_stack([trace.times, norms, log]))
 
 
 def _write_json(value, indent: str, out: list[str]) -> None:

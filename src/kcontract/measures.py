@@ -49,8 +49,9 @@ class MeasureValue:
     """A measure value with the witness that attains it.
 
     For L1/Linf the witness is the (lexicographically smallest) attaining
-    1-based index tuple; for L2 it is the eigenvector (k = 1) or the top-k
-    eigenvalues of the symmetric part.
+    1-based index tuple; for L2 it is the eigenvector (k = 1), signed so its
+    largest-magnitude entry is positive, or the top-k eigenvalues of the
+    symmetric part.
     """
 
     value: float
@@ -113,7 +114,12 @@ def _line_sums(a: np.ndarray, norm: Norm) -> np.ndarray:
 def _measure_witness_plain(a: np.ndarray, norm: Norm) -> MeasureValue:
     if norm is Norm.L2:
         values, vectors = symmetric_eigh(a)
-        return MeasureValue(float(values[0]), vectors[:, 0].copy())
+        v = vectors[:, 0]
+        # canonical sign: the largest-magnitude entry (the first on ties) is
+        # positive, so the witness does not depend on the LAPACK build;
+        # adding 0.0 turns -0.0 entries into 0.0
+        sign = -1.0 if v[np.argmax(np.abs(v))] < 0.0 else 1.0
+        return MeasureValue(float(values[0]), sign * v + 0.0)
     lines = _line_sums(a, norm)
     j = int(np.argmax(lines))  # argmax returns the first (smallest) index on ties
     return MeasureValue(float(lines[j]), (j + 1,))

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compound import add_compound, as_matrix
+from .compound import CHUNK_ELEMENTS, add_compound_stack, as_matrix
 from .dynamics import BoxDomain, SystemModel, Trajectory
 from .errors import BadParameter, GammaNearZero, UnknownModel
-from .measures import MeasureSpec, Norm, measure
+from .measures import Norm, measure_stack
 
 GAMMA_FLOOR = 1e-8
 
@@ -323,6 +323,14 @@ class SeirDiagnostics:
     extras: dict = dc_field(default_factory=dict)
 
 
+def _diag_stack(first: float, rest: np.ndarray) -> np.ndarray:
+    """The diagonal matrices diag(first, rest[i], rest[i]), as (N, 3, 3)."""
+    out = np.zeros((len(rest), 3, 3))
+    out[:, 0, 0] = first
+    out[:, 1, 1] = out[:, 2, 2] = rest
+    return out
+
+
 def seir_orbit_diagnostics(
     entry: ModelEntry,
     trajectory: Trajectory,
@@ -350,35 +358,29 @@ def seir_orbit_diagnostics(
             f"{gamma_floor}; scaled diagnostics undefined"
         )
 
-    m = SEIR_MIX
-    minv = SEIR_MIX_INV
-    n_samples = len(times)
-    mu_vals = np.empty(n_samples)
-    g1s = np.empty(n_samples)
-    g2s = np.empty(n_samples)
-    bounds = np.empty(n_samples)
-    spec = MeasureSpec(Norm.LINF)
+    # seir3 is autonomous, so one time serves the whole stack
     sys = entry.system
+    dx = sys.field_stack(times[0], states)
+    x1, x2, x3 = states[:, 0], states[:, 1], states[:, 2]
+    ratio = x2 / x3
+    # d/dt of log(x2/x3), from the field itself
+    drift = dx[:, 1] / x2 - dx[:, 2] / x3
+    mu_vals = np.empty(len(times))
+    step = max(1, CHUNK_ELEMENTS // 9)  # 3 x 3 matrices per sample
+    for s0 in range(0, len(times), step):
+        rows = slice(s0, s0 + step)
+        d = _diag_stack(1.0, ratio[rows])
+        dinv = _diag_stack(1.0, 1.0 / ratio[rows])
+        ddot_dinv = _diag_stack(0.0, drift[rows])
+        j2 = add_compound_stack(sys.jacobian_stack(times[0], states[rows]), 2)
+        s = ddot_dinv + SEIR_MIX @ d @ j2 @ dinv @ SEIR_MIX_INV
+        mu_vals[rows] = measure_stack(s, Norm.LINF)
 
-    for i in range(n_samples):
-        x = states[i]
-        dx = np.asarray(sys.field(times[i], x), dtype=float)
-        ratio = x[1] / x[2]
-        d = np.diag([1.0, ratio, ratio])
-        dinv = np.diag([1.0, 1.0 / ratio, 1.0 / ratio])
-        # d/dt of log(x2/x3), from the field itself
-        drift = dx[1] / x[1] - dx[2] / x[2]
-        ddot_dinv = np.diag([0.0, drift, drift])
-        j2 = add_compound(as_matrix(sys.jacobian(times[i], x), square=True), 2)
-        s = ddot_dinv + m @ d @ j2 @ dinv @ minv
-        mu_vals[i] = measure(s, spec)
-
-        d1 = q * x[0] ** (q - 1.0) * x[2] ** pw
-        d3 = pw * x[0] ** q * x[2] ** (pw - 1.0)
-        g1s[i] = -lam * d1 - c + lam * (1.0 / ratio) * d3 - 2.0 * zeta
-        g2s[i] = ratio * c - gamma + drift - 2.0 * zeta
-        bounds[i] = dx[1] / x[1] - zeta
-
+    d1 = q * x1 ** (q - 1.0) * x3**pw
+    d3 = pw * x1**q * x3 ** (pw - 1.0)
+    g1s = -lam * d1 - c + lam * (1.0 / ratio) * d3 - 2.0 * zeta
+    g2s = ratio * c - gamma + drift - 2.0 * zeta
+    bounds = dx[:, 1] / x2 - zeta
     margins = bounds - mu_vals
 
     t_hi = times[-1]

@@ -12,7 +12,7 @@ from kcontract.errors import (
     SingularTransform,
 )
 
-from conftest import well_conditioned
+from conftest import wedge_per_sample, well_conditioned
 
 
 def test_minor_worked_example():
@@ -231,6 +231,55 @@ def test_wedge_monotone_norm_recursion_bound(rng):
             assert norm(full) <= coeff * norm(head) + 1e-12
 
 
+def _wedge_frames(rng):
+    """(n, k) stacks with tied leading rows, equal columns, -0.0 and zero columns."""
+    cases = []
+    for n, k in [(3, 1), (3, 2), (3, 3), (4, 2), (5, 3), (5, 5)]:
+        w = rng.standard_normal((40, n, k))
+        w[::3, 0, :] = 0.5  # every column ties on the first coordinate
+        w[1::5, :, -1] = w[1::5, :, 0]  # two equal columns
+        w[2::7, 0, 0] = -0.0
+        w[2::7, 0, -1] = 0.0  # -0.0 and 0.0 compare equal
+        w[4::9] = np.round(w[4::9])  # many ties among small integers
+        w[6::11, :, 0] = 0.0
+        if k > 1:  # columns equal as tuples that differ in the sign of a zero
+            w[3::13, :, 1] = w[3::13, :, 0]
+            w[3::13, 0, 0] = 0.0
+            w[3::13, 0, 1] = -0.0
+        cases.append(w)
+    return cases
+
+
+def test_wedge_stack_matches_per_sample_wedge(rng):
+    for frames in _wedge_frames(rng):
+        got = cp.wedge_stack(frames)
+        want = np.array([wedge_per_sample(list(f.T)) for f in frames])
+        assert got.shape == (len(frames), cb.binomial(*frames.shape[1:]))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 too
+        for f, row in zip(frames, got):
+            assert np.array_equal(cp.wedge(list(f.T)), row)
+
+
+def test_wedge_stack_chunk_boundary(rng, monkeypatch):
+    frames = rng.standard_normal((37, 5, 3))
+    whole = cp.wedge_stack(frames)
+    # 10 minors of 3 x 3 per sample: 4 samples per chunk, so 10 chunks
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 4 * 10 * 9 + 5)
+    assert np.array_equal(cp.wedge_stack(frames), whole)
+    want = np.array([wedge_per_sample(list(f.T)) for f in frames])
+    assert np.array_equal(whole, want)
+
+
+def test_wedge_stack_errors():
+    with pytest.raises(OrderTooLarge):
+        cp.wedge_stack(np.ones((2, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        cp.wedge_stack(np.ones((2, 3)))
+    with pytest.raises(EvaluationFailure):
+        cp.wedge_stack(np.array([[[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]]]))
+
+
 def test_schwarz_identity_matrix():
     for n in (2, 4, 6):
         got = cp.schwarz_n_minus_1(np.eye(n))
@@ -354,3 +403,11 @@ def test_error_paths(rng):
 
     with pytest.raises(DimensionMismatch):
         cp.k_content(growing, [0.0], [1.0], [4])
+
+
+def test_k_content_names_first_non_finite_cell():
+    def phi(r):  # non-finite from 0.5 on: the forward point of the second cell
+        return np.array([r[0], 1.0 if r[0] < 0.5 else np.inf])
+
+    with pytest.raises(EvaluationFailure, match=r"near \[0\.375\]"):
+        cp.k_content(phi, [0.0], [1.0], [4])

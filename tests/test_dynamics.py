@@ -14,6 +14,8 @@ from kcontract.errors import (
 from kcontract.measures import Norm
 from kcontract.models import cos_ltv_matrix, cos_ltv_transition, model
 
+from conftest import wedge_per_sample
+
 
 def linear_system(a, oracle=None, **kw):
     a = np.asarray(a, dtype=float)
@@ -48,7 +50,10 @@ def test_cos_ltv_limits():
     assert np.max(np.abs(traj2.states[-1] - np.array([0.0, 1.0]))) <= 1e-6
 
 
+# the field overflows on the way; any other RuntimeWarning, such as inf - inf
+# in the compensation term, fails the test
 @pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_state_detected():
     sysm = dy.SystemModel(
         dim=1,
@@ -72,6 +77,26 @@ def test_domain_exit_modes():
     with pytest.raises(StateLeftDomain):
         dy.integrate(sysm, [0.9], (0.0, 0.5), 1e-2, domain_exit="error")
     dy.integrate(sysm, [0.9], (0.0, 0.5), 1e-2, domain_exit="ignore")
+
+
+def test_domain_exit_reports_first_time_outside():
+    # x1 crosses the upper face at t = 0.5, x2 the lower face earlier, at 0.375
+    sysm = dy.SystemModel(
+        dim=2,
+        field=lambda t, x: np.array([1.0, -4.0]),
+        jacobian=lambda t, x: np.zeros((2, 2)),
+        domain=dy.BoxDomain.of([-1.0, -1.0], [1.0, 1.0]),
+    )
+    traj = dy.integrate(sysm, [0.5, 0.5], (0.0, 1.0), 1e-2, domain_exit="ignore")
+    first = next(i for i, x in enumerate(traj.states) if not sysm.domain.contains(x, 1e-9))
+    msg = f"trajectory left the declared domain at t={traj.times[first]:.6g}"
+    assert 0.375 < traj.times[first] < 0.5
+    with pytest.warns(RuntimeWarning) as record:
+        dy.integrate(sysm, [0.5, 0.5], (0.0, 1.0), 1e-2)
+    assert [str(w.message) for w in record] == [msg]
+    with pytest.raises(StateLeftDomain) as err:
+        dy.integrate(sysm, [0.5, 0.5], (0.0, 1.0), 1e-2, domain_exit="error")
+    assert str(err.value) == msg
 
 
 def test_transition_matrix_constant_vs_expm(rng):
@@ -204,6 +229,42 @@ def test_volume_trace_single_column_is_vector_norm(rng):
     trace = dy.volume_trace(fr, Norm.L2)
     direct = np.linalg.norm(fr.frames, axis=1)[:, 0]
     assert np.max(np.abs(trace.norms - direct)) <= 1e-12
+
+
+def _volume_trace_per_sample(frame, norm):
+    """Wedges and norms one sample at a time, as volume_trace computed them."""
+    wedges, norms = [], []
+    for f in frame.frames:
+        w = wedge_per_sample(list(f.T))
+        wedges.append(w)
+        if norm is Norm.L1:
+            norms.append(float(np.sum(np.abs(w))))
+        elif norm is Norm.LINF:
+            norms.append(float(np.max(np.abs(w))))
+        else:
+            norms.append(float(np.linalg.norm(w)))
+    return np.array(wedges), np.array(norms)
+
+
+def test_volume_trace_matches_per_sample_loop(rng):
+    hopf = model("hopf").system
+    seir = model("seir3").system
+    cases = [
+        (hopf, [np.array([0.3, 0.9]), np.array([1.1, -0.2]), np.array([-0.5, 0.4])], [0.3, 0.3]),
+        (seir, [np.array([0.6, 0.2, 0.1]), np.array([0.3, 0.3, 0.2]),
+                np.array([0.5, 0.1, 0.3])], [0.4, 0.3]),
+        (seir, [np.array([0.6, 0.2, 0.1]), np.array([0.3, 0.3, 0.2]),
+                np.array([0.5, 0.1, 0.3]), np.array([0.4, 0.25, 0.25])], [0.2, 0.3, 0.1]),
+        (linear_system(0.5 * rng.standard_normal((4, 4))),
+         [rng.standard_normal(4) for _ in range(3)], [0.5, 0.2]),
+    ]
+    for sysm, anchors, r in cases:
+        fr = dy.variational_frame(sysm, anchors, r, (0.0, 0.5), 1e-3, domain_exit="ignore")
+        for norm in (Norm.L1, Norm.L2, Norm.LINF):
+            trace = dy.volume_trace(fr, norm)
+            wedges, norms = _volume_trace_per_sample(fr, norm)
+            assert np.array_equal(trace.wedges, wedges)
+            assert np.array_equal(trace.norms, norms)
 
 
 def test_wedge_ode_property(rng):

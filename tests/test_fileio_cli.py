@@ -123,6 +123,34 @@ def test_trace_csv_header(tmp_path):
     assert len(lines) == len(tr.times) + 1
 
 
+_CSV_EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                    np.finfo(float).max, 0.1, -1.0 / 3.0, 1e22, 123456789.0]
+
+
+def test_csv_writers_match_per_value_format(tmp_path, rng):
+    """The shared row writer gives the bytes of f"{v:.17g}" per value."""
+    m, n, k = 24, 3, 2
+    scales = 10.0 ** rng.integers(-300, 300, 200)
+    values = np.concatenate([_CSV_EDGE_VALUES, rng.standard_normal(200) * scales])
+    pick = rng.choice(values, size=(m, 1 + n + n * k))
+    traj = dy.Trajectory(times=pick[:, 0].copy(), states=pick[:, 1:1 + n].copy())
+    frames = pick[:, 1 + n:].reshape(m, k, n).transpose(0, 2, 1).copy()  # w{i}{j} column order
+    path = tmp_path / "traj.csv"
+    io.write_trajectory_csv(str(path), traj, frames=frames)
+    want = [",".join(f"{v:.17g}" for v in row) for row in pick]
+    assert path.read_text().splitlines()[1:] == want
+
+    norms = np.abs(pick[:, 1])
+    norms[::4] = 0.0
+    trace = dy.ParallelotopeTrace(times=pick[:, 0].copy(), wedges=pick[:, 1:3], norms=norms)
+    io.write_trace_csv(str(path), trace)
+    want = []
+    for t, nv in zip(trace.times, norms):
+        log = np.log(nv) if nv > 0 else -np.inf
+        want.append(f"{t:.17g},{nv:.17g},{log:.17g}")
+    assert path.read_text().splitlines()[1:] == want
+
+
 def test_cli_certify_exit_codes(tmp_path, diag2_file):
     assert main(["certify", "--rule", "lti", "--k", "2", "--norm", "l1",
                  "--matrix", diag2_file]) == 0

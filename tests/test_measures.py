@@ -179,6 +179,29 @@ def test_l2_witness_is_top_eigenvector(rng):
     assert rayleigh == pytest.approx(mv.value, abs=1e-10)
 
 
+def test_l2_witness_sign_is_canonical(rng, monkeypatch):
+    a = rng.standard_normal((5, 5))
+    spec = MeasureSpec(Norm.L2)
+    plain = ms.measure_witness(a, spec).witness
+    assert plain[np.argmax(np.abs(plain))] > 0.0
+    eigh = np.linalg.eigh
+
+    def negated_eigh(s):  # an eigensolver that returns the opposite vectors
+        values, vectors = eigh(s)
+        return values, -vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+    assert np.array_equal(ms.measure_witness(a, spec).witness, plain)
+    # zero entries come out as +0.0 whatever the solver's sign
+    unit = ms.measure_witness(np.diag([3.0, 1.0, 2.0]), spec).witness
+    assert np.array_equal(unit, [1.0, 0.0, 0.0]) and not np.signbit(unit).any()
+    # on a tie in magnitude the first entry is made positive
+    h = np.sqrt(0.5)
+    monkeypatch.setattr(np.linalg, "eigh", lambda s: (np.array([0.0, 2.0]),
+                                                      np.array([[h, -h], [h, h]])))
+    assert np.array_equal(ms.measure_witness(np.eye(2), spec).witness, [h, -h])
+
+
 def test_subadditivity(rng):
     for _ in range(20):
         a = rng.standard_normal((5, 5))

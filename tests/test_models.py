@@ -3,6 +3,7 @@ import pytest
 
 from kcontract import compound as cp
 from kcontract import dynamics as dy
+from kcontract import measures as ms
 from kcontract import models as mz
 from kcontract.certify import _newton_census
 from kcontract.errors import (
@@ -148,6 +149,51 @@ def test_seir_diagnostics_constant_trajectory():
     assert np.max(np.abs(diag.bounds + diag.zeta)) <= 1e-9
     assert diag.min_margin >= -1e-9
     assert diag.average_mu <= -diag.zeta + 1e-9
+
+
+def _seir_diagnostics_per_sample(entry, traj):
+    """mu, g1, g2 and bound one sample at a time, as the diagnostics computed them."""
+    p = entry.parameters
+    lam, zeta, c, q, pw, gamma = (p[k] for k in ("lam", "zeta", "c", "q", "p", "gamma"))
+    rows = []
+    for t, x in zip(traj.times, traj.states):
+        dx = np.asarray(entry.system.field(t, x), dtype=float)
+        ratio = x[1] / x[2]
+        d = np.diag([1.0, ratio, ratio])
+        dinv = np.diag([1.0, 1.0 / ratio, 1.0 / ratio])
+        drift = dx[1] / x[1] - dx[2] / x[2]
+        j2 = cp.add_compound(entry.system.jacobian(t, x), 2)
+        s = np.diag([0.0, drift, drift]) + mz.SEIR_MIX @ d @ j2 @ dinv @ mz.SEIR_MIX_INV
+        mu = ms.measure(s, ms.MeasureSpec(ms.Norm.LINF))
+        d1 = q * x[0] ** (q - 1.0) * x[2] ** pw
+        d3 = pw * x[0] ** q * x[2] ** (pw - 1.0)
+        g1 = -lam * d1 - c + lam * (1.0 / ratio) * d3 - 2.0 * zeta
+        g2 = ratio * c - gamma + drift - 2.0 * zeta
+        rows.append((mu, g1, g2, dx[1] / x[1] - zeta))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("params, rtol", [({}, 0.0), ({"q": 0.7, "p": 0.8}, 1e-12)])
+def test_seir_diagnostics_match_per_sample_loop(params, rtol):
+    entry = mz.model("seir3", params)
+    traj = dy.integrate(entry.system, [0.6, 0.2, 0.15], (0.0, 2.0), 1e-3)
+    diag = mz.seir_orbit_diagnostics(entry, traj, window=1.0)
+    mu, g1, g2, bound = _seir_diagnostics_per_sample(entry, traj)
+    for got, want in [(diag.mu_values, mu), (diag.g1, g1), (diag.g2, g2), (diag.bounds, bound)]:
+        if rtol == 0.0:
+            assert np.array_equal(got, want)
+        else:  # relative to the series' scale: mu crosses 0 along this orbit
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    assert np.array_equal(diag.margins, diag.bounds - diag.mu_values)
+
+
+def test_seir_diagnostics_chunked(monkeypatch):
+    entry = mz.model("seir3")
+    traj = dy.integrate(entry.system, [0.6, 0.2, 0.15], (0.0, 0.5), 1e-3)
+    whole = mz.seir_orbit_diagnostics(entry, traj)
+    monkeypatch.setattr(mz, "CHUNK_ELEMENTS", 9 * 64 + 3)  # 64 samples per chunk
+    chunked = mz.seir_orbit_diagnostics(entry, traj)
+    assert np.array_equal(chunked.mu_values, whole.mu_values)
 
 
 def test_seir_diagnostics_gamma_floor():
