@@ -8,14 +8,16 @@ error decay instead of drowning in float roundoff on long horizons.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import binomial
-from .compound import add_compound, as_matrix, as_stack, mult_compound, wedge_stack
+from .compound import (CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound,
+                       wedge_stack)
 from .errors import (
     DimensionMismatch,
+    EvaluationFailure,
     JacobianMismatch,
     NewtonDivergence,
     NoPeriodFound,
@@ -91,12 +93,12 @@ class SystemModel:
     state.  ``oracle(t, x0)``, when present, is a closed-form solution used
     to report integration error.  ``period`` marks time-periodic fields.
 
-    ``field_batch(t, X)`` and ``jacobian_batch(t, X)``, when present, take a
-    float time and an (N, n) stack of states and return the (N, n) fields and
-    the (N, n, n) Jacobians, with the same arithmetic as the scalar callables.
-    The grid certificates evaluate every sample through ``field_stack`` and
-    ``jacobian_stack``, which use them, or stack the scalar callables row by
-    row when they are absent.
+    ``field_batch(t, X)`` and ``jacobian_batch(t, X)``, when present, take one
+    float time or an (N,) array of per-row times and an (N, n) stack of states,
+    and return the (N, n) fields and (N, n, n) Jacobians with the arithmetic of
+    the scalar callables.  The grid certificates and the RK4 stages of the
+    linearized flows evaluate through ``field_stack`` and ``jacobian_stack``,
+    which use them, or else the scalar callables row by row.
     """
 
     dim: int
@@ -110,25 +112,27 @@ class SystemModel:
     jacobian_batch: callable | None = None
     _jacobian_checked: bool = False
 
-    def field_stack(self, t: float, xs: np.ndarray) -> np.ndarray:
+    def field_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The field at every row of an (N, n) stack of states, as (N, n)."""
         if self.field_batch is not None:
             out = np.asarray(self.field_batch(t, xs), dtype=float)
         else:
-            out = np.stack([np.asarray(self.field(t, x), dtype=float) for x in xs])
+            out = np.stack([np.asarray(self.field(ti, x), dtype=float)
+                            for ti, x in zip(np.broadcast_to(t, len(xs)), xs)])
         if out.shape != xs.shape:
             raise DimensionMismatch(f"field stack has shape {out.shape}, states {xs.shape}")
         return out
 
-    def jacobian_stack(self, t: float, xs: np.ndarray) -> np.ndarray:
+    def jacobian_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The Jacobian at every row of an (N, n) stack of states, as (N, n, n).
 
-        Every Jacobian passes the checks of ``as_matrix(..., square=True)``.
+        The stack passes the checks of ``as_stack(..., square=True)``.
         """
         if self.jacobian_batch is not None:
-            out = as_stack(self.jacobian_batch(t, xs), square=True)
+            out = self.jacobian_batch(t, xs)
         else:
-            out = np.stack([as_matrix(self.jacobian(t, x), square=True) for x in xs])
+            out = [self.jacobian(ti, x) for ti, x in zip(np.broadcast_to(t, len(xs)), xs)]
+        out = as_stack(out, square=True)
         if out.shape[0] != len(xs):
             raise DimensionMismatch(f"{out.shape[0]} Jacobians for {len(xs)} states")
         return out
@@ -253,30 +257,40 @@ class SubspaceReport:
     decay_threshold: float
 
 
-def _steps(t_span, h: float) -> tuple[float, float, int, float]:
+_NONFINITE = "non-finite state at t={:.6g}"
+
+
+def _steps(t_span, h: float) -> tuple[np.ndarray, float]:
+    """The sample times of a fixed-step run over t_span and its step."""
     t0, tf = float(t_span[0]), float(t_span[1])
     if h <= 0.0:
         raise DimensionMismatch("step h must be positive")
     if tf <= t0:
         raise DimensionMismatch("t_span must be increasing")
     n = max(1, int(round((tf - t0) / h)))
-    return t0, tf, n, (tf - t0) / n
+    hh = (tf - t0) / n
+    return t0 + hh * np.arange(n + 1), hh
 
 
-def _rk4_path(f, y0: np.ndarray, t_span, h: float):
-    """Generic compensated RK4 over a flattened state; yields every sample."""
-    t0, _, n, hh = _steps(t_span, h)
+def _rk4_path(f, y0: np.ndarray, t_span, h: float, stages: np.ndarray | None = None):
+    """Compensated RK4 of y' = f(t, y): times, samples up to the first non-finite
+    step and its NonFiniteState or None; ``stages`` gets every step's stage states."""
+    times, hh = _steps(t_span, h)
     y = np.array(y0, dtype=float)
     comp = np.zeros_like(y)
-    times = t0 + hh * np.arange(n + 1)
-    out = np.empty((n + 1, y.size))
+    out = np.empty((len(times), y.size))
     out[0] = y
-    for i in range(n):
+    for i in range(len(times) - 1):
         t = times[i]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * hh, y + (0.5 * hh) * k1)
-        k3 = f(t + 0.5 * hh, y + (0.5 * hh) * k2)
-        k4 = f(t + hh, y + hh * k3)
+        k1 = np.asarray(f(t, y), dtype=float)
+        y2 = y + (0.5 * hh) * k1
+        k2 = np.asarray(f(t + 0.5 * hh, y2), dtype=float)
+        y3 = y + (0.5 * hh) * k2
+        k3 = np.asarray(f(t + 0.5 * hh, y3), dtype=float)
+        y4 = y + hh * k3
+        k4 = np.asarray(f(t + hh, y4), dtype=float)
+        if stages is not None:
+            stages[i] = (y, y2, y3, y4)
         inc = (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # Kahan-compensated update keeps roundoff from masking RK4 order
         adj = inc - comp
@@ -284,11 +298,64 @@ def _rk4_path(f, y0: np.ndarray, t_span, h: float):
         # a non-finite increment makes ynew non-finite too; checking before
         # comp is updated keeps inf - inf out of the compensation term
         if not np.isfinite(ynew).all():
-            raise NonFiniteState(f"non-finite state at t={times[i + 1]:.6g}")
+            return times, out[: i + 1], NonFiniteState(_NONFINITE.format(times[i + 1]))
         comp = (ynew - y) - adj
         y = ynew
         out[i + 1] = y
-    return times, out
+    return times, out, None
+
+
+def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndarray]:
+    """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s with the arithmetic of
+    _rk4_path; coefficients(s0, s1) gives per state the (s1 - s0, 4, r, r) stack of
+    A at the four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time."""
+    outs = [np.full((len(times),) + np.shape(y), y, dtype=float) for y in y0s]
+    comps = [np.zeros(np.shape(y)) for y in y0s]
+    half, sixth, s0, steps = 0.5 * hh, hh / 6.0, 0, len(times) - 1
+    size = max(1, CHUNK_ELEMENTS // (4 * sum(len(y) ** 2 for y in y0s)))
+    while s0 < steps:
+        s1 = min(steps, s0 + size)
+        try:
+            stacks = coefficients(s0, s1)
+        except EvaluationFailure:
+            if size == 1:
+                raise
+            size = 1  # redo step by step, so the first failing step raises first
+            continue
+        for i in range(s0, s1):
+            for q, a in enumerate(stacks):
+                y = outs[q][i]
+                k1 = a[i - s0, 0] @ y
+                k2 = a[i - s0, 1] @ (y + half * k1)
+                k3 = a[i - s0, 2] @ (y + half * k2)
+                k4 = a[i - s0, 3] @ (y + hh * k3)
+                adj = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comps[q]
+                ynew = y + adj
+                if not np.isfinite(ynew).all():
+                    raise NonFiniteState(_NONFINITE.format(times[i + 1]))
+                comps[q] = (ynew - y) - adj
+                outs[q][i + 1] = ynew
+        s0 = s1
+    return outs
+
+
+def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span, h: float):
+    """Times, states and frames of x' = f(t, x), W' = J(t, x) W as one augmented
+    ODE would give them: x goes first, then its stage Jacobians advance W."""
+    n, (times, hh) = system.dim, _steps(t_span, h)
+    stages = np.empty((len(times) - 1, 4, n))
+    _, states, failure = _rk4_path(system.field, x0, t_span, h, stages)
+    taken = len(states) - (failure is None)  # steps with stage states
+    stage_times = times[:taken, None] + np.array([0.0, 0.5, 0.5, 1.0]) * hh
+
+    def coefficients(s0, s1):
+        jac = system.jacobian_stack(stage_times[s0:s1].reshape(-1), stages[s0:s1].reshape(-1, n))
+        return [jac.reshape(s1 - s0, 4, n, n)]
+
+    (frames,) = _rk4_linear(coefficients, [w0], times[: taken + 1], hh)
+    if failure is not None:
+        raise failure
+    return times, states, frames
 
 
 def integrate(
@@ -307,10 +374,9 @@ def integrate(
     if x0.size != system.dim:
         raise DimensionMismatch(f"x0 has length {x0.size}, system dim {system.dim}")
 
-    def f(t, y):
-        return np.asarray(system.field(t, y), dtype=float)
-
-    times, states = _rk4_path(f, x0, t_span, h)
+    times, states, failure = _rk4_path(system.field, x0, t_span, h)
+    if failure is not None:
+        raise failure
 
     if system.domain is not None and domain_exit != "ignore":
         box = system.domain
@@ -333,16 +399,25 @@ def integrate(
     return Trajectory(times=times, states=states, oracle_max_error=dev)
 
 
-def transition_matrix(a_fun, t_span, h: float = 1e-3, dim: int | None = None) -> MatrixTrajectory:
+def _compound_flows(a_fun, orders, t_span, h: float) -> list[MatrixTrajectory]:
+    """dY/dt = A^[k](t) Y, Y(t0) = I, for every k of orders, in one RK4 pass;
+    A(t) is evaluated once per distinct stage time and checked once per chunk."""
+    n = as_matrix(a_fun(float(t_span[0])), square=True).shape[0]
+    times, hh = _steps(t_span, h)
+    distinct = times[:-1, None] + np.array([0.0, 0.5, 1.0]) * hh  # stages 2, 3 share t + h/2
+
+    def coefficients(s0, s1):
+        a = as_stack([a_fun(t) for t in distinct[s0:s1].reshape(-1)], square=True)
+        stacks = [add_compound_stack(a, k) for k in orders]
+        return [c.reshape(s1 - s0, 3, *c.shape[1:])[:, [0, 1, 1, 2]] for c in stacks]
+
+    flows = _rk4_linear(coefficients, [np.eye(binomial(n, k)) for k in orders], times, hh)
+    return [MatrixTrajectory(times=times, matrices=y) for y in flows]
+
+
+def transition_matrix(a_fun, t_span, h: float = 1e-3) -> MatrixTrajectory:
     """Integrate dPhi/dt = A(t) Phi, Phi(t0) = I, sampling every step."""
-    a0 = as_matrix(a_fun(float(t_span[0])), square=True)
-    n = a0.shape[0] if dim is None else dim
-
-    def f(t, y):
-        return (as_matrix(a_fun(t), square=True) @ y.reshape(n, n)).reshape(-1)
-
-    times, flat = _rk4_path(f, np.eye(n).reshape(-1), t_span, h)
-    return MatrixTrajectory(times=times, matrices=flat.reshape(-1, n, n))
+    return _compound_flows(a_fun, [1], t_span, h)[0]
 
 
 def compound_transition(a_fun, k: int, t_span, h: float = 1e-3) -> MatrixTrajectory:
@@ -351,21 +426,7 @@ def compound_transition(a_fun, k: int, t_span, h: float = 1e-3) -> MatrixTraject
     At every sample Y(t) equals mult_compound(Phi(t), k) up to integration
     error.
     """
-    a0 = as_matrix(a_fun(float(t_span[0])), square=True)
-    n = a0.shape[0]
-    r = binomial(n, k)
-    cache: dict = {"a": None, "ak": None}
-
-    def f(t, y):
-        a = as_matrix(a_fun(t), square=True)
-        # constant or slowly-refreshed A(t) call patterns hit this cache
-        if cache["a"] is None or not np.array_equal(cache["a"], a):
-            cache["a"] = a.copy()
-            cache["ak"] = add_compound(a, k)
-        return (cache["ak"] @ y.reshape(r, r)).reshape(-1)
-
-    times, flat = _rk4_path(f, np.eye(r).reshape(-1), t_span, h)
-    return MatrixTrajectory(times=times, matrices=flat.reshape(-1, r, r))
+    return _compound_flows(a_fun, [k], t_span, h)[0]
 
 
 def simplex_map(anchors: list[np.ndarray], r) -> np.ndarray:
@@ -393,8 +454,10 @@ def variational_frame(
     """Co-integrate the base trajectory and the k-column variational frame.
 
     The base starts at the convex combination h(r) of the k+1 anchors; the
-    frame columns start at a^i - a^{k+1} and obey dW/dt = J(t, x(t)) W as one
-    augmented ODE so both see the same time discretization.
+    frame columns start at a^i - a^{k+1} and obey dW/dt = J(t, x(t)) W, bit
+    for bit as one augmented ODE would (see _linearized_flow).  The first
+    failing step raises, a non-finite stage Jacobian (EvaluationFailure)
+    before a non-finite state or frame (NonFiniteState).
     """
     anchors = [np.asarray(a, dtype=float).reshape(-1) for a in anchors]
     n = system.dim
@@ -411,20 +474,8 @@ def variational_frame(
     x0 = simplex_map(anchors, rvec)
     w0 = np.column_stack([anchors[i] - anchors[-1] for i in range(k)])
 
-    def f(t, y):
-        x = y[:n]
-        w = y[n:].reshape(n, k)
-        dx = np.asarray(system.field(t, x), dtype=float)
-        dw = as_matrix(system.jacobian(t, x), square=True) @ w
-        return np.concatenate([dx, dw.reshape(-1)])
-
-    times, flat = _rk4_path(f, np.concatenate([x0, w0.reshape(-1)]), t_span, h)
-    return FrameTrajectory(
-        times=times,
-        states=flat[:, :n],
-        frames=flat[:, n:].reshape(-1, n, k),
-        anchor_r=rvec,
-    )
+    times, states, frames = _linearized_flow(system, x0, w0, t_span, h)
+    return FrameTrajectory(times=times, states=states, frames=frames, anchor_r=rvec)
 
 
 def volume_trace(frame: FrameTrajectory, norm: Norm = Norm.L2) -> ParallelotopeTrace:
@@ -462,18 +513,8 @@ def volume_trace(frame: FrameTrajectory, norm: Norm = Norm.L2) -> ParallelotopeT
 
 def _flow_with_monodromy(system: SystemModel, x0: np.ndarray, period: float, h: float):
     """x(T, x0) and the monodromy Phi(T) of the linearization along it."""
-    n = system.dim
-
-    def f(t, y):
-        x = y[:n]
-        p = y[n:].reshape(n, n)
-        dx = np.asarray(system.field(t, x), dtype=float)
-        dp = as_matrix(system.jacobian(t, x), square=True) @ p
-        return np.concatenate([dx, dp.reshape(-1)])
-
-    y0 = np.concatenate([x0, np.eye(n).reshape(-1)])
-    _, flat = _rk4_path(f, y0, (0.0, period), h)
-    return flat[-1, :n], flat[-1, n:].reshape(n, n)
+    _, states, frames = _linearized_flow(system, x0, np.eye(system.dim), (0.0, period), h)
+    return states[-1], frames[-1]
 
 
 def floquet(
@@ -490,7 +531,8 @@ def floquet(
     Newton iterates on the period-T return map with the first coordinate
     frozen (phase condition); the return-map Jacobian is the integrated
     monodromy.  The orbit is ORBITALLY_STABLE when the spectral radius of
-    the 2nd multiplicative compound of the monodromy is below 1.
+    the 2nd multiplicative compound of the monodromy is below 1.  A wrong
+    period raises NoPeriodFound once Newton stalls on the section.
     """
     T = float(period if period is not None else (system.period or 0.0))
     if T <= 0.0:
@@ -500,15 +542,18 @@ def floquet(
     if n < 2:
         raise DimensionMismatch("floquet analysis needs dim >= 2")
 
-    residual = np.inf
+    residual = previous = np.inf
     xT = x0
     phi = np.eye(n)
     for it in range(1, max_iters + 1):
         xT, phi = _flow_with_monodromy(system, x0, T, h)
         g = xT - x0
         residual = float(np.max(np.abs(g)))
-        if residual <= newton_tol:
+        # converged, or stalled on the section while the full residual stays put
+        if residual <= newton_tol or (float(np.max(np.abs(g[1:]))) <= newton_tol
+                                      and abs(residual - previous) <= newton_tol):
             break
+        previous = residual
         jac = (phi - np.eye(n))[1:, 1:]
         try:
             delta = np.linalg.solve(jac, -g[1:])
@@ -569,11 +614,10 @@ def asymptotic_subspace(
     decayed when ||Y(t_max)|| drops below decay_threshold.  Consistency
     means: compound decays iff the decaying dimension is at least n - k + 1.
     """
-    phi = transition_matrix(a_fun, (0.0, t_max), h)
+    phi, comp = _compound_flows(a_fun, [1, k], (0.0, t_max), h)
     n = phi.final.shape[0]
     sv = np.linalg.svd(phi.final, compute_uv=False)
     d = int(np.count_nonzero(sv < sv_threshold * max(1.0, sv[0])))
-    comp = compound_transition(a_fun, k, (0.0, t_max), h)
     cnorm = float(np.linalg.norm(comp.final, 2))
     decayed = cnorm <= decay_threshold
     need = n - k + 1

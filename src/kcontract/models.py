@@ -236,8 +236,8 @@ def _hopf_entry(params: dict) -> ModelEntry:
     def jacobian(t, x):
         return np.array(
             [
-                [1.0 - 3.0 * x[0] ** 2 - x[1] ** 2, -2.0 * x[0] * x[1] - 1.0],
-                [-2.0 * x[0] * x[1] + 1.0, 1.0 - x[0] ** 2 - 3.0 * x[1] ** 2],
+                [1.0 - 3.0 * (x[0] * x[0]) - x[1] * x[1], -2.0 * x[0] * x[1] - 1.0],
+                [-2.0 * x[0] * x[1] + 1.0, 1.0 - x[0] * x[0] - 3.0 * (x[1] * x[1])],
             ]
         )
 

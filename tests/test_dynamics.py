@@ -6,6 +6,7 @@ from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import spectra as sp
 from kcontract.errors import (
+    EvaluationFailure,
     JacobianMismatch,
     NoPeriodFound,
     NonFiniteState,
@@ -14,7 +15,12 @@ from kcontract.errors import (
 from kcontract.measures import Norm
 from kcontract.models import cos_ltv_matrix, cos_ltv_transition, model
 
-from conftest import wedge_per_sample
+from conftest import (
+    fused_compound_transition,
+    fused_linearized_flow,
+    same_bits,
+    wedge_per_sample,
+)
 
 
 def linear_system(a, oracle=None, **kw):
@@ -369,6 +375,19 @@ def test_floquet_wrong_period_raises():
         dy.floquet(entry.system, [0.0, 1.2], h=1e-3, period=5.0)
 
 
+def test_floquet_wrong_period_stops_once_newton_stalls(monkeypatch):
+    # the section converges within a few iterations; the full residual then
+    # stays at the distance the orbit travels in the wrong period
+    entry = model("hopf")
+    flows = []
+    flow = dy._flow_with_monodromy
+    monkeypatch.setattr(dy, "_flow_with_monodromy",
+                        lambda *args: flows.append(args) or flow(*args))
+    with pytest.raises(NoPeriodFound, match=r"full residual 9\.587e-01 stays large"):
+        dy.floquet(entry.system, [0.0, 1.2], h=1e-3, period=5.0)
+    assert len(flows) == 4
+
+
 def test_asymptotic_subspace_cos_ltv():
     rep = dy.asymptotic_subspace(cos_ltv_matrix, 2, t_max=30.0, h=1e-3)
     assert rep.decaying_dimension == 1 == rep.required_dimension
@@ -399,3 +418,177 @@ def test_jacobian_selftest_catches_mismatch():
     )
     with pytest.raises(JacobianMismatch):
         bad.check_jacobian()
+
+
+# -- coefficient stacks against the fused per-stage loops ---------------------------
+
+SMALL_CHUNK = 1000  # elements: a few dozen RK4 steps per chunk at these sizes
+
+
+def _a_funs(rng):
+    a0 = 0.6 * rng.standard_normal((4, 4))
+    a1 = 0.3 * rng.standard_normal((4, 4))
+    c = rng.standard_normal((3, 3))
+    return [cos_ltv_matrix, lambda t: c, lambda t: a0 + np.sin(2.0 * t) * a1]
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_linear_flows_match_fused_loop(rng, monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    for a_fun in _a_funs(rng):
+        n = np.shape(a_fun(0.0))[0]
+        times, want = fused_compound_transition(a_fun, 1, (0.0, 0.3), 1e-3)
+        got = dy.transition_matrix(a_fun, (0.0, 0.3), 1e-3)
+        assert same_bits(got.times, times) and same_bits(got.matrices, want)
+        for k in range(1, n + 1):
+            _, want = fused_compound_transition(a_fun, k, (0.0, 0.3), 1e-3)
+            got = dy.compound_transition(a_fun, k, (0.0, 0.3), 1e-3)
+            assert same_bits(got.matrices, want), (n, k)
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_asymptotic_subspace_matches_fused_loop(rng, monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    for a_fun in _a_funs(rng):
+        for k in (1, 2):
+            rep = dy.asymptotic_subspace(a_fun, k, t_max=0.4, h=2e-3)
+            phi = fused_compound_transition(a_fun, 1, (0.0, 0.4), 2e-3)[1][-1]
+            comp = fused_compound_transition(a_fun, k, (0.0, 0.4), 2e-3)[1][-1]
+            assert same_bits(rep.singular_values, np.linalg.svd(phi, compute_uv=False))
+            assert same_bits(rep.compound_norm, np.linalg.norm(comp, 2))
+
+
+# (model, anchors, r) of variational frames
+LINEARIZED_CASES = [
+    ("hopf", [[0.3, 0.9], [1.1, -0.2], [-0.5, 0.4]], [0.3, 0.3]),
+    ("hopf", [[0.2, 1.1], [-0.7, 0.5]], [0.6]),
+    ("hopf", [[1.3, 0.4], [0.1, -0.9], [-0.8, -0.6]], [0.2, 0.5]),
+    ("seir3", [[0.6, 0.2, 0.1], [0.3, 0.3, 0.2], [0.5, 0.1, 0.3]], [0.4, 0.3]),
+    ("seir3", [[0.6, 0.2, 0.1], [0.3, 0.3, 0.2], [0.5, 0.1, 0.3], [0.4, 0.25, 0.25]],
+     [0.2, 0.3, 0.1]),
+    ("cos_ltv", [[1.0, 0.5], [-0.5, 2.0], [0.0, 0.0]], [0.25, 0.25]),
+    ("lti", [[0.5, -0.1, 0.2], [0.1, 0.3, -0.4], [-0.2, 0.0, 0.1]], [0.5, 0.2]),
+]
+
+
+def _lti():
+    return model("lti", {"a": [[-0.5, 1.0, 0.2], [-1.0, -0.3, 0.0], [0.4, 0.1, -1.2]]})
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_variational_frame_matches_fused_loop(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    for name, anchors, r in LINEARIZED_CASES:
+        sysm = _lti().system if name == "lti" else model(name).system
+        fr = dy.variational_frame(sysm, anchors, r, (0.0, 1.0), 1e-3, domain_exit="ignore")
+        anchors = [np.asarray(a, dtype=float) for a in anchors]
+        w0 = np.column_stack([a - anchors[-1] for a in anchors[:-1]])
+        x0 = dy.simplex_map(anchors, r)
+        times, states, frames = fused_linearized_flow(sysm, x0, w0, (0.0, 1.0), 1e-3)
+        assert same_bits(fr.times, times)
+        assert same_bits(fr.states, states), name
+        assert same_bits(fr.frames, frames), name
+
+
+def _outcome(fn):
+    try:
+        res = fn()
+    except Exception as exc:  # the failure itself is the outcome to compare
+        return type(exc), str(exc)
+    return [getattr(res, f) for f in ("orbit_start", "monodromy", "multipliers",
+                                      "compound_spectral_radius", "newton_residual",
+                                      "newton_iterations", "verdict")]
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_floquet_matches_fused_loop(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+
+    def fused_monodromy(system, x0, period, h):
+        _, states, frames = fused_linearized_flow(
+            system, x0, np.eye(system.dim), (0.0, period), h)
+        return states[-1], frames[-1]
+
+    cases = [("hopf", [0.0, 1.2], None, 1e-2), ("hopf", [0.0, 1.2], 5.0, 1e-2),
+             ("seir3", [0.3, 0.2, 0.2], 1.0, 1e-2), ("cos_ltv", [0.0, 0.7], None, 1e-2),
+             ("lti", [0.0, 0.2, -0.1], 0.7, 1e-3)]
+    for name, x0, period, h in cases:
+        sysm = _lti().system if name == "lti" else model(name).system
+        got = _outcome(lambda: dy.floquet(sysm, x0, h=h, period=period))
+        with monkeypatch.context() as m:
+            m.setattr(dy, "_flow_with_monodromy", fused_monodromy)
+            want = _outcome(lambda: dy.floquet(sysm, x0, h=h, period=period))
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            assert all(same_bits(g, w) for g, w in zip(got, want)), name
+
+
+def _failing_system(jac_after, field_after, batch):
+    """A 1-D flow whose stage Jacobian turns infinite once t > jac_after and
+    whose field turns infinite once t > field_after."""
+    def field(t, x):
+        return np.array([np.inf if t > field_after else -x[0]])
+
+    def jac(t, x):
+        return np.array([[np.inf if t > jac_after else -1.0]])
+
+    def jac_batch(t, xs):
+        return np.where(np.asarray(t) > jac_after, np.inf, -1.0).reshape(-1, 1, 1)
+
+    return dy.SystemModel(dim=1, field=field, jacobian=jac,
+                          jacobian_batch=jac_batch if batch else None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 40])
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("jac_after, field_after, error", [
+    (0.24005, 0.24105, EvaluationFailure),  # the Jacobian fails one step before the state
+    (0.24105, 0.24005, NonFiniteState),     # the state fails one step before the Jacobian
+    (0.24005, 0.24005, EvaluationFailure),  # same step: the Jacobian comes first
+])
+def test_linearized_failure_order_matches_fused_loop(monkeypatch, chunk, batch,
+                                                     jac_after, field_after, error):
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    sysm = _failing_system(jac_after, field_after, batch)
+    with pytest.raises(error) as want:
+        fused_linearized_flow(sysm, np.ones(1), np.ones((1, 1)), (0.0, 0.5), 1e-3)
+    with pytest.raises(error) as got:
+        dy.variational_frame(sysm, [[1.0], [0.0]], [1.0], (0.0, 0.5), 1e-3)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 40])
+@pytest.mark.parametrize("field_after, jac_after, error", [
+    (np.inf, np.inf, NonFiniteState),  # only the frame fails
+    (0.05, np.inf, NonFiniteState),    # the state fails first
+    (0.9, np.inf, NonFiniteState),     # the frame fails first
+    (np.inf, 0.9, NonFiniteState),     # the frame fails before the Jacobian
+    (np.inf, 0.5, EvaluationFailure),  # the Jacobian fails before the frame
+])
+def test_frame_overflow_order_matches_fused_loop(monkeypatch, chunk, field_after, jac_after,
+                                                 error):
+    # x stays at 0 while W grows like exp(800 t) and overflows near t = 0.887
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    sysm = dy.SystemModel(
+        dim=1,
+        field=lambda t, x: np.array([np.inf if t > field_after else 0.0]),
+        jacobian=lambda t, x: np.array([[np.inf if t > jac_after else 800.0]]),
+    )
+    with pytest.raises(error) as want:
+        fused_linearized_flow(sysm, np.zeros(1), np.ones((1, 1)), (0.0, 1.0), 1e-3)
+    with pytest.raises(error) as got:
+        dy.variational_frame(sysm, [[1.0], [0.0]], [0.0], (0.0, 1.0), 1e-3)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(error) as got:
+        dy._flow_with_monodromy(sysm, np.zeros(1), 1.0, 1e-3)
+    assert str(got.value) == str(want.value)

@@ -16,6 +16,8 @@ from kcontract.errors import (
     UnknownModel,
 )
 
+from conftest import same_bits
+
 
 def test_registry_and_lookup_errors():
     assert set(mz.model_names()) == {
@@ -212,6 +214,29 @@ def test_batch_callables_match_scalar_ones(rng):
         jacs = np.stack([sysm.jacobian(0.0, x) for x in xs])
         assert np.array_equal(sysm.field_stack(0.0, xs), fields)
         assert np.allclose(sysm.jacobian_stack(0.0, xs), jacs, rtol=1e-15, atol=1e-15)
+
+
+def test_batch_jacobians_match_scalar_bit_for_bit():
+    # the RK4 stage Jacobians of the linearized flows come from the batch
+    # callables, so they must round exactly like the scalar ones
+    rng = np.random.default_rng(11)
+    for name, xs in (("hopf", rng.uniform(-2.0, 2.0, (100_000, 2))),
+                     ("seir3", rng.random((100_000, 3)))):
+        sysm = mz.model(name).system
+        scalar = np.stack([sysm.jacobian(0.0, x) for x in xs])
+        assert same_bits(sysm.jacobian_batch(0.0, xs), scalar), name
+
+
+def test_stacks_pair_rows_with_per_row_times(rng):
+    sysm = mz.model("cos_ltv").system
+    ts = rng.uniform(0.0, 7.0, 20)
+    xs = rng.standard_normal((20, 2))
+    assert same_bits(sysm.field_stack(ts, xs),
+                     np.stack([sysm.field(t, x) for t, x in zip(ts, xs)]))
+    assert same_bits(sysm.jacobian_stack(ts, xs),
+                     np.stack([sysm.jacobian(t, x) for t, x in zip(ts, xs)]))
+    assert same_bits(sysm.jacobian_stack(ts[3], xs),
+                     np.stack([sysm.jacobian(ts[3], x) for x in xs]))
 
 
 def test_check_jacobian_rejects_disagreeing_batch():
