@@ -5,32 +5,34 @@ certificate records the grid and marks itself non-exhaustive.  Success means
 the sampled supremum of the relevant measure stays at or below -1e-10, and
 the reported rate eta is the negated supremum.
 
-The grid rules evaluate all their samples as stacks, in chunks of at most
-CHUNK_ELEMENTS elements, so results do not depend on how the grid is split.
-Their ``threads`` keyword is accepted for compatibility and has no effect.
+Every rule evaluates its samples as one stack.  The grid rules share one grid
+visit (``_visit_grid``), which works in chunks of at most CHUNK_ELEMENTS
+elements, so results do not depend on how the grid is split; the sample rules
+share one (N, n, n) sample stack (``_as_samples``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .combinatorics import binomial
 from .compound import CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound
-from .dynamics import BoxDomain, SystemModel
+from .dynamics import BoxDomain, SystemModel, central_difference_jacobian
 from .errors import (
     BadWeightVector,
     DimensionMismatch,
     NotDiagonal,
     NotPositiveDefinite,
+    OrderTooLarge,
 )
 from .measures import (
     MeasureSpec,
     Norm,
     apply_scaling,
     measure_k_stack,
-    measure_k_witness,
     measure_stack,
     stack_witness,
     symmetric_eigh,
@@ -46,9 +48,13 @@ EQUILIBRIUM_CLUSTER_RADIUS = 1e-6
 class Certificate:
     """Outcome of a contraction check.
 
-    eta is positive exactly when the verdict is CERTIFIED; witness carries
-    the worst sample (point/time/tuple) and grid_meta describes the sampling,
-    including exhaustive=False for grid-based rules.
+    eta is the negated sampled supremum of the rule's measure, so a
+    CERTIFIED verdict always has eta >= ETA_TOL.  The converse fails for
+    rules with further conditions (gas: exactly one equilibrium; scaled-l1:
+    J^[k] Metzler; control: three conditions and a census), whose extras
+    say which condition failed.  witness carries the worst sample
+    (point/time/tuple) and grid_meta describes the sampling, including
+    exhaustive=False for grid-based rules.
     """
 
     rule: str
@@ -72,28 +78,48 @@ def _norm_label(spec: MeasureSpec) -> str:
     return label
 
 
-def _as_samples(a, time_grid):
-    """Normalize matrix / list-of-matrices / callable-of-t into (t, A) pairs.
+def _verdict(sup: float) -> str:
+    return "CERTIFIED" if sup <= -ETA_TOL else "NOT_CERTIFIED"
 
-    Refuses an empty sample set and a time grid whose length differs from
-    the list of matrices, either of which would make a verdict vacuous.
+
+def _floats(v) -> list[float]:
+    return [float(u) for u in v]
+
+
+def _as_samples(a, time_grid) -> tuple[list[float], np.ndarray]:
+    """Normalize matrix / list-of-matrices / callable-of-t into the sample
+    times and an (N, n, n) stack of the samples.
+
+    Refuses an empty sample set, a time grid whose length differs from the
+    list of matrices, and samples of unequal shape, any of which would make a
+    verdict vacuous.
     """
     if callable(a):
         if time_grid is None:
             raise DimensionMismatch("a time grid is required for time-varying input")
-        samples = [(float(t), as_matrix(a(float(t)), square=True)) for t in time_grid]
+        times = _floats(time_grid)
+        mats = [as_matrix(a(t), square=True) for t in times]
     elif isinstance(a, (list, tuple)):
-        times = list(time_grid) if time_grid is not None else range(len(a))
+        times = _floats(time_grid if time_grid is not None else range(len(a)))
         if len(times) != len(a):
             raise DimensionMismatch(
                 f"{len(a)} matrices but a time grid of {len(times)} points"
             )
-        samples = [(float(t), as_matrix(m, square=True)) for t, m in zip(times, a)]
+        mats = [as_matrix(m, square=True) for m in a]
     else:
-        samples = [(0.0, as_matrix(a, square=True))]
-    if not samples:
+        times, mats = [0.0], [as_matrix(a, square=True)]
+    if not mats:
         raise DimensionMismatch("no samples to certify")
-    return samples
+    for t, m in zip(times, mats):
+        if m.shape != mats[0].shape:
+            raise DimensionMismatch(
+                f"sample at t={t} has shape {m.shape}, the first sample {mats[0].shape}"
+            )
+    return times, np.stack(mats)
+
+
+def _exhaustive(a, time_grid) -> bool:
+    return time_grid is None and not callable(a)
 
 
 def certify_lti(a, k: int, spec: MeasureSpec, time_grid=None) -> Certificate:
@@ -102,58 +128,32 @@ def certify_lti(a, k: int, spec: MeasureSpec, time_grid=None) -> Certificate:
     eta = -sup_t mu(A^[k](t)); with a scaling M in the spec the measure is
     taken of (M A M^{-1})^[k], i.e. the certificate of the conjugated system.
     """
-    samples = _as_samples(a, time_grid)
-    worst_val = -np.inf
-    worst = {}
-    for t, m in samples:
-        if spec.scaling is not None:
-            m = apply_scaling(m, spec.scaling)
-        mv = measure_k_witness(m, k, MeasureSpec(spec.norm))
-        if mv.value > worst_val:
-            worst_val = mv.value
-            worst = {"time": t, "attaining": _jsonable_witness(mv.witness)}
-    eta = -worst_val
-    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
-    meta = {"exhaustive": time_grid is None and not callable(a)}
+    times, stack = _as_samples(a, time_grid)
+    if spec.scaling is not None:
+        stack = apply_scaling(stack, spec.scaling)
+    values, witnesses = measure_k_stack(stack, k, spec.norm)
+    worst = int(np.argmax(values))  # the first sample on ties
+    meta = {"exhaustive": _exhaustive(a, time_grid)}
     if time_grid is not None:
-        meta["time_grid"] = [float(t) for t in time_grid]
+        meta["time_grid"] = _floats(time_grid)
     return Certificate(
         rule="LTI_MEASURE",
         k=k,
         norm=_norm_label(spec),
-        eta=eta,
-        verdict=verdict,
-        witness=worst,
+        eta=-float(values[worst]),
+        verdict=_verdict(values[worst]),
+        witness={"time": times[worst],
+                 "attaining": _jsonable_witness(stack_witness(witnesses, worst))},
         grid_meta=meta,
     )
 
 
 def _jsonable_witness(w):
     if isinstance(w, np.ndarray):
-        return [float(v) for v in w.reshape(-1)]
+        return _floats(w.reshape(-1))
     if isinstance(w, tuple):
         return list(w)
     return w
-
-
-def _grid_points(omega: BoxDomain, counts=None) -> np.ndarray:
-    pts = omega.grid(counts)
-    if pts.shape[0] > MAX_GRID_SAMPLES:
-        raise DimensionMismatch(
-            f"grid of {pts.shape[0]} samples exceeds cap {MAX_GRID_SAMPLES}"
-        )
-    if pts.shape[0] == 0:
-        raise DimensionMismatch("grid has no samples")
-    return pts
-
-
-def _grid_times(time_grid) -> list[float]:
-    if time_grid is None:
-        return [0.0]
-    times = [float(t) for t in time_grid]
-    if not times:
-        raise DimensionMismatch("empty time grid")
-    return times
 
 
 def _chunks(count: int, per_sample: int):
@@ -170,17 +170,47 @@ def _sample_elements(n: int, k: int, materialized: bool) -> int:
     return max(n * n, c * c if materialized else c * k * k)
 
 
-def _jacobians(system: SystemModel, t: float, pts: np.ndarray, scaling=None) -> np.ndarray:
-    j = system.jacobian_stack(t, pts)
-    return j if scaling is None else apply_scaling(j, scaling)
+def _visit_grid(system: SystemModel, omega: BoxDomain, counts, time_grid, per_sample: int,
+                evaluate, scaling=None) -> tuple[np.ndarray, list[float], list[np.ndarray]]:
+    """Evaluate a grid rule at every (time, point) sample of a box grid.
+
+    Checks the system's Jacobian (once per system), refuses an empty or
+    oversized grid and an empty time grid, then calls
+    evaluate(points, jacobians) on chunks of at most CHUNK_ELEMENTS elements
+    (per_sample elements per sample), with the Jacobians conjugated by the
+    state-space scaling when one is given.  Returns the grid points, the
+    times and each output of evaluate concatenated over the chunks: row s
+    belongs to time s // len(points) and point s % len(points).
+    """
+    if not system._jacobian_checked:
+        system.check_jacobian()
+    size = math.prod(omega.grid_counts(counts))  # refuse before building the grid
+    if size > MAX_GRID_SAMPLES:
+        raise DimensionMismatch(f"grid of {size} samples exceeds cap {MAX_GRID_SAMPLES}")
+    if size == 0:
+        raise DimensionMismatch("grid has no samples")
+    pts = omega.grid(counts)
+    times = [0.0] if time_grid is None else _floats(time_grid)
+    if not times:
+        raise DimensionMismatch("empty time grid")
+    outputs = []
+    for t in times:
+        for rows in _chunks(len(pts), per_sample):
+            j = system.jacobian_stack(t, pts[rows])
+            outputs.append(evaluate(pts[rows], j if scaling is None else apply_scaling(j, scaling)))
+    return pts, times, [np.concatenate(column) for column in zip(*outputs)]
+
+
+def _sample_at(pts: np.ndarray, times: list[float], s: int) -> dict:
+    """Point and time of row s of a grid visit's outputs."""
+    return {"point": _floats(pts[s % len(pts)]), "time": times[s // len(pts)]}
 
 
 def _grid_meta(omega: BoxDomain, counts, time_grid=None) -> dict:
     meta = {"counts": list(omega.grid_counts(counts)), "exhaustive": False,
-            "lower": [float(v) for v in omega.lower],
-            "upper": [float(v) for v in omega.upper]}
+            "lower": _floats(omega.lower), "upper": _floats(omega.upper)}
     if time_grid is not None:
-        meta["time_grid"] = [float(t) for t in time_grid]
+        meta["time_grid"] = _floats(time_grid)
     return meta
 
 
@@ -192,7 +222,6 @@ def certify_nonlinear_grid(
     time_grid=None,
     counts=None,
     compound_scaling=None,
-    threads: int = 1,
 ) -> Certificate:
     """Sampled sufficient condition mu(J^[k](t, x)) <= -eta over a box grid.
 
@@ -200,41 +229,24 @@ def certify_nonlinear_grid(
     space: the sampled value is mu(W J^[k] W^{-1}).  The verdict CERTIFIED is
     grid-based, never exhaustive (grid_meta.exhaustive = False).
     """
-    if not system._jacobian_checked:
-        system.check_jacobian()
-    pts = _grid_points(omega, counts)
-    times = _grid_times(time_grid)
-    n = pts.shape[1]
-    values, witnesses = [], []
-    for t in times:
-        for rows in _chunks(len(pts), _sample_elements(n, k, compound_scaling is not None)):
-            j = _jacobians(system, t, pts[rows], spec.scaling)
-            if compound_scaling is None:
-                v, w = measure_k_stack(j, k, spec.norm)
-                witnesses.append(w)
-            else:
-                wk = as_stack([compound_scaling(x) for x in pts[rows]], square=True)
-                v = measure_stack(wk @ add_compound_stack(j, k) @ np.linalg.inv(wk), spec.norm)
-            values.append(v)
-    values = np.concatenate(values)
-    worst_ix = int(np.argmax(values))
-    worst_val = float(values[worst_ix])
-    worst_wit = None
-    if witnesses:
-        worst_wit = stack_witness(np.concatenate(witnesses), worst_ix)
-    t_w, x_w = times[worst_ix // len(pts)], pts[worst_ix % len(pts)]
-    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
+    def evaluate(points, j):
+        if compound_scaling is None:
+            return measure_k_stack(j, k, spec.norm)
+        wk = as_stack([compound_scaling(x) for x in points], square=True)
+        return (measure_stack(wk @ add_compound_stack(j, k) @ np.linalg.inv(wk), spec.norm),)
+
+    per_sample = _sample_elements(omega.dim, k, compound_scaling is not None)
+    pts, times, (values, *witnesses) = _visit_grid(
+        system, omega, counts, time_grid, per_sample, evaluate, spec.scaling)
+    worst = int(np.argmax(values))
+    attaining = stack_witness(witnesses[0], worst) if witnesses else None
     return Certificate(
         rule="NONLINEAR_GRID",
         k=k,
         norm=_norm_label(spec) if compound_scaling is None else "scaled-" + spec.norm.value,
-        eta=-worst_val,
-        verdict=verdict,
-        witness={
-            "point": [float(v) for v in x_w],
-            "time": t_w,
-            "attaining": _jsonable_witness(worst_wit),
-        },
+        eta=-float(values[worst]),
+        verdict=_verdict(values[worst]),
+        witness={**_sample_at(pts, times, worst), "attaining": _jsonable_witness(attaining)},
         grid_meta=_grid_meta(omega, counts, time_grid),
     )
 
@@ -242,27 +254,26 @@ def certify_nonlinear_grid(
 def certify_diagonal(d, k: int, time_grid=None) -> Certificate:
     """Diagonal rule: every k-sum of diagonal entries <= -eta certifies
     k-order contraction for L1, L2, and Linf simultaneously."""
-    samples = _as_samples(d, time_grid)
-    worst_val = -np.inf
-    worst = {}
-    for t, m in samples:
-        if np.any(m - np.diag(np.diag(m)) != 0.0):
-            raise NotDiagonal(f"sample at t={t} is not diagonal")
-        diag = np.diag(m)
-        order = np.argsort(-diag, kind="stable")[:k]
-        val = float(np.sum(diag[order]))
-        if val > worst_val:
-            worst_val = val
-            worst = {"time": t, "tuple": sorted(int(i) + 1 for i in order)}
-    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
+    times, stack = _as_samples(d, time_grid)
+    n = stack.shape[-1]
+    if k < 1 or k > n:
+        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    off_diagonal = np.any((stack != 0.0) & ~np.eye(n, dtype=bool), axis=(1, 2))
+    if off_diagonal.any():
+        raise NotDiagonal(f"sample at t={times[int(np.argmax(off_diagonal))]} is not diagonal")
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    top = np.argsort(-diag, axis=1, kind="stable")[:, :k]
+    # summing C-ordered rows keeps numpy's pairwise order equal to one sample's
+    values = np.ascontiguousarray(np.take_along_axis(diag, top, axis=1)).sum(axis=1)
+    worst = int(np.argmax(values))
     return Certificate(
         rule="DIAGONAL",
         k=k,
         norm="l1+l2+linf",
-        eta=-worst_val,
-        verdict=verdict,
-        witness=worst,
-        grid_meta={"exhaustive": time_grid is None and not callable(d)},
+        eta=-float(values[worst]),
+        verdict=_verdict(values[worst]),
+        witness={"time": times[worst], "tuple": [int(i) + 1 for i in np.sort(top[worst])]},
+        grid_meta={"exhaustive": _exhaustive(d, time_grid)},
     )
 
 
@@ -272,28 +283,22 @@ def certify_row_rule(a, time_grid=None) -> Certificate:
     For each column l the quantity sum_{i != l} (|a_il| + a_ii) must stay
     <= -eta; this bounds mu_inf(A^[n-1]).
     """
-    samples = _as_samples(a, time_grid)
-    n = samples[0][1].shape[0]
-    worst_val = -np.inf
-    worst = {}
-    for t, m in samples:
-        tr = float(np.trace(m))
-        aabs = np.abs(m)
-        col_off = aabs.sum(axis=0) - np.diag(aabs)
-        for ell in range(n):
-            val = float(col_off[ell] + tr - m[ell, ell])
-            if val > worst_val:
-                worst_val = val
-                worst = {"time": t, "column": ell + 1}
-    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
+    times, stack = _as_samples(a, time_grid)
+    n = stack.shape[-1]
+    aabs = np.abs(stack)
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    trace = np.ascontiguousarray(diag).sum(axis=1)
+    col_off = aabs.sum(axis=1) - np.diagonal(aabs, axis1=1, axis2=2)
+    values = col_off + trace[:, None] - diag  # (sample, column)
+    worst = int(np.argmax(values))  # the first sample, then the first column, on ties
     return Certificate(
         rule="ROW_RULE_NM1",
         k=n - 1,
         norm="linf",
-        eta=-worst_val,
-        verdict=verdict,
-        witness=worst,
-        grid_meta={"exhaustive": time_grid is None and not callable(a)},
+        eta=-float(values.flat[worst]),
+        verdict=_verdict(values.flat[worst]),
+        witness={"time": times[worst // n], "column": worst % n + 1},
+        grid_meta={"exhaustive": _exhaustive(a, time_grid)},
     )
 
 
@@ -304,7 +309,6 @@ def certify_scaled_l1(
     v,
     time_grid=None,
     counts=None,
-    threads: int = 1,
 ) -> Certificate:
     """Scaled-L1 rule for k-cooperative systems.
 
@@ -313,55 +317,40 @@ def certify_scaled_l1(
     comes from the weighted column sums; extras carry the effective rate
     eta / max(v) for the |V x|_1 norm itself.
     """
-    if not system._jacobian_checked:
-        system.check_jacobian()
     vv = np.asarray(v, dtype=float).reshape(-1)
     if np.any(vv <= 0.0):
         raise BadWeightVector("weights must be strictly positive")
-    pts = _grid_points(omega, counts)
-    times = _grid_times(time_grid)
-    min_off, qmax, qarg = [], [], []
-    for t in times:
-        for rows in _chunks(len(pts), _sample_elements(pts.shape[1], k, True)):
-            jk = add_compound_stack(system.jacobian_stack(t, pts[rows]), k)
-            if vv.size != jk.shape[-1]:
-                raise BadWeightVector(f"weight vector must have length C(n, {k})")
-            diag = np.arange(jk.shape[-1])
-            off = jk.copy()
-            off[:, diag, diag] = 0.0
-            min_off.append(off.min(axis=(-2, -1)))
-            q = vv @ jk
-            qmax.append(q.max(axis=-1))
-            qarg.append(q.argmax(axis=-1))
-    min_off, qmax, qarg = (np.concatenate(v) for v in (min_off, qmax, qarg))
 
-    def where(i):
-        return {"point": [float(u) for u in pts[i % len(pts)]], "time": times[i // len(pts)]}
+    def evaluate(points, j):
+        jk = add_compound_stack(j, k)
+        if vv.size != jk.shape[-1]:
+            raise BadWeightVector(f"weight vector must have length C(n, {k})")
+        diag = np.arange(jk.shape[-1])
+        off = jk.copy()
+        off[:, diag, diag] = 0.0
+        q = vv @ jk
+        return off.min(axis=(-2, -1)), q.max(axis=-1), q.argmax(axis=-1)
 
+    pts, times, (min_off, qmax, qarg) = _visit_grid(
+        system, omega, counts, time_grid, _sample_elements(omega.dim, k, True), evaluate)
     violations = np.flatnonzero(min_off < -METZLER_TOL)
     metzler_ok = violations.size == 0
-    metzler_witness = None
-    if not metzler_ok:
-        metzler_witness = {**where(violations[0]), "min_offdiag": float(min_off[violations[0]])}
-    worst_ix = int(np.argmax(qmax))
-    worst_val = float(qmax[worst_ix])
-    worst = {**where(worst_ix), "column": int(qarg[worst_ix]) + 1}
-    verdict = (
-        "CERTIFIED" if metzler_ok and worst_val <= -ETA_TOL else "NOT_CERTIFIED"
-    )
+    worst = int(np.argmax(qmax))
+    worst_val = float(qmax[worst])
     extras = {
         "metzler_ok": metzler_ok,
         "eta_effective": -worst_val / float(np.max(vv)),
     }
-    if metzler_witness is not None:
-        extras["metzler_violation"] = metzler_witness
+    if not metzler_ok:
+        extras["metzler_violation"] = {**_sample_at(pts, times, violations[0]),
+                                       "min_offdiag": float(min_off[violations[0]])}
     return Certificate(
         rule="SCALED_L1_COOPERATIVE",
         k=k,
         norm="scaled-l1",
         eta=-worst_val,
-        verdict=verdict,
-        witness=worst,
+        verdict=_verdict(worst_val) if metzler_ok else "NOT_CERTIFIED",
+        witness={**_sample_at(pts, times, worst), "column": int(qarg[worst]) + 1},
         grid_meta=_grid_meta(omega, counts, time_grid),
         extras=extras,
     )
@@ -372,39 +361,31 @@ def check_bendixson(
     omega: BoxDomain,
     spec: MeasureSpec = MeasureSpec(Norm.L2),
     counts=None,
-    threads: int = 1,
 ) -> Certificate:
     """Rule out non-trivial periodic orbits of a time-invariant system.
 
     Succeeds when mu(J^[2](x)) < 0 everywhere on the grid, or when
     mu(-J^[2](x)) < 0 everywhere (time-reversed branch).
     """
-    if not system._jacobian_checked:
-        system.check_jacobian()
-    pts = _grid_points(omega, counts)
-    fwd, bwd = [], []
-    for rows in _chunks(len(pts), _sample_elements(pts.shape[1], 2, False)):
-        j = _jacobians(system, 0.0, pts[rows], spec.scaling)
-        fwd.append(measure_k_stack(j, 2, spec.norm)[0])
-        bwd.append(measure_k_stack(-j, 2, spec.norm)[0])
-    fwd, bwd = np.concatenate(fwd), np.concatenate(bwd)
+    def evaluate(points, j):
+        return measure_k_stack(j, 2, spec.norm)[0], measure_k_stack(-j, 2, spec.norm)[0]
+
+    pts, _, (fwd, bwd) = _visit_grid(system, omega, counts, None,
+                                     _sample_elements(omega.dim, 2, False), evaluate, spec.scaling)
     sup_f, sup_b = float(np.max(fwd)), float(np.max(bwd))
     if sup_f <= -ETA_TOL:
         branch, sup, arg = "forward", sup_f, int(np.argmax(fwd))
-        verdict = "CERTIFIED"
     elif sup_b <= -ETA_TOL:
         branch, sup, arg = "reversed", sup_b, int(np.argmax(bwd))
-        verdict = "CERTIFIED"
     else:
         branch, sup, arg = "none", min(sup_f, sup_b), int(np.argmax(np.minimum(fwd, bwd)))
-        verdict = "NOT_CERTIFIED"
     return Certificate(
         rule="BENDIXSON",
         k=2,
         norm=_norm_label(spec),
         eta=-sup,
-        verdict=verdict,
-        witness={"point": [float(u) for u in pts[arg]], "branch": branch},
+        verdict="NOT_CERTIFIED" if branch == "none" else "CERTIFIED",
+        witness={"point": _floats(pts[arg]), "branch": branch},
         grid_meta=_grid_meta(omega, counts),
         extras={"sup_forward": sup_f, "sup_reversed": sup_b},
     )
@@ -486,7 +467,6 @@ def check_gas(
     omega: BoxDomain,
     spec: MeasureSpec = MeasureSpec(Norm.L2),
     counts=None,
-    threads: int = 1,
 ) -> Certificate:
     """Global-convergence certificate from 2-order contraction on a box.
 
@@ -496,28 +476,22 @@ def check_gas(
     several equilibria the certificate reports the census and declines a
     convergence verdict.
     """
-    if not system._jacobian_checked:
-        system.check_jacobian()
-    pts = _grid_points(omega, counts)
-    vals = np.concatenate([
-        measure_k_stack(_jacobians(system, 0.0, pts[rows], spec.scaling), 2, spec.norm)[0]
-        for rows in _chunks(len(pts), _sample_elements(pts.shape[1], 2, False))
-    ])
+    pts, _, (vals,) = _visit_grid(
+        system, omega, counts, None, _sample_elements(omega.dim, 2, False),
+        lambda points, j: (measure_k_stack(j, 2, spec.norm)[0],), spec.scaling)
     sup = float(np.max(vals))
     measure_ok = sup <= -ETA_TOL
     clusters, skipped = _equilibria(system, pts, omega)
-
-    verdict = "CERTIFIED" if (measure_ok and len(clusters) == 1) else "NOT_CERTIFIED"
     return Certificate(
         rule="GAS_2CONTRACTION",
         k=2,
         norm=_norm_label(spec),
         eta=-sup,
-        verdict=verdict,
-        witness={"point": [float(u) for u in pts[int(np.argmax(vals))]]},
+        verdict="CERTIFIED" if (measure_ok and len(clusters) == 1) else "NOT_CERTIFIED",
+        witness={"point": _floats(pts[int(np.argmax(vals))])},
         grid_meta=_grid_meta(omega, counts),
         extras={
-            "equilibria": [[float(u) for u in r] for r in clusters],
+            "equilibria": [_floats(r) for r in clusters],
             "equilibrium_count": len(clusters),
             "seeds_skipped": skipped,
             "measure_ok": measure_ok,
@@ -535,20 +509,6 @@ def _spd_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rt, irt
 
 
-def _fd_jacobian(fun, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    n = x.size
-    f0 = np.asarray(fun(x), dtype=float).reshape(-1)
-    out = np.empty((f0.size, n))
-    for j in range(n):
-        dx = np.zeros(n)
-        step = eps * max(1.0, abs(x[j]))
-        dx[j] = step
-        fp = np.asarray(fun(x + dx), dtype=float).reshape(-1)
-        fm = np.asarray(fun(x - dx), dtype=float).reshape(-1)
-        out[:, j] = (fp - fm) / (2.0 * step)
-    return out
-
-
 def control_check(
     system: SystemModel,
     g_fun,
@@ -557,7 +517,6 @@ def control_check(
     omega: BoxDomain,
     d_gtheta=None,
     counts=None,
-    threads: int = 1,
     semidef_tol: float = 1e-7,
 ) -> Certificate:
     """Closed-loop GAS check for x' = f(x) + G(x) theta(x).
@@ -575,12 +534,8 @@ def control_check(
         np.linalg.cholesky(pm)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Cholesky of P failed") from exc
-    if not system._jacobian_checked:
-        system.check_jacobian()
-
     p_rt, p_irt = _spd_sqrt(pm)
-    p2 = mult_compound(pm, 2)
-    p2_rt, p2_irt = _spd_sqrt(p2)
+    p2_rt, p2_irt = _spd_sqrt(mult_compound(pm, 2))
 
     def gtheta(x):
         return as_matrix(g_fun(x)) @ np.asarray(theta_fun(x), dtype=float).reshape(-1)
@@ -588,30 +543,23 @@ def control_check(
     def dgt(x):
         if d_gtheta is not None:
             return as_matrix(d_gtheta(x), square=True)
-        return _fd_jacobian(gtheta, x)
+        return central_difference_jacobian(gtheta, x)
 
-    pts = _grid_points(omega, counts)
-    c1, c2, c3 = [], [], []
-    for rows in _chunks(len(pts), _sample_elements(pts.shape[1], 2, True)):
-        j = system.jacobian_stack(0.0, pts[rows])
-        c1.append(measure_stack(pm @ j + np.swapaxes(j, -1, -2) @ pm, Norm.L2))
-        c2.append(measure_stack(p2_rt @ add_compound_stack(j, 2) @ p2_irt, Norm.L2))
-        d = as_stack([dgt(x) for x in pts[rows]], square=True)
-        c3.append(measure_stack(p_rt @ d @ p_irt, Norm.L2))
-    c1, c2, c3 = (np.concatenate(c) for c in (c1, c2, c3))
+    def evaluate(points, j):
+        d = as_stack([dgt(x) for x in points], square=True)
+        return (measure_stack(pm @ j + np.swapaxes(j, -1, -2) @ pm, Norm.L2),
+                measure_stack(p2_rt @ add_compound_stack(j, 2) @ p2_irt, Norm.L2),
+                measure_stack(p_rt @ d @ p_irt, Norm.L2))
+
+    pts, _, (c1, c2, c3) = _visit_grid(system, omega, counts, None,
+                                       _sample_elements(omega.dim, 2, True), evaluate)
     failures = {}
-    if float(np.max(c1)) > semidef_tol:
-        i = int(np.argmax(c1))
-        failures["drift_semidefinite"] = {
-            "point": [float(u) for u in pts[i]], "value": float(c1[i])}
-    if float(np.max(c2)) > -ETA_TOL:
-        i = int(np.argmax(c2))
-        failures["compound_measure"] = {
-            "point": [float(u) for u in pts[i]], "value": float(c2[i])}
-    if float(np.max(c3)) > semidef_tol:
-        i = int(np.argmax(c3))
-        failures["input_term_measure"] = {
-            "point": [float(u) for u in pts[i]], "value": float(c3[i])}
+    for name, values, bound in (("drift_semidefinite", c1, semidef_tol),
+                                ("compound_measure", c2, -ETA_TOL),
+                                ("input_term_measure", c3, semidef_tol)):
+        i = int(np.argmax(values))
+        if float(values[i]) > bound:
+            failures[name] = {"point": _floats(pts[i]), "value": float(values[i])}
 
     closed = SystemModel(
         dim=system.dim,
@@ -624,18 +572,16 @@ def control_check(
     if len(clusters) != 1:
         failures["equilibrium_census"] = {"count": len(clusters)}
 
-    verdict = "CERTIFIED" if not failures else "NOT_CERTIFIED"
-    eta = -float(np.max(c2))
     return Certificate(
         rule="CONTROL_2CONTRACTION",
         k=2,
         norm="scaled-l2",
-        eta=eta,
-        verdict=verdict,
+        eta=-float(np.max(c2)),
+        verdict="CERTIFIED" if not failures else "NOT_CERTIFIED",
         witness=failures if failures else {"point": None},
         grid_meta=_grid_meta(omega, counts),
         extras={
-            "equilibria": [[float(u) for u in r] for r in clusters],
+            "equilibria": [_floats(r) for r in clusters],
             "seeds_skipped": skipped,
             "sup_drift": float(np.max(c1)),
             "sup_compound": float(np.max(c2)),

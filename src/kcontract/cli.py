@@ -394,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pmatrix", help="positive definite P (control rule)")
     sp.add_argument("--gain", type=float, default=1.0)
     sp.add_argument("--target", help="setpoint e for the control rule")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="accepted for compatibility; has no effect (grid sampling "
-                         "is vectorised and deterministic)")
     _add_common(sp)
     sp.set_defaults(handler=cmd_certify)
 

@@ -37,6 +37,19 @@ DEFAULT_GRID_COUNT = 11
 BATCH_RTOL = 1e-12
 
 
+def central_difference_jacobian(fun, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central differences of fun at x, column j with the step eps * max(1, |x_j|)."""
+    columns = []
+    for j in range(x.size):
+        dx = np.zeros(x.size)
+        step = eps * max(1.0, abs(x[j]))
+        dx[j] = step
+        fp = np.asarray(fun(x + dx), dtype=float).reshape(-1)
+        fm = np.asarray(fun(x - dx), dtype=float).reshape(-1)
+        columns.append((fp - fm) / (2.0 * step))
+    return np.stack(columns, axis=1)
+
+
 @dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned box, optionally with per-axis grid counts for sampling."""
@@ -154,19 +167,11 @@ class SystemModel:
         else:
             lo = -np.ones(self.dim)
             hi = np.ones(self.dim)
-        eps = 1e-6
         for _ in range(samples):
             x = lo + rng.random(self.dim) * (hi - lo)
             t = float(rng.random())
             jac = as_matrix(self.jacobian(t, x), square=True)
-            fd = np.empty_like(jac)
-            for j in range(self.dim):
-                dx = np.zeros(self.dim)
-                step = eps * max(1.0, abs(x[j]))
-                dx[j] = step
-                fp = np.asarray(self.field(t, x + dx), dtype=float)
-                fm = np.asarray(self.field(t, x - dx), dtype=float)
-                fd[:, j] = (fp - fm) / (2.0 * step)
+            fd = central_difference_jacobian(lambda y: self.field(t, y), x)
             scale = max(1.0, float(np.max(np.abs(jac))))
             err = float(np.max(np.abs(jac - fd))) / scale
             if err > rtol:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from kcontract.certify import ETA_TOL, Certificate
 from kcontract.combinatorics import binomial
 from kcontract.compound import add_compound, as_matrix, mult_compound
 from kcontract.errors import NonFiniteState
+from kcontract.measures import MeasureSpec, apply_scaling, measure_k_witness
 
 
 @pytest.fixture
@@ -93,3 +95,68 @@ def fused_linearized_flow(system, x0, w0, t_span, h):
 
     times, flat = fused_rk4_path(f, np.concatenate([x0, w0.reshape(-1)]), t_span, h)
     return times, flat[:, :n], flat[:, n:].reshape(-1, n, k)
+
+
+def _samples_per_sample(a, time_grid):
+    if callable(a):
+        return [(float(t), as_matrix(a(float(t)), square=True)) for t in time_grid]
+    if isinstance(a, (list, tuple)):
+        times = list(time_grid) if time_grid is not None else range(len(a))
+        return [(float(t), as_matrix(m, square=True)) for t, m in zip(times, a)]
+    return [(0.0, as_matrix(a, square=True))]
+
+
+def lti_per_sample(a, k, spec, time_grid=None):
+    """certify_lti one sample at a time: the first strictly larger measure
+    becomes the witness."""
+    worst_val, worst = -np.inf, {}
+    for t, m in _samples_per_sample(a, time_grid):
+        if spec.scaling is not None:
+            m = apply_scaling(m, spec.scaling)
+        mv = measure_k_witness(m, k, MeasureSpec(spec.norm))
+        if mv.value > worst_val:
+            w = mv.witness
+            worst_val = mv.value
+            worst = {"time": t, "attaining": ([float(v) for v in w.reshape(-1)]
+                                              if isinstance(w, np.ndarray) else list(w))}
+    meta = {"exhaustive": time_grid is None and not callable(a)}
+    if time_grid is not None:
+        meta["time_grid"] = [float(t) for t in time_grid]
+    norm = ("scaled-" if spec.scaling is not None else "") + spec.norm.value
+    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
+    return Certificate("LTI_MEASURE", k, norm, -worst_val, verdict, worst, meta)
+
+
+def diagonal_per_sample(d, k, time_grid=None):
+    """certify_diagonal one sample at a time: the k largest diagonal entries
+    (stable order) summed as one array."""
+    worst_val, worst = -np.inf, {}
+    for t, m in _samples_per_sample(d, time_grid):
+        diag = np.diag(m)
+        order = np.argsort(-diag, kind="stable")[:k]
+        val = float(np.sum(diag[order]))
+        if val > worst_val:
+            worst_val = val
+            worst = {"time": t, "tuple": sorted(int(i) + 1 for i in order)}
+    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
+    return Certificate("DIAGONAL", k, "l1+l2+linf", -worst_val, verdict, worst,
+                       {"exhaustive": time_grid is None and not callable(d)})
+
+
+def row_rule_per_sample(a, time_grid=None):
+    """certify_row_rule one sample and one column at a time."""
+    samples = _samples_per_sample(a, time_grid)
+    n = samples[0][1].shape[0]
+    worst_val, worst = -np.inf, {}
+    for t, m in samples:
+        tr = float(np.trace(m))
+        aabs = np.abs(m)
+        col_off = aabs.sum(axis=0) - np.diag(aabs)
+        for ell in range(n):
+            val = float(col_off[ell] + tr - m[ell, ell])
+            if val > worst_val:
+                worst_val = val
+                worst = {"time": t, "column": ell + 1}
+    verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
+    return Certificate("ROW_RULE_NM1", n - 1, "linf", -worst_val, verdict, worst,
+                       {"exhaustive": time_grid is None and not callable(a)})

@@ -11,11 +11,13 @@ from kcontract.errors import (
     JacobianMismatch,
     NotDiagonal,
     NotPositiveDefinite,
+    OrderTooLarge,
 )
+from kcontract.fileio import certificate_to_json, dump_json
 from kcontract.measures import MeasureSpec, Norm
 from kcontract.models import SEIR_MIX, model
 
-from conftest import well_conditioned
+from conftest import diagonal_per_sample, lti_per_sample, row_rule_per_sample, well_conditioned
 
 ALL_NORMS = (Norm.L1, Norm.L2, Norm.LINF)
 
@@ -151,15 +153,6 @@ def test_certify_nonlinear_grid_jacobian_sentinel():
         ce.certify_nonlinear_grid(bad, omega, 2, MeasureSpec(Norm.L2))
 
 
-def test_certify_nonlinear_grid_threads_deterministic():
-    entry = model("hopf")
-    omega = dy.BoxDomain.of([-2, -2], [2, 2], (9, 9))
-    one = ce.certify_nonlinear_grid(entry.system, omega, 2, MeasureSpec(Norm.L2), threads=1)
-    four = ce.certify_nonlinear_grid(entry.system, omega, 2, MeasureSpec(Norm.L2), threads=4)
-    assert one.eta == four.eta
-    assert one.witness == four.witness
-
-
 def test_certify_diagonal_examples():
     cert = ce.certify_diagonal(np.diag([3.0, -4.0]), 2)
     assert cert.verdict == "CERTIFIED" and cert.eta == pytest.approx(1.0)
@@ -170,6 +163,9 @@ def test_certify_diagonal_examples():
     assert cert.witness["tuple"] == [1, 2]
     with pytest.raises(NotDiagonal):
         ce.certify_diagonal(np.array([[1.0, 0.1], [0.0, 2.0]]), 1)
+    for k in (0, -1, 4):  # k outside [1, n] used to certify with eta 3.0
+        with pytest.raises(OrderTooLarge):
+            ce.certify_diagonal(np.diag([-1.0, -2.0, -3.0]), k)
 
 
 def test_certify_diagonal_time_varying():
@@ -364,6 +360,7 @@ def _vacuous_cases():
     box = dy.BoxDomain.of([-1, -1], [1, 1], (3, 3))
     l1 = MeasureSpec(Norm.L1)
     a, p = _lyapunov_setup()
+    b3 = np.array([[-5.0, 0.0, 10.0], [0.0, -5.0, 0.0], [0.0, 0.0, -5.0]])
     return {
         "lti-short-grid": lambda: ce.certify_lti(expanding, 2, l1, time_grid=[0.0]),
         "lti-empty-grid": lambda: ce.certify_lti(expanding, 2, l1, time_grid=[]),
@@ -372,6 +369,12 @@ def _vacuous_cases():
         "diagonal-empty-grid": lambda: ce.certify_diagonal(lambda t: expanding[0], 2,
                                                            time_grid=[]),
         "row-empty-list": lambda: ce.certify_row_rule([]),
+        # the row rule read only two of b3's columns and certified [-I2, b3]
+        "row-unequal-shapes": lambda: ce.certify_row_rule([-np.eye(2), b3]),
+        "row-unequal-shapes-reversed": lambda: ce.certify_row_rule([b3, -np.eye(2)]),
+        "lti-unequal-shapes": lambda: ce.certify_lti([-np.eye(2), b3], 1, l1),
+        "diagonal-unequal-shapes": lambda: ce.certify_diagonal(
+            lambda t: -np.eye(2 if t < 1.0 else 3), 1, time_grid=[0.0, 1.0]),
         "row-long-grid": lambda: ce.certify_row_rule(expanding, time_grid=[0.0, 1.0, 2.0]),
         "grid-empty-times": lambda: ce.certify_nonlinear_grid(hopf, box, 2, l1, time_grid=[]),
         "scaled-l1-empty-times": lambda: ce.certify_scaled_l1(
@@ -464,3 +467,60 @@ def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
         chunked = ce.certify_scaled_l1(entry.system, omega, 2, weights)
     assert (chunked.eta, chunked.witness, chunked.extras) == (
         whole.eta, whole.witness, whole.extras)
+    # the rules on one time: chunked runs give the whole run's certificate
+    hopf = model("hopf").system
+    box2 = dy.BoxDomain.of([-1.5, -1.0], [1.0, 1.5], (7, 9))
+    g = np.array([[1.0], [0.5]])
+    p = np.array([[2.0, 0.3], [0.3, 1.0]])
+    runs = [lambda: ce.control_check(
+        hopf, lambda x: g, lambda x: -(g.T @ p @ x) + 0.1 * x[0] ** 2, p, box2)]
+    for norm in ALL_NORMS:
+        runs += [lambda norm=norm: ce.check_bendixson(entry.system, omega, MeasureSpec(norm)),
+                 lambda norm=norm: ce.check_gas(hopf, box2, MeasureSpec(norm, np.diag([1.0, 2.0])))]
+    for call in runs:
+        whole = certificate_to_json(call())
+        with monkeypatch.context() as mp:
+            for module in (ce, ms):
+                mp.setattr(module, "CHUNK_ELEMENTS", 40)
+            chunked = certificate_to_json(call())
+        assert chunked == whole
+
+
+def _json_bytes(cert):
+    return dump_json(certificate_to_json(cert), None)
+
+
+def test_sample_rules_match_per_sample_loops(rng):
+    # n up to 10 passes numpy's 8-wide pairwise-sum block; rounded entries
+    # make measures tie across samples, tuples and columns
+    for trial in range(120):
+        n = int(rng.integers(2, 11))
+        count = int(rng.integers(1, 6))
+        mats = [rng.standard_normal((n, n)) for _ in range(count)]
+        if trial % 2:
+            mats = [np.round(2.0 * m) / 2.0 for m in mats]
+        diags = [np.diag(np.diag(m)) for m in mats]
+        times = [float(t) for t in np.round(rng.uniform(0.0, 5.0, count), 2)]
+        k = int(rng.integers(1, n + 1))
+        norm = ALL_NORMS[trial % 3]
+        scaling = np.diag(rng.uniform(0.5, 2.0, n)) + 0.1 * np.triu(rng.standard_normal((n, n)), 1)
+
+        def a_fun(t):
+            return mats[0] + np.round(np.sin(t), 1) * mats[-1]
+
+        pairs = [
+            (ce.certify_lti(mats, k, MeasureSpec(norm)), lti_per_sample(mats, k, MeasureSpec(norm))),
+            (ce.certify_lti(mats, k, MeasureSpec(norm, scaling), time_grid=times),
+             lti_per_sample(mats, k, MeasureSpec(norm, scaling), time_grid=times)),
+            (ce.certify_lti(a_fun, k, MeasureSpec(norm), time_grid=times),
+             lti_per_sample(a_fun, k, MeasureSpec(norm), time_grid=times)),
+            (ce.certify_diagonal(diags, k), diagonal_per_sample(diags, k)),
+            (ce.certify_diagonal(lambda t: np.cos(t) * diags[0], k, time_grid=times),
+             diagonal_per_sample(lambda t: np.cos(t) * diags[0], k, time_grid=times)),
+            (ce.certify_row_rule(mats, time_grid=times), row_rule_per_sample(mats, time_grid=times)),
+            (ce.certify_row_rule(mats[0]), row_rule_per_sample(mats[0])),
+            (ce.certify_row_rule(a_fun, time_grid=times),
+             row_rule_per_sample(a_fun, time_grid=times)),
+        ]
+        for got, want in pairs:
+            assert _json_bytes(got) == _json_bytes(want)

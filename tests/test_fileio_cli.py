@@ -240,7 +240,7 @@ def test_cli_determinism(tmp_path, diag2_file):
     for out in (out1, out2):
         main(["certify", "--rule", "grid", "--model", "hopf",
               "--box=-1,-1:1,1", "--grid-counts", "5,5", "--norm", "l2",
-              "--threads", "3", "--out", str(out)])
+              "--out", str(out)])
     assert out1.read_bytes() == out2.read_bytes()
 
 
