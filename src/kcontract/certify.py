@@ -187,8 +187,6 @@ def _visit_grid(system: SystemModel, omega: BoxDomain, counts, time_grid, per_sa
     size = math.prod(omega.grid_counts(counts))  # refuse before building the grid
     if size > MAX_GRID_SAMPLES:
         raise DimensionMismatch(f"grid of {size} samples exceeds cap {MAX_GRID_SAMPLES}")
-    if size == 0:
-        raise DimensionMismatch("grid has no samples")
     pts = omega.grid(counts)
     times = [0.0] if time_grid is None else _floats(time_grid)
     if not times:

@@ -32,6 +32,12 @@ def _parse_counts(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
+def _required_matrix(path, flag: str, use: str) -> np.ndarray:
+    if not path:
+        raise KContractError(f"{flag} required for {use}")
+    return io.load_matrix_json(path)
+
+
 def _spec_from(args) -> MeasureSpec:
     scaling = io.load_matrix_json(args.scaling) if getattr(args, "scaling", None) else None
     return MeasureSpec(Norm.parse(args.norm), scaling)
@@ -203,7 +209,7 @@ def cmd_kcontent(args) -> int:
         return 0
 
     entry = _load_model(args)
-    mat = io.load_matrix_json(args.vertices)
+    mat = _required_matrix(args.vertices, "--vertices", "kcontent --model")
     anchors = [mat[:, j].copy() for j in range(mat.shape[1])]
     k = len(anchors) - 1
     if len(counts) != k:
@@ -227,12 +233,14 @@ def cmd_kcontent(args) -> int:
 
 def cmd_certify(args) -> int:
     rule = args.rule
+    if rule in ("lti", "diagonal", "row"):
+        a = _required_matrix(args.matrix, "--matrix", f"the {rule} rule")
     if rule == "lti":
-        cert = ce.certify_lti(io.load_matrix_json(args.matrix), args.k, _spec_from(args))
+        cert = ce.certify_lti(a, args.k, _spec_from(args))
     elif rule == "diagonal":
-        cert = ce.certify_diagonal(io.load_matrix_json(args.matrix), args.k)
+        cert = ce.certify_diagonal(a, args.k)
     elif rule == "row":
-        cert = ce.certify_row_rule(io.load_matrix_json(args.matrix))
+        cert = ce.certify_row_rule(a)
     elif rule == "grid":
         entry = _load_model(args)
         cert = ce.certify_nonlinear_grid(
@@ -299,11 +307,9 @@ def cmd_seir_diagnostics(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(sp, *, out=True, config=True):
-    if out:
-        sp.add_argument("--out", help="write the primary output to this path")
-    if config:
-        sp.add_argument("--config", help="JSON file of default flag values (flags win)")
+def _add_common(sp):
+    sp.add_argument("--out", help="write the primary output to this path")
+    sp.add_argument("--config", help="JSON file of default flag values (flags win)")
 
 
 @functools.cache
@@ -413,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params")
     sp.add_argument("--matrix")
     sp.add_argument("--vertices", help="matrix JSON; columns are k+1 patch vertices")
-    sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--h", type=float, default=1e-3)
     sp.add_argument("--grid", required=True, help="per-axis cell counts, e.g. 60,60")

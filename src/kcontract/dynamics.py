@@ -66,11 +66,8 @@ class BoxDomain:
             raise DimensionMismatch("lower and upper must have equal length")
         if np.any(hi < lo):
             raise DimensionMismatch("upper must dominate lower componentwise")
-        if counts is not None:
-            counts = tuple(int(c) for c in counts)
-            if len(counts) != lo.size or any(c < 1 for c in counts):
-                raise DimensionMismatch("bad per-axis grid counts")
-        return cls(lower=lo, upper=hi, counts=counts)
+        box = cls(lower=lo, upper=hi)
+        return box if counts is None else cls(lo, hi, box.grid_counts(counts))
 
     @property
     def dim(self) -> int:
@@ -83,8 +80,16 @@ class BoxDomain:
         )
 
     def grid_counts(self, counts=None) -> tuple[int, ...]:
-        """Per-axis sample counts: counts, else the box's own, else the default."""
-        return tuple(counts or self.counts or (DEFAULT_GRID_COUNT,) * self.dim)
+        """Per-axis sample counts: counts, else the box's own, else the default.
+
+        Refuses counts whose length is not dim or that hold an entry below 1.
+        """
+        if counts is None:
+            counts = self.counts or (DEFAULT_GRID_COUNT,) * self.dim
+        counts = tuple(int(c) for c in counts)
+        if len(counts) != self.dim or any(c < 1 for c in counts):
+            raise DimensionMismatch("bad per-axis grid counts")
+        return counts
 
     def grid(self, counts=None) -> np.ndarray:
         """All grid points as an (N, dim) array, row-major over axes."""

@@ -1,8 +1,10 @@
 """Built-in dynamical systems used throughout the test and demo suites.
 
 Each entry couples a vector field with its analytic Jacobian and, where a
-closed form exists, a solution oracle.  Registration always runs the
-finite-difference Jacobian self-test.
+closed form exists, a solution oracle.  Each formula is written once: the
+linear models as their matrix A(t), the nonlinear ones as lists of entries
+that serve both one state and a stack of states.  Registration always runs
+the finite-difference Jacobian self-test.
 """
 
 from __future__ import annotations
@@ -28,74 +30,57 @@ class ModelEntry:
     system: SystemModel
     parameters: dict
     description: str
-    oracle_kind: str  # CLOSED_FORM | NONE
+
+    @property
+    def oracle_kind(self) -> str:
+        """CLOSED_FORM when the system carries a solution oracle, else NONE."""
+        return "NONE" if self.system.oracle is None else "CLOSED_FORM"
+
+
+def _linear_entry(name: str, a, description: str, *, parameters=None, transition=None,
+                  period=None) -> ModelEntry:
+    """The linear model x' = A(t) x, written once as the matrix callable a(t):
+    the field is a(t) @ x, the Jacobian a(t) and, when the transition matrix
+    Phi(t) is known, the oracle Phi(t) @ x0."""
+    oracle = None
+    if transition is not None:
+        def oracle(t, x0):
+            return transition(t) @ np.asarray(x0, dtype=float)
+
+    sys = SystemModel(dim=len(a(0.0)), field=lambda t, x: a(t) @ x,
+                      jacobian=lambda t, x: a(t), oracle=oracle, period=period, name=name)
+    return ModelEntry(name=name, system=sys, parameters=parameters or {},
+                      description=description)
 
 
 def _lti_entry(params: dict) -> ModelEntry:
     if "a" not in params:
         raise BadParameter('model "lti" needs params {"a": [[...], ...]}')
     a = as_matrix(params["a"], square=True)
-    sys = SystemModel(
-        dim=a.shape[0],
-        field=lambda t, x, _a=a: _a @ x,
-        jacobian=lambda t, x, _a=a: _a,
-        name="lti",
-    )
-    return ModelEntry(
-        name="lti",
-        system=sys,
-        parameters={"a": a.tolist()},
-        description="constant-coefficient linear system from a user matrix",
-        oracle_kind="NONE",
-    )
+    return _linear_entry("lti", lambda t: a,
+                         "constant-coefficient linear system from a user matrix",
+                         parameters={"a": a.tolist()})
 
 
 def _diag2_entry(params: dict) -> ModelEntry:
     a = np.diag([3.0, -4.0])
-
-    def oracle(t, x0):
-        x0 = np.asarray(x0, dtype=float)
-        return np.array([x0[0] * np.exp(3.0 * t), x0[1] * np.exp(-4.0 * t)])
-
-    sys = SystemModel(
-        dim=2,
-        field=lambda t, x: a @ x,
-        jacobian=lambda t, x: a,
-        oracle=oracle,
-        name="diag2",
+    return _linear_entry(
+        "diag2", lambda t: a,
+        "unstable/stable diagonal pair whose parallelogram area decays at rate 1",
+        transition=lambda t: np.array([[np.exp(3.0 * t), 0.0], [0.0, np.exp(-4.0 * t)]]),
     )
-    return ModelEntry(
-        name="diag2",
-        system=sys,
-        parameters={},
-        description="unstable/stable diagonal pair whose parallelogram area decays at rate 1",
-        oracle_kind="CLOSED_FORM",
-    )
+
+
+def _rotation(t: float) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[c, s], [-s, c]])
 
 
 def _oscillator_entry(params: dict) -> ModelEntry:
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def oracle(t, x0):
-        c, s = np.cos(t), np.sin(t)
-        rot = np.array([[c, s], [-s, c]])
-        return rot @ np.asarray(x0, dtype=float)
-
-    sys = SystemModel(
-        dim=2,
-        field=lambda t, x: a @ x,
-        jacobian=lambda t, x: a,
-        oracle=oracle,
-        period=2.0 * np.pi,
-        name="oscillator",
-    )
-    return ModelEntry(
-        name="oscillator",
-        system=sys,
-        parameters={},
-        description="harmonic oscillator; areas are preserved under the flow",
-        oracle_kind="CLOSED_FORM",
-    )
+    return _linear_entry("oscillator", lambda t: a,
+                         "harmonic oscillator; areas are preserved under the flow",
+                         transition=_rotation, period=2.0 * np.pi)
 
 
 def cos_ltv_matrix(t: float) -> np.ndarray:
@@ -104,34 +89,44 @@ def cos_ltv_matrix(t: float) -> np.ndarray:
 
 def cos_ltv_transition(t: float) -> np.ndarray:
     """Closed-form transition matrix of the cosine-coupled LTV system."""
-    return np.array(
-        [
-            [np.exp(-t), 0.0],
-            [(-1.0 + np.exp(-t) * (np.cos(t) - np.sin(t))) / 2.0, 1.0],
-        ]
-    )
+    e = np.exp(-t)
+    return np.array([[e, 0.0], [(-1.0 + e * (np.cos(t) - np.sin(t))) / 2.0, 1.0]])
 
 
 def _cos_ltv_entry(params: dict) -> ModelEntry:
-    def oracle(t, x0):
-        return cos_ltv_transition(t) @ np.asarray(x0, dtype=float)
-
-    sys = SystemModel(
-        dim=2,
-        field=lambda t, x: cos_ltv_matrix(t) @ x,
-        jacobian=lambda t, x: cos_ltv_matrix(t),
-        oracle=oracle,
-        period=2.0 * np.pi,
-        name="cos_ltv",
-    )
-    return ModelEntry(
-        name="cos_ltv",
-        system=sys,
-        parameters={},
-        description="2-order contractive LTV system that is not contractive; "
+    return _linear_entry(
+        "cos_ltv", cos_ltv_matrix,
+        "2-order contractive LTV system that is not contractive; "
         "solutions settle on a line of equilibria",
-        oracle_kind="CLOSED_FORM",
+        transition=cos_ltv_transition, period=2.0 * np.pi,
     )
+
+
+def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
+    """An autonomous model whose field(x) and jacobian(x) are written once, as
+    lists of entries over the components x[0], x[1], ...
+
+    The one-state callables turn the lists into arrays.  The stack callables
+    evaluate the same functions at x = X.T, so each entry is an (N,) array
+    computed with the one-state arithmetic, and write the entries into
+    preallocated (N, n) and (N, n, n) arrays, where constants broadcast.
+    """
+    def field_batch(t, xs):
+        out = np.empty((len(xs), dim))
+        for i, value in enumerate(field(xs.T)):
+            out[:, i] = value
+        return out
+
+    def jacobian_batch(t, xs):
+        out = np.empty((len(xs), dim, dim))
+        for i, row in enumerate(jacobian(xs.T)):
+            for j, value in enumerate(row):
+                out[:, i, j] = value
+        return out
+
+    return SystemModel(dim=dim, field=lambda t, x: np.array(field(x)),
+                       jacobian=lambda t, x: np.array(jacobian(x)),
+                       field_batch=field_batch, jacobian_batch=jacobian_batch, **extras)
 
 
 def seir_rates(params: dict):
@@ -151,6 +146,11 @@ def seir_rates(params: dict):
     return p
 
 
+def _incidence_partials(x1, x3, q, pw):
+    """d/dx1 and d/dx3 of the incidence x1^q x3^p."""
+    return q * x1 ** (q - 1.0) * x3**pw, pw * x1**q * x3 ** (pw - 1.0)
+
+
 def _seir3_entry(params: dict) -> ModelEntry:
     p = seir_rates(params)
     lam, zeta, c = p["lam"], p["zeta"], p["c"]
@@ -158,114 +158,49 @@ def _seir3_entry(params: dict) -> ModelEntry:
 
     # incidence f1(x1, x3) = x1^q x3^p; removal f4(x3) = gamma*x3 is the
     # minimal choice with f4 > 0 and df4/dx3 > 0 on the interior
-    def f1(x1, x3):
-        return x1**q * x3**pw
+    def field(x):
+        inc = x[0] ** q * x[2] ** pw
+        return [
+            -lam * inc + zeta - zeta * x[0],
+            lam * inc - c * x[1] - zeta * x[1],
+            c * x[1] - gamma * x[2] - zeta * x[2],
+        ]
 
-    def field(t, x):
-        inc = f1(x[0], x[2])
-        return np.array(
-            [
-                -lam * inc + zeta - zeta * x[0],
-                lam * inc - c * x[1] - zeta * x[1],
-                c * x[1] - gamma * x[2] - zeta * x[2],
-            ]
-        )
+    def jacobian(x):
+        d1, d3 = _incidence_partials(x[0], x[2], q, pw)
+        return [
+            [-lam * d1 - zeta, 0.0, -lam * d3],
+            [lam * d1, -c - zeta, lam * d3],
+            [0.0, c, -gamma - zeta],
+        ]
 
-    def jacobian(t, x):
-        d1 = q * x[0] ** (q - 1.0) * x[2] ** pw
-        d3 = pw * x[0] ** q * x[2] ** (pw - 1.0)
-        base = np.array(
-            [
-                [-lam * d1, 0.0, -lam * d3],
-                [lam * d1, -c, lam * d3],
-                [0.0, c, -gamma],
-            ]
-        )
-        return base - zeta * np.eye(3)
-
-    def field_batch(t, xs):
-        x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-        inc = f1(x1, x3)
-        return np.stack(
-            [
-                -lam * inc + zeta - zeta * x1,
-                lam * inc - c * x2 - zeta * x2,
-                c * x2 - gamma * x3 - zeta * x3,
-            ],
-            axis=1,
-        )
-
-    def jacobian_batch(t, xs):
-        x1, x3 = xs[:, 0], xs[:, 2]
-        d1 = q * x1 ** (q - 1.0) * x3**pw
-        d3 = pw * x1**q * x3 ** (pw - 1.0)
-        base = np.zeros((len(xs), 3, 3))
-        base[:, 0, 0] = -lam * d1
-        base[:, 0, 2] = -lam * d3
-        base[:, 1, 0] = lam * d1
-        base[:, 1, 1] = -c
-        base[:, 1, 2] = lam * d3
-        base[:, 2, 1] = c
-        base[:, 2, 2] = -gamma
-        return base - zeta * np.eye(3)
-
-    sys = SystemModel(
-        dim=3,
-        field=field,
-        jacobian=jacobian,
-        field_batch=field_batch,
-        jacobian_batch=jacobian_batch,
-        domain=BoxDomain.of([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-        name="seir3",
-    )
     return ModelEntry(
         name="seir3",
-        system=sys,
+        system=_entrywise_system(3, field, jacobian, name="seir3",
+                                 domain=BoxDomain.of([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])),
         parameters=p,
         description="three-compartment epidemic model (susceptible-latent-infectious "
         "fractions); 2-cooperative on the unit simplex",
-        oracle_kind="NONE",
     )
 
 
 def _hopf_entry(params: dict) -> ModelEntry:
-    def field(t, x):
+    def field(x):
         r2 = x[0] * x[0] + x[1] * x[1]
-        return np.array([-x[1] - x[0] * (r2 - 1.0), x[0] - x[1] * (r2 - 1.0)])
+        return [-x[1] - x[0] * (r2 - 1.0), x[0] - x[1] * (r2 - 1.0)]
 
-    def jacobian(t, x):
-        return np.array(
-            [
-                [1.0 - 3.0 * (x[0] * x[0]) - x[1] * x[1], -2.0 * x[0] * x[1] - 1.0],
-                [-2.0 * x[0] * x[1] + 1.0, 1.0 - x[0] * x[0] - 3.0 * (x[1] * x[1])],
-            ]
-        )
+    def jacobian(x):
+        return [
+            [1.0 - 3.0 * (x[0] * x[0]) - x[1] * x[1], -2.0 * x[0] * x[1] - 1.0],
+            [-2.0 * x[0] * x[1] + 1.0, 1.0 - x[0] * x[0] - 3.0 * (x[1] * x[1])],
+        ]
 
-    def field_batch(t, xs):
-        x0, x1 = xs[:, 0], xs[:, 1]
-        r2 = x0 * x0 + x1 * x1
-        return np.stack([-x1 - x0 * (r2 - 1.0), x0 - x1 * (r2 - 1.0)], axis=1)
-
-    def jacobian_batch(t, xs):
-        x0, x1 = xs[:, 0], xs[:, 1]
-        out = np.empty((len(xs), 2, 2))
-        out[:, 0, 0] = 1.0 - 3.0 * x0**2 - x1**2
-        out[:, 0, 1] = -2.0 * x0 * x1 - 1.0
-        out[:, 1, 0] = -2.0 * x0 * x1 + 1.0
-        out[:, 1, 1] = 1.0 - x0**2 - 3.0 * x1**2
-        return out
-
-    sys = SystemModel(
-        dim=2, field=field, jacobian=jacobian, field_batch=field_batch,
-        jacobian_batch=jacobian_batch, period=2.0 * np.pi, name="hopf"
-    )
     return ModelEntry(
         name="hopf",
-        system=sys,
+        system=_entrywise_system(2, field, jacobian, period=2.0 * np.pi, name="hopf"),
         parameters={},
         description="planar system with an attracting unit-circle limit cycle "
         "(period 2*pi); testbed for orbital-stability machinery",
-        oracle_kind="NONE",
     )
 
 
@@ -376,8 +311,7 @@ def seir_orbit_diagnostics(
         s = ddot_dinv + SEIR_MIX @ d @ j2 @ dinv @ SEIR_MIX_INV
         mu_vals[rows] = measure_stack(s, Norm.LINF)
 
-    d1 = q * x1 ** (q - 1.0) * x3**pw
-    d3 = pw * x1**q * x3 ** (pw - 1.0)
+    d1, d3 = _incidence_partials(x1, x3, q, pw)
     g1s = -lam * d1 - c + lam * (1.0 / ratio) * d3 - 2.0 * zeta
     g2s = ratio * c - gamma + drift - 2.0 * zeta
     bounds = dx[:, 1] / x2 - zeta

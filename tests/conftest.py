@@ -160,3 +160,84 @@ def row_rule_per_sample(a, time_grid=None):
     verdict = "CERTIFIED" if worst_val <= -ETA_TOL else "NOT_CERTIFIED"
     return Certificate("ROW_RULE_NM1", n - 1, "linf", -worst_val, verdict, worst,
                        {"exhaustive": time_grid is None and not callable(a)})
+
+
+# -- built-in models, written out by hand -----------------------------------
+# Reference stack callables and closed-form oracles, each formula spelled out
+# separately; the forms the models derive from one definition must
+# reproduce them bit for bit.
+
+
+def hopf_field_batch(t, xs):
+    x0, x1 = xs[:, 0], xs[:, 1]
+    r2 = x0 * x0 + x1 * x1
+    return np.stack([-x1 - x0 * (r2 - 1.0), x0 - x1 * (r2 - 1.0)], axis=1)
+
+
+def hopf_jacobian_batch(t, xs):
+    x0, x1 = xs[:, 0], xs[:, 1]
+    out = np.empty((len(xs), 2, 2))
+    out[:, 0, 0] = 1.0 - 3.0 * x0**2 - x1**2
+    out[:, 0, 1] = -2.0 * x0 * x1 - 1.0
+    out[:, 1, 0] = -2.0 * x0 * x1 + 1.0
+    out[:, 1, 1] = 1.0 - x0**2 - 3.0 * x1**2
+    return out
+
+
+def seir3_batches(p):
+    """The seir3 field and Jacobian stack callables for the rates p."""
+    lam, zeta, c = p["lam"], p["zeta"], p["c"]
+    q, pw, gamma = p["q"], p["p"], p["gamma"]
+
+    def field_batch(t, xs):
+        x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
+        inc = x1**q * x3**pw
+        return np.stack(
+            [
+                -lam * inc + zeta - zeta * x1,
+                lam * inc - c * x2 - zeta * x2,
+                c * x2 - gamma * x3 - zeta * x3,
+            ],
+            axis=1,
+        )
+
+    def jacobian_batch(t, xs):
+        x1, x3 = xs[:, 0], xs[:, 2]
+        d1 = q * x1 ** (q - 1.0) * x3**pw
+        d3 = pw * x1**q * x3 ** (pw - 1.0)
+        base = np.zeros((len(xs), 3, 3))
+        base[:, 0, 0] = -lam * d1
+        base[:, 0, 2] = -lam * d3
+        base[:, 1, 0] = lam * d1
+        base[:, 1, 1] = -c
+        base[:, 1, 2] = lam * d3
+        base[:, 2, 1] = c
+        base[:, 2, 2] = -gamma
+        return base - zeta * np.eye(3)
+
+    return field_batch, jacobian_batch
+
+
+def _diag2_oracle(t, x0):
+    x0 = np.asarray(x0, dtype=float)
+    return np.array([x0[0] * np.exp(3.0 * t), x0[1] * np.exp(-4.0 * t)])
+
+
+def _oscillator_oracle(t, x0):
+    c, s = np.cos(t), np.sin(t)
+    rot = np.array([[c, s], [-s, c]])
+    return rot @ np.asarray(x0, dtype=float)
+
+
+def _cos_ltv_oracle(t, x0):
+    phi = np.array(
+        [
+            [np.exp(-t), 0.0],
+            [(-1.0 + np.exp(-t) * (np.cos(t) - np.sin(t))) / 2.0, 1.0],
+        ]
+    )
+    return phi @ np.asarray(x0, dtype=float)
+
+
+LINEAR_ORACLES = {"diag2": _diag2_oracle, "oscillator": _oscillator_oracle,
+                  "cos_ltv": _cos_ltv_oracle}

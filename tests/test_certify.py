@@ -384,6 +384,12 @@ def _vacuous_cases():
         "control-empty-grid": lambda: ce.control_check(
             linear_system(a), lambda x: np.ones((2, 1)), lambda x: np.zeros(1), p, box,
             counts=(0, 0)),
+        # certified eta 5.0 on 1-component points before counts were checked
+        "grid-short-counts": lambda: ce.certify_nonlinear_grid(
+            linear_system(np.diag([-3.0, -2.0])), box, 2, MeasureSpec(Norm.L2), counts=(3,)),
+        "grid-short-counts-hopf": lambda: ce.certify_nonlinear_grid(
+            hopf, box, 2, MeasureSpec(Norm.L2), counts=(3,)),
+        "gas-long-counts": lambda: ce.check_gas(hopf, box, l1, counts=(3, 3, 3)),
     }
 
 

@@ -177,6 +177,20 @@ def test_cli_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--rule", "lti"],
+    ["certify", "--rule", "diagonal"],
+    ["certify", "--rule", "row"],
+    ["kcontent", "--model", "diag2", "--grid", "3,3"],
+], ids=["lti", "diagonal", "row", "kcontent"])
+def test_cli_refuses_a_missing_input_file(argv, capsys):
+    # exit 1 would read as NOT_CERTIFIED; a missing input is a refusal
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_numeric_error_exit_code(tmp_path, capsys, diag2_file):
     singular = tmp_path / "singular.json"
     io.save_matrix_json(singular, np.diag([1.0, 1e-15]))

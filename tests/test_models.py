@@ -16,7 +16,13 @@ from kcontract.errors import (
     UnknownModel,
 )
 
-from conftest import same_bits
+from conftest import (
+    LINEAR_ORACLES,
+    hopf_field_batch,
+    hopf_jacobian_batch,
+    same_bits,
+    seir3_batches,
+)
 
 
 def test_registry_and_lookup_errors():
@@ -228,15 +234,68 @@ def test_batch_jacobians_match_scalar_bit_for_bit():
 
 
 def test_stacks_pair_rows_with_per_row_times(rng):
-    sysm = mz.model("cos_ltv").system
-    ts = rng.uniform(0.0, 7.0, 20)
-    xs = rng.standard_normal((20, 2))
-    assert same_bits(sysm.field_stack(ts, xs),
-                     np.stack([sysm.field(t, x) for t, x in zip(ts, xs)]))
-    assert same_bits(sysm.jacobian_stack(ts, xs),
-                     np.stack([sysm.jacobian(t, x) for t, x in zip(ts, xs)]))
-    assert same_bits(sysm.jacobian_stack(ts[3], xs),
-                     np.stack([sysm.jacobian(ts[3], x) for x in xs]))
+    for name in mz.model_names():
+        params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
+        sysm = mz.model(name, params).system
+        ts = rng.uniform(0.0, 7.0, 20)
+        xs = rng.standard_normal((20, sysm.dim))
+        assert same_bits(sysm.field_stack(ts, xs),
+                         np.stack([sysm.field(t, x) for t, x in zip(ts, xs)])), name
+        assert same_bits(sysm.jacobian_stack(ts, xs),
+                         np.stack([sysm.jacobian(t, x) for t, x in zip(ts, xs)])), name
+        assert same_bits(sysm.jacobian_stack(ts[3], xs),
+                         np.stack([sysm.jacobian(ts[3], x) for x in xs])), name
+
+
+def _with_zero_rows(xs):
+    """xs with all-zero rows and rows with one zero component, so that the
+    signs of zero entries are compared too."""
+    xs = xs.copy()
+    xs[:50] = 0.0
+    for i in range(xs.shape[1]):
+        xs[50 * (i + 1):50 * (i + 2), i] = 0.0
+    return xs
+
+
+@pytest.mark.parametrize("name, params", [
+    ("hopf", None),
+    ("seir3", None),
+    ("seir3", {"lam": 1.5, "zeta": 0.3, "c": 0.7, "q": 2.0, "p": 1.0, "gamma": 0.9}),
+])
+def test_derived_stacks_match_hand_written_ones_bit_for_bit(name, params):
+    rng = np.random.default_rng(23)
+    entry = mz.model(name, params)
+    if name == "hopf":
+        field_batch, jacobian_batch = hopf_field_batch, hopf_jacobian_batch
+        xs = rng.uniform(-2.0, 2.0, (100_000, 2))
+    else:
+        field_batch, jacobian_batch = seir3_batches(entry.parameters)
+        xs = rng.uniform(-1.0, 1.0, (100_000, 3))
+    xs = _with_zero_rows(xs)
+    assert same_bits(entry.system.field_stack(0.0, xs), field_batch(0.0, xs))
+    assert same_bits(entry.system.jacobian_stack(0.0, xs), jacobian_batch(0.0, xs))
+
+
+def test_seir_stacks_agree_with_scalar_forms_at_fractional_exponents(rng):
+    sysm = mz.model("seir3", {"q": 0.7, "p": 0.8}).system
+    xs = 0.05 + 0.9 * rng.random((2_000, 3))
+    for scalar, stack in ((sysm.field, sysm.field_stack), (sysm.jacobian, sysm.jacobian_stack)):
+        want = np.stack([scalar(0.0, x) for x in xs])
+        err = np.max(np.abs(stack(0.0, xs) - want)) / max(1.0, float(np.max(np.abs(want))))
+        assert err <= dy.BATCH_RTOL
+
+
+def test_linear_oracles_match_closed_forms(rng):
+    for name in mz.model_names():
+        params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
+        entry = mz.model(name, params)
+        reference = LINEAR_ORACLES.get(name)
+        assert entry.oracle_kind == ("NONE" if reference is None else "CLOSED_FORM"), name
+        assert (entry.system.oracle is None) == (reference is None), name
+        if reference is None:
+            continue
+        for t, x0 in zip(rng.uniform(0.0, 7.0, 50), rng.standard_normal((50, 2))):
+            assert same_bits(entry.system.oracle(t, x0), reference(t, x0)), name
 
 
 def test_check_jacobian_rejects_disagreeing_batch():
