@@ -141,9 +141,7 @@ def cmd_simulate(args) -> int:
 
 
 def _default_anchors(n: int, k: int) -> list[np.ndarray]:
-    anchors = [np.eye(n)[:, i].copy() for i in range(k)]
-    anchors.append(np.zeros(n))
-    return anchors
+    return [np.eye(n, k)[:, i].copy() for i in range(k)] + [np.zeros(n)]
 
 
 def cmd_volume(args) -> int:
@@ -155,8 +153,6 @@ def cmd_volume(args) -> int:
         k = len(anchors) - 1
     else:
         k = args.k
-        if k > n:
-            raise KContractError(f"--k {k} exceeds the model dimension {n}")
         anchors = _default_anchors(n, k)
     r = _parse_vector(args.r) if args.r else np.zeros(k)
     frame = dy.variational_frame(entry.system, anchors, r, (0.0, args.t), args.h)

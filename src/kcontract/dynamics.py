@@ -22,6 +22,7 @@ from .errors import (
     NewtonDivergence,
     NoPeriodFound,
     NonFiniteState,
+    OrderTooLarge,
     StateLeftDomain,
 )
 from .measures import Norm
@@ -316,12 +317,14 @@ def _rk4_path(f, y0: np.ndarray, t_span, h: float, stages: np.ndarray | None = N
 
 
 def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndarray]:
-    """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s with the arithmetic of
-    _rk4_path; coefficients(s0, s1) gives per state the (s1 - s0, 4, r, r) stack of
-    A at the four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time."""
+    """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s by compensated RK4;
+    coefficients(s0, s1) gives per state the (s1 - s0, 4, r, r) stack of A at the
+    four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time.  A step
+    adds P Y, P = (h/6)(A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + (h/2) A2 A1, K3 = A3 +
+    (h/2) A3 K2 and K4 = A4 + h A4 K3 built per chunk by batched matmuls."""
     outs = [np.full((len(times),) + np.shape(y), y, dtype=float) for y in y0s]
     comps = [np.zeros(np.shape(y)) for y in y0s]
-    half, sixth, s0, steps = 0.5 * hh, hh / 6.0, 0, len(times) - 1
+    half, s0, steps = 0.5 * hh, 0, len(times) - 1
     size = max(1, CHUNK_ELEMENTS // (4 * sum(len(y) ** 2 for y in y0s)))
     while s0 < steps:
         s1 = min(steps, s0 + size)
@@ -332,14 +335,16 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
                 raise
             size = 1  # redo step by step, so the first failing step raises first
             continue
+        props = []
+        for a in stacks:
+            k2 = a[:, 1] + half * (a[:, 1] @ a[:, 0])
+            k3 = a[:, 2] + half * (a[:, 2] @ k2)
+            k4 = a[:, 3] + hh * (a[:, 3] @ k3)
+            props.append((hh / 6.0) * (a[:, 0] + 2.0 * k2 + 2.0 * k3 + k4))
         for i in range(s0, s1):
-            for q, a in enumerate(stacks):
+            for q, p in enumerate(props):
                 y = outs[q][i]
-                k1 = a[i - s0, 0] @ y
-                k2 = a[i - s0, 1] @ (y + half * k1)
-                k3 = a[i - s0, 2] @ (y + half * k2)
-                k4 = a[i - s0, 3] @ (y + hh * k3)
-                adj = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - comps[q]
+                adj = p[i - s0] @ y - comps[q]
                 ynew = y + adj
                 if not np.isfinite(ynew).all():
                     raise NonFiniteState(_NONFINITE.format(times[i + 1]))
@@ -350,8 +355,9 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
 
 
 def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span, h: float):
-    """Times, states and frames of x' = f(t, x), W' = J(t, x) W as one augmented
-    ODE would give them: x goes first, then its stage Jacobians advance W."""
+    """Times, states and frames of x' = f(t, x), W' = J(t, x) W: x goes first, then its
+    stage Jacobians advance W by step propagators (see _rk4_linear), to rounding as
+    one augmented ODE; the first step whose new x or W is non-finite raises."""
     n, (times, hh) = system.dim, _steps(t_span, h)
     stages = np.empty((len(times) - 1, 4, n))
     _, states, failure = _rk4_path(system.field, x0, t_span, h, stages)
@@ -463,9 +469,10 @@ def variational_frame(
 ) -> FrameTrajectory:
     """Co-integrate the base trajectory and the k-column variational frame.
 
-    The base starts at the convex combination h(r) of the k+1 anchors; the
-    frame columns start at a^i - a^{k+1} and obey dW/dt = J(t, x(t)) W, bit
-    for bit as one augmented ODE would (see _linearized_flow).  The first
+    The base starts at the convex combination h(r) of the k+1 anchors, and
+    k outside [1, n] raises OrderTooLarge before integrating; the frame columns
+    start at a^i - a^{k+1} and obey dW/dt = J(t, x(t)) W, to rounding as one
+    augmented ODE integrated stage by stage (see _linearized_flow).  The first
     failing step raises, a non-finite stage Jacobian (EvaluationFailure)
     before a non-finite state or frame (NonFiniteState).
     """
@@ -482,6 +489,8 @@ def variational_frame(
     rvec = np.asarray(r, dtype=float).reshape(-1)
     k = rvec.size
     x0 = simplex_map(anchors, rvec)
+    if not 1 <= k <= n:
+        raise OrderTooLarge(f"k={k} outside [1, {n}]")
     w0 = np.column_stack([anchors[i] - anchors[-1] for i in range(k)])
 
     times, states, frames = _linearized_flow(system, x0, w0, t_span, h)

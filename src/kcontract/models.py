@@ -276,11 +276,14 @@ def seir_orbit_diagnostics(
     """Evaluate the compound-measure bound along an integrated trajectory.
 
     window, when given, restricts the time average to the trailing window of
-    that length (useful when the transient has not died out).  Requires the
-    second and third coordinates to stay above gamma_floor.
+    that length (useful when the transient has not died out); it must be finite,
+    positive and hold 2 samples (else BadParameter).  Requires the second and
+    third coordinates to stay above gamma_floor.
     """
     if entry.name != "seir3":
         raise UnknownModel("diagnostics apply to the seir3 model")
+    if window is not None and not 0.0 < window < np.inf:
+        raise BadParameter(f"window {window} must be finite and positive")
     p = entry.parameters
     lam, zeta, c = p["lam"], p["zeta"], p["c"]
     q, pw, gamma = p["q"], p["p"], p["gamma"]
@@ -322,6 +325,8 @@ def seir_orbit_diagnostics(
     mask = times >= t_lo - 1e-12
     tw = times[mask]
     vw = mu_vals[mask]
+    if tw.size < 2:
+        raise BadParameter(f"window {window} holds {tw.size} sample(s); at least 2 needed")
     average = float(np.trapezoid(vw, tw) / (tw[-1] - tw[0]))
 
     return SeirDiagnostics(

@@ -40,6 +40,15 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def close_to_stage_form(got, want, tol=1e-12) -> bool:
+    """Equal shapes and |got - want| <= tol * max(1, |want|) elementwise.  The step
+    propagator of the linear RK4 pass regroups the stage-form products, so its
+    flows agree with the fused loops below to rounding, not bit for bit."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))))
+
+
 def fused_rk4_path(f, y0, t_span, h):
     """The compensated RK4 loop over one flattened state, with one field call
     per stage and one finiteness check per step."""

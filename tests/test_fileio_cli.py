@@ -191,6 +191,34 @@ def test_cli_refuses_a_missing_input_file(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("order_flags, message", [
+    (["--k", "0"], "k=0 outside [1, 2]"),
+    (["--anchors", "FOUR_ANCHORS"], "k=3 outside [1, 2]"),  # n + 2 columns
+], ids=["k0", "n+2-anchors"])
+def test_cli_volume_refuses_an_order_outside_range(order_flags, message, tmp_path,
+                                                   monkeypatch, capsys):
+    anchors = tmp_path / "anchors.json"
+    io.save_matrix_json(anchors, np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0]]))
+    flags = [str(anchors) if f == "FOUR_ANCHORS" else f for f in order_flags]
+    monkeypatch.setattr(dy, "_rk4_path", lambda *args: pytest.fail("integrated"))
+    assert main(["volume", "--model", "hopf", "--t", "1", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("window, message", [
+    ("-1", "window -1.0 must be finite and positive"),
+    ("0", "window 0.0 must be finite and positive"),
+    ("nan", "window nan must be finite and positive"),
+    ("0.0004", "window 0.0004 holds 1 sample(s); at least 2 needed"),
+], ids=["negative", "zero", "nan", "one-sample"])
+def test_cli_seir_diagnostics_refuses_a_vacuous_window(window, message, capsys):
+    assert main(["seir-diagnostics", "--x0", "0.6,0.2,0.15", "--t", "1",
+                 f"--window={window}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_cli_numeric_error_exit_code(tmp_path, capsys, diag2_file):
     singular = tmp_path / "singular.json"
     io.save_matrix_json(singular, np.diag([1.0, 1e-15]))
