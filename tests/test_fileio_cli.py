@@ -191,15 +191,15 @@ def test_cli_refuses_a_missing_input_file(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("order_flags, message", [
+@pytest.mark.parametrize("flags, message", [
     (["--k", "0"], "k=0 outside [1, 2]"),
-    (["--anchors", "FOUR_ANCHORS"], "k=3 outside [1, 2]"),  # n + 2 columns
+    (["--anchors", "{anchors}"], "k=3 outside [1, 2]"),  # n + 2 columns
 ], ids=["k0", "n+2-anchors"])
-def test_cli_volume_refuses_an_order_outside_range(order_flags, message, tmp_path,
-                                                   monkeypatch, capsys):
+def test_cli_volume_refuses_an_order_outside_range(flags, message, tmp_path, monkeypatch,
+                                                   capsys):
     anchors = tmp_path / "anchors.json"
     io.save_matrix_json(anchors, np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0]]))
-    flags = [str(anchors) if f == "FOUR_ANCHORS" else f for f in order_flags]
+    flags = [f.format(anchors=anchors) for f in flags]
     monkeypatch.setattr(dy, "_rk4_path", lambda *args: pytest.fail("integrated"))
     assert main(["volume", "--model", "hopf", "--t", "1", *flags]) == 3
     captured = capsys.readouterr()
