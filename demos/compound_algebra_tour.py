@@ -65,11 +65,11 @@ print("dependent vectors vanish:", wedge([u, 2 * u]))
 print()
 print("k-content of a parameterized surface (unit sphere, expect 4*pi):")
 
-def sphere(r):
-    return np.array([
-        np.cos(r[0]) * np.sin(r[1]),
-        np.sin(r[0]) * np.sin(r[1]),
-        np.cos(r[1]),
+def sphere(r):  # r holds one (theta, phi) point per row
+    return np.column_stack([
+        np.cos(r[:, 0]) * np.sin(r[:, 1]),
+        np.sin(r[:, 0]) * np.sin(r[:, 1]),
+        np.cos(r[:, 1]),
     ])
 
 area = k_content(sphere, [0.0, 0.0], [2 * np.pi, np.pi], [60, 60])

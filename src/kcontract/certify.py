@@ -18,16 +18,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .combinatorics import binomial
+from .combinatorics import binomial, check_order
 from .compound import CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound
 from .dynamics import BoxDomain, SystemModel, central_difference_jacobian
-from .errors import (
-    BadWeightVector,
-    DimensionMismatch,
-    NotDiagonal,
-    NotPositiveDefinite,
-    OrderTooLarge,
-)
+from .errors import BadWeightVector, DimensionMismatch, NotDiagonal, NotPositiveDefinite
 from .measures import (
     MeasureSpec,
     Norm,
@@ -254,8 +248,7 @@ def certify_diagonal(d, k: int, time_grid=None) -> Certificate:
     k-order contraction for L1, L2, and Linf simultaneously."""
     times, stack = _as_samples(d, time_grid)
     n = stack.shape[-1]
-    if k < 1 or k > n:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    check_order(k, n)
     off_diagonal = np.any((stack != 0.0) & ~np.eye(n, dtype=bool), axis=(1, 2))
     if off_diagonal.any():
         raise NotDiagonal(f"sample at t={times[int(np.argmax(off_diagonal))]} is not diagonal")

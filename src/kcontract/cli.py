@@ -18,8 +18,9 @@ from . import certify as ce
 from . import dynamics as dy
 from . import fileio as io
 from . import models as mz
-from .compound import add_compound, k_content, mult_compound, wedge
-from .errors import KContractError
+from .combinatorics import check_order
+from .compound import CHUNK_ELEMENTS, add_compound, k_content, mult_compound, wedge
+from .errors import BadParameter, KContractError
 from .measures import MeasureSpec, Norm, apply_scaling, measure_k_witness, measure_witness
 from .spectra import compound_spectrum_check, eigenvalues
 
@@ -153,6 +154,7 @@ def cmd_volume(args) -> int:
         k = len(anchors) - 1
     else:
         k = args.k
+        check_order(k, n)
         anchors = _default_anchors(n, k)
     r = _parse_vector(args.r) if args.r else np.zeros(k)
     frame = dy.variational_frame(entry.system, anchors, r, (0.0, args.t), args.h)
@@ -195,10 +197,10 @@ def cmd_kcontent(args) -> int:
     counts = _parse_counts(args.grid)
     if args.surface == "sphere":
         def phi(r):
-            return np.array([
-                np.cos(r[0]) * np.sin(r[1]),
-                np.sin(r[0]) * np.sin(r[1]),
-                np.cos(r[1]),
+            return np.column_stack([
+                np.cos(r[:, 0]) * np.sin(r[:, 1]),
+                np.sin(r[:, 0]) * np.sin(r[:, 1]),
+                np.cos(r[:, 1]),
             ])
         value = k_content(phi, [0.0, 0.0], [2.0 * np.pi, np.pi], counts)
         _emit({"surface": "sphere", "content": value, "grid": list(counts)}, args)
@@ -210,16 +212,22 @@ def cmd_kcontent(args) -> int:
     k = len(anchors) - 1
     if len(counts) != k:
         raise KContractError(f"--grid needs {k} counts for k={k}")
+    if not args.t >= 0.0:
+        raise BadParameter(f"--t {args.t} must be non-negative")
     base = anchors[-1]
     edges = [a - base for a in anchors[:-1]]
 
     def phi(r):
-        x0 = base + sum(r[i] * edges[i] for i in range(k))
-        if args.t <= 0.0:
+        x0 = base + sum(r[:, [i]] * edges[i] for i in range(k))
+        if args.t == 0.0:
             return x0
-        traj = dy.integrate(entry.system, x0, (0.0, args.t), args.h,
-                            domain_exit="ignore")
-        return traj.states[-1]
+        # row blocks of at most CHUNK_ELEMENTS stored samples, in row order
+        samples = dy._steps((0.0, args.t), args.h)[0].size * entry.system.dim
+        rows = max(1, CHUNK_ELEMENTS // samples)
+        return np.concatenate([
+            dy.integrate(entry.system, x0[s:s + rows], (0.0, args.t), args.h,
+                         domain_exit="ignore").states[-1]
+            for s in range(0, len(x0), rows)])
 
     value = k_content(phi, np.zeros(k), np.ones(k), counts)
     _emit({"model": entry.name, "k": k, "t": args.t, "content": value,
@@ -282,6 +290,7 @@ def cmd_seir_diagnostics(args) -> int:
     if args.params:
         _, params = io.load_params_json(args.params)
     entry = mz.model("seir3", params)
+    mz.check_window(args.window)
     traj = dy.integrate(entry.system, _parse_vector(args.x0), (0.0, args.t),
                         args.h, domain_exit="warn")
     diag = mz.seir_orbit_diagnostics(entry, traj, window=args.window)

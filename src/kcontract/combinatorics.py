@@ -40,6 +40,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def check_order(k: int, n: int) -> None:
+    """Refuse a compound order k outside [1, n] with OrderTooLarge."""
+    if not 1 <= k <= n:
+        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+
+
 def validate_tuple(t: tuple[int, ...], n: int) -> None:
     """Check that t is strictly increasing with entries in [1, n]."""
     if len(t) == 0:
@@ -69,8 +75,7 @@ def rank(t: tuple[int, ...], n: int) -> int:
 
 def unrank(r: int, n: int, k: int) -> tuple[int, ...]:
     """Inverse of rank: the increasing k-tuple at 0-based position r in Q_{k,n}."""
-    if k < 1 or k > n:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    check_order(k, n)
     total = binomial(n, k)
     if not 0 <= r < total:
         raise RankOutOfRange(f"rank {r} outside [0, {total})")
@@ -93,8 +98,8 @@ def unrank(r: int, n: int, k: int) -> tuple[int, ...]:
 def all_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All of Q_{k,n} in lexicographic (= rank) order."""
     count = binomial(n, k)  # refuses n > MAX_DIMENSION; 0 when k is outside [0, n]
-    if count and k < 1:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    if count:
+        check_order(k, n)
     return list(itertools.combinations(range(1, n + 1), k)) if count else []
 
 

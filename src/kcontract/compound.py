@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import combinatorics as comb
-from .combinatorics import binomial, single_swap_table, subset_table
+from .combinatorics import binomial, check_order, single_swap_table, subset_table
 from .errors import (
     CompoundSizeCapExceeded,
     DimensionMismatch,
@@ -82,9 +82,8 @@ def _check_cap(rows: int, cols: int) -> None:
 def mult_compound(a, k: int) -> np.ndarray:
     """k-th multiplicative compound: all order-k minors in lexicographic order.
 
-    Minors are LU determinants evaluated on stacked k x k submatrices in
-    chunks, which keeps the per-minor cost at O(k^3) without per-call
-    overhead.
+    Column c holds the minors of the n x k frame of columns cols[c], so every
+    minor is one LU determinant of the batched minors kernel (_minors).
     """
     m = as_matrix(a)
     n, p = m.shape
@@ -92,19 +91,8 @@ def mult_compound(a, k: int) -> np.ndarray:
         raise OrderTooLarge(f"k={k} outside [1, min({n}, {p})]")
     if k == 1:
         return m.copy()
-    shape = comb.CompoundShape.of(n, p, k)
-    _check_cap(shape.rows, shape.cols)
-    row_sets = subset_table(n, k)  # (R, k)
-    col_sets = subset_table(p, k)  # (C, k)
-    rows_total, cols_total = shape.rows, shape.cols
-    out = np.empty((rows_total, cols_total))
-    chunk = max(1, CHUNK_ELEMENTS // max(1, cols_total * k * k))
-    for start in range(0, rows_total, chunk):
-        stop = min(rows_total, start + chunk)
-        # sub[i, j, a, b] = m[row_sets[start+i, a], col_sets[j, b]]
-        sub = m[row_sets[start:stop, None, :, None], col_sets[None, :, None, :]]
-        out[start:stop] = np.linalg.det(sub)
-    return out
+    _check_cap(binomial(n, k), binomial(p, k))
+    return _minors(np.moveaxis(m[:, subset_table(p, k)], 1, 0)).T
 
 
 def add_compound(a, k: int) -> np.ndarray:
@@ -125,8 +113,7 @@ def add_compound_stack(a, k: int) -> np.ndarray:
 
 def _fill_add_compound(m: np.ndarray, k: int) -> np.ndarray:
     n = m.shape[-1]
-    if k < 1 or k > n:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    check_order(k, n)
     if k == 1:
         return m.copy()
     r = binomial(n, k)
@@ -244,11 +231,14 @@ def transform_add_compound(t, a, k: int) -> np.ndarray:
 def k_content(phi, lower, upper, grid) -> float:
     """k-dimensional surface measure of phi over an axis-aligned box.
 
-    phi maps a point of the k-dimensional box [lower, upper] to R^n.  The
-    integrand |d(phi)/dr_1 ^ ... ^ d(phi)/dr_k| (Euclidean norm) is sampled
-    at cell midpoints with central-difference partials of step half a cell,
-    then summed in cell order (midpoint rule).  The minors of every cell come
-    from one batched determinant over the cached subset table.
+    phi maps an (M, k) array of points of the k-dimensional box [lower, upper]
+    to the (M, n) array of their images.  The integrand
+    |d(phi)/dr_1 ^ ... ^ d(phi)/dr_k| (Euclidean norm) is sampled at cell
+    midpoints with central-difference partials of step half a cell, then
+    summed in cell order (midpoint rule).  phi is called once, on the forward
+    and backward point of every partial, ordered by cell, then axis, then
+    forward/backward; the minors of every cell come from one batched
+    determinant over the cached subset table.
     """
     lo = np.asarray(lower, dtype=float).reshape(-1)
     hi = np.asarray(upper, dtype=float).reshape(-1)
@@ -267,25 +257,21 @@ def k_content(phi, lower, upper, grid) -> float:
     axes = [lo[i] + widths[i] * (np.arange(counts[i]) + 0.5) for i in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
     midpoints = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    points = np.repeat(midpoints, 2 * k, axis=0).reshape(len(midpoints), k, 2, k)
+    for i in range(k):
+        points[:, i, 0, i] += half[i]
+        points[:, i, 1, i] -= half[i]
 
-    # phi at the forward and backward point of every partial, cell by cell
-    values = []
-    for c in midpoints:
-        for i in range(k):
-            fwd = c.copy()
-            bwd = c.copy()
-            fwd[i] += half[i]
-            bwd[i] -= half[i]
-            values.append(np.asarray(phi(fwd), dtype=float).reshape(-1))
-            values.append(np.asarray(phi(bwd), dtype=float).reshape(-1))
-    if not np.isfinite(np.concatenate(values)).all():
-        bad = next(j for j, v in enumerate(values) if not np.isfinite(v).all())
+    values = np.asarray(phi(points.reshape(-1, k)), dtype=float)
+    if values.ndim != 2 or len(values) != 2 * k * len(midpoints):
+        raise DimensionMismatch(
+            f"phi returned shape {values.shape} for {2 * k * len(midpoints)} points")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
         raise EvaluationFailure(
-            f"phi returned non-finite values near {midpoints[bad // (2 * k)]}"
+            f"phi returned non-finite values near {midpoints[np.argmax(bad) // (2 * k)]}"
         )
-    n = values[0].size
-    if any(v.size != n for v in values):
-        raise DimensionMismatch("phi returned vectors of unequal length")
+    n = values.shape[1]
     if k > n:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
     if k > 1:
@@ -293,7 +279,7 @@ def k_content(phi, lower, upper, grid) -> float:
 
     # stack[c, :, i] is the i-th partial at cell c; the wedge of a cell's
     # partials is the vector of all order-k minors of its n x k slice
-    pairs = np.array(values).reshape(len(midpoints), k, 2, n)
+    pairs = values.reshape(len(midpoints), k, 2, n)
     stack = np.swapaxes((pairs[:, :, 0] - pairs[:, :, 1]) / (2.0 * half)[:, None], 1, 2)
     total = 0.0
     for norm in np.linalg.norm(_minors(stack), axis=1).tolist():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial
+from .combinatorics import binomial, check_order
 from .compound import (CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound,
                        wedge_stack)
 from .errors import (
@@ -22,7 +22,6 @@ from .errors import (
     NewtonDivergence,
     NoPeriodFound,
     NonFiniteState,
-    OrderTooLarge,
     StateLeftDomain,
 )
 from .measures import Norm
@@ -109,15 +108,16 @@ class SystemModel:
     """A vector field with analytic Jacobian and optional extras.
 
     ``field(t, x)`` and ``jacobian(t, x)`` take a float time and a length-n
-    state.  ``oracle(t, x0)``, when present, is a closed-form solution used
-    to report integration error.  ``period`` marks time-periodic fields.
+    state.  ``oracle(times, x0)``, when present, is a closed-form solution
+    used to report integration error: the (len(times), n) states at an array
+    of times from one initial state.  ``period`` marks time-periodic fields.
 
     ``field_batch(t, X)`` and ``jacobian_batch(t, X)``, when present, take one
     float time or an (N,) array of per-row times and an (N, n) stack of states,
     and return the (N, n) fields and (N, n, n) Jacobians with the arithmetic of
-    the scalar callables.  The grid certificates and the RK4 stages of the
-    linearized flows evaluate through ``field_stack`` and ``jacobian_stack``,
-    which use them, or else the scalar callables row by row.
+    the scalar callables.  The grid certificates, ``integrate`` on a stack and
+    the RK4 stages of the linearized flows evaluate through ``field_stack`` and
+    ``jacobian_stack``, which use them, or else the scalar callables row by row.
     """
 
     dim: int
@@ -289,7 +289,7 @@ def _rk4_path(f, y0: np.ndarray, t_span, h: float, stages: np.ndarray | None = N
     times, hh = _steps(t_span, h)
     y = np.array(y0, dtype=float)
     comp = np.zeros_like(y)
-    out = np.empty((len(times), y.size))
+    out = np.empty((len(times),) + y.shape)
     out[0] = y
     for i in range(len(times) - 1):
         t = times[i]
@@ -383,35 +383,45 @@ def integrate(
 ) -> Trajectory:
     """Integrate dx/dt = field(t, x) with fixed-step RK4.
 
-    domain_exit controls what happens when a sample leaves the declared
-    domain: "warn" (default), "error", or "ignore".
+    x0 is one state, advanced through ``field``, or an (N, n) stack, advanced
+    through one ``field_stack`` call per stage; ``states`` is then (m, N, n)
+    and each row rounds as its own one-state run would.  The first step at
+    which any state is non-finite raises NonFiniteState.  domain_exit controls
+    what happens at the first sample at which any state is outside the
+    declared domain: "warn" (default), "error", or "ignore".  The oracle is
+    called once per initial state and must return (len(times), n).
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != system.dim:
-        raise DimensionMismatch(f"x0 has length {x0.size}, system dim {system.dim}")
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0 if x0.ndim == 2 else x0.reshape(-1)
+    if x0.shape[-1] != system.dim:
+        raise DimensionMismatch(f"x0 has length {x0.shape[-1]}, system dim {system.dim}")
 
-    times, states, failure = _rk4_path(system.field, x0, t_span, h)
+    field = system.field if x0.ndim == 1 else system.field_stack
+    times, states, failure = _rk4_path(field, x0, t_span, h)
     if failure is not None:
         raise failure
 
     if system.domain is not None and domain_exit != "ignore":
         box = system.domain
         tol = 1e-9 * max(1.0, float(np.max(np.abs(box.upper))))
-        outside = np.flatnonzero(
-            ~((states >= box.lower - tol) & (states <= box.upper + tol)).all(axis=1)
-        )
+        inside = (states >= box.lower - tol) & (states <= box.upper + tol)
+        outside = np.flatnonzero(~inside.reshape(len(times), -1).all(axis=1))
         if outside.size:
-            msg = (
-                f"trajectory left the declared domain at t={times[outside[0]]:.6g}"
-            )
+            msg = f"trajectory left the declared domain at t={times[outside[0]]:.6g}"
             if domain_exit == "error":
                 raise StateLeftDomain(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     dev = None
     if system.oracle is not None:
-        ref = np.stack([np.asarray(system.oracle(t, x0), dtype=float) for t in times])
-        dev = float(np.max(np.abs(states - ref)))
+        refs = []
+        for x in x0.reshape(-1, system.dim):
+            ref = np.asarray(system.oracle(times, x), dtype=float)
+            if ref.shape != (len(times), system.dim):
+                raise DimensionMismatch(
+                    f"oracle returned shape {ref.shape}, want {(len(times), system.dim)}")
+            refs.append(ref)
+        dev = float(np.max(np.abs(states - np.stack(refs, axis=1).reshape(states.shape))))
     return Trajectory(times=times, states=states, oracle_max_error=dev)
 
 
@@ -489,8 +499,7 @@ def variational_frame(
     rvec = np.asarray(r, dtype=float).reshape(-1)
     k = rvec.size
     x0 = simplex_map(anchors, rvec)
-    if not 1 <= k <= n:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    check_order(k, n)
     w0 = np.column_stack([anchors[i] - anchors[-1] for i in range(k)])
 
     times, states, frames = _linearized_flow(system, x0, w0, t_span, h)

@@ -11,6 +11,7 @@ floats with a single join over ``float.__repr__``.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -97,32 +98,12 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def floquet_to_json(res: FloquetResult) -> dict:
-    return {
-        "period": res.period,
-        "orbit_start": jsonable(res.orbit_start),
-        "multipliers": jsonable(res.multipliers),
-        "compound_spectral_radius": res.compound_spectral_radius,
-        "verdict": res.verdict,
-        "newton_residual": res.newton_residual,
-        "newton_iterations": res.newton_iterations,
-        "trivial_multiplier_error": res.trivial_multiplier_error,
-        "monodromy": matrix_to_json(res.monodromy),
-        "compound_monodromy": matrix_to_json(res.compound_monodromy),
-    }
+    return asdict(res) | {"monodromy": matrix_to_json(res.monodromy),
+                          "compound_monodromy": matrix_to_json(res.compound_monodromy)}
 
 
 def subspace_to_json(rep: SubspaceReport) -> dict:
-    return {
-        "t_max": rep.t_max,
-        "singular_values": jsonable(rep.singular_values),
-        "decaying_dimension": rep.decaying_dimension,
-        "required_dimension": rep.required_dimension,
-        "compound_norm": rep.compound_norm,
-        "compound_decayed": rep.compound_decayed,
-        "consistent": rep.consistent,
-        "sv_threshold": rep.sv_threshold,
-        "decay_threshold": rep.decay_threshold,
-    }
+    return asdict(rep)
 
 
 def write_csv(path: str, header: str, table) -> None:

@@ -16,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .combinatorics import subset_table
+from .combinatorics import check_order, subset_table
 from .compound import CHUNK_ELEMENTS, as_matrix, as_stack
-from .errors import NonConvergence, OrderTooLarge, SingularScaling
+from .errors import NonConvergence, SingularScaling
 
 # Reciprocal-condition refusal threshold for scaling matrices.
 RCOND_MIN = 1e-12
@@ -169,8 +169,7 @@ def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_stack(a, square=True)
     n = m.shape[-1]
-    if k < 1 or k > n:
-        raise OrderTooLarge(f"k={k} outside [1, {n}]")
+    check_order(k, n)
     if norm is Norm.L2:
         top = _descending_eigh(m, compute_vectors=False)[0][:, :k].copy()
         return top.sum(axis=-1), top

@@ -37,18 +37,39 @@ class ModelEntry:
         return "NONE" if self.system.oracle is None else "CLOSED_FORM"
 
 
+def _filled(entries, lead: tuple = ()) -> np.ndarray:
+    """The vector or matrix written as a list of entries (or of row lists), as
+    an array of shape lead + its own shape.  Each entry is a float, which
+    broadcasts, or an array of shape lead, such as one value per time or state."""
+    if not lead:
+        return np.array(entries)
+    rows = entries if isinstance(entries[0], list) else [entries]
+    out = np.empty(lead + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            out[..., i, j] = value
+    return out if rows is entries else out[..., 0, :]
+
+
 def _linear_entry(name: str, a, description: str, *, parameters=None, transition=None,
                   period=None) -> ModelEntry:
-    """The linear model x' = A(t) x, written once as the matrix callable a(t):
-    the field is a(t) @ x, the Jacobian a(t) and, when the transition matrix
-    Phi(t) is known, the oracle Phi(t) @ x0."""
+    """The linear model x' = A(t) x, written once as the matrix callable a(t),
+    which gives (n, n) for a float t and (n, n) or (N, n, n) for an (N,) array
+    of times.  The field is a(t) @ x, the Jacobian a(t) and, when the transition
+    matrix Phi(t) is known (it takes times alike), the oracle Phi(times) @ x0.
+    The stack callables broadcast one a(t) over the rows, or pair a(t_i) with
+    row i, and compute (a(t) @ xs[..., None])[..., 0], which rounds like a(t) @ x.
+    """
+    n = len(a(0.0))
     oracle = None
     if transition is not None:
-        def oracle(t, x0):
-            return transition(t) @ np.asarray(x0, dtype=float)
+        def oracle(times, x0):
+            return transition(times) @ np.asarray(x0, dtype=float)
 
-    sys = SystemModel(dim=len(a(0.0)), field=lambda t, x: a(t) @ x,
-                      jacobian=lambda t, x: a(t), oracle=oracle, period=period, name=name)
+    sys = SystemModel(dim=n, field=lambda t, x: a(t) @ x, jacobian=lambda t, x: a(t),
+                      field_batch=lambda t, xs: (a(t) @ xs[..., None])[..., 0],
+                      jacobian_batch=lambda t, xs: np.broadcast_to(a(t), (len(xs), n, n)).copy(),
+                      oracle=oracle, period=period, name=name)
     return ModelEntry(name=name, system=sys, parameters=parameters or {},
                       description=description)
 
@@ -67,13 +88,14 @@ def _diag2_entry(params: dict) -> ModelEntry:
     return _linear_entry(
         "diag2", lambda t: a,
         "unstable/stable diagonal pair whose parallelogram area decays at rate 1",
-        transition=lambda t: np.array([[np.exp(3.0 * t), 0.0], [0.0, np.exp(-4.0 * t)]]),
+        transition=lambda t: _filled([[np.exp(3.0 * t), 0.0], [0.0, np.exp(-4.0 * t)]],
+                                     np.shape(t)),
     )
 
 
-def _rotation(t: float) -> np.ndarray:
+def _rotation(t) -> np.ndarray:
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, s], [-s, c]])
+    return _filled([[c, s], [-s, c]], np.shape(t))
 
 
 def _oscillator_entry(params: dict) -> ModelEntry:
@@ -83,14 +105,16 @@ def _oscillator_entry(params: dict) -> ModelEntry:
                          transition=_rotation, period=2.0 * np.pi)
 
 
-def cos_ltv_matrix(t: float) -> np.ndarray:
-    return np.array([[-1.0, 0.0], [-np.cos(t), 0.0]])
+def cos_ltv_matrix(t) -> np.ndarray:
+    """A(t) of the cosine-coupled LTV system, for a float or an array of times."""
+    return _filled([[-1.0, 0.0], [-np.cos(t), 0.0]], np.shape(t))
 
 
-def cos_ltv_transition(t: float) -> np.ndarray:
-    """Closed-form transition matrix of the cosine-coupled LTV system."""
+def cos_ltv_transition(t) -> np.ndarray:
+    """Closed-form transition matrix of the cosine-coupled LTV system, for a
+    float or an array of times."""
     e = np.exp(-t)
-    return np.array([[e, 0.0], [(-1.0 + e * (np.cos(t) - np.sin(t))) / 2.0, 1.0]])
+    return _filled([[e, 0.0], [(-1.0 + e * (np.cos(t) - np.sin(t))) / 2.0, 1.0]], np.shape(t))
 
 
 def _cos_ltv_entry(params: dict) -> ModelEntry:
@@ -108,25 +132,14 @@ def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
 
     The one-state callables turn the lists into arrays.  The stack callables
     evaluate the same functions at x = X.T, so each entry is an (N,) array
-    computed with the one-state arithmetic, and write the entries into
-    preallocated (N, n) and (N, n, n) arrays, where constants broadcast.
+    computed with the one-state arithmetic, and fill (N, n) and (N, n, n)
+    arrays with them (_filled), where constants broadcast.
     """
-    def field_batch(t, xs):
-        out = np.empty((len(xs), dim))
-        for i, value in enumerate(field(xs.T)):
-            out[:, i] = value
-        return out
-
-    def jacobian_batch(t, xs):
-        out = np.empty((len(xs), dim, dim))
-        for i, row in enumerate(jacobian(xs.T)):
-            for j, value in enumerate(row):
-                out[:, i, j] = value
-        return out
-
     return SystemModel(dim=dim, field=lambda t, x: np.array(field(x)),
                        jacobian=lambda t, x: np.array(jacobian(x)),
-                       field_batch=field_batch, jacobian_batch=jacobian_batch, **extras)
+                       field_batch=lambda t, xs: _filled(field(xs.T), (len(xs),)),
+                       jacobian_batch=lambda t, xs: _filled(jacobian(xs.T), (len(xs),)),
+                       **extras)
 
 
 def seir_rates(params: dict):
@@ -266,6 +279,12 @@ def _diag_stack(first: float, rest: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_window(window: float | None) -> None:
+    """Refuse a time-average window that is given but not finite and positive."""
+    if window is not None and not 0.0 < window < np.inf:
+        raise BadParameter(f"window {window} must be finite and positive")
+
+
 def seir_orbit_diagnostics(
     entry: ModelEntry,
     trajectory: Trajectory,
@@ -282,8 +301,7 @@ def seir_orbit_diagnostics(
     """
     if entry.name != "seir3":
         raise UnknownModel("diagnostics apply to the seir3 model")
-    if window is not None and not 0.0 < window < np.inf:
-        raise BadParameter(f"window {window} must be finite and positive")
+    check_window(window)
     p = entry.parameters
     lam, zeta, c = p["lam"], p["zeta"], p["c"]
     q, pw, gamma = p["q"], p["p"], p["gamma"]

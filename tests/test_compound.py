@@ -319,8 +319,8 @@ def test_k_content_affine_parallelogram():
     e2 = np.array([0.0, 3.0, -1.0])
     area = np.linalg.norm(cp.wedge([e1, e2]))
 
-    def phi(r):
-        return np.array([4.0, -1.0, 0.5]) + r[0] * e1 + r[1] * e2
+    def phi(r):  # one point per row of r
+        return np.array([4.0, -1.0, 0.5]) + r[:, [0]] * e1 + r[:, [1]] * e2
 
     got = cp.k_content(phi, [0.0, 0.0], [1.0, 1.0], [4, 4])
     assert abs(got - area) <= 1e-10 * max(1.0, area)
@@ -328,11 +328,11 @@ def test_k_content_affine_parallelogram():
 
 def test_k_content_sphere_area():
     def phi(r):
-        return np.array(
+        return np.column_stack(
             [
-                np.cos(r[0]) * np.sin(r[1]),
-                np.sin(r[0]) * np.sin(r[1]),
-                np.cos(r[1]),
+                np.cos(r[:, 0]) * np.sin(r[:, 1]),
+                np.sin(r[:, 0]) * np.sin(r[:, 1]),
+                np.cos(r[:, 1]),
             ]
         )
 
@@ -342,7 +342,7 @@ def test_k_content_sphere_area():
 
 def test_k_content_arclength():
     def phi(r):
-        return np.array([r[0], r[0] ** 2])
+        return np.column_stack([r[:, 0], r[:, 0] ** 2])
 
     exact = np.sqrt(5) / 2.0 + np.arcsinh(2.0) / 4.0
     got = cp.k_content(phi, [0.0], [1.0], [10_000])
@@ -367,11 +367,14 @@ def _k_content_per_cell(phi, lower, upper, counts):
 
 
 def test_k_content_matches_per_cell_wedges():
+    # each phi maps one point (k,) or one point per row (M, k)
     def sphere(r):
-        return np.array([np.cos(r[0]) * np.sin(r[1]), np.sin(r[0]) * np.sin(r[1]), np.cos(r[1])])
+        r0, r1 = r[..., 0], r[..., 1]
+        return np.stack([np.cos(r0) * np.sin(r1), np.sin(r0) * np.sin(r1), np.cos(r1)], axis=-1)
 
     def curve(r):
-        return np.array([r[0], r[0] ** 2, np.sin(3.0 * r[0])])
+        r0 = r[..., 0]
+        return np.stack([r0, r0 ** 2, np.sin(3.0 * r0)], axis=-1)
 
     cases = [(sphere, [0.0, 0.0], [2.0 * np.pi, np.pi], [23, 17]),
              (curve, [-1.0], [2.0], [301])]
@@ -392,22 +395,31 @@ def test_error_paths(rng):
     with pytest.raises(DimensionMismatch):
         cp.wedge([np.ones(3), np.ones(4)])
     with pytest.raises(EvaluationFailure):
-        cp.k_content(lambda r: np.array([np.inf]), [0.0], [1.0], [4])
+        cp.k_content(lambda r: np.full((len(r), 1), np.inf), [0.0], [1.0], [4])
     with pytest.raises(OrderTooLarge):
-        cp.k_content(lambda r: np.array([r[0] + r[1]]), [0.0, 0.0], [1.0, 1.0], [2, 2])
+        cp.k_content(lambda r: r[:, :1] + r[:, 1:], [0.0, 0.0], [1.0, 1.0], [2, 2])
+
+
+def test_k_content_refuses_phi_of_the_wrong_shape():
     calls = []
 
-    def growing(r):  # the first two cells map to R^2, the others to R^3
-        calls.append(r)
-        return np.ones(2 if len(calls) <= 4 else 3)
+    def phi(r):
+        calls.append(r.shape)
+        return r
 
-    with pytest.raises(DimensionMismatch):
-        cp.k_content(growing, [0.0], [1.0], [4])
+    assert cp.k_content(phi, [0.0], [1.0], [4]) == pytest.approx(1.0)
+    assert calls == [(8, 1)]  # one call: 2 points per cell and axis
+    bad = [lambda r: r[:, 0],  # one value per point, not one row
+           lambda r: r[1:],  # a row short
+           lambda r: np.ones((1, 2))]  # one row for every point
+    for phi in bad:
+        with pytest.raises(DimensionMismatch, match="phi returned shape"):
+            cp.k_content(phi, [0.0], [1.0], [4])
 
 
 def test_k_content_names_first_non_finite_cell():
     def phi(r):  # non-finite from 0.5 on: the forward point of the second cell
-        return np.array([r[0], 1.0 if r[0] < 0.5 else np.inf])
+        return np.column_stack([r[:, 0], np.where(r[:, 0] < 0.5, 1.0, np.inf)])
 
     with pytest.raises(EvaluationFailure, match=r"near \[0\.375\]"):
         cp.k_content(phi, [0.0], [1.0], [4])

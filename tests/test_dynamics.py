@@ -6,6 +6,7 @@ from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import spectra as sp
 from kcontract.errors import (
+    DimensionMismatch,
     EvaluationFailure,
     JacobianMismatch,
     NoPeriodFound,
@@ -13,7 +14,7 @@ from kcontract.errors import (
     StateLeftDomain,
 )
 from kcontract.measures import Norm
-from kcontract.models import cos_ltv_matrix, cos_ltv_transition, model
+from kcontract.models import cos_ltv_matrix, cos_ltv_transition, model, model_names
 
 from conftest import (
     close_to_stage_form,
@@ -40,7 +41,7 @@ def test_scalar_exponential():
         dim=1,
         field=lambda t, x: -x,
         jacobian=lambda t, x: np.array([[-1.0]]),
-        oracle=lambda t, x0: np.asarray(x0) * np.exp(-t),
+        oracle=lambda times, x0: np.exp(-times)[:, None] * np.asarray(x0),
     )
     traj = dy.integrate(sysm, [1.0], (0.0, 1.0), 1e-3)
     assert abs(traj.states[-1, 0] - np.exp(-1.0)) <= 1e-8
@@ -104,6 +105,62 @@ def test_domain_exit_reports_first_time_outside():
     with pytest.raises(StateLeftDomain) as err:
         dy.integrate(sysm, [0.5, 0.5], (0.0, 1.0), 1e-2, domain_exit="error")
     assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_integrate_stack_matches_one_state_runs_bit_for_bit(name, rng):
+    params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
+    sysm = model(name, params).system
+    x0s = rng.uniform(0.05, 0.9, (5, sysm.dim))
+    stack = dy.integrate(sysm, x0s, (0.0, 0.5), 1e-2, domain_exit="ignore")
+    assert stack.states.shape == (51, 5, sysm.dim)
+    ones = [dy.integrate(sysm, x0, (0.0, 0.5), 1e-2, domain_exit="ignore") for x0 in x0s]
+    for i, one in enumerate(ones):
+        assert same_bits(stack.times, one.times)
+        assert same_bits(stack.states[:, i], one.states), (name, i)
+    if sysm.oracle is None:
+        assert stack.oracle_max_error is None
+    else:
+        assert stack.oracle_max_error == max(one.oracle_max_error for one in ones)
+
+
+# each row overflows on the way; any other RuntimeWarning fails the test
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_stack_raises_at_the_first_failing_step():
+    # x' = x^2 blows up at t = 1 / x0: the row from 4 fails first
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: x * x,
+                          jacobian=lambda t, x: np.array([[2.0 * x[0]]]),
+                          field_batch=lambda t, xs: xs * xs)
+    with pytest.raises(NonFiniteState) as one:
+        dy.integrate(sysm, [4.0], (0.0, 2.0), 1e-3)
+    with pytest.raises(NonFiniteState) as stack:
+        dy.integrate(sysm, [[0.5], [4.0], [2.0]], (0.0, 2.0), 1e-3)
+    assert str(stack.value) == str(one.value)
+
+
+def test_integrate_stack_reports_the_first_row_outside_the_domain():
+    # x' = x leaves [-2, 2] first from the largest start
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: x, jacobian=lambda t, x: np.eye(1),
+                          domain=dy.BoxDomain.of([-2.0], [2.0]))
+    with pytest.warns(RuntimeWarning) as one:
+        dy.integrate(sysm, [1.5], (0.0, 1.0), 1e-2)
+    with pytest.warns(RuntimeWarning) as stack:
+        dy.integrate(sysm, [[0.5], [1.5], [1.0]], (0.0, 1.0), 1e-2)
+    assert [str(w.message) for w in stack] == [str(w.message) for w in one]
+    with pytest.raises(StateLeftDomain, match=str(one[0].message)):
+        dy.integrate(sysm, [[0.5], [1.5], [1.0]], (0.0, 1.0), 1e-2, domain_exit="error")
+
+
+def test_integrate_refuses_an_oracle_of_the_wrong_shape():
+    old_contract = [lambda t, x0: np.asarray(x0) * np.exp(-t),  # (m,), not (m, 1)
+                    lambda t, x0: np.exp(-t[-1]) * np.asarray(x0),  # the last sample only
+                    lambda t, x0: np.exp(-t)[:, None] * np.ones((1, 2))]  # two components
+    for oracle in old_contract:
+        sysm = dy.SystemModel(dim=1, field=lambda t, x: -x,
+                              jacobian=lambda t, x: -np.eye(1), oracle=oracle)
+        with pytest.raises(DimensionMismatch, match="oracle returned shape"):
+            dy.integrate(sysm, [1.0], (0.0, 1.0), 1e-2)
 
 
 def test_transition_matrix_constant_vs_expm(rng):

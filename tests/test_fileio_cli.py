@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kcontract import cli
 from kcontract import dynamics as dy
 from kcontract import fileio as io
 from kcontract.cli import main
@@ -194,7 +195,8 @@ def test_cli_refuses_a_missing_input_file(argv, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--k", "0"], "k=0 outside [1, 2]"),
     (["--anchors", "{anchors}"], "k=3 outside [1, 2]"),  # n + 2 columns
-], ids=["k0", "n+2-anchors"])
+    (["--k=-1"], "k=-1 outside [1, 2]"),
+], ids=["k0", "n+2-anchors", "k-negative"])
 def test_cli_volume_refuses_an_order_outside_range(flags, message, tmp_path, monkeypatch,
                                                    capsys):
     anchors = tmp_path / "anchors.json"
@@ -217,6 +219,17 @@ def test_cli_seir_diagnostics_refuses_a_vacuous_window(window, message, capsys):
                  f"--window={window}"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("window", ["-1", "0", "nan"])
+def test_cli_seir_diagnostics_refuses_a_vacuous_window_before_integrating(window, monkeypatch,
+                                                                          capsys):
+    monkeypatch.setattr(dy, "integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+    assert main(["seir-diagnostics", "--x0", "0.6,0.2,0.15", "--t", "20",
+                 f"--window={window}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: window {float(window)} must be finite and positive\n"
 
 
 def test_cli_numeric_error_exit_code(tmp_path, capsys, diag2_file):
@@ -356,3 +369,61 @@ def test_cli_kcontent_flow_patch(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     # the flow is linear: the image of the unit square has area e^{-1}
     assert rep["content"] == pytest.approx(np.exp(-1.0), rel=1e-4)
+
+
+def test_cli_kcontent_refuses_a_negative_time(tmp_path, capsys):
+    verts = tmp_path / "verts.json"
+    io.save_matrix_json(verts, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    argv = ["kcontent", "--model", "diag2", "--vertices", str(verts), "--grid", "3,3"]
+    assert main(argv + ["--t=-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --t -1.0 must be non-negative\n"
+    assert main(argv + ["--t", "0"]) == 0  # the identity map: the unit square
+    assert json.loads(capsys.readouterr().out)["content"] == pytest.approx(1.0, rel=1e-12)
+
+
+def _recording_integrate(monkeypatch):
+    """Patch dy.integrate to record each call's row count and raised error."""
+    calls, real = [], dy.integrate
+
+    def recording(system, x0, *args, **kwargs):
+        calls.append(len(x0))
+        try:
+            return real(system, x0, *args, **kwargs)
+        except Exception as exc:
+            calls.append(str(exc))
+            raise
+
+    monkeypatch.setattr(dy, "integrate", recording)
+    return calls
+
+
+def test_cli_kcontent_integrates_in_row_blocks(tmp_path, capsys, monkeypatch):
+    verts = tmp_path / "verts.json"
+    io.save_matrix_json(verts, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    argv = ["kcontent", "--model", "hopf", "--vertices", str(verts), "--t", "1",
+            "--grid", "3,3", "--h", "1e-2"]
+    calls = _recording_integrate(monkeypatch)
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    assert calls == [36]  # 2 points per cell and axis, one block
+    calls.clear()
+    # 101 samples of 2 components per row: blocks of 5 rows
+    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 101 * 2 * 5 + 1)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert calls == [5] * 7 + [1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_kcontent_raises_from_the_first_failing_block(tmp_path, capsys, monkeypatch):
+    # far from the origin hopf's RK4 step is unstable: the later rows blow up
+    verts = tmp_path / "verts.json"
+    io.save_matrix_json(verts, np.array([[20.0, 0.0, 0.0], [0.0, 20.0, 0.0]]))
+    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 101 * 2 * 5)
+    calls = _recording_integrate(monkeypatch)
+    assert main(["kcontent", "--model", "hopf", "--vertices", str(verts), "--t", "1",
+                 "--grid", "4,4", "--h", "1e-2"]) == 3
+    assert calls[:-1] == [5, 5, 5]  # the third block fails, and no later one runs
+    assert capsys.readouterr().err == f"error: {calls[-1]}\n"
+    assert calls[-1].startswith("non-finite state at t=")

@@ -213,8 +213,9 @@ def test_seir_diagnostics_gamma_floor():
 
 
 def test_batch_callables_match_scalar_ones(rng):
-    for name in ("hopf", "seir3"):
-        sysm = mz.model(name).system
+    for name in ("hopf", "seir3", "lti", "diag2", "oscillator", "cos_ltv"):
+        params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
+        sysm = mz.model(name, params).system
         xs = 0.05 + 0.9 * rng.random((50, sysm.dim))
         fields = np.stack([sysm.field(0.0, x) for x in xs])
         jacs = np.stack([sysm.jacobian(0.0, x) for x in xs])
