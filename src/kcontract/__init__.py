@@ -10,7 +10,6 @@ measure-based sufficient conditions.
 """
 
 from .combinatorics import (
-    CompoundShape,
     Relation,
     SubsetRank,
     SubsetRelation,
@@ -76,7 +75,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompoundShape", "Relation", "SubsetRank", "SubsetRelation", "all_subsets",
+    "Relation", "SubsetRank", "SubsetRelation", "all_subsets",
     "binomial", "rank", "subset_relation", "unrank",
     "add_compound", "k_content", "minor", "mult_compound", "schwarz_n_minus_1",
     "transform_add_compound", "wedge",

@@ -216,20 +216,3 @@ class SubsetRank:
     @classmethod
     def from_rank(cls, r: int, n: int, k: int) -> "SubsetRank":
         return cls(n=n, k=k, rank=r, tuple=unrank(r, n, k))
-
-
-@dataclass(frozen=True)
-class CompoundShape:
-    """Shape bookkeeping for the k-th compound of an n x m matrix."""
-
-    n: int
-    m: int
-    k: int
-    rows: int
-    cols: int
-
-    @classmethod
-    def of(cls, n: int, m: int, k: int) -> "CompoundShape":
-        if k < 1 or k > min(n, m):
-            raise OrderTooLarge(f"k={k} outside [1, min({n}, {m})]")
-        return cls(n=n, m=m, k=k, rows=binomial(n, k), cols=binomial(m, k))

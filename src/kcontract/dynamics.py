@@ -7,6 +7,7 @@ error decay instead of drowning in float roundoff on long horizons.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -118,6 +119,20 @@ class SystemModel:
     the scalar callables.  The grid certificates, ``integrate`` on a stack and
     the RK4 stages of the linearized flows evaluate through ``field_stack`` and
     ``jacobian_stack``, which use them, or else the scalar callables row by row.
+
+    The one-state RK4 state pass runs on Python-float components, with the
+    bits of the array arithmetic, and takes its stage field from the first of:
+
+    - ``field_entries(t, x)``, the field as a list of n entries over the
+      components x[0], x[1], ...: Python floats, or the (N,) columns of a
+      stack, which it also advances;
+    - ``matrix(t)``, the A(t) of a linear model x' = A(t) x, for a float or an
+      array of times (shape + (n, n), or one (n, n) for all), evaluated once
+      per chunk of steps at every stage time and applied by numpy's matvec;
+    - ``field`` on the components as an array.
+
+    ``field_entries`` and ``matrix @ x`` must round like ``field``, which
+    ``check_jacobian`` does not compare.
     """
 
     dim: int
@@ -129,6 +144,8 @@ class SystemModel:
     name: str = ""
     field_batch: callable | None = None
     jacobian_batch: callable | None = None
+    field_entries: callable | None = None
+    matrix: callable | None = None
     _jacobian_checked: bool = False
 
     def field_stack(self, t, xs: np.ndarray) -> np.ndarray:
@@ -269,6 +286,9 @@ class SubspaceReport:
 
 
 _NONFINITE = "non-finite state at t={:.6g}"
+# Most state elements one chunk of the RK4 state pass advances before writing
+# its samples; a linear model's A(t) is evaluated once per chunk.
+PASS_CHUNK_ELEMENTS = 1024
 
 
 def _steps(t_span, h: float) -> tuple[np.ndarray, float]:
@@ -283,37 +303,113 @@ def _steps(t_span, h: float) -> tuple[np.ndarray, float]:
     return t0 + hh * np.arange(n + 1), hh
 
 
-def _rk4_path(f, y0: np.ndarray, t_span, h: float, stages: np.ndarray | None = None):
-    """Compensated RK4 of y' = f(t, y): times, samples up to the first non-finite
-    step and its NonFiniteState or None; ``stages`` gets every step's stage states."""
-    times, hh = _steps(t_span, h)
-    y = np.array(y0, dtype=float)
-    comp = np.zeros_like(y)
-    out = np.empty((len(times),) + y.shape)
+def _stage_times(times: np.ndarray, hh: float) -> np.ndarray:
+    """The (len(times) - 1, 3) distinct stage times t, t + h/2 and t + h of each step."""
+    return times[:-1, None] + np.array([0.0, 0.5, 1.0]) * hh
+
+
+def _finite_floats(ys) -> bool:
+    try:
+        return all(map(math.isfinite, ys))
+    except TypeError:  # complex: a negative float to a fractional power, nan on an array
+        return False
+
+
+def _finite_arrays(ys) -> bool:
+    return all(np.isfinite(y).all() for y in ys)
+
+
+def _rk4_path(f, coefficients, y0: list, out, times: np.ndarray, hh: float, stages=None):
+    """Compensated RK4 of y' = f(c, y) on the sample times, y a list of blocks:
+    Python floats, or arrays, each advanced by the same elementwise arithmetic, so
+    a float rounds like the array element it stands for.  coefficients(s0, s1)
+    gives, for each step s0..s1-1, the stage coefficients (c1, c2, c3) at t,
+    t + h/2 and t + h: the stage times, or A at them.  out[i] takes the blocks at
+    times[i]; on a float pass stages[i] takes the four stage states of step i.
+    Returns the number of samples written and the NonFiniteState of the first
+    step whose new state is non-finite or complex, or None."""
+    half, sixth = 0.5 * hh, hh / 6.0
+    y, comp, failure = list(y0), [0.0] * len(y0), None
+    finite = _finite_floats if isinstance(y[0], float) else _finite_arrays
     out[0] = y
-    for i in range(len(times) - 1):
-        t = times[i]
-        k1 = np.asarray(f(t, y), dtype=float)
-        y2 = y + (0.5 * hh) * k1
-        k2 = np.asarray(f(t + 0.5 * hh, y2), dtype=float)
-        y3 = y + (0.5 * hh) * k2
-        k3 = np.asarray(f(t + 0.5 * hh, y3), dtype=float)
-        y4 = y + hh * k3
-        k4 = np.asarray(f(t + hh, y4), dtype=float)
-        if stages is not None:
-            stages[i] = (y, y2, y3, y4)
-        inc = (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # Kahan-compensated update keeps roundoff from masking RK4 order
-        adj = inc - comp
-        ynew = y + adj
-        # a non-finite increment makes ynew non-finite too; checking before
-        # comp is updated keeps inf - inf out of the compensation term
-        if not np.isfinite(ynew).all():
-            return times, out[: i + 1], NonFiniteState(_NONFINITE.format(times[i + 1]))
-        comp = (ynew - y) - adj
-        y = ynew
-        out[i + 1] = y
-    return times, out, None
+    steps = len(times) - 1
+    size = max(1, PASS_CHUNK_ELEMENTS // sum(np.size(b) for b in y))
+    for s0 in range(0, steps, size):
+        rows, trail = [], []
+        for i, (c1, c2, c3) in enumerate(coefficients(s0, min(steps, s0 + size)), s0):
+            y2 = y3 = y4 = ynew = None
+            try:
+                k1 = f(c1, y)
+                y2 = [a + half * b for a, b in zip(y, k1)]
+                k2 = f(c2, y2)
+                y3 = [a + half * b for a, b in zip(y, k2)]
+                k3 = f(c2, y3)
+                y4 = [a + hh * b for a, b in zip(y, k3)]
+                k4 = f(c3, y4)
+                # Kahan-compensated update keeps roundoff from masking RK4 order
+                adj = [sixth * (a + 2.0 * b + 2.0 * c + d) - e
+                       for a, b, c, d, e in zip(k1, k2, k3, k4, comp)]
+                ynew = [a + b for a, b in zip(y, adj)]
+            except (OverflowError, ZeroDivisionError):  # floats raise where arrays give inf
+                pass
+            # a non-finite increment makes ynew non-finite too; checking before
+            # comp is updated keeps inf - inf out of the compensation term
+            if ynew is None or not finite(ynew):
+                failure = NonFiniteState(_NONFINITE.format(times[i + 1]))
+                if stages is not None:  # complex or uncomputed stage values as nan
+                    trail += [math.nan if type(v) is complex else v
+                              for s in (y, y2, y3, y4) for v in (s or [math.nan] * len(y))]
+                break
+            if stages is not None:
+                trail += y
+                trail += y2
+                trail += y3
+                trail += y4
+            comp = [(a - b) - c for a, b, c in zip(ynew, y, adj)]
+            y = ynew
+            rows.append(y)
+        if rows:
+            out[s0 + 1:s0 + 1 + len(rows)] = rows
+        if trail:
+            taken = len(rows) + (failure is not None)
+            stages[s0:s0 + taken] = np.reshape(trail, (taken,) + stages.shape[1:])
+        if failure is not None:
+            return s0 + 1 + len(rows), failure
+    return len(times), None
+
+
+def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: float,
+                stages=None):
+    """The states of x' = field(t, x) from one state x0, advanced on Python-float
+    components, or from an (N, n) stack, advanced on its (N,) columns when the
+    model has field_entries and else as one block through field_stack; returns
+    the (len(times),) + x0.shape states up to the first non-finite step, and
+    that step's NonFiniteState or None (see _rk4_path)."""
+    stage_times = _stage_times(times, hh)
+    states = np.empty((len(times),) + x0.shape)
+    n, entries = system.dim, system.field_entries
+
+    def at_times(s0, s1):
+        return stage_times[s0:s1].tolist()
+
+    def at_matrices(s0, s1):
+        return np.broadcast_to(system.matrix(stage_times[s0:s1]), (s1 - s0, 3, n, n))
+
+    def one_state(t, ys):
+        return np.asarray(system.field(t, np.array(ys)), dtype=float).tolist()
+
+    if x0.ndim == 2 and entries is not None:
+        args = entries, at_times, list(x0.T), states.transpose(0, 2, 1)
+    elif x0.ndim == 2:
+        args = (lambda t, ys: [system.field_stack(t, ys[0])]), at_times, [x0], states[:, None]
+    elif entries is not None:
+        args = entries, at_times, x0.tolist(), states
+    elif system.matrix is not None:
+        args = (lambda a, ys: (a @ ys).tolist()), at_matrices, x0.tolist(), states
+    else:
+        args = one_state, at_times, x0.tolist(), states
+    taken, failure = _rk4_path(*args, times, hh, stages)
+    return states[:taken], failure
 
 
 def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndarray]:
@@ -360,9 +456,9 @@ def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span
     one augmented ODE; the first step whose new x or W is non-finite raises."""
     n, (times, hh) = system.dim, _steps(t_span, h)
     stages = np.empty((len(times) - 1, 4, n))
-    _, states, failure = _rk4_path(system.field, x0, t_span, h, stages)
+    states, failure = _state_pass(system, x0, times, hh, stages)
     taken = len(states) - (failure is None)  # steps with stage states
-    stage_times = times[:taken, None] + np.array([0.0, 0.5, 0.5, 1.0]) * hh
+    stage_times = _stage_times(times[:taken + 1], hh)[:, [0, 1, 1, 2]]
 
     def coefficients(s0, s1):
         jac = system.jacobian_stack(stage_times[s0:s1].reshape(-1), stages[s0:s1].reshape(-1, n))
@@ -383,10 +479,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate dx/dt = field(t, x) with fixed-step RK4.
 
-    x0 is one state, advanced through ``field``, or an (N, n) stack, advanced
-    through one ``field_stack`` call per stage; ``states`` is then (m, N, n)
-    and each row rounds as its own one-state run would.  The first step at
-    which any state is non-finite raises NonFiniteState.  domain_exit controls
+    x0 is one state, advanced on Python-float components, or a non-empty
+    (N, n) stack (see _state_pass); ``states`` is then (m, N, n) and each row
+    rounds as its own one-state run would.  The first step at which any state
+    is non-finite raises NonFiniteState.  domain_exit controls
     what happens at the first sample at which any state is outside the
     declared domain: "warn" (default), "error", or "ignore".  The oracle is
     called once per initial state and must return (len(times), n).
@@ -395,9 +491,11 @@ def integrate(
     x0 = x0 if x0.ndim == 2 else x0.reshape(-1)
     if x0.shape[-1] != system.dim:
         raise DimensionMismatch(f"x0 has length {x0.shape[-1]}, system dim {system.dim}")
+    if x0.size == 0:
+        raise DimensionMismatch("x0 is an empty stack of states")
 
-    field = system.field if x0.ndim == 1 else system.field_stack
-    times, states, failure = _rk4_path(field, x0, t_span, h)
+    times, hh = _steps(t_span, h)
+    states, failure = _state_pass(system, x0, times, hh)
     if failure is not None:
         raise failure
 
@@ -430,7 +528,7 @@ def _compound_flows(a_fun, orders, t_span, h: float) -> list[MatrixTrajectory]:
     A(t) is evaluated once per distinct stage time and checked once per chunk."""
     n = as_matrix(a_fun(float(t_span[0])), square=True).shape[0]
     times, hh = _steps(t_span, h)
-    distinct = times[:-1, None] + np.array([0.0, 0.5, 1.0]) * hh  # stages 2, 3 share t + h/2
+    distinct = _stage_times(times, hh)  # stages 2, 3 share t + h/2
 
     def coefficients(s0, s1):
         a = as_stack([a_fun(t) for t in distinct[s0:s1].reshape(-1)], square=True)

@@ -54,11 +54,12 @@ def _filled(entries, lead: tuple = ()) -> np.ndarray:
 def _linear_entry(name: str, a, description: str, *, parameters=None, transition=None,
                   period=None) -> ModelEntry:
     """The linear model x' = A(t) x, written once as the matrix callable a(t),
-    which gives (n, n) for a float t and (n, n) or (N, n, n) for an (N,) array
-    of times.  The field is a(t) @ x, the Jacobian a(t) and, when the transition
-    matrix Phi(t) is known (it takes times alike), the oracle Phi(times) @ x0.
-    The stack callables broadcast one a(t) over the rows, or pair a(t_i) with
-    row i, and compute (a(t) @ xs[..., None])[..., 0], which rounds like a(t) @ x.
+    which gives (n, n) for a float t and (n, n) or shape + (n, n) for an array
+    of times; it is also the model's ``matrix``.  The field is a(t) @ x, the
+    Jacobian a(t) and, when the transition matrix Phi(t) is known (it takes
+    times alike), the oracle Phi(times) @ x0.  The stack callables broadcast one
+    a(t) over the rows, or pair a(t_i) with row i, and compute
+    (a(t) @ xs[..., None])[..., 0], which rounds like a(t) @ x.
     """
     n = len(a(0.0))
     oracle = None
@@ -69,7 +70,7 @@ def _linear_entry(name: str, a, description: str, *, parameters=None, transition
     sys = SystemModel(dim=n, field=lambda t, x: a(t) @ x, jacobian=lambda t, x: a(t),
                       field_batch=lambda t, xs: (a(t) @ xs[..., None])[..., 0],
                       jacobian_batch=lambda t, xs: np.broadcast_to(a(t), (len(xs), n, n)).copy(),
-                      oracle=oracle, period=period, name=name)
+                      matrix=a, oracle=oracle, period=period, name=name)
     return ModelEntry(name=name, system=sys, parameters=parameters or {},
                       description=description)
 
@@ -127,19 +128,21 @@ def _cos_ltv_entry(params: dict) -> ModelEntry:
 
 
 def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
-    """An autonomous model whose field(x) and jacobian(x) are written once, as
-    lists of entries over the components x[0], x[1], ...
+    """A model whose field(t, x) and jacobian(t, x) are written once, as lists
+    of entries over the components x[0], x[1], ...
 
-    The one-state callables turn the lists into arrays.  The stack callables
+    The field list is the model's ``field_entries``, which the RK4 state pass
+    calls on Python-float components or on the (N,) columns of a stack.  The
+    one-state callables turn the lists into arrays.  The stack callables
     evaluate the same functions at x = X.T, so each entry is an (N,) array
     computed with the one-state arithmetic, and fill (N, n) and (N, n, n)
     arrays with them (_filled), where constants broadcast.
     """
-    return SystemModel(dim=dim, field=lambda t, x: np.array(field(x)),
-                       jacobian=lambda t, x: np.array(jacobian(x)),
-                       field_batch=lambda t, xs: _filled(field(xs.T), (len(xs),)),
-                       jacobian_batch=lambda t, xs: _filled(jacobian(xs.T), (len(xs),)),
-                       **extras)
+    return SystemModel(dim=dim, field=lambda t, x: np.array(field(t, x)),
+                       jacobian=lambda t, x: np.array(jacobian(t, x)),
+                       field_batch=lambda t, xs: _filled(field(t, xs.T), (len(xs),)),
+                       jacobian_batch=lambda t, xs: _filled(jacobian(t, xs.T), (len(xs),)),
+                       field_entries=field, **extras)
 
 
 def seir_rates(params: dict):
@@ -171,7 +174,7 @@ def _seir3_entry(params: dict) -> ModelEntry:
 
     # incidence f1(x1, x3) = x1^q x3^p; removal f4(x3) = gamma*x3 is the
     # minimal choice with f4 > 0 and df4/dx3 > 0 on the interior
-    def field(x):
+    def field(t, x):
         inc = x[0] ** q * x[2] ** pw
         return [
             -lam * inc + zeta - zeta * x[0],
@@ -179,7 +182,7 @@ def _seir3_entry(params: dict) -> ModelEntry:
             c * x[1] - gamma * x[2] - zeta * x[2],
         ]
 
-    def jacobian(x):
+    def jacobian(t, x):
         d1, d3 = _incidence_partials(x[0], x[2], q, pw)
         return [
             [-lam * d1 - zeta, 0.0, -lam * d3],
@@ -198,11 +201,11 @@ def _seir3_entry(params: dict) -> ModelEntry:
 
 
 def _hopf_entry(params: dict) -> ModelEntry:
-    def field(x):
+    def field(t, x):
         r2 = x[0] * x[0] + x[1] * x[1]
         return [-x[1] - x[0] * (r2 - 1.0), x[0] - x[1] * (r2 - 1.0)]
 
-    def jacobian(x):
+    def jacobian(t, x):
         return [
             [1.0 - 3.0 * (x[0] * x[0]) - x[1] * x[1], -2.0 * x[0] * x[1] - 1.0],
             [-2.0 * x[0] * x[1] + 1.0, 1.0 - x[0] * x[0] - 3.0 * (x[1] * x[1])],

@@ -107,13 +107,6 @@ def test_errors():
         cb.subset_relation((1, 2), (1, 2, 3))
 
 
-def test_compound_shape():
-    shape = cb.CompoundShape.of(5, 4, 2)
-    assert (shape.rows, shape.cols) == (10, 6)
-    with pytest.raises(OrderTooLarge):
-        cb.CompoundShape.of(5, 4, 5)
-
-
 def test_subset_rank_type_roundtrip():
     sr = cb.SubsetRank.from_tuple((2, 4), 5)
     assert sr.rank == cb.rank((2, 4), 5)

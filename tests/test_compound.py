@@ -48,6 +48,13 @@ def test_mult_compound_square_extremes(rng):
     assert np.allclose(cp.mult_compound(a, 4), [[np.linalg.det(a)]])
 
 
+def test_mult_compound_rectangular_shape_and_order(rng):
+    a = rng.standard_normal((5, 4))
+    assert cp.mult_compound(a, 2).shape == (10, 6)
+    with pytest.raises(OrderTooLarge, match=r"k=5 outside \[1, min\(5, 4\)\]"):
+        cp.mult_compound(a, 5)
+
+
 def test_cauchy_binet_rectangular(rng):
     a = rng.standard_normal((5, 4))
     b = rng.standard_normal((4, 3))

@@ -20,6 +20,7 @@ from conftest import (
     close_to_stage_form,
     fused_compound_transition,
     fused_linearized_flow,
+    fused_rk4_path,
     same_bits,
     wedge_per_sample,
 )
@@ -105,6 +106,72 @@ def test_domain_exit_reports_first_time_outside():
     with pytest.raises(StateLeftDomain) as err:
         dy.integrate(sysm, [0.5, 0.5], (0.0, 1.0), 1e-2, domain_exit="error")
     assert str(err.value) == msg
+
+
+A3 = [[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, 0.4, -2.0]]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lti", {"a": A3}), ("diag2", None), ("oscillator", None), ("cos_ltv", None),
+    ("hopf", None), ("seir3", None), ("seir3", {"q": 0.7, "p": 0.5}),
+    ("seir3", {"q": 1.3, "p": 0.9}), ("callable-only", None),
+])
+def test_one_state_pass_matches_the_array_loop_bit_for_bit(name, params, rng):
+    # the one-state pass runs on Python floats (entry lists, A(t) per chunk, or
+    # the field on an array); each must round like the array loop over field
+    sysm = linear_system(A3) if params is None and name == "callable-only" else \
+        model(name, params).system
+    x0 = rng.uniform(0.1, 0.3, sysm.dim)
+    times, want = fused_rk4_path(sysm.field, x0, (0.0, 1.5), 1e-3)
+    got = dy.integrate(sysm, x0, (0.0, 1.5), 1e-3, domain_exit="ignore")
+    assert same_bits(got.times, times) and same_bits(got.states, want), name
+    # r = 0 starts the frame's base trajectory at the last anchor, x0 itself
+    frame = dy.variational_frame(sysm, [x0 + 0.01, x0], [0.0], (0.0, 1.5), 1e-3,
+                                 domain_exit="ignore")
+    assert same_bits(frame.states, want), name
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_seir3_complex_power_raises_nonfinite_state(stack):
+    # a stage leaves the box, and x1^0.7 of a negative x1 is complex on a float
+    # and nan on an array: both fail the first step
+    sysm = model("seir3", {"q": 0.7, "p": 0.5}).system
+    x0 = np.array([1e-3, 0.5, 1e-3])
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at t=2$"):
+        if stack:
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                dy.integrate(sysm, np.stack([x0, x0]), (0.0, 20.0), 2.0)
+        else:
+            dy.integrate(sysm, x0, (0.0, 20.0), 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("ignore:anchor")
+@pytest.mark.parametrize("x1", [1e103, 1e60])
+def test_seir3_power_overflow_fails_where_the_array_loop_does(x1):
+    # x1^3 raises OverflowError on a float in the first stage (1e103) or the
+    # second (1e60), where an array gives inf; the pass fails at the same step,
+    # and the stage Jacobians of a frame are non-finite in both
+    sysm = model("seir3", {"q": 3.0, "p": 1.0}).system
+    x0 = np.array([x1, 0.5, 0.5])
+    with pytest.raises(NonFiniteState) as want:
+        fused_rk4_path(sysm.field, x0, (0.0, 1.0), 1e-3)
+    with pytest.raises(NonFiniteState) as got:
+        dy.integrate(sysm, x0, (0.0, 1.0), 1e-3, domain_exit="ignore")
+    assert str(got.value) == str(want.value)
+    with pytest.raises(EvaluationFailure) as want:
+        fused_linearized_flow(sysm, x0, np.eye(3)[:, :1], (0.0, 1.0), 1e-3)
+    with pytest.raises(EvaluationFailure) as got:
+        dy.variational_frame(sysm, [x0 + 0.01, x0], [0.0], (0.0, 1.0), 1e-3,
+                             domain_exit="ignore")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["diag2", "hopf"])
+def test_integrate_refuses_an_empty_stack(name):
+    with pytest.raises(DimensionMismatch, match="empty stack"):
+        dy.integrate(model(name).system, np.zeros((0, 2)), (0.0, 1.0), 1e-2)
 
 
 @pytest.mark.parametrize("name", model_names())
