@@ -124,8 +124,7 @@ class SystemModel:
     bits of the array arithmetic, and takes its stage field from the first of:
 
     - ``field_entries(t, x)``, the field as a list of n entries over the
-      components x[0], x[1], ...: Python floats, or the (N,) columns of a
-      stack, which it also advances;
+      Python-float components x[0], x[1], ...;
     - ``matrix(t)``, the A(t) of a linear model x' = A(t) x, for a float or an
       array of times (shape + (n, n), or one (n, n) for all), evaluated once
       per chunk of steps at every stage time and applied by numpy's matvec;
@@ -287,7 +286,11 @@ class SubspaceReport:
 
 _NONFINITE = "non-finite state at t={:.6g}"
 # Most state elements one chunk of the RK4 state pass advances before writing
-# its samples; a linear model's A(t) is evaluated once per chunk.
+# its samples; a linear model's A(t) is evaluated once per chunk.  A chunk holds
+# its samples as Python objects, several times an array element each, so it is
+# kept far below CHUNK_ELEMENTS: a 10^5-step one-state seir3 integrate grows
+# peak RSS by 6 MB with it and by 42 MB with CHUNK_ELEMENTS, while flow-volume
+# wall time is the same with either.
 PASS_CHUNK_ELEMENTS = 1024
 
 
@@ -320,14 +323,14 @@ def _finite_arrays(ys) -> bool:
 
 
 def _rk4_path(f, coefficients, y0: list, out, times: np.ndarray, hh: float, stages=None):
-    """Compensated RK4 of y' = f(c, y) on the sample times, y a list of blocks:
-    Python floats, or arrays, each advanced by the same elementwise arithmetic, so
-    a float rounds like the array element it stands for.  coefficients(s0, s1)
-    gives, for each step s0..s1-1, the stage coefficients (c1, c2, c3) at t,
-    t + h/2 and t + h: the stage times, or A at them.  out[i] takes the blocks at
-    times[i]; on a float pass stages[i] takes the four stage states of step i.
-    Returns the number of samples written and the NonFiniteState of the first
-    step whose new state is non-finite or complex, or None."""
+    """Compensated RK4 of y' = f(c, y) on the sample times, y a list of Python
+    floats or of one array, advanced by elementwise arithmetic, so a float rounds
+    like the array element it stands for.  coefficients(s0, s1) gives, for each
+    step s0..s1-1, the stage coefficients (c1, c2, c3) at t, t + h/2 and t + h:
+    the stage times, or A at them.  out[i] takes y at times[i]; on a float pass
+    stages[i] takes the four stage states of step i.  Returns the number of
+    samples written and the NonFiniteState of the first step whose new state is
+    non-finite or complex, or None."""
     half, sixth = 0.5 * hh, hh / 6.0
     y, comp, failure = list(y0), [0.0] * len(y0), None
     finite = _finite_floats if isinstance(y[0], float) else _finite_arrays
@@ -337,28 +340,24 @@ def _rk4_path(f, coefficients, y0: list, out, times: np.ndarray, hh: float, stag
     for s0 in range(0, steps, size):
         rows, trail = [], []
         for i, (c1, c2, c3) in enumerate(coefficients(s0, min(steps, s0 + size)), s0):
-            y2 = y3 = y4 = ynew = None
-            try:
-                k1 = f(c1, y)
-                y2 = [a + half * b for a, b in zip(y, k1)]
-                k2 = f(c2, y2)
-                y3 = [a + half * b for a, b in zip(y, k2)]
-                k3 = f(c2, y3)
-                y4 = [a + hh * b for a, b in zip(y, k3)]
-                k4 = f(c3, y4)
-                # Kahan-compensated update keeps roundoff from masking RK4 order
-                adj = [sixth * (a + 2.0 * b + 2.0 * c + d) - e
-                       for a, b, c, d, e in zip(k1, k2, k3, k4, comp)]
-                ynew = [a + b for a, b in zip(y, adj)]
-            except (OverflowError, ZeroDivisionError):  # floats raise where arrays give inf
-                pass
+            k1 = f(c1, y)
+            y2 = [a + half * b for a, b in zip(y, k1)]
+            k2 = f(c2, y2)
+            y3 = [a + half * b for a, b in zip(y, k2)]
+            k3 = f(c2, y3)
+            y4 = [a + hh * b for a, b in zip(y, k3)]
+            k4 = f(c3, y4)
+            # Kahan-compensated update keeps roundoff from masking RK4 order
+            adj = [sixth * (a + 2.0 * b + 2.0 * c + d) - e
+                   for a, b, c, d, e in zip(k1, k2, k3, k4, comp)]
+            ynew = [a + b for a, b in zip(y, adj)]
             # a non-finite increment makes ynew non-finite too; checking before
             # comp is updated keeps inf - inf out of the compensation term
-            if ynew is None or not finite(ynew):
+            if not finite(ynew):
                 failure = NonFiniteState(_NONFINITE.format(times[i + 1]))
-                if stages is not None:  # complex or uncomputed stage values as nan
+                if stages is not None:  # complex stage values as nan
                     trail += [math.nan if type(v) is complex else v
-                              for s in (y, y2, y3, y4) for v in (s or [math.nan] * len(y))]
+                              for s in (y, y2, y3, y4) for v in s]
                 break
             if stages is not None:
                 trail += y
@@ -381,13 +380,12 @@ def _rk4_path(f, coefficients, y0: list, out, times: np.ndarray, hh: float, stag
 def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: float,
                 stages=None):
     """The states of x' = field(t, x) from one state x0, advanced on Python-float
-    components, or from an (N, n) stack, advanced on its (N,) columns when the
-    model has field_entries and else as one block through field_stack; returns
-    the (len(times),) + x0.shape states up to the first non-finite step, and
-    that step's NonFiniteState or None (see _rk4_path)."""
+    components, or from an (N, n) stack, advanced as one block through
+    field_stack; returns the (len(times),) + x0.shape states up to the first
+    non-finite step, and that step's NonFiniteState or None (see _rk4_path)."""
     stage_times = _stage_times(times, hh)
     states = np.empty((len(times),) + x0.shape)
-    n, entries = system.dim, system.field_entries
+    n, shape = system.dim, (system.dim,)
 
     def at_times(s0, s1):
         return stage_times[s0:s1].tolist()
@@ -395,14 +393,24 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     def at_matrices(s0, s1):
         return np.broadcast_to(system.matrix(stage_times[s0:s1]), (s1 - s0, 3, n, n))
 
-    def one_state(t, ys):
-        return np.asarray(system.field(t, np.array(ys)), dtype=float).tolist()
+    def entries(t, ys):
+        try:
+            return system.field_entries(t, ys)
+        except (OverflowError, ZeroDivisionError):  # float ** past the range; inf on an array
+            return [math.nan] * n
 
-    if x0.ndim == 2 and entries is not None:
-        args = entries, at_times, list(x0.T), states.transpose(0, 2, 1)
-    elif x0.ndim == 2:
+    def one_state(t, ys):
+        out = np.asarray(system.field(t, np.array(ys)), dtype=float)
+        if out.shape != shape:  # a scalar or size-1 field broadcasts, as on an array
+            try:
+                out = np.broadcast_to(out, shape)
+            except ValueError:
+                raise DimensionMismatch(f"field has shape {out.shape}, state {shape}") from None
+        return out.tolist()
+
+    if x0.ndim == 2:
         args = (lambda t, ys: [system.field_stack(t, ys[0])]), at_times, [x0], states[:, None]
-    elif entries is not None:
+    elif system.field_entries is not None:
         args = entries, at_times, x0.tolist(), states
     elif system.matrix is not None:
         args = (lambda a, ys: (a @ ys).tolist()), at_matrices, x0.tolist(), states

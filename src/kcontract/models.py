@@ -131,12 +131,12 @@ def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
     """A model whose field(t, x) and jacobian(t, x) are written once, as lists
     of entries over the components x[0], x[1], ...
 
-    The field list is the model's ``field_entries``, which the RK4 state pass
-    calls on Python-float components or on the (N,) columns of a stack.  The
-    one-state callables turn the lists into arrays.  The stack callables
-    evaluate the same functions at x = X.T, so each entry is an (N,) array
-    computed with the one-state arithmetic, and fill (N, n) and (N, n, n)
-    arrays with them (_filled), where constants broadcast.
+    The field list is the model's ``field_entries``, which the one-state RK4
+    state pass calls on Python-float components.  The one-state callables turn
+    the lists into arrays.  The stack callables evaluate the same functions at
+    x = X.T, so each entry is an (N,) array computed with the one-state
+    arithmetic, and fill (N, n) and (N, n, n) arrays with them (_filled), where
+    constants broadcast.
     """
     return SystemModel(dim=dim, field=lambda t, x: np.array(field(t, x)),
                        jacobian=lambda t, x: np.array(jacobian(t, x)),

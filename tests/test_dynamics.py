@@ -174,6 +174,30 @@ def test_integrate_refuses_an_empty_stack(name):
         dy.integrate(model(name).system, np.zeros((0, 2)), (0.0, 1.0), 1e-2)
 
 
+def test_one_state_scalar_field_broadcasts_like_the_array_loop():
+    # a 1-D field may return a scalar, which broadcasts against the state
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: -x[0], jacobian=lambda t, x: [[-1.0]])
+    times, want = fused_rk4_path(sysm.field, [1.0], (0.0, 1.0), 1e-2)
+    assert same_bits(dy.integrate(sysm, [1.0], (0.0, 1.0), 1e-2).states, want)
+    frame = dy.variational_frame(sysm, [[1.5], [1.0]], [0.0], (0.0, 1.0), 1e-2)
+    assert same_bits(frame.states, want)
+
+
+def test_one_state_field_of_the_wrong_length_is_refused():
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: np.append(-x, 0.0),
+                          jacobian=lambda t, x: -np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"field has shape \(3,\), state \(2,\)"):
+        dy.integrate(sysm, [1.0, 2.0], (0.0, 1.0), 1e-2)
+
+
+def test_user_field_exceptions_reach_the_caller():
+    # only the entry lists of the built-ins map float overflow to NonFiniteState
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: [1.0 / float(x[0])],
+                          jacobian=lambda t, x: [[-1.0 / float(x[0]) ** 2]])
+    with pytest.raises(ZeroDivisionError):
+        dy.integrate(sysm, [0.0], (0.0, 1.0), 1e-2)
+
+
 @pytest.mark.parametrize("name", model_names())
 def test_integrate_stack_matches_one_state_runs_bit_for_bit(name, rng):
     params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
