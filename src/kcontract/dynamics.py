@@ -3,6 +3,15 @@
 Everything here uses classical RK4 with a fixed step and compensated (Kahan)
 accumulation of the state update, so halving the step shows clean 4th-order
 error decay instead of drowning in float roundoff on long horizons.
+
+Linear and linearized flows (transition, compound and frame equations) step by
+propagators: step i maps Y to (I + P_i) Y.  They advance in blocks of B steps,
+B the largest power of two with B max ||P_i||_inf <= 1/2 over a chunk of steps,
+so each sample of a block is Y_s + D Y_s with ||D|| <= e^(1/2) - 1, never the
+cancelling sum of a D near -I; B = 1 is the single step Y + P Y.  Samples agree
+with the stage-by-stage form within 1e-12 * max(1, |stage-form value|), and the
+first step whose new state is non-finite raises NonFiniteState, as stage by
+stage.
 """
 
 from __future__ import annotations
@@ -408,8 +417,14 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
                 raise DimensionMismatch(f"field has shape {out.shape}, state {shape}") from None
         return out.tolist()
 
+    def stack(t, ys):
+        # a non-finite stage makes the new state non-finite, which raises the
+        # typed error; numpy's warning would reach the caller first
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return [system.field_stack(t, ys[0])]
+
     if x0.ndim == 2:
-        args = (lambda t, ys: [system.field_stack(t, ys[0])]), at_times, [x0], states[:, None]
+        args = stack, at_times, [x0], states[:, None]
     elif system.field_entries is not None:
         args = entries, at_times, x0.tolist(), states
     elif system.matrix is not None:
@@ -420,12 +435,47 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     return states[:taken], failure
 
 
+def _block_length(props, steps: int) -> int:
+    """The largest power of two B with B * max ||P||_inf <= 1/2 over every step
+    propagator of a chunk, at most steps; 1 when a propagator is non-finite."""
+    norm = max(float(np.abs(p).sum(axis=2).max()) for p in props)
+    width = 1
+    while width < steps and 2 * width * norm <= 0.5:  # False on a NaN norm
+        width *= 2
+    return min(width, steps)
+
+
+def _block_scan(p: np.ndarray, width: int) -> np.ndarray:
+    """D with I + D[j] = (I + p[j]) ... (I + p[b]) for each j of the block of
+    width steps that starts at b, by log2(width) batched levels of
+    D[j] <- D[j] + D[j - s] + D[j] D[j - s]; the I + D form keeps the bits of
+    small increments."""
+    m, r = p.shape[:2]
+    blocks = -(-m // width)
+    d = np.zeros((blocks * width, r, r))  # the padding steps are P = 0, never read
+    d[:m] = p
+    tiles = d.reshape(blocks, width, r, r)
+    s = 1
+    while s < width:
+        tiles[:, s:] = tiles[:, s:] + tiles[:, :-s] + tiles[:, s:] @ tiles[:, :-s]
+        s *= 2
+    return d[:m]
+
+
 def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndarray]:
     """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s by compensated RK4;
     coefficients(s0, s1) gives per state the (s1 - s0, 4, r, r) stack of A at the
-    four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time.  A step
-    adds P Y, P = (h/6)(A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + (h/2) A2 A1, K3 = A3 +
-    (h/2) A3 K2 and K4 = A4 + h A4 K3 built per chunk by batched matmuls."""
+    four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time.  Step i
+    maps Y to (I + P_i) Y, P = (h/6)(A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + (h/2) A2 A1,
+    K3 = A3 + (h/2) A3 K2 and K4 = A4 + h A4 K3 built per chunk by batched matmuls.
+
+    The steps advance in blocks of B (see _block_length): a block from Y_s gives
+    Y_{s+j+1} = Y_s + (D_j Y_s - comp) with I + D_j = (I + P_{s+j}) ... (I + P_s)
+    (see _block_scan) and the Kahan update once per block.  B ||P|| <= 1/2 bounds
+    ||D_j|| by e^(1/2) - 1, so Y_s + D_j Y_s never cancels the way Y_s + D Y_s does
+    when D is near -I, and a decayed component keeps its bits.  At B = 1 a block is
+    one step Y + P Y.  A block whose new states hold a non-finite value is redone
+    step by step, so the first non-finite step raises NonFiniteState."""
     outs = [np.full((len(times),) + np.shape(y), y, dtype=float) for y in y0s]
     comps = [np.zeros(np.shape(y)) for y in y0s]
     half, s0, steps = 0.5 * hh, 0, len(times) - 1
@@ -445,23 +495,35 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
             k3 = a[:, 2] + half * (a[:, 2] @ k2)
             k4 = a[:, 3] + hh * (a[:, 3] @ k3)
             props.append((hh / 6.0) * (a[:, 0] + 2.0 * k2 + 2.0 * k3 + k4))
-        for i in range(s0, s1):
-            for q, p in enumerate(props):
-                y = outs[q][i]
-                adj = p[i - s0] @ y - comps[q]
-                ynew = y + adj
-                if not np.isfinite(ynew).all():
+        width = _block_length(props, s1 - s0)
+        scans = [_block_scan(p, width) for p in props]
+        b, redo = 0, 0  # steps b..redo-1 of a failed block go one at a time
+        while b < s1 - s0:
+            i = s0 + b
+            ds = [p[b:b + 1] for p in props] if b < redo else [d[b:b + width] for d in scans]
+            adjs = [(d.reshape(-1, d.shape[2]) @ out[i]).reshape(d.shape[:1] + out.shape[1:])
+                    - comp for d, out, comp in zip(ds, outs, comps)]
+            news = [out[i] + adj for out, adj in zip(outs, adjs)]
+            taken = len(ds[0])
+            if not _finite_arrays(news):
+                if taken == 1:
                     raise NonFiniteState(_NONFINITE.format(times[i + 1]))
-                comps[q] = (ynew - y) - adj
-                outs[q][i + 1] = ynew
+                redo = b + taken
+                continue
+            for q, (out, new, adj) in enumerate(zip(outs, news, adjs)):
+                comps[q] = (new[-1] - out[i]) - adj[-1]
+                out[i + 1:i + 1 + taken] = new
+            b += taken
         s0 = s1
     return outs
 
 
 def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span, h: float):
     """Times, states and frames of x' = f(t, x), W' = J(t, x) W: x goes first, then its
-    stage Jacobians advance W by step propagators (see _rk4_linear), to rounding as
-    one augmented ODE; the first step whose new x or W is non-finite raises."""
+    stage Jacobians advance W by step propagators, in blocks of B steps with
+    B max ||P|| <= 1/2 (see _rk4_linear), to rounding as one augmented ODE; the
+    first step whose new x or W is non-finite raises, a failed block of W being
+    redone step by step to find it."""
     n, (times, hh) = system.dim, _steps(t_span, h)
     stages = np.empty((len(times) - 1, 4, n))
     states, failure = _state_pass(system, x0, times, hh, stages)
@@ -590,14 +652,17 @@ def variational_frame(
     start at a^i - a^{k+1} and obey dW/dt = J(t, x(t)) W, to rounding as one
     augmented ODE integrated stage by stage (see _linearized_flow).  The first
     failing step raises, a non-finite stage Jacobian (EvaluationFailure)
-    before a non-finite state or frame (NonFiniteState).
+    before a non-finite state or frame (NonFiniteState).  An anchor outside the
+    declared domain warns, raises StateLeftDomain or passes silently as
+    domain_exit is "warn", "error" or "ignore", as in integrate.
     """
     anchors = [np.asarray(a, dtype=float).reshape(-1) for a in anchors]
     n = system.dim
     for a in anchors:
         if a.size != n:
             raise DimensionMismatch("anchor dimension mismatch")
-        if system.domain is not None and not system.domain.contains(a, tol=1e-12):
+        if (domain_exit != "ignore" and system.domain is not None
+                and not system.domain.contains(a, tol=1e-12)):
             msg = f"anchor {a} outside the declared domain"
             if domain_exit == "error":
                 raise StateLeftDomain(msg)

@@ -88,6 +88,19 @@ def test_domain_exit_modes():
     dy.integrate(sysm, [0.9], (0.0, 0.5), 1e-2, domain_exit="ignore")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_variational_frame_domain_exit_modes():
+    # an anchor outside the box warns, raises or passes silently, as in integrate
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: -x, jacobian=lambda t, x: -np.eye(1),
+                          domain=dy.BoxDomain.of([-1.0], [1.0]))
+    args = sysm, [[2.0], [0.5]], [0.0], (0.0, 0.1), 1e-2
+    with pytest.warns(RuntimeWarning, match="anchor"):
+        dy.variational_frame(*args)
+    with pytest.raises(StateLeftDomain, match="anchor"):
+        dy.variational_frame(*args, domain_exit="error")
+    assert dy.variational_frame(*args, domain_exit="ignore").frames.shape == (11, 1, 1)
+
+
 def test_domain_exit_reports_first_time_outside():
     # x1 crosses the upper face at t = 0.5, x2 the lower face earlier, at 0.375
     sysm = dy.SystemModel(
@@ -138,16 +151,11 @@ def test_seir3_complex_power_raises_nonfinite_state(stack):
     sysm = model("seir3", {"q": 0.7, "p": 0.5}).system
     x0 = np.array([1e-3, 0.5, 1e-3])
     with pytest.raises(NonFiniteState, match=r"^non-finite state at t=2$"):
-        if stack:
-            with pytest.warns(RuntimeWarning, match="invalid value"):
-                dy.integrate(sysm, np.stack([x0, x0]), (0.0, 20.0), 2.0)
-        else:
-            dy.integrate(sysm, x0, (0.0, 20.0), 2.0)
+        dy.integrate(sysm, np.stack([x0, x0]) if stack else x0, (0.0, 20.0), 2.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
-@pytest.mark.filterwarnings("ignore:anchor")
 @pytest.mark.parametrize("x1", [1e103, 1e60])
 def test_seir3_power_overflow_fails_where_the_array_loop_does(x1):
     # x1^3 raises OverflowError on a float in the first stage (1e103) or the
@@ -763,4 +771,45 @@ def test_frame_overflow_order_matches_fused_loop(monkeypatch, chunk, field_after
     assert str(got.value) == want
     with pytest.raises(error) as got:
         dy._flow_with_monodromy(sysm, np.zeros(1), 1.0, 1e-3)
+    assert str(got.value) == want
+
+
+# -- blocks of step propagators ------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_blocked_frame_keeps_a_decayed_entry(monkeypatch, chunk):
+    # over t = 30 diag2's frame entries grow to e^90 and decay to e^-120; summing
+    # the whole chunk into one I + D, D near -I on the decaying entry, loses it
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    sysm = model("diag2").system
+    anchors = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    fr = dy.variational_frame(sysm, anchors, [0.0, 0.0], (0.0, 30.0), 1e-3)
+    _, _, frames = fused_linearized_flow(sysm, np.zeros(2), np.eye(2), (0.0, 30.0), 1e-3)
+    assert close_to_stage_form(fr.frames, frames)
+    decayed, want = fr.frames[:, 1, 1], frames[:, 1, 1]
+    assert want[-1] < 1e-50
+    assert np.all(np.abs(decayed - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, chunk):
+    # W starts at 1e300 and grows by the RK4 factor g of z = 10 h = 0.01 per step,
+    # small enough for blocks of many steps; the first step with g**i * 1e300 above
+    # the float maximum raises, as it does one step at a time
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    z = 0.01
+    g = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    assert dy._block_length([np.full((64, 1, 1), g - 1.0)], 64) > 1
+    step = int(np.log(np.finfo(float).max / 1e300) / np.log(g)) + 1
+    want = f"non-finite state at t={step * 1e-3:.6g}"
+    assert want == "non-finite state at t=1.901"
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: np.zeros(1),
+                          jacobian=lambda t, x: np.array([[10.0]]))
+    with pytest.raises(NonFiniteState) as got:
+        dy.variational_frame(sysm, [[1e300], [0.0]], [0.0], (0.0, 3.0), 1e-3)
     assert str(got.value) == want
