@@ -4,14 +4,15 @@ Everything here uses classical RK4 with a fixed step and compensated (Kahan)
 accumulation of the state update, so halving the step shows clean 4th-order
 error decay instead of drowning in float roundoff on long horizons.
 
-Linear and linearized flows (transition, compound and frame equations) step by
-propagators: step i maps Y to (I + P_i) Y.  They advance in blocks of B steps,
-B the largest power of two with B max ||P_i||_inf <= 1/2 over a chunk of steps,
-so each sample of a block is Y_s + D Y_s with ||D|| <= e^(1/2) - 1, never the
-cancelling sum of a D near -I; B = 1 is the single step Y + P Y.  Samples agree
-with the stage-by-stage form within 1e-12 * max(1, |stage-form value|), and the
-first step whose new state is non-finite raises NonFiniteState, as stage by
-stage.
+Linear and linearized flows (transition, compound and frame equations, and the
+states of linear models) step by propagators: step i maps Y to (I + P_i) Y.
+They advance in blocks of B steps, B the largest power of two with
+B max ||P_i||_inf <= 1/2 over a chunk of steps, so each sample of a block is
+Y_s + D Y_s with ||D|| <= e^(1/2) - 1, never the cancelling sum of a D near -I;
+B = 1 is the single step Y + P Y.  Samples agree with the stage-by-stage form
+within 1e-12 * max(1, |stage-form value|), and the first step whose new state
+is non-finite raises NonFiniteState, as stage by stage.  The states of other
+models keep the bits of the stage-by-stage loop.
 """
 
 from __future__ import annotations
@@ -129,18 +130,15 @@ class SystemModel:
     the RK4 stages of the linearized flows evaluate through ``field_stack`` and
     ``jacobian_stack``, which use them, or else the scalar callables row by row.
 
-    The one-state RK4 state pass runs on Python-float components, with the
-    bits of the array arithmetic, and takes its stage field from the first of:
-
-    - ``field_entries(t, x)``, the field as a list of n entries over the
-      Python-float components x[0], x[1], ...;
-    - ``matrix(t)``, the A(t) of a linear model x' = A(t) x, for a float or an
-      array of times (shape + (n, n), or one (n, n) for all), evaluated once
-      per chunk of steps at every stage time and applied by numpy's matvec;
-    - ``field`` on the components as an array.
-
-    ``field_entries`` and ``matrix @ x`` must round like ``field``, which
-    ``check_jacobian`` does not compare.
+    ``matrix(t)``, when present, is the A(t) of a linear model x' = A(t) x, for
+    a float or an array of times (shape + (n, n), or one (n, n) for all).  Its
+    states, one or a stack, and a variational frame with them, then advance on
+    the step propagators of A(t), like a transition matrix (see _rk4_linear).
+    Any other model's one-state RK4 state pass runs on Python-float components,
+    with the bits of the array arithmetic, on ``field_entries(t, x)``, the field
+    as a list of n entries over the components x[0], x[1], ..., when present,
+    else on ``field`` of the components as an array.  ``check_jacobian`` holds
+    ``matrix`` and ``field_entries`` to ``jacobian`` and ``field``.
     """
 
     dim: int
@@ -185,9 +183,11 @@ class SystemModel:
         """Compare the analytic Jacobian with central differences of the field.
 
         Raises JacobianMismatch when the relative error exceeds rtol at any
-        sampled point, or when a batch callable disagrees with its scalar
-        counterpart there by more than BATCH_RTOL.  Points are drawn from the
-        declared domain (shrunk a little so differences stay inside) or from
+        sampled point, or when a form the integrators use instead disagrees
+        there by more than BATCH_RTOL: a batch callable with its scalar
+        counterpart, ``matrix`` on a time array with ``jacobian``, or
+        ``matrix(t) @ x`` or ``field_entries`` with ``field``.  Points are drawn
+        from the declared domain (shrunk a little so differences stay inside) or from
         the unit box around 0.
         """
         rng = np.random.default_rng(seed)
@@ -213,18 +213,26 @@ class SystemModel:
         self._jacobian_checked = True
 
     def _check_batch(self, t: float, x: np.ndarray, jac: np.ndarray) -> None:
-        pairs = []
+        fx = np.asarray(self.field(t, x), dtype=float)
+        pairs = []  # (form, reference, the reference's value, the form's value)
         if self.jacobian_batch is not None:
-            pairs.append(("jacobian", jac, self.jacobian_stack(t, x[None])[0]))
+            pairs.append(("jacobian_batch", "jacobian", jac, self.jacobian_stack(t, x[None])[0]))
         if self.field_batch is not None:
-            fx = np.asarray(self.field(t, x), dtype=float)
-            pairs.append(("field", fx, self.field_stack(t, x[None])[0]))
-        for what, scalar, batch in pairs:
-            scale = max(1.0, float(np.max(np.abs(scalar))))
-            err = float(np.max(np.abs(batch - scalar))) / scale
+            pairs.append(("field_batch", "field", fx, self.field_stack(t, x[None])[0]))
+        if self.matrix is not None:
+            at_times = np.broadcast_to(self.matrix(np.array([t])), (1,) + jac.shape)[0]
+            pairs.append(("matrix on a time array", "jacobian", jac, at_times))
+            pairs.append(("matrix(t) @ x", "field", fx,
+                          np.asarray(self.matrix(t), dtype=float) @ x))
+        if self.field_entries is not None:
+            pairs.append(("field_entries", "field", fx,
+                          np.asarray(self.field_entries(t, x.tolist()), dtype=float)))
+        for form, reference, want, got in pairs:
+            scale = max(1.0, float(np.max(np.abs(want))))
+            err = float(np.max(np.abs(got - want))) / scale
             if not err <= BATCH_RTOL:  # a NaN disagreement fails too
                 raise JacobianMismatch(
-                    f"{what}_batch disagrees with {what} by {err:.3e} at x={x}"
+                    f"{form} disagrees with {reference} by {err:.3e} at x={x}"
                 )
 
 
@@ -294,12 +302,13 @@ class SubspaceReport:
 
 
 _NONFINITE = "non-finite state at t={:.6g}"
-# Most state elements one chunk of the RK4 state pass advances before writing
-# its samples; a linear model's A(t) is evaluated once per chunk.  A chunk holds
-# its samples as Python objects, several times an array element each, so it is
-# kept far below CHUNK_ELEMENTS: a 10^5-step one-state seir3 integrate grows
+# Most state elements one chunk of the RK4 state pass of a model without
+# ``matrix`` advances before writing its samples.  A chunk holds its samples as
+# Python objects, several times an array element each, so it is kept far below
+# CHUNK_ELEMENTS: a 10^5-step one-state seir3 integrate grows
 # peak RSS by 6 MB with it and by 42 MB with CHUNK_ELEMENTS, while flow-volume
-# wall time is the same with either.
+# wall time is the same with either.  A linear model's states advance in the
+# CHUNK_ELEMENTS chunks of coefficient stacks of _rk4_linear instead.
 PASS_CHUNK_ELEMENTS = 1024
 
 
@@ -331,13 +340,13 @@ def _finite_arrays(ys) -> bool:
     return all(np.isfinite(y).all() for y in ys)
 
 
-def _rk4_path(f, coefficients, y0: list, out, times: np.ndarray, hh: float, stages=None):
-    """Compensated RK4 of y' = f(c, y) on the sample times, y a list of Python
+def _rk4_path(f, stage_times: np.ndarray, y0: list, out, times: np.ndarray, hh: float,
+              stages=None):
+    """Compensated RK4 of y' = f(t, y) on the sample times, y a list of Python
     floats or of one array, advanced by elementwise arithmetic, so a float rounds
-    like the array element it stands for.  coefficients(s0, s1) gives, for each
-    step s0..s1-1, the stage coefficients (c1, c2, c3) at t, t + h/2 and t + h:
-    the stage times, or A at them.  out[i] takes y at times[i]; on a float pass
-    stages[i] takes the four stage states of step i.  Returns the number of
+    like the array element it stands for.  stage_times holds, for each step, its
+    stage times t, t + h/2 and t + h.  out[i] takes y at times[i]; on a float
+    pass stages[i] takes the four stage states of step i.  Returns the number of
     samples written and the NonFiniteState of the first step whose new state is
     non-finite or complex, or None."""
     half, sixth = 0.5 * hh, hh / 6.0
@@ -348,7 +357,7 @@ def _rk4_path(f, coefficients, y0: list, out, times: np.ndarray, hh: float, stag
     size = max(1, PASS_CHUNK_ELEMENTS // sum(np.size(b) for b in y))
     for s0 in range(0, steps, size):
         rows, trail = [], []
-        for i, (c1, c2, c3) in enumerate(coefficients(s0, min(steps, s0 + size)), s0):
+        for i, (c1, c2, c3) in enumerate(stage_times[s0:s0 + size].tolist(), s0):
             k1 = f(c1, y)
             y2 = [a + half * b for a, b in zip(y, k1)]
             k2 = f(c2, y2)
@@ -391,16 +400,11 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     """The states of x' = field(t, x) from one state x0, advanced on Python-float
     components, or from an (N, n) stack, advanced as one block through
     field_stack; returns the (len(times),) + x0.shape states up to the first
-    non-finite step, and that step's NonFiniteState or None (see _rk4_path)."""
-    stage_times = _stage_times(times, hh)
+    non-finite step, and that step's NonFiniteState or None (see _rk4_path).
+    The states of a linear model (``matrix``) advance on the step propagators
+    of A(t) instead (see _matrix_coefficients)."""
     states = np.empty((len(times),) + x0.shape)
     n, shape = system.dim, (system.dim,)
-
-    def at_times(s0, s1):
-        return stage_times[s0:s1].tolist()
-
-    def at_matrices(s0, s1):
-        return np.broadcast_to(system.matrix(stage_times[s0:s1]), (s1 - s0, 3, n, n))
 
     def entries(t, ys):
         try:
@@ -424,14 +428,12 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
             return [system.field_stack(t, ys[0])]
 
     if x0.ndim == 2:
-        args = stack, at_times, [x0], states[:, None]
+        f, y0, out = stack, [x0], states[:, None]
     elif system.field_entries is not None:
-        args = entries, at_times, x0.tolist(), states
-    elif system.matrix is not None:
-        args = (lambda a, ys: (a @ ys).tolist()), at_matrices, x0.tolist(), states
+        f, y0, out = entries, x0.tolist(), states
     else:
-        args = one_state, at_times, x0.tolist(), states
-    taken, failure = _rk4_path(*args, times, hh, stages)
+        f, y0, out = one_state, x0.tolist(), states
+    taken, failure = _rk4_path(f, _stage_times(times, hh), y0, out, times, hh, stages)
     return states[:taken], failure
 
 
@@ -462,12 +464,23 @@ def _block_scan(p: np.ndarray, width: int) -> np.ndarray:
     return d[:m]
 
 
+def _apply(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """D_j Y for each D_j of d: one matmul for an (r, c) matrix Y, and one product
+    per matrix for an (N, r, c) stack, so that each rounds as it does alone (the
+    columns of one (r, r) @ (r, N) product round unlike N matrix-vector products)."""
+    if y.ndim == 3:
+        return d[:, None] @ y
+    return (d.reshape(-1, d.shape[2]) @ y).reshape(d.shape[:1] + y.shape)
+
+
 def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndarray]:
     """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s by compensated RK4;
-    coefficients(s0, s1) gives per state the (s1 - s0, 4, r, r) stack of A at the
-    four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time.  Step i
-    maps Y to (I + P_i) Y, P = (h/6)(A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + (h/2) A2 A1,
-    K3 = A3 + (h/2) A3 K2 and K4 = A4 + h A4 K3 built per chunk by batched matmuls.
+    each Y is an (r, c) matrix or an (N, r, c) stack of them (see _apply).
+    coefficients(s0, s1) gives per Y the (s1 - s0, 4, r, r) stack of A at the
+    four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time, whose
+    length depends on the r's alone.  Step i maps Y to (I + P_i) Y,
+    P = (h/6)(A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + (h/2) A2 A1, K3 = A3 + (h/2) A3 K2
+    and K4 = A4 + h A4 K3 built per chunk by batched matmuls.
 
     The steps advance in blocks of B (see _block_length): a block from Y_s gives
     Y_{s+j+1} = Y_s + (D_j Y_s - comp) with I + D_j = (I + P_{s+j}) ... (I + P_s)
@@ -479,7 +492,7 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     outs = [np.full((len(times),) + np.shape(y), y, dtype=float) for y in y0s]
     comps = [np.zeros(np.shape(y)) for y in y0s]
     half, s0, steps = 0.5 * hh, 0, len(times) - 1
-    size = max(1, CHUNK_ELEMENTS // (4 * sum(len(y) ** 2 for y in y0s)))
+    size = max(1, CHUNK_ELEMENTS // (4 * sum(np.shape(y)[-2] ** 2 for y in y0s)))
     while s0 < steps:
         s1 = min(steps, s0 + size)
         try:
@@ -501,8 +514,7 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
         while b < s1 - s0:
             i = s0 + b
             ds = [p[b:b + 1] for p in props] if b < redo else [d[b:b + width] for d in scans]
-            adjs = [(d.reshape(-1, d.shape[2]) @ out[i]).reshape(d.shape[:1] + out.shape[1:])
-                    - comp for d, out, comp in zip(ds, outs, comps)]
+            adjs = [_apply(d, out[i]) - comp for d, out, comp in zip(ds, outs, comps)]
             news = [out[i] + adj for out, adj in zip(outs, adjs)]
             taken = len(ds[0])
             if not _finite_arrays(news):
@@ -518,13 +530,33 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     return outs
 
 
+def _matrix_coefficients(system: SystemModel, times: np.ndarray, hh: float, check: bool):
+    """coefficients(s0, s1) of _rk4_linear for a linear model: its matrix(t) at the
+    distinct stage times of steps s0..s1-1, in one call.  With check, a non-finite
+    A(t) raises EvaluationFailure (as_stack), as jacobian_stack does."""
+    stage_times, n = _stage_times(times, hh), system.dim
+
+    def coefficients(s0, s1):
+        a = np.broadcast_to(system.matrix(stage_times[s0:s1]), (s1 - s0, 3, n, n))
+        if check:
+            a = as_stack(a.reshape(-1, n, n), square=True).reshape(a.shape)
+        return [a[:, [0, 1, 1, 2]]]
+
+    return coefficients
+
+
 def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span, h: float):
     """Times, states and frames of x' = f(t, x), W' = J(t, x) W: x goes first, then its
     stage Jacobians advance W by step propagators, in blocks of B steps with
     B max ||P|| <= 1/2 (see _rk4_linear), to rounding as one augmented ODE; the
     first step whose new x or W is non-finite raises, a failed block of W being
-    redone step by step to find it."""
+    redone step by step to find it.  A linear model advances [x | W] as one
+    (n, 1 + k) matrix on the propagators of its A(t)."""
     n, (times, hh) = system.dim, _steps(t_span, h)
+    if system.matrix is not None:
+        coefficients = _matrix_coefficients(system, times, hh, check=True)
+        (flow,) = _rk4_linear(coefficients, [np.column_stack([x0, w0])], times, hh)
+        return times, flow[:, :, 0], flow[:, :, 1:]
     stages = np.empty((len(times) - 1, 4, n))
     states, failure = _state_pass(system, x0, times, hh, stages)
     taken = len(states) - (failure is None)  # steps with stage states
@@ -549,13 +581,15 @@ def integrate(
 ) -> Trajectory:
     """Integrate dx/dt = field(t, x) with fixed-step RK4.
 
-    x0 is one state, advanced on Python-float components, or a non-empty
-    (N, n) stack (see _state_pass); ``states`` is then (m, N, n) and each row
-    rounds as its own one-state run would.  The first step at which any state
-    is non-finite raises NonFiniteState.  domain_exit controls
-    what happens at the first sample at which any state is outside the
-    declared domain: "warn" (default), "error", or "ignore".  The oracle is
-    called once per initial state and must return (len(times), n).
+    x0 is one state or a non-empty (N, n) stack; ``states`` is then (m, N, n)
+    and each row rounds as its own one-state run would.  A linear model's
+    states agree with the stage-by-stage loop over field within
+    1e-12 * max(1, |stage-form value|) (see _rk4_linear), any other model's
+    keep its bits (see _state_pass).  The first step at which any state is
+    non-finite raises NonFiniteState.  domain_exit controls what happens at the
+    first sample at which any state is outside the declared domain: "warn"
+    (default), "error", or "ignore".  The oracle is called once per initial
+    state and must return (len(times), n).
     """
     x0 = np.asarray(x0, dtype=float)
     x0 = x0 if x0.ndim == 2 else x0.reshape(-1)
@@ -565,9 +599,16 @@ def integrate(
         raise DimensionMismatch("x0 is an empty stack of states")
 
     times, hh = _steps(t_span, h)
-    states, failure = _state_pass(system, x0, times, hh)
-    if failure is not None:
-        raise failure
+    if system.matrix is not None:
+        # a non-finite A(t) or state raises NonFiniteState, without numpy's warning first
+        with np.errstate(invalid="ignore", over="ignore"):
+            (flow,) = _rk4_linear(_matrix_coefficients(system, times, hh, check=False),
+                                  [x0.reshape(-1, system.dim, 1)], times, hh)
+        states = flow.reshape((len(times),) + x0.shape)
+    else:
+        states, failure = _state_pass(system, x0, times, hh)
+        if failure is not None:
+            raise failure
 
     if system.domain is not None and domain_exit != "ignore":
         box = system.domain

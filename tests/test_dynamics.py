@@ -125,13 +125,12 @@ A3 = [[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, 0.4, -2.0]]
 
 
 @pytest.mark.parametrize("name, params", [
-    ("lti", {"a": A3}), ("diag2", None), ("oscillator", None), ("cos_ltv", None),
     ("hopf", None), ("seir3", None), ("seir3", {"q": 0.7, "p": 0.5}),
     ("seir3", {"q": 1.3, "p": 0.9}), ("callable-only", None),
 ])
 def test_one_state_pass_matches_the_array_loop_bit_for_bit(name, params, rng):
-    # the one-state pass runs on Python floats (entry lists, A(t) per chunk, or
-    # the field on an array); each must round like the array loop over field
+    # the one-state pass runs on Python floats (entry lists or the field on an
+    # array); each must round like the array loop over field
     sysm = linear_system(A3) if params is None and name == "callable-only" else \
         model(name, params).system
     x0 = rng.uniform(0.1, 0.3, sysm.dim)
@@ -142,6 +141,21 @@ def test_one_state_pass_matches_the_array_loop_bit_for_bit(name, params, rng):
     frame = dy.variational_frame(sysm, [x0 + 0.01, x0], [0.0], (0.0, 1.5), 1e-3,
                                  domain_exit="ignore")
     assert same_bits(frame.states, want), name
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lti", {"a": A3}), ("diag2", None), ("oscillator", None), ("cos_ltv", None),
+])
+def test_linear_model_states_match_the_array_loop(name, params, rng):
+    # a linear model's states advance on the step propagators of its A(t), which
+    # regroup the stage-form products
+    sysm = model(name, params).system
+    x0 = rng.uniform(0.1, 0.3, sysm.dim)
+    times, want = fused_rk4_path(sysm.field, x0, (0.0, 1.5), 1e-3)
+    got = dy.integrate(sysm, x0, (0.0, 1.5), 1e-3)
+    assert same_bits(got.times, times) and close_to_stage_form(got.states, want), name
+    frame = dy.variational_frame(sysm, [x0 + 0.01, x0], [0.0], (0.0, 1.5), 1e-3)
+    assert close_to_stage_form(frame.states, want), name
 
 
 @pytest.mark.parametrize("stack", [False, True])
@@ -655,7 +669,8 @@ def test_variational_frame_matches_fused_loop(monkeypatch, chunk):
         x0 = dy.simplex_map(anchors, r)
         times, states, frames = fused_linearized_flow(sysm, x0, w0, (0.0, 1.0), 1e-3)
         assert same_bits(fr.times, times)
-        assert same_bits(fr.states, states), name
+        linear = sysm.matrix is not None  # see test_linear_model_states_match_the_array_loop
+        assert (close_to_stage_form if linear else same_bits)(fr.states, states), name
         assert close_to_stage_form(fr.frames, frames), name
 
 
@@ -813,3 +828,80 @@ def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, ch
     with pytest.raises(NonFiniteState) as got:
         dy.variational_frame(sysm, [[1e300], [0.0]], [0.0], (0.0, 3.0), 1e-3)
     assert str(got.value) == want
+
+
+# -- states of linear models on step propagators -------------------------------------
+
+LINEAR_MODELS = [("lti", {"a": A3}), ("diag2", None), ("oscillator", None), ("cos_ltv", None)]
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("name, params", LINEAR_MODELS)
+def test_linear_stack_rows_match_one_state_runs_across_chunks(monkeypatch, rng, chunk,
+                                                              name, params):
+    # 500 steps span several SMALL_CHUNK chunks (62 steps at n = 2, 27 at n = 3) and
+    # many blocks in each; a row rounds alike in a stack of any height only when the
+    # chunk length depends on n alone and D applies to each row on its own
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    sysm = model(name, params).system
+    x0s = rng.uniform(-1.0, 1.0, (7, sysm.dim))
+    ones = [dy.integrate(sysm, x0, (0.0, 5.0), 1e-2).states for x0 in x0s]
+    for rows in (1, 2, 7):
+        stack = dy.integrate(sysm, x0s[:rows], (0.0, 5.0), 1e-2).states
+        assert stack.shape == (501, rows, sysm.dim)
+        for i in range(rows):
+            assert same_bits(stack[:, i], ones[i]), (name, rows, i)
+
+
+@pytest.mark.parametrize("name, x0, t_end, decaying", [
+    ("diag2", [1.0, 1.0], 10.0, 1),    # e^-40
+    ("cos_ltv", [1.0, 0.5], 30.0, 0),  # e^-30
+])
+def test_linear_states_keep_a_decayed_component(name, x0, t_end, decaying):
+    sysm = model(name).system
+    got = dy.integrate(sysm, x0, (0.0, t_end), 1e-3).states
+    _, want = fused_rk4_path(sysm.field, x0, (0.0, t_end), 1e-3)
+    assert close_to_stage_form(got, want)
+    decayed, want = got[:, decaying], want[:, decaying]
+    assert abs(want[-1]) < 1e-12
+    assert np.all(np.abs(decayed - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x0", [[1e300], [[1.0], [1e300], [-1e300]]])
+def test_linear_state_overflow_raises_at_the_first_failing_step(x0):
+    # x' = 10 x grows by the RK4 factor g of z = 10 h = 0.01 per step, in blocks
+    # of many steps; the first step with g**i * 1e300 above the float maximum
+    # raises, one state or a stack, without numpy's overflow warning first
+    z = 0.01
+    g = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    step = int(np.log(np.finfo(float).max / 1e300) / np.log(g)) + 1
+    assert step == 1901
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at t=1\.901$"):
+        dy.integrate(model("lti", {"a": [[10.0]]}).system, x0, (0.0, 3.0), 1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_model_whose_matrix_turns_infinite():
+    # A(t) holds inf once t > 0.5: integrate fails at that step like the array
+    # loop over field, and a frame refuses the non-finite A(t) like the stage
+    # Jacobians of the augmented loop
+    a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+
+    def matrix(t):
+        return np.where((np.asarray(t) > 0.5)[..., None, None], np.inf, a)
+
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: matrix(t) @ x,
+                          jacobian=lambda t, x: matrix(t), matrix=matrix)
+    x0 = np.array([0.4, 0.7])
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as want:
+        fused_rk4_path(sysm.field, x0, (0.0, 1.0), 1e-3)
+    with pytest.raises(NonFiniteState) as got:
+        dy.integrate(sysm, x0, (0.0, 1.0), 1e-3)
+    assert str(got.value) == str(want.value)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationFailure) as want:
+        fused_linearized_flow(sysm, x0, np.eye(2)[:, :1], (0.0, 1.0), 1e-3)
+    with pytest.raises(EvaluationFailure) as got:
+        dy.variational_frame(sysm, [x0 + 0.01, x0], [0.0], (0.0, 1.0), 1e-3)
+    assert str(got.value) == str(want.value)

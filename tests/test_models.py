@@ -321,6 +321,44 @@ def test_check_jacobian_rejects_disagreeing_batch():
         bad_field.check_jacobian()
 
 
+def test_check_jacobian_compares_matrix_and_field_entries():
+    # the RK4 trusts matrix(times), matrix(t) @ x and field_entries in place of
+    # jacobian and field; each one off by 1e-6 is refused
+    a, b = np.array([[-1.0, 0.5], [0.2, -2.0]]), np.array([[0.0, 0.3], [-0.4, 0.0]])
+
+    def matrix(t):
+        return a + np.multiply.outer(np.cos(t), b)
+
+    def linear(field=lambda t, x: matrix(t) @ x, **kw):
+        return dy.SystemModel(dim=2, field=field, jacobian=lambda t, x: matrix(t),
+                              **{"matrix": matrix, **kw})
+
+    def entries(t, x):
+        return [-x[0] + x[1] * x[1], -x[1]]
+
+    def nonlinear(**kw):
+        return dy.SystemModel(dim=2, field=lambda t, x: np.array(entries(t, x)),
+                              jacobian=lambda t, x: np.array([[-1.0, 2.0 * x[1]], [0.0, -1.0]]),
+                              **{"field_entries": entries, **kw})
+
+    linear().check_jacobian()
+    nonlinear().check_jacobian()
+    bad = [
+        (linear(matrix=lambda t: matrix(t) * (1.0 + 1e-6)), "matrix on a time array"),
+        (linear(matrix=lambda t: matrix(t) + 1e-6 * np.ndim(t)), "matrix on a time array"),
+        (linear(field=lambda t, x: matrix(t) @ x + 1e-6), r"matrix\(t\) @ x"),
+        (nonlinear(field_entries=lambda t, x: [v + 1e-6 for v in entries(t, x)]),
+         "field_entries"),
+    ]
+    for sysm, what in bad:
+        with pytest.raises(JacobianMismatch, match=f"^{what} disagrees"):
+            sysm.check_jacobian()
+    for name in mz.model_names():
+        params = {"a": [[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, 0.4, -2.0]]} \
+            if name == "lti" else None
+        mz.model(name, params).system.check_jacobian(samples=50)
+
+
 def test_jacobian_stack_keeps_matrix_checks():
     xs = np.zeros((3, 2))
     cases = [
