@@ -185,9 +185,10 @@ def cmd_subspace(args) -> int:
         a = io.load_matrix_json(args.matrix)
         a_fun = lambda t: a  # noqa: E731
     else:
-        entry = _load_model(args)
-        zeros = np.zeros(entry.system.dim)
-        a_fun = lambda t: entry.system.jacobian(t, zeros)  # noqa: E731
+        system = _load_model(args).system
+        n = system.dim  # J(t, 0) at a float or an array of times, from one stack call
+        a_fun = lambda t: system.jacobian_stack(  # noqa: E731
+            np.ravel(t), np.zeros((np.size(t), n))).reshape(np.shape(t) + (n, n))
     rep = dy.asymptotic_subspace(a_fun, args.k, t_max=args.tmax, h=args.h)
     _emit(io.subspace_to_json(rep), args)
     return 0

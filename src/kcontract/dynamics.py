@@ -5,14 +5,12 @@ accumulation of the state update, so halving the step shows clean 4th-order
 error decay instead of drowning in float roundoff on long horizons.
 
 Linear and linearized flows (transition, compound and frame equations, and the
-states of linear models) step by propagators: step i maps Y to (I + P_i) Y.
-They advance in blocks of B steps, B the largest power of two with
-B max ||P_i||_inf <= 1/2 over a chunk of steps, so each sample of a block is
-Y_s + D Y_s with ||D|| <= e^(1/2) - 1, never the cancelling sum of a D near -I;
-B = 1 is the single step Y + P Y.  Samples agree with the stage-by-stage form
-within 1e-12 * max(1, |stage-form value|), and the first step whose new state
-is non-finite raises NonFiniteState, as stage by stage.  The states of other
-models keep the bits of the stage-by-stage loop.
+states of linear models) step by propagators, in blocks of steps (see
+_rk4_linear); A(t), a model's ``matrix`` or an a_fun, is called once per chunk
+of steps.  Samples agree with the stage-by-stage form within
+1e-12 * max(1, |stage-form value|), and the first step whose new state is
+non-finite raises NonFiniteState, as stage by stage.  The states of other models
+keep the bits of the stage-by-stage loop.
 """
 
 from __future__ import annotations
@@ -130,15 +128,14 @@ class SystemModel:
     the RK4 stages of the linearized flows evaluate through ``field_stack`` and
     ``jacobian_stack``, which use them, or else the scalar callables row by row.
 
-    ``matrix(t)``, when present, is the A(t) of a linear model x' = A(t) x, for
-    a float or an array of times (shape + (n, n), or one (n, n) for all).  Its
-    states, one or a stack, and a variational frame with them, then advance on
-    the step propagators of A(t), like a transition matrix (see _rk4_linear).
+    ``matrix(t)``, when present, is the A(t) of a linear model x' = A(t) x: (n, n)
+    at a float t, shape + (n, n) or one (n, n) at an array of times, else
+    DimensionMismatch, as for every linear flow (see _matrix_flows).  Its states,
+    one or a stack, and a frame with them, advance on the step propagators of A(t).
     Any other model's one-state RK4 state pass runs on Python-float components,
     with the bits of the array arithmetic, on ``field_entries(t, x)``, the field
     as a list of n entries over the components x[0], x[1], ..., when present,
-    else on ``field`` of the components as an array.  ``check_jacobian`` holds
-    ``matrix`` and ``field_entries`` to ``jacobian`` and ``field``.
+    else on ``field`` of the components as an array.
     """
 
     dim: int
@@ -220,10 +217,9 @@ class SystemModel:
         if self.field_batch is not None:
             pairs.append(("field_batch", "field", fx, self.field_stack(t, x[None])[0]))
         if self.matrix is not None:
-            at_times = np.broadcast_to(self.matrix(np.array([t])), (1,) + jac.shape)[0]
-            pairs.append(("matrix on a time array", "jacobian", jac, at_times))
-            pairs.append(("matrix(t) @ x", "field", fx,
-                          np.asarray(self.matrix(t), dtype=float) @ x))
+            pairs.append(("matrix on a time array", "jacobian", jac,
+                          _matrix_at(self.matrix, np.array([t]), self.dim)[0]))
+            pairs.append(("matrix(t) @ x", "field", fx, _matrix_at(self.matrix, t, self.dim) @ x))
         if self.field_entries is not None:
             pairs.append(("field_entries", "field", fx,
                           np.asarray(self.field_entries(t, x.tolist()), dtype=float)))
@@ -307,8 +303,7 @@ _NONFINITE = "non-finite state at t={:.6g}"
 # Python objects, several times an array element each, so it is kept far below
 # CHUNK_ELEMENTS: a 10^5-step one-state seir3 integrate grows
 # peak RSS by 6 MB with it and by 42 MB with CHUNK_ELEMENTS, while flow-volume
-# wall time is the same with either.  A linear model's states advance in the
-# CHUNK_ELEMENTS chunks of coefficient stacks of _rk4_linear instead.
+# wall time is the same with either.
 PASS_CHUNK_ELEMENTS = 1024
 
 
@@ -402,7 +397,7 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     field_stack; returns the (len(times),) + x0.shape states up to the first
     non-finite step, and that step's NonFiniteState or None (see _rk4_path).
     The states of a linear model (``matrix``) advance on the step propagators
-    of A(t) instead (see _matrix_coefficients)."""
+    of A(t) instead (see _matrix_flows)."""
     states = np.empty((len(times),) + x0.shape)
     n, shape = system.dim, (system.dim,)
 
@@ -477,8 +472,8 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s by compensated RK4;
     each Y is an (r, c) matrix or an (N, r, c) stack of them (see _apply).
     coefficients(s0, s1) gives per Y the (s1 - s0, 4, r, r) stack of A at the
-    four stages of each step s0..s1-1, one CHUNK_ELEMENTS chunk at a time, whose
-    length depends on the r's alone.  Step i maps Y to (I + P_i) Y,
+    four stages of each step s0..s1-1, one chunk at a time, whose length depends
+    on the r's alone.  Step i maps Y to (I + P_i) Y,
     P = (h/6)(A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + (h/2) A2 A1, K3 = A3 + (h/2) A3 K2
     and K4 = A4 + h A4 K3 built per chunk by batched matmuls.
 
@@ -492,7 +487,10 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     outs = [np.full((len(times),) + np.shape(y), y, dtype=float) for y in y0s]
     comps = [np.zeros(np.shape(y)) for y in y0s]
     half, s0, steps = 0.5 * hh, 0, len(times) - 1
-    size = max(1, CHUNK_ELEMENTS // (4 * sum(np.shape(y)[-2] ** 2 for y in y0s)))
+    # a step holds about 12 r^2 elements at once; 64 r^2 per step keeps a chunk near
+    # 3 MB and as fast as longer ones, and a power of two of steps ends it on a block end
+    fit = CHUNK_ELEMENTS // (64 * sum(np.shape(y)[-2] ** 2 for y in y0s))
+    size = 1 << max(0, fit.bit_length() - 1)
     while s0 < steps:
         s1 = min(steps, s0 + size)
         try:
@@ -530,32 +528,37 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     return outs
 
 
-def _matrix_coefficients(system: SystemModel, times: np.ndarray, hh: float, check: bool):
-    """coefficients(s0, s1) of _rk4_linear for a linear model: its matrix(t) at the
-    distinct stage times of steps s0..s1-1, in one call.  With check, a non-finite
-    A(t) raises EvaluationFailure (as_stack), as jacobian_stack does."""
-    stage_times, n = _stage_times(times, hh), system.dim
+def _matrix_at(matrix, t, n: int) -> np.ndarray:
+    """matrix(t) as np.shape(t) + (n, n); any other shape but (n, n) raises DimensionMismatch."""
+    a, want = np.asarray(matrix(t), dtype=float), np.shape(t) + (n, n)
+    if a.shape not in (want, (n, n)):
+        raise DimensionMismatch(f"A(t) has shape {a.shape}, want {want} or {(n, n)}")
+    return np.broadcast_to(a, want)
 
+
+def _matrix_flows(matrix, n: int, orders, y0s, times: np.ndarray, hh: float, check: bool):
+    """Samples of dY/dt = A^[k](t) Y from each Y(times[0]) of y0s, k the matching
+    entry of orders (see _rk4_linear), on one matrix call per chunk at its distinct
+    stage times; with check, a non-finite A(t) raises EvaluationFailure (as_stack)."""
     def coefficients(s0, s1):
-        a = np.broadcast_to(system.matrix(stage_times[s0:s1]), (s1 - s0, 3, n, n))
-        if check:
-            a = as_stack(a.reshape(-1, n, n), square=True).reshape(a.shape)
-        return [a[:, [0, 1, 1, 2]]]
+        a = _matrix_at(matrix, _stage_times(times[s0:s1 + 1], hh), n).reshape(-1, n, n)
+        a = as_stack(a, square=True) if check else a
+        # add_compound_stack validates, so order 1 skips it to keep check=False
+        stacks = [a if k == 1 else add_compound_stack(a, k) for k in orders]
+        return [c.reshape(s1 - s0, 3, *c.shape[1:])[:, [0, 1, 1, 2]] for c in stacks]
 
-    return coefficients
+    return _rk4_linear(coefficients, y0s, times, hh)
 
 
 def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span, h: float):
     """Times, states and frames of x' = f(t, x), W' = J(t, x) W: x goes first, then its
-    stage Jacobians advance W by step propagators, in blocks of B steps with
-    B max ||P|| <= 1/2 (see _rk4_linear), to rounding as one augmented ODE; the
-    first step whose new x or W is non-finite raises, a failed block of W being
-    redone step by step to find it.  A linear model advances [x | W] as one
-    (n, 1 + k) matrix on the propagators of its A(t)."""
+    stage Jacobians advance W by step propagators (see _rk4_linear), to rounding as
+    one augmented ODE; the first step whose new x or W is non-finite raises.  A linear
+    model advances [x | W] as one (n, 1 + k) matrix on the propagators of its A(t)."""
     n, (times, hh) = system.dim, _steps(t_span, h)
     if system.matrix is not None:
-        coefficients = _matrix_coefficients(system, times, hh, check=True)
-        (flow,) = _rk4_linear(coefficients, [np.column_stack([x0, w0])], times, hh)
+        (flow,) = _matrix_flows(system.matrix, n, [1], [np.column_stack([x0, w0])], times, hh,
+                                check=True)
         return times, flow[:, :, 0], flow[:, :, 1:]
     stages = np.empty((len(times) - 1, 4, n))
     states, failure = _state_pass(system, x0, times, hh, stages)
@@ -602,8 +605,8 @@ def integrate(
     if system.matrix is not None:
         # a non-finite A(t) or state raises NonFiniteState, without numpy's warning first
         with np.errstate(invalid="ignore", over="ignore"):
-            (flow,) = _rk4_linear(_matrix_coefficients(system, times, hh, check=False),
-                                  [x0.reshape(-1, system.dim, 1)], times, hh)
+            (flow,) = _matrix_flows(system.matrix, system.dim, [1],
+                                    [x0.reshape(-1, system.dim, 1)], times, hh, check=False)
         states = flow.reshape((len(times),) + x0.shape)
     else:
         states, failure = _state_pass(system, x0, times, hh)
@@ -636,22 +639,17 @@ def integrate(
 
 def _compound_flows(a_fun, orders, t_span, h: float) -> list[MatrixTrajectory]:
     """dY/dt = A^[k](t) Y, Y(t0) = I, for every k of orders, in one RK4 pass;
-    A(t) is evaluated once per distinct stage time and checked once per chunk."""
+    a_fun(t0) sizes A, then one a_fun call per chunk gives it (see _matrix_flows)."""
     n = as_matrix(a_fun(float(t_span[0])), square=True).shape[0]
     times, hh = _steps(t_span, h)
-    distinct = _stage_times(times, hh)  # stages 2, 3 share t + h/2
-
-    def coefficients(s0, s1):
-        a = as_stack([a_fun(t) for t in distinct[s0:s1].reshape(-1)], square=True)
-        stacks = [add_compound_stack(a, k) for k in orders]
-        return [c.reshape(s1 - s0, 3, *c.shape[1:])[:, [0, 1, 1, 2]] for c in stacks]
-
-    flows = _rk4_linear(coefficients, [np.eye(binomial(n, k)) for k in orders], times, hh)
+    flows = _matrix_flows(a_fun, n, orders, [np.eye(binomial(n, k)) for k in orders],
+                          times, hh, check=True)
     return [MatrixTrajectory(times=times, matrices=y) for y in flows]
 
 
 def transition_matrix(a_fun, t_span, h: float = 1e-3) -> MatrixTrajectory:
-    """Integrate dPhi/dt = A(t) Phi, Phi(t0) = I, sampling every step."""
+    """Integrate dPhi/dt = A(t) Phi, Phi(t0) = I, sampling every step.  a_fun is A(t)
+    as SystemModel.matrix is: called at t0, then once per chunk on its (m, 3) stage times."""
     return _compound_flows(a_fun, [1], t_span, h)[0]
 
 
@@ -659,7 +657,7 @@ def compound_transition(a_fun, k: int, t_span, h: float = 1e-3) -> MatrixTraject
     """Integrate the k-th compound equation dY/dt = A^[k](t) Y, Y(t0) = I.
 
     At every sample Y(t) equals mult_compound(Phi(t), k) up to integration
-    error.
+    error.  a_fun is called as in transition_matrix.
     """
     return _compound_flows(a_fun, [k], t_span, h)[0]
 
@@ -853,6 +851,7 @@ def asymptotic_subspace(
     contracting flow counts every direction); the compound system counts as
     decayed when ||Y(t_max)|| drops below decay_threshold.  Consistency
     means: compound decays iff the decaying dimension is at least n - k + 1.
+    Phi and Y share each a_fun call, made as in transition_matrix.
     """
     phi, comp = _compound_flows(a_fun, [1, k], (0.0, t_max), h)
     n = phi.final.shape[0]

@@ -53,13 +53,12 @@ def _filled(entries, lead: tuple = ()) -> np.ndarray:
 
 def _linear_entry(name: str, a, description: str, *, parameters=None, transition=None,
                   period=None) -> ModelEntry:
-    """The linear model x' = A(t) x, written once as the matrix callable a(t),
-    which gives (n, n) for a float t and (n, n) or shape + (n, n) for an array
-    of times; it is also the model's ``matrix``.  The field is a(t) @ x, the
-    Jacobian a(t) and, when the transition matrix Phi(t) is known (it takes
-    times alike), the oracle Phi(times) @ x0.  The stack callables broadcast one
-    a(t) over the rows, or pair a(t_i) with row i, and compute
-    (a(t) @ xs[..., None])[..., 0], which rounds like a(t) @ x.
+    """The linear model x' = A(t) x, written once as its ``matrix`` a(t) (see
+    SystemModel).  The field is a(t) @ x, the Jacobian a(t) and, when the
+    transition matrix Phi(t) is known (it takes times alike), the oracle
+    Phi(times) @ x0.  The stack callables broadcast one a(t) over the rows, or
+    pair a(t_i) with row i, and compute (a(t) @ xs[..., None])[..., 0], which
+    rounds like a(t) @ x.
     """
     n = len(a(0.0))
     oracle = None

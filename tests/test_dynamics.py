@@ -316,7 +316,7 @@ def test_compound_transition_full_order_liouville(rng):
     a1 = rng.standard_normal((3, 3))
 
     def a_fun(t):
-        return a0 + np.sin(t) * a1
+        return a0 + np.multiply.outer(np.sin(t), a1)
 
     phi = dy.transition_matrix(a_fun, (0.0, 3.0), 1e-3)
     comp = dy.compound_transition(a_fun, 3, (0.0, 3.0), 1e-3)
@@ -330,7 +330,7 @@ def test_compound_consistency_along_time(rng):
     a1 = 0.2 * rng.standard_normal((4, 4))
 
     def a_fun(t):
-        return a0 + np.cos(2.0 * t) * a1
+        return a0 + np.multiply.outer(np.cos(2.0 * t), a1)
 
     phi = dy.transition_matrix(a_fun, (0.0, 2.0), 1e-3)
     comp = dy.compound_transition(a_fun, 2, (0.0, 2.0), 1e-3)
@@ -601,17 +601,19 @@ def test_jacobian_selftest_catches_mismatch():
 
 # -- step propagators on coefficient stacks against the fused per-stage loops -------
 
-SMALL_CHUNK = 1000  # elements: a few dozen RK4 steps per chunk at these sizes
+SMALL_CHUNK = 1000  # elements: one or two RK4 steps per chunk at these sizes
+DOZENS_CHUNK = 16_000  # elements: a few dozen RK4 steps per chunk at these sizes
+CHUNKS = [None, SMALL_CHUNK, DOZENS_CHUNK]
 
 
 def _a_funs(rng):
     a0 = 0.6 * rng.standard_normal((4, 4))
     a1 = 0.3 * rng.standard_normal((4, 4))
     c = rng.standard_normal((3, 3))
-    return [cos_ltv_matrix, lambda t: c, lambda t: a0 + np.sin(2.0 * t) * a1]
+    return [cos_ltv_matrix, lambda t: c, lambda t: a0 + np.multiply.outer(np.sin(2.0 * t), a1)]
 
 
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_linear_flows_match_fused_loop(rng, monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
@@ -626,7 +628,7 @@ def test_linear_flows_match_fused_loop(rng, monkeypatch, chunk):
             assert close_to_stage_form(got.matrices, want), (n, k)
 
 
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_asymptotic_subspace_matches_fused_loop(rng, monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
@@ -657,7 +659,7 @@ def _lti():
     return model("lti", {"a": [[-0.5, 1.0, 0.2], [-1.0, -0.3, 0.0], [0.4, 0.1, -1.2]]})
 
 
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_variational_frame_matches_fused_loop(monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
@@ -684,7 +686,7 @@ def _outcome(fn):
                                       "newton_iterations", "verdict")]
 
 
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_floquet_matches_fused_loop(monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
@@ -729,7 +731,7 @@ def _failing_system(jac_after, field_after, batch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("chunk", [None, 40])
+@pytest.mark.parametrize("chunk", [None, 40, 640])
 @pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("jac_after, field_after, error", [
     (0.24005, 0.24105, EvaluationFailure),  # the Jacobian fails one step before the state
@@ -750,7 +752,7 @@ def test_linearized_failure_order_matches_fused_loop(monkeypatch, chunk, batch,
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("chunk", [None, 40])
+@pytest.mark.parametrize("chunk", [None, 40, 640])
 @pytest.mark.parametrize("field_after, jac_after, error, frame_first", [
     (np.inf, np.inf, NonFiniteState, True),     # only the frame fails
     (0.05, np.inf, NonFiniteState, False),      # the state fails first
@@ -792,7 +794,7 @@ def test_frame_overflow_order_matches_fused_loop(monkeypatch, chunk, field_after
 # -- blocks of step propagators ------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_blocked_frame_keeps_a_decayed_entry(monkeypatch, chunk):
     # over t = 30 diag2's frame entries grow to e^90 and decay to e^-120; summing
     # the whole chunk into one I + D, D near -I on the decaying entry, loses it
@@ -810,7 +812,7 @@ def test_blocked_frame_keeps_a_decayed_entry(monkeypatch, chunk):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, chunk):
     # W starts at 1e300 and grows by the RK4 factor g of z = 10 h = 0.01 per step,
     # small enough for blocks of many steps; the first step with g**i * 1e300 above
@@ -835,13 +837,14 @@ def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, ch
 LINEAR_MODELS = [("lti", {"a": A3}), ("diag2", None), ("oscillator", None), ("cos_ltv", None)]
 
 
-@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name, params", LINEAR_MODELS)
 def test_linear_stack_rows_match_one_state_runs_across_chunks(monkeypatch, rng, chunk,
                                                               name, params):
-    # 500 steps span several SMALL_CHUNK chunks (62 steps at n = 2, 27 at n = 3) and
-    # many blocks in each; a row rounds alike in a stack of any height only when the
-    # chunk length depends on n alone and D applies to each row on its own
+    # 500 steps span many chunks: 2 steps at n = 2 and 1 at n = 3 at SMALL_CHUNK, 32
+    # and 16, with many blocks in each, at DOZENS_CHUNK; a row rounds alike in a stack
+    # of any height only when the chunk length depends on n alone and D applies to
+    # each row on its own
     if chunk:
         monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
     sysm = model(name, params).system
@@ -905,3 +908,60 @@ def test_linear_model_whose_matrix_turns_infinite():
     with pytest.raises(EvaluationFailure) as got:
         dy.variational_frame(sysm, [x0 + 0.01, x0], [0.0], (0.0, 1.0), 1e-3)
     assert str(got.value) == str(want.value)
+
+
+def test_wrong_shaped_matrix_is_refused():
+    # A(t) must be (n, n) or times.shape + (n, n), from a model's matrix or an a_fun
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: -x, jacobian=lambda t, x: -np.eye(2),
+                          matrix=lambda t: -np.eye(3))
+    runs = [lambda: dy.integrate(sysm, [1.0, 2.0], (0.0, 1.0), 1e-2),
+            lambda: dy.variational_frame(sysm, [[1.0, 0.0], [0.0, 0.0]], [0.0], (0.0, 1.0)),
+            sysm.check_jacobian,
+            # (m, 2, 2) at the (m, 3) stage times of a chunk, the right shape at a float
+            lambda: dy.transition_matrix(lambda t: np.zeros(np.shape(t)[:1] + (2, 2)),
+                                         (0.0, 1.0), 1e-2)]
+    for run in runs:
+        with pytest.raises(DimensionMismatch, match=r"^A\(t\) has shape"):
+            run()
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_a_fun_is_called_once_per_chunk(monkeypatch, chunk):
+    # one float call sizes A; then each chunk asks for the (m, 3) distinct stage
+    # times of its steps at once, and every stage time is asked for once, in order
+    if chunk:
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+    calls = []
+
+    def a_fun(t):
+        calls.append(np.array(t))
+        return cos_ltv_matrix(t)
+
+    times, hh = dy._steps((0.0, 2.0), 1e-3)
+    for run in (lambda: dy.transition_matrix(a_fun, (0.0, 2.0), 1e-3),
+                lambda: dy.asymptotic_subspace(a_fun, 2, t_max=2.0, h=1e-3)):
+        calls.clear()
+        run()
+        assert calls[0].shape == () and calls[0] == 0.0
+        chunks = calls[1:]
+        assert all(c.ndim == 2 and c.shape[1] == 3 for c in chunks)
+        assert same_bits(np.concatenate(chunks), dy._stage_times(times, hh))
+        assert len(chunks) == (1 if chunk is None else -(-2000 // len(chunks[0])))
+        assert chunk is None or len(chunks) > 10
+
+
+@pytest.mark.parametrize("name", ["diag2", "oscillator"])
+def test_linear_chunks_end_on_block_ends(monkeypatch, name):
+    # a constant A(t) gives every chunk the block width B of one chunk over the
+    # whole run; chunks of a power of two of steps, a multiple of B, then end on
+    # its block ends, so 1 024-step chunks give the bits of one 40 000-step chunk
+    sysm = model(name).system
+
+    def run(chunk):
+        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        fr = dy.variational_frame(sysm, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.2, 0.3],
+                                  (0.0, 40.0), 1e-3)
+        return dy.integrate(sysm, [0.3, -0.2], (0.0, 40.0), 1e-3).states, fr.states, fr.frames
+
+    for got, want in zip(run(500_000), run(10 ** 12)):
+        assert same_bits(got, want)

@@ -9,7 +9,7 @@ from kcontract import fileio as io
 from kcontract.cli import main
 from kcontract.errors import DimensionMismatch
 from kcontract.measures import Norm
-from kcontract.models import model
+from kcontract.models import cos_ltv_matrix, model
 
 
 @pytest.fixture
@@ -341,6 +341,27 @@ def test_cli_spectrum_and_subspace(tmp_path, capsys, rng):
                  "--tmax", "30"]) == 0
     sub = json.loads(capsys.readouterr().out)
     assert sub["decaying_dimension"] == 1 and sub["consistent"]
+
+
+def test_cli_subspace_prints_asymptotic_subspace(tmp_path, capsys, rng):
+    # a model's J(t, 0), constant for hopf and seir3, or the --matrix file's A
+    a = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
+    path = tmp_path / "a.json"
+    io.save_matrix_json(path, a)
+
+    def at_origin(name):
+        system = model(name).system
+        jac = system.jacobian(0.0, np.zeros(system.dim))
+        return lambda t: jac
+
+    cases = [(["--model", "hopf"], 2, at_origin("hopf")),
+             (["--model", "seir3"], 2, at_origin("seir3")),
+             (["--model", "cos_ltv"], 2, cos_ltv_matrix),
+             (["--matrix", str(path)], 2, lambda t: a)]
+    for flags, k, a_fun in cases:
+        assert main(["subspace", *flags, "--k", str(k), "--tmax", "3", "--h", "0.01"]) == 0
+        rep = dy.asymptotic_subspace(a_fun, k, t_max=3.0, h=0.01)
+        assert capsys.readouterr().out == io.dump_json(io.subspace_to_json(rep), None) + "\n"
 
 
 def test_cli_floquet_and_seir(tmp_path, capsys):
