@@ -48,15 +48,26 @@ BATCH_RTOL = 1e-12
 
 def central_difference_jacobian(fun, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central differences of fun at x, column j with the step eps * max(1, |x_j|)."""
-    columns = []
-    for j in range(x.size):
-        dx = np.zeros(x.size)
-        step = eps * max(1.0, abs(x[j]))
-        dx[j] = step
-        fp = np.asarray(fun(x + dx), dtype=float).reshape(-1)
-        fm = np.asarray(fun(x - dx), dtype=float).reshape(-1)
-        columns.append((fp - fm) / (2.0 * step))
-    return np.stack(columns, axis=1)
+    return _central_differences([fun], np.asarray(x, dtype=float).reshape(1, -1), eps)[0]
+
+
+def _central_differences(funs, xs: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """central_difference_jacobian of funs[i] at each row xs[i] of an (N, n) stack,
+    as (N, m, n), with all N 2n perturbed points built as one array."""
+    n = xs.shape[1]
+    steps = eps * np.fmax(1.0, np.abs(xs))  # fmax(1, nan) is 1, as max(1.0, nan)
+    dx = np.zeros(xs.shape + (n,))
+    dx[:, range(n), range(n)] = steps
+    points = np.stack([xs[:, None] + dx, xs[:, None] - dx], axis=2)  # x + step, x - step
+    values = np.array([[fun(y) for y in ys.reshape(-1, n)] for fun, ys in zip(funs, points)],
+                      dtype=float).reshape(len(xs), n, 2, -1)
+    return np.swapaxes((values[:, :, 0] - values[:, :, 1]) / (2.0 * steps[..., None]), 1, 2)
+
+
+def _relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """max |got - want| / max(1, max |want|) over each entry of the leading axis."""
+    axes = tuple(range(1, want.ndim))
+    return np.max(np.abs(got - want), axis=axes) / np.fmax(1.0, np.max(np.abs(want), axis=axes))
 
 
 @dataclass(frozen=True)
@@ -179,57 +190,50 @@ class SystemModel:
     def check_jacobian(self, rtol: float = 1e-4, samples: int = 5, seed: int = 7) -> None:
         """Compare the analytic Jacobian with central differences of the field.
 
-        Raises JacobianMismatch when the relative error exceeds rtol at any
-        sampled point, or when a form the integrators use instead disagrees
-        there by more than BATCH_RTOL: a batch callable with its scalar
-        counterpart, ``matrix`` on a time array with ``jacobian``, or
-        ``matrix(t) @ x`` or ``field_entries`` with ``field``.  Points are drawn
-        from the declared domain (shrunk a little so differences stay inside) or from
-        the unit box around 0.
+        Raises JacobianMismatch when the relative error exceeds rtol at any sampled
+        point, or when a form the integrators use instead disagrees there by more than
+        BATCH_RTOL: a batch callable with its scalar counterpart, ``matrix`` on a time
+        array with ``jacobian``, or ``matrix(t) @ x`` or ``field_entries`` with ``field``;
+        the first failure, point by point.  Points are drawn from the declared domain
+        (shrunk a little so differences stay inside) or from the unit box around 0; no
+        points raise DimensionMismatch.  The scalar ``field`` and ``jacobian`` stay the
+        reference, called at each point; each batch callable and ``matrix`` on a time
+        array is called once, on all points at per-row times.
         """
-        rng = np.random.default_rng(seed)
+        if samples < 1:
+            raise DimensionMismatch(f"check_jacobian needs a sample point, got samples={samples}")
+        n = self.dim
+        lo, hi = -np.ones(n), np.ones(n)
         if self.domain is not None:
             span = self.domain.upper - self.domain.lower
-            lo = self.domain.lower + 0.05 * span
-            hi = self.domain.upper - 0.05 * span
-        else:
-            lo = -np.ones(self.dim)
-            hi = np.ones(self.dim)
-        for _ in range(samples):
-            x = lo + rng.random(self.dim) * (hi - lo)
-            t = float(rng.random())
-            jac = as_matrix(self.jacobian(t, x), square=True)
-            fd = central_difference_jacobian(lambda y: self.field(t, y), x)
-            scale = max(1.0, float(np.max(np.abs(jac))))
-            err = float(np.max(np.abs(jac - fd))) / scale
-            if err > rtol:
-                raise JacobianMismatch(
-                    f"Jacobian mismatch {err:.3e} > {rtol:.1e} at x={x}"
-                )
-            self._check_batch(t, x, jac)
-        self._jacobian_checked = True
-
-    def _check_batch(self, t: float, x: np.ndarray, jac: np.ndarray) -> None:
-        fx = np.asarray(self.field(t, x), dtype=float)
-        pairs = []  # (form, reference, the reference's value, the form's value)
+            lo, hi = self.domain.lower + 0.05 * span, self.domain.upper - 0.05 * span
+        draws = np.random.default_rng(seed).random((samples, n + 1))
+        xs, times = lo + draws[:, :n] * (hi - lo), draws[:, n]
+        rows = list(zip(times.tolist(), xs))
+        jacs = np.array([as_matrix(self.jacobian(t, x), square=True) for t, x in rows])
+        fds = _central_differences([lambda y, t=t: self.field(t, y) for t, _ in rows], xs)
+        fxs = np.array([self.field(t, x) for t, x in rows], dtype=float)
+        forms = []  # (form, reference, the reference's values, the form's values)
         if self.jacobian_batch is not None:
-            pairs.append(("jacobian_batch", "jacobian", jac, self.jacobian_stack(t, x[None])[0]))
+            forms.append(("jacobian_batch", "jacobian", jacs, self.jacobian_stack(times, xs)))
         if self.field_batch is not None:
-            pairs.append(("field_batch", "field", fx, self.field_stack(t, x[None])[0]))
-        if self.matrix is not None:
-            pairs.append(("matrix on a time array", "jacobian", jac,
-                          _matrix_at(self.matrix, np.array([t]), self.dim)[0]))
-            pairs.append(("matrix(t) @ x", "field", fx, _matrix_at(self.matrix, t, self.dim) @ x))
+            forms.append(("field_batch", "field", fxs, self.field_stack(times, xs)))
+        if (a := self.matrix) is not None:
+            forms += [("matrix on a time array", "jacobian", jacs, _matrix_at(a, times, n)),
+                      ("matrix(t) @ x", "field", fxs,
+                       np.array([_matrix_at(a, t, n) @ x for t, x in rows]))]
         if self.field_entries is not None:
-            pairs.append(("field_entries", "field", fx,
-                          np.asarray(self.field_entries(t, x.tolist()), dtype=float)))
-        for form, reference, want, got in pairs:
-            scale = max(1.0, float(np.max(np.abs(want))))
-            err = float(np.max(np.abs(got - want))) / scale
-            if not err <= BATCH_RTOL:  # a NaN disagreement fails too
-                raise JacobianMismatch(
-                    f"{form} disagrees with {reference} by {err:.3e} at x={x}"
-                )
+            forms.append(("field_entries", "field", fxs, np.array(
+                [self.field_entries(t, x.tolist()) for t, x in rows], dtype=float)))
+        fd_errs, *errs = [_relative_errors(got, want) for *_, want, got in [(jacs, fds)] + forms]
+        for i, x in enumerate(xs):
+            if fd_errs[i] > rtol:
+                raise JacobianMismatch(f"Jacobian mismatch {fd_errs[i]:.3e} > {rtol:.1e} at x={x}")
+            for (form, reference, _, _), err in zip(forms, errs):
+                if not err[i] <= BATCH_RTOL:  # a NaN disagreement fails too
+                    raise JacobianMismatch(
+                        f"{form} disagrees with {reference} by {err[i]:.3e} at x={x}")
+        self._jacobian_checked = True
 
 
 @dataclass
@@ -529,17 +533,22 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
 
 
 def _matrix_at(matrix, t, n: int) -> np.ndarray:
-    """matrix(t) as np.shape(t) + (n, n); any other shape but (n, n) raises DimensionMismatch."""
-    a, want = np.asarray(matrix(t), dtype=float), np.shape(t) + (n, n)
+    """matrix(t) as np.shape(t) + (n, n); another shape but (n, n), or numpy's ValueError or
+    TypeError in matrix (a0 + np.sin(t) * a1 on most arrays of times), raises DimensionMismatch."""
+    try:
+        a = np.asarray(matrix(t), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch(f"A(t) fails at times of shape {np.shape(t)}: {exc}") from exc
+    want = np.shape(t) + (n, n)
     if a.shape not in (want, (n, n)):
         raise DimensionMismatch(f"A(t) has shape {a.shape}, want {want} or {(n, n)}")
     return np.broadcast_to(a, want)
 
 
 def _matrix_flows(matrix, n: int, orders, y0s, times: np.ndarray, hh: float, check: bool):
-    """Samples of dY/dt = A^[k](t) Y from each Y(times[0]) of y0s, k the matching
-    entry of orders (see _rk4_linear), on one matrix call per chunk at its distinct
-    stage times; with check, a non-finite A(t) raises EvaluationFailure (as_stack)."""
+    """Samples of dY/dt = A^[k](t) Y from each Y(times[0]) of y0s, k the matching entry of
+    orders (see _rk4_linear), on a matrix call on [t0, tf] (see _matrix_at), then one per
+    chunk at its distinct stage times; with check, a non-finite A(t) raises EvaluationFailure."""
     def coefficients(s0, s1):
         a = _matrix_at(matrix, _stage_times(times[s0:s1 + 1], hh), n).reshape(-1, n, n)
         a = as_stack(a, square=True) if check else a
@@ -547,6 +556,7 @@ def _matrix_flows(matrix, n: int, orders, y0s, times: np.ndarray, hh: float, che
         stacks = [a if k == 1 else add_compound_stack(a, k) for k in orders]
         return [c.reshape(s1 - s0, 3, *c.shape[1:])[:, [0, 1, 1, 2]] for c in stacks]
 
+    _matrix_at(matrix, times[[0, -1]], n)
     return _rk4_linear(coefficients, y0s, times, hh)
 
 
@@ -639,7 +649,7 @@ def integrate(
 
 def _compound_flows(a_fun, orders, t_span, h: float) -> list[MatrixTrajectory]:
     """dY/dt = A^[k](t) Y, Y(t0) = I, for every k of orders, in one RK4 pass;
-    a_fun(t0) sizes A, then one a_fun call per chunk gives it (see _matrix_flows)."""
+    a_fun(t0) sizes A, then _matrix_flows calls it on arrays of times."""
     n = as_matrix(a_fun(float(t_span[0])), square=True).shape[0]
     times, hh = _steps(t_span, h)
     flows = _matrix_flows(a_fun, n, orders, [np.eye(binomial(n, k)) for k in orders],

@@ -4,7 +4,8 @@ import pytest
 from kcontract.certify import ETA_TOL, Certificate
 from kcontract.combinatorics import binomial
 from kcontract.compound import add_compound, as_matrix, mult_compound
-from kcontract.errors import NonFiniteState
+from kcontract.dynamics import BATCH_RTOL, _matrix_at
+from kcontract.errors import JacobianMismatch, NonFiniteState
 from kcontract.measures import MeasureSpec, apply_scaling, measure_k_witness
 
 
@@ -104,6 +105,61 @@ def fused_linearized_flow(system, x0, w0, t_span, h):
 
     times, flat = fused_rk4_path(f, np.concatenate([x0, w0.reshape(-1)]), t_span, h)
     return times, flat[:, :n], flat[:, n:].reshape(-1, n, k)
+
+
+def central_difference_per_column(fun, x, eps=1e-6):
+    """Central differences of fun at x one column at a time: column j perturbs
+    x[j] alone by the step eps * max(1, |x[j]|)."""
+    columns = []
+    for j in range(x.size):
+        dx = np.zeros(x.size)
+        step = eps * max(1.0, abs(x[j]))
+        dx[j] = step
+        fp = np.asarray(fun(x + dx), dtype=float).reshape(-1)
+        fm = np.asarray(fun(x - dx), dtype=float).reshape(-1)
+        columns.append((fp - fm) / (2.0 * step))
+    return np.stack(columns, axis=1)
+
+
+def check_jacobian_per_sample(system, rtol=1e-4, samples=5, seed=7):
+    """SystemModel.check_jacobian one sample point at a time: the differences
+    first, then each form the integrators use on a 1-row stack or one time."""
+    rng = np.random.default_rng(seed)
+    if system.domain is not None:
+        span = system.domain.upper - system.domain.lower
+        lo = system.domain.lower + 0.05 * span
+        hi = system.domain.upper - 0.05 * span
+    else:
+        lo = -np.ones(system.dim)
+        hi = np.ones(system.dim)
+    for _ in range(samples):
+        x = lo + rng.random(system.dim) * (hi - lo)
+        t = float(rng.random())
+        jac = as_matrix(system.jacobian(t, x), square=True)
+        fd = central_difference_per_column(lambda y: system.field(t, y), x)
+        scale = max(1.0, float(np.max(np.abs(jac))))
+        err = float(np.max(np.abs(jac - fd))) / scale
+        if err > rtol:
+            raise JacobianMismatch(f"Jacobian mismatch {err:.3e} > {rtol:.1e} at x={x}")
+        fx = np.asarray(system.field(t, x), dtype=float)
+        pairs = []  # (form, reference, the reference's value, the form's value)
+        if system.jacobian_batch is not None:
+            pairs.append(("jacobian_batch", "jacobian", jac, system.jacobian_stack(t, x[None])[0]))
+        if system.field_batch is not None:
+            pairs.append(("field_batch", "field", fx, system.field_stack(t, x[None])[0]))
+        if system.matrix is not None:
+            pairs.append(("matrix on a time array", "jacobian", jac,
+                          _matrix_at(system.matrix, np.array([t]), system.dim)[0]))
+            pairs.append(("matrix(t) @ x", "field", fx,
+                          _matrix_at(system.matrix, t, system.dim) @ x))
+        if system.field_entries is not None:
+            pairs.append(("field_entries", "field", fx,
+                          np.asarray(system.field_entries(t, x.tolist()), dtype=float)))
+        for form, reference, want, got in pairs:
+            scale = max(1.0, float(np.max(np.abs(want))))
+            err = float(np.max(np.abs(got - want))) / scale
+            if not err <= BATCH_RTOL:  # a NaN disagreement fails too
+                raise JacobianMismatch(f"{form} disagrees with {reference} by {err:.3e} at x={x}")
 
 
 def _samples_per_sample(a, time_grid):

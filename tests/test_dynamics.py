@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -925,10 +927,39 @@ def test_wrong_shaped_matrix_is_refused():
             run()
 
 
+def test_float_only_a_fun_is_refused(rng):
+    # a0 + np.sin(t) * a1 is A(t) at a float t only; on an array of times numpy
+    # fails in it, or broadcasts the times against A (a 3-step chunk at n = 3)
+    a0, a1 = rng.standard_normal((2, 3, 3))
+
+    def float_only(t):
+        return a0 + np.sin(t) * a1
+
+    sysm = dy.SystemModel(dim=3, field=lambda t, x: float_only(t) @ x,
+                          jacobian=lambda t, x: float_only(t), matrix=float_only)
+    runs = [lambda: dy.transition_matrix(float_only, (0.0, 0.3), 0.1),
+            lambda: dy.transition_matrix(float_only, (0.0, 0.4), 0.1),
+            lambda: dy.compound_transition(float_only, 2, (0.0, 0.3), 0.1),
+            lambda: dy.asymptotic_subspace(float_only, 2, t_max=0.3, h=0.1),
+            lambda: dy.transition_matrix(lambda t: a0 * math.cos(t), (0.0, 0.3), 0.1),
+            sysm.check_jacobian,
+            lambda: dy.integrate(sysm, [1.0, 0.0, 0.0], (0.0, 0.3), 0.1),
+            lambda: dy.variational_frame(sysm, np.eye(3)[:2], [0.5], (0.0, 0.3), 0.1)]
+    for run in runs:
+        with pytest.raises(DimensionMismatch, match=r"^A\(t\) fails at times of shape"):
+            run()
+    # a constant A(t) stays one (n, n) for all times
+    phi = dy.transition_matrix(lambda t: a0, (0.0, 0.3), 0.1)
+    assert np.allclose(phi.final, expm(0.3 * a0), rtol=1e-4, atol=1e-4)
+    dy.SystemModel(dim=3, field=lambda t, x: a0 @ x, jacobian=lambda t, x: a0,
+                   matrix=lambda t: a0).check_jacobian()
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_a_fun_is_called_once_per_chunk(monkeypatch, chunk):
-    # one float call sizes A; then each chunk asks for the (m, 3) distinct stage
-    # times of its steps at once, and every stage time is asked for once, in order
+    # one float call sizes A and one call on the first and last times probes the
+    # array form; then each chunk asks for the (m, 3) distinct stage times of its
+    # steps at once, and every stage time is asked for once, in order
     if chunk:
         monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
     calls = []
@@ -943,7 +974,8 @@ def test_a_fun_is_called_once_per_chunk(monkeypatch, chunk):
         calls.clear()
         run()
         assert calls[0].shape == () and calls[0] == 0.0
-        chunks = calls[1:]
+        assert same_bits(calls[1], times[[0, -1]])
+        chunks = calls[2:]
         assert all(c.ndim == 2 and c.shape[1] == 3 for c in chunks)
         assert same_bits(np.concatenate(chunks), dy._stage_times(times, hh))
         assert len(chunks) == (1 if chunk is None else -(-2000 // len(chunks[0])))

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,15 @@ from kcontract.errors import (
     EvaluationFailure,
     GammaNearZero,
     JacobianMismatch,
+    KContractError,
     NotSquare,
     UnknownModel,
 )
 
 from conftest import (
     LINEAR_ORACLES,
+    central_difference_per_column,
+    check_jacobian_per_sample,
     hopf_field_batch,
     hopf_jacobian_batch,
     same_bits,
@@ -311,6 +317,8 @@ def test_check_jacobian_rejects_disagreeing_batch():
 
     good = dy.SystemModel(dim=2, field=field, jacobian=jac, jacobian_batch=jac_batch)
     good.check_jacobian()
+    with pytest.raises(DimensionMismatch, match="needs a sample point"):
+        good.check_jacobian(samples=0)
     off = dy.SystemModel(dim=2, field=field, jacobian=jac,
                          jacobian_batch=lambda t, xs: jac_batch(t, xs) * (1.0 + 1e-9))
     with pytest.raises(JacobianMismatch):
@@ -357,6 +365,126 @@ def test_check_jacobian_compares_matrix_and_field_entries():
         params = {"a": [[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, 0.4, -2.0]]} \
             if name == "lti" else None
         mz.model(name, params).system.check_jacobian(samples=50)
+
+
+LTI3 = {"a": [[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, 0.4, -2.0]]}
+
+
+def _builtin(name):
+    return mz.model(name, LTI3 if name == "lti" else None).system
+
+
+def _verdicts(sysm, **kw):
+    """What the per-sample loop and check_jacobian each do: None when the model
+    passes, else the type and message of the error raised."""
+    out = []
+    for check in (check_jacobian_per_sample, dy.SystemModel.check_jacobian):
+        try:
+            check(sysm, **kw)
+            out.append(None)
+        except KContractError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _sample_x(sysm, samples, k):
+    """Sample point k of check_jacobian."""
+    lo, hi = -np.ones(sysm.dim), np.ones(sysm.dim)
+    if sysm.domain is not None:
+        span = sysm.domain.upper - sysm.domain.lower
+        lo, hi = sysm.domain.lower + 0.05 * span, sysm.domain.upper - 0.05 * span
+    return lo + np.random.default_rng(7).random((samples, sysm.dim + 1))[k, :sysm.dim] * (hi - lo)
+
+
+def _off_at(sysm, tk, off):
+    """Copies of sysm, each with one callable off by `off` at the time tk alone."""
+    def rows(t, out):  # the rows of a stack evaluated at tk
+        out = np.array(out, dtype=float)
+        out[np.broadcast_to(np.asarray(t) == tk, out.shape[:1])] += off
+        return out
+
+    def when(t, value):
+        return value + off if t == tk else value
+
+    field, jacobian = sysm.field, sysm.jacobian  # the Jacobian off by 1e4 * off fails rtol
+    copies = {"field": replace(sysm, field=lambda t, x: when(t, np.asarray(field(t, x)))),
+              "jacobian": replace(sysm, jacobian=lambda t, x: np.asarray(jacobian(t, x))
+                                  + (1e4 * off if t == tk else 0.0))}
+    if sysm.jacobian_batch is not None:
+        batch = sysm.jacobian_batch
+        copies["jacobian_batch"] = replace(sysm, jacobian_batch=lambda t, xs: rows(t, batch(t, xs)))
+    if sysm.field_batch is not None:
+        fbatch = sysm.field_batch
+        copies["field_batch"] = replace(sysm, field_batch=lambda t, xs: rows(t, fbatch(t, xs)))
+    if sysm.matrix is not None:
+        matrix = sysm.matrix
+        copies["matrix"] = replace(sysm, matrix=lambda t: np.where(
+            (np.asarray(t) == tk)[..., None, None], matrix(t) + off, matrix(t)))
+    if sysm.field_entries is not None:
+        entries = sysm.field_entries
+        copies["field_entries"] = replace(
+            sysm, field_entries=lambda t, x: [when(t, v) for v in entries(t, x)])
+    return copies
+
+
+@pytest.mark.parametrize("name", mz.model_names())
+def test_check_jacobian_matches_per_sample_loop(name):
+    sysm = _builtin(name)
+    for samples in (5, 50):
+        assert _verdicts(sysm, samples=samples) == [None, None]
+    for samples, k in ((5, 2), (50, 37)):
+        tk = np.random.default_rng(7).random((samples, sysm.dim + 1))[k, sysm.dim]
+        for off in (1e-6, np.nan):
+            for form, copy in _off_at(sysm, tk, off).items():
+                want, got = _verdicts(copy, samples=samples)
+                assert want is not None, (form, off)
+                assert got == want, (form, off)
+                if want[0] is JacobianMismatch:  # the failure names sample k
+                    assert want[1].endswith(f"at x={_sample_x(copy, samples, k)}"), (form, off)
+
+
+@pytest.mark.parametrize("name", mz.model_names())
+def test_check_jacobian_calls_each_batch_form_once(name):
+    # the batch forms and matrix on a time array take all points at once, while
+    # the scalar field and jacobian stay the per-point reference
+    sysm = _builtin(name)
+    calls = Counter()
+
+    def counted(key, fun):
+        def call(t, *args):
+            calls[key + (" on times" if np.ndim(t) else "")] += 1
+            return fun(t, *args)
+        return call
+
+    names = ("field", "jacobian", "field_batch", "jacobian_batch", "matrix", "field_entries")
+    copy = replace(sysm, **{k: counted(k, getattr(sysm, k)) for k in names
+                            if getattr(sysm, k) is not None})
+    n = sysm.dim
+    for samples in (5, 9):
+        calls.clear()
+        copy.check_jacobian(samples=samples)
+        assert calls["field"] == samples * (2 * n + 1)
+        assert calls["jacobian"] == samples
+        assert calls["jacobian_batch on times"] == calls["field_batch on times"] == 1
+        assert calls["jacobian_batch"] == calls["field_batch"] == 0
+        assert calls["matrix on times"] == (sysm.matrix is not None)
+        assert calls["matrix"] == (samples if sysm.matrix is not None else 0)
+        assert calls["field_entries"] == (samples if sysm.field_entries is not None else 0)
+
+
+def test_central_differences_keep_their_bits(rng):
+    def fun(x):
+        return np.array([np.sin(x[0]) * x[1] - x[2] ** 3, np.tanh(x[2]) * x[0], x[1] / 7.0])
+
+    xs = np.concatenate([rng.standard_normal((200, 3)) * rng.choice([1e-3, 1.0, 1e3], (200, 1)),
+                         [[0.0, -0.0, 1.0], [-1.0, 1.0, -0.0]]])
+    for x in xs:
+        assert same_bits(dy.central_difference_jacobian(fun, x),
+                         central_difference_per_column(fun, x))
+    # the stacked kernel gives each row the bits of its own differences
+    funs = [lambda y, s=s: fun(y) * s for s in rng.uniform(0.5, 2.0, len(xs))]
+    want = np.stack([central_difference_per_column(f, x) for f, x in zip(funs, xs)])
+    assert same_bits(dy._central_differences(funs, xs), want)
 
 
 def test_jacobian_stack_keeps_matrix_checks():
