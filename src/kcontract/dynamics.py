@@ -15,9 +15,10 @@ keep the bits of the stage-by-stage loop.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -144,9 +145,10 @@ class SystemModel:
     DimensionMismatch, as for every linear flow (see _matrix_flows).  Its states,
     one or a stack, and a frame with them, advance on the step propagators of A(t).
     Any other model's one-state RK4 state pass runs on Python-float components,
-    with the bits of the array arithmetic, on ``field_entries(t, x)``, the field
-    as a list of n entries over the components x[0], x[1], ..., when present,
-    else on ``field`` of the components as an array.
+    with the bits of the array arithmetic, in one generated loop.  Its stages run
+    ``field_entries(t, x)``, the field as a list of n entries over x[0], x[1], ...,
+    inline when its operations on t and x are only + - * / ** and negation (see
+    _trace); else they call it, or else ``field`` of the components as an array.
     """
 
     dim: int
@@ -161,6 +163,7 @@ class SystemModel:
     field_entries: callable | None = None
     matrix: callable | None = None
     _jacobian_checked: bool = False
+    _trace: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def field_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The field at every row of an (N, n) stack of states, as (N, n)."""
@@ -224,7 +227,7 @@ class SystemModel:
                        np.array([_matrix_at(a, t, n) @ x for t, x in rows]))]
         if self.field_entries is not None:
             forms.append(("field_entries", "field", fxs, np.array(
-                [self.field_entries(t, x.tolist()) for t, x in rows], dtype=float)))
+                [_entry_list(self.field_entries(t, x.tolist()), n) for t, x in rows], dtype=float)))
         fd_errs, *errs = [_relative_errors(got, want) for *_, want, got in [(jacs, fds)] + forms]
         for i, x in enumerate(xs):
             if fd_errs[i] > rtol:
@@ -302,12 +305,9 @@ class SubspaceReport:
 
 
 _NONFINITE = "non-finite state at t={:.6g}"
-# Most state elements one chunk of the RK4 state pass of a model without
-# ``matrix`` advances before writing its samples.  A chunk holds its samples as
-# Python objects, several times an array element each, so it is kept far below
-# CHUNK_ELEMENTS: a 10^5-step one-state seir3 integrate grows
-# peak RSS by 6 MB with it and by 42 MB with CHUNK_ELEMENTS, while flow-volume
-# wall time is the same with either.
+# Most state elements one chunk of a state pass (see _rk4_path) advances before
+# writing its samples, held as Python objects till then: a 10^5-step one-state seir3
+# integrate grows peak RSS by 6 MB with it and by 42 MB with CHUNK_ELEMENTS.
 PASS_CHUNK_ELEMENTS = 1024
 
 
@@ -328,111 +328,159 @@ def _stage_times(times: np.ndarray, hh: float) -> np.ndarray:
     return times[:-1, None] + np.array([0.0, 0.5, 1.0]) * hh
 
 
-def _finite_floats(ys) -> bool:
+def _entry_list(entries, n: int):
+    """A field_entries value, refused with DimensionMismatch unless it has n entries."""
+    if len(entries) != n:
+        raise DimensionMismatch(f"field_entries has {len(entries)} entries, state {n}")
+    return entries
+
+
+class _Traced:
+    """A value in a trace of field_entries (see _trace): + - * / **, also reflected, and
+    unary minus append a line to the tape, a float or int operand a constant.  Anything
+    else raises TypeError, so control flow, math calls and numpy scalars stop a trace."""
+
+    __slots__ = ("name", "tape")
+    __array_ufunc__ = None  # numpy defers to the reflected method, which refuses it
+
+    def __init__(self, name: str, tape: tuple):
+        self.name, self.tape = name, tape  # tape: (lines, constants)
+
+    def _of(self, v) -> str:  # v's name in the tape's lines
+        if isinstance(v, _Traced) and v.tape is self.tape:
+            return v.name
+        if type(v) not in (float, int):
+            raise TypeError(f"field_entries uses a {type(v).__name__} operand")
+        self.tape[1].append(v)
+        return f"c{len(self.tape[1]) - 1}"
+
+    def _op(self, a, op: str, b=None):
+        lines = self.tape[0]
+        lines.append(f"w{len(lines)} = " + (op + self._of(a) if b is None else
+                                            f"{self._of(a)} {op} {self._of(b)}"))
+        return _Traced(f"w{len(lines) - 1}", self.tape)
+
+    __add__, __radd__ = (lambda s, o: s._op(s, "+", o)), (lambda s, o: s._op(o, "+", s))
+    __sub__, __rsub__ = (lambda s, o: s._op(s, "-", o)), (lambda s, o: s._op(o, "-", s))
+    __mul__, __rmul__ = (lambda s, o: s._op(s, "*", o)), (lambda s, o: s._op(o, "*", s))
+    __truediv__, __rtruediv__ = (lambda s, o: s._op(s, "/", o)), (lambda s, o: s._op(o, "/", s))
+    __pow__, __rpow__ = (lambda s, o: s._op(s, "**", o)), (lambda s, o: s._op(o, "**", s))
+    __neg__ = lambda s: s._op(s, "-")
+    # None: calling one raises TypeError
+    __bool__ = __float__ = __array__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = None
+
+
+def _trace(entries, n: int):
+    """The lines of one RK4 stage that compute {k}0, {k}1, ... from {t} and {x0}, {x1},
+    ... by the operations of entries(t, x) in its order, and their constants; (None, ())
+    when entries does not trace (see _Traced).  n entries are required (_entry_list)."""
+    t = _Traced("{t}", ([], []))
     try:
-        return all(map(math.isfinite, ys))
-    except TypeError:  # complex: a negative float to a fractional power, nan on an array
-        return False
+        ks = list(entries(t, [_Traced(f"{{x{i}}}", t.tape) for i in range(n)]))
+        if len(ks) == n:
+            lines = [f"{{k}}{i} = {t._of(k)}" for i, k in enumerate(ks)]
+            return tuple(t.tape[0] + lines), tuple(t.tape[1])
+    except Exception:  # refused by _Traced, or failing: the opaque call repeats it
+        return None, ()
+    return _entry_list(ks, n)  # raises
 
 
-def _finite_arrays(ys) -> bool:
-    return all(np.isfinite(y).all() for y in ys)
+@functools.lru_cache(maxsize=64)
+def _compiled_chunk(n: int, stage: tuple | None, m: int, frames: bool):
+    """chunk(f, caught, isfinite, consts, ts, ys, es, trail, half, hh, sixth), the loop of
+    every RK4 state pass: n components ys, Kahan compensation es, one step per row t,
+    t + h/2, t + h of ts.  A stage runs stage (see _trace) on the m consts, else calls f;
+    an exception in caught gives nan entries.  Returns the new states, whether the last
+    step failed (not isfinite, or complex), the state and the compensation; with frames,
+    trail takes each step's four stage states, complex values as nan."""
+    def names(fmt: str, sep: str = ", ") -> str:
+        return sep.join(fmt.format(i) for i in range(n))
+
+    stage = stage or (names("{{k}}{}, ", "") + "= f({t}, [" + names("{{x{}}}, ", "") + "])",)
+    loop = []
+    for s, (t, x, step) in enumerate([("t1", "y", "half"), ("t2", "y2_", "half"),
+                                      ("t2", "y3_", "hh"), ("t3", "y4_", None)], 1):
+        keys = {"t": t, "k": f"k{s}_", **{f"x{i}": f"{x}{i}" for i in range(n)}}
+        loop += ["try:", *("    " + line.format_map(keys) for line in stage), "except caught:",
+                 f"    {names(f'k{s}_{{}}', ' = ')} = nan"]
+        loop += [names(f"y{s + 1}_{{0}} = y{{0}} + {step} * k{s}_{{0}}", "; ")] if step else []
+    trail = "".join(names(f"{y}{{}}, ", "") for y in ("y", "y2_", "y3_", "y4_"))
+    source = f"""def chunk(f, caught, isfinite, consts, ts, ys, es, trail, half, hh, sixth):
+    [{", ".join(f"c{j}" for j in range(m))}] = consts
+    [{names("y{}")}], [{names("e{}")}], rows = ys, es, []
+    for t1, t2, t3 in ts:
+        {(chr(10) + 8 * " ").join(loop)}
+        {names("a{0} = sixth * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0}) - e{0}", "; ")}
+        {names("n{0} = y{0} + a{0}", "; ")}  # Kahan: keeps roundoff from masking RK4 order
+        try:  # before e changes, which keeps inf - inf out of it
+            ok = {names("isfinite(n{})", " and ")}
+        except TypeError:  # complex: a negative float to a fractional power
+            ok = False
+        if not ok:
+            {f"trail += [nan if type(v) is complex else v for v in ({trail})]" if frames else ""}
+            return rows, True, None, None
+        {f"trail += ({trail})" if frames else ""}
+        {names("e{0} = (n{0} - y{0}) - a{0}; y{0} = n{0}", "; ")}
+        rows.append(({names("y{}, ", "")}))
+    return rows, False, [{names("y{}")}], [{names("e{}")}]
+"""
+    scope = {"nan": math.nan}
+    exec(compile(source, "<rk4 chunk>", "exec"), scope)
+    return scope["chunk"]
 
 
-def _rk4_path(f, stage_times: np.ndarray, y0: list, out, times: np.ndarray, hh: float,
-              stages=None):
-    """Compensated RK4 of y' = f(t, y) on the sample times, y a list of Python
-    floats or of one array, advanced by elementwise arithmetic, so a float rounds
-    like the array element it stands for.  stage_times holds, for each step, its
-    stage times t, t + h/2 and t + h.  out[i] takes y at times[i]; on a float
-    pass stages[i] takes the four stage states of step i.  Returns the number of
-    samples written and the NonFiniteState of the first step whose new state is
-    non-finite or complex, or None."""
-    half, sixth = 0.5 * hh, hh / 6.0
-    y, comp, failure = list(y0), [0.0] * len(y0), None
-    finite = _finite_floats if isinstance(y[0], float) else _finite_arrays
-    out[0] = y
-    steps = len(times) - 1
-    size = max(1, PASS_CHUNK_ELEMENTS // sum(np.size(b) for b in y))
-    for s0 in range(0, steps, size):
-        rows, trail = [], []
-        for i, (c1, c2, c3) in enumerate(stage_times[s0:s0 + size].tolist(), s0):
-            k1 = f(c1, y)
-            y2 = [a + half * b for a, b in zip(y, k1)]
-            k2 = f(c2, y2)
-            y3 = [a + half * b for a, b in zip(y, k2)]
-            k3 = f(c2, y3)
-            y4 = [a + hh * b for a, b in zip(y, k3)]
-            k4 = f(c3, y4)
-            # Kahan-compensated update keeps roundoff from masking RK4 order
-            adj = [sixth * (a + 2.0 * b + 2.0 * c + d) - e
-                   for a, b, c, d, e in zip(k1, k2, k3, k4, comp)]
-            ynew = [a + b for a, b in zip(y, adj)]
-            # a non-finite increment makes ynew non-finite too; checking before
-            # comp is updated keeps inf - inf out of the compensation term
-            if not finite(ynew):
-                failure = NonFiniteState(_NONFINITE.format(times[i + 1]))
-                if stages is not None:  # complex stage values as nan
-                    trail += [math.nan if type(v) is complex else v
-                              for s in (y, y2, y3, y4) for v in s]
-                break
-            if stages is not None:
-                trail += y
-                trail += y2
-                trail += y3
-                trail += y4
-            comp = [(a - b) - c for a, b, c in zip(ynew, y, adj)]
-            y = ynew
-            rows.append(y)
-        if rows:
-            out[s0 + 1:s0 + 1 + len(rows)] = rows
+def _rk4_path(chunk, y: list, out: np.ndarray, times: np.ndarray, hh: float, stages=None):
+    """Compensated RK4 from the components y on the sample times, by chunk, the loop of
+    _compiled_chunk with its f, caught, isfinite and consts bound, one chunk of steps at a
+    time.  out[i] takes the state at times[i] (out[0] is set), and stages[i], when given,
+    the four stage states of step i.  Returns the number of samples written and the
+    NonFiniteState of the first step whose new state is non-finite or complex, or None."""
+    e, ts = [0.0] * len(y), _stage_times(times, hh)
+    size = max(1, PASS_CHUNK_ELEMENTS // out[0].size)
+    for s0 in range(0, len(times) - 1, size):
+        trail = None if stages is None else []
+        rows, failed, y, e = chunk(ts[s0:s0 + size].tolist(), y, e, trail, 0.5 * hh, hh, hh / 6.0)
+        out[s0 + 1:s0 + 1 + len(rows)] = np.reshape(rows, (-1,) + out.shape[1:])
         if trail:
-            taken = len(rows) + (failure is not None)
-            stages[s0:s0 + taken] = np.reshape(trail, (taken,) + stages.shape[1:])
-        if failure is not None:
-            return s0 + 1 + len(rows), failure
+            stages[s0:s0 + len(rows) + failed] = np.reshape(trail, (-1,) + stages.shape[1:])
+        if failed:
+            i = s0 + len(rows)  # the failing step
+            return i + 1, NonFiniteState(_NONFINITE.format(times[i + 1]))
     return len(times), None
 
 
 def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: float,
                 stages=None):
-    """The states of x' = field(t, x) from one state x0, advanced on Python-float
-    components, or from an (N, n) stack, advanced as one block through
-    field_stack; returns the (len(times),) + x0.shape states up to the first
-    non-finite step, and that step's NonFiniteState or None (see _rk4_path).
-    The states of a linear model (``matrix``) advance on the step propagators
-    of A(t) instead (see _matrix_flows)."""
-    states = np.empty((len(times),) + x0.shape)
-    n, shape = system.dim, (system.dim,)
-
-    def entries(t, ys):
-        try:
-            return system.field_entries(t, ys)
-        except (OverflowError, ZeroDivisionError):  # float ** past the range; inf on an array
-            return [math.nan] * n
+    """The states of x' = field(t, x) from one state x0 or an (N, n) stack up to the first
+    non-finite step, and its NonFiniteState or None (see _rk4_path).  A stack is one array
+    component through field_stack; its rows round like one-state runs, which take Python
+    floats through the traced entry list (see _trace), else one call of field_entries or
+    of field per stage.  Linear models step by propagators instead (see _matrix_flows)."""
+    n, entries, states = system.dim, system.field_entries, np.empty((len(times),) + x0.shape)
 
     def one_state(t, ys):
         out = np.asarray(system.field(t, np.array(ys)), dtype=float)
-        if out.shape != shape:  # a scalar or size-1 field broadcasts, as on an array
-            try:
-                out = np.broadcast_to(out, shape)
-            except ValueError:
-                raise DimensionMismatch(f"field has shape {out.shape}, state {shape}") from None
-        return out.tolist()
+        if out.shape not in ((), (1,), (n,)):  # a scalar or size-1 field broadcasts
+            raise DimensionMismatch(f"field has shape {out.shape}, state {(n,)}")
+        return (out if out.shape == (n,) else np.broadcast_to(out, (n,))).tolist()
 
-    def stack(t, ys):
-        # a non-finite stage makes the new state non-finite, which raises the
-        # typed error; numpy's warning would reach the caller first
+    def stack(t, ys):  # a non-finite stage raises the typed error, without numpy's warning
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return [system.field_stack(t, ys[0])]
 
+    f, caught, isfinite, (stage, consts) = one_state, (), math.isfinite, (None, ())
     if x0.ndim == 2:
-        f, y0, out = stack, [x0], states[:, None]
-    elif system.field_entries is not None:
-        f, y0, out = entries, x0.tolist(), states
-    else:
-        f, y0, out = one_state, x0.tolist(), states
-    taken, failure = _rk4_path(f, _stage_times(times, hh), y0, out, times, hh, stages)
+        f, isfinite = stack, lambda a: np.isfinite(a).all()
+    elif entries is not None:
+        if system._trace[0] is not entries:
+            system._trace = (entries, _trace(entries, n))
+        f, (stage, consts) = (lambda t, ys: _entry_list(entries(t, ys), n)), system._trace[1]
+        caught = (OverflowError, ZeroDivisionError)  # float ** past the range; inf on an array
+    y = [x0] if x0.ndim == 2 else x0.tolist()
+    chunk = _compiled_chunk(len(y), stage, len(consts), stages is not None)
+    states[0] = x0
+    taken, failure = _rk4_path(functools.partial(chunk, f, caught, isfinite, consts), y, states,
+                               times, hh, stages)
     return states[:taken], failure
 
 
@@ -519,7 +567,7 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
             adjs = [_apply(d, out[i]) - comp for d, out, comp in zip(ds, outs, comps)]
             news = [out[i] + adj for out, adj in zip(outs, adjs)]
             taken = len(ds[0])
-            if not _finite_arrays(news):
+            if not all(np.isfinite(y).all() for y in news):
                 if taken == 1:
                     raise NonFiniteState(_NONFINITE.format(times[i + 1]))
                 redo = b + taken

@@ -131,7 +131,7 @@ def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
     of entries over the components x[0], x[1], ...
 
     The field list is the model's ``field_entries``, which the one-state RK4
-    state pass calls on Python-float components.  The one-state callables turn
+    state pass traces into its generated loop.  The one-state callables turn
     the lists into arrays.  The stack callables evaluate the same functions at
     x = X.T, so each entry is an (N,) array computed with the one-state
     arithmetic, and fill (N, n) and (N, n, n) arrays with them (_filled), where

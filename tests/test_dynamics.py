@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from kcontract import compound as cp
@@ -997,3 +999,146 @@ def test_linear_chunks_end_on_block_ends(monkeypatch, name):
 
     for got, want in zip(run(500_000), run(10 ** 12)):
         assert same_bits(got, want)
+
+
+# -- the generated one-state loop ---------------------------------------------
+
+def _opaque(entries):
+    """entries behind a float() of each component: the same values on floats, but
+    untraceable, so the one-state pass calls it once per stage."""
+    return lambda t, x: entries(t, [float(v) for v in x])
+
+
+def _entry_model(entries, dim, **kw):
+    return dy.SystemModel(dim=dim, field=lambda t, x: np.array(entries(float(t), x.tolist())),
+                          jacobian=lambda t, x: np.zeros((dim, dim)), field_entries=entries, **kw)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.3, 3.0), st.floats(0.3, 1.0), st.lists(st.floats(0.05, 0.95), min_size=3,
+                                                          max_size=3))
+def test_generated_seir3_loop_keeps_the_bits_of_the_array_loop(q, p, x0):
+    # seir3's p must lie in (0, 1]
+    sysm = model("seir3", {"q": q, "p": p}).system
+    assert dy._trace(sysm.field_entries, 3)[0] is not None
+    times, want = fused_rk4_path(sysm.field, x0, (0.0, 0.5), 1e-3)
+    got = dy.integrate(sysm, x0, (0.0, 0.5), 1e-3, domain_exit="ignore")
+    assert same_bits(got.states, want)
+    anchors = [np.array(x0) + [0.01, 0.0, 0.0], np.array(x0) + [0.0, 0.01, 0.0], np.array(x0)]
+    fr = dy.variational_frame(sysm, anchors, [0.0, 0.0], (0.0, 0.5), 1e-3, domain_exit="ignore")
+    _, states, frames = fused_linearized_flow(sysm, np.array(x0), np.column_stack(
+        [a - anchors[-1] for a in anchors[:-1]]), (0.0, 0.5), 1e-3)
+    assert same_bits(fr.states, states) and close_to_stage_form(fr.frames, frames)
+    # the frame's stage states are those of the loop that calls the entry list
+    opaque = dy.variational_frame(replace(sysm, field_entries=_opaque(sysm.field_entries)),
+                                  anchors, [0.0, 0.0], (0.0, 0.5), 1e-3, domain_exit="ignore")
+    assert same_bits(opaque.frames, fr.frames)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2))
+def test_generated_hopf_loop_keeps_the_bits_of_the_array_loop(x0):
+    sysm = model("hopf").system
+    times, want = fused_rk4_path(sysm.field, x0, (0.0, 1.0), 1e-3)
+    assert same_bits(dy.integrate(sysm, x0, (0.0, 1.0), 1e-3).states, want)
+    fr = dy.variational_frame(sysm, [np.array(x0) + [0.0, 0.01], x0], [0.0], (0.0, 1.0), 1e-3)
+    _, states, frames = fused_linearized_flow(sysm, np.array(x0), np.array([[0.0], [0.01]]),
+                                              (0.0, 1.0), 1e-3)
+    assert same_bits(fr.states, states) and close_to_stage_form(fr.frames, frames)
+
+
+def _every_operation(t, x):
+    inf, nan = math.inf, math.nan
+    r = 2.0 - x[0]  # reflected -
+    q = 3.0 / (1.0 + x[1] * x[1])  # reflected / and +
+    return [
+        # unary minus, reflected *, a t-dependent term, -0.0, and inf and nan constants
+        -x[1] + 0.5 * r * q - t * x[0] + -0.0 + x[0] / inf + 1.0 ** (nan * x[1]) - 1.0,
+        # a negative constant base under **, int powers and bases, a constant * and /
+        (-2.0) ** (x[0] * 0.0 + 2.0) * 0.25 * x[0] - x[1] ** 3 + 2 ** x[1] - 2.0 - x[1] * 1 / 4,
+        0.75,  # a bare constant
+        x[0],  # a bare component
+    ]
+
+
+def test_generated_loop_covers_every_recorded_operation():
+    stage, consts = dy._trace(_every_operation, 4)
+    assert stage is not None and -2.0 in consts and math.inf in consts
+    assert any(math.isnan(c) for c in consts) and any(str(c) == "-0.0" for c in consts)
+    sysm = _entry_model(_every_operation, 4)
+    x0 = [0.4, -0.3, 0.0, 1.0]
+    times, want = fused_rk4_path(sysm.field, x0, (0.0, 2.0), 1e-2)
+    assert same_bits(dy.integrate(sysm, x0, (0.0, 2.0), 1e-2).states, want)
+    opaque = _entry_model(_opaque(_every_operation), 4)
+    frames = [dy.variational_frame(s, [np.add(x0, 0.01), x0], [0.0], (0.0, 2.0), 1e-2)
+              for s in (sysm, opaque)]
+    assert same_bits(frames[0].states, want) and same_bits(frames[1].states, want)
+
+
+@pytest.mark.parametrize("entries", [
+    lambda t, x: [math.exp(-x[0]) - x[1], -x[1]],  # a math call
+    lambda t, x: [-x[0] if x[0] > 0.0 else x[0], -x[1]],  # control flow on a component
+    lambda t, x: [-abs(x[0]), -x[1]],  # abs()
+    lambda t, x: [np.float64(-0.5) * x[0], -x[1]],  # a numpy scalar constant
+    lambda t, x: [-x[0], -x[1] + np.sin(t)],  # a numpy function
+])
+def test_untraceable_entry_lists_are_called_per_stage(entries):
+    assert dy._trace(entries, 2) == (None, ())
+    sysm = _entry_model(entries, 2)
+    times, want = fused_rk4_path(sysm.field, [0.5, -0.2], (0.0, 1.0), 1e-2)
+    assert same_bits(dy.integrate(sysm, [0.5, -0.2], (0.0, 1.0), 1e-2).states, want)
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_entry_list_division_by_zero_fails_at_its_step(traced):
+    # x' = -1 steps exactly from 1 by 1/8; the fourth stage of the step from 0.375
+    # divides 0.0 by 0.25 - 0.25, which raises on floats, so that step fails
+    def entries(t, x):
+        return [-1.0 + 0.0 / (x[0] - 0.25)]
+
+    sysm = _entry_model(entries if traced else _opaque(entries), 1)
+    assert (dy._trace(sysm.field_entries, 1)[0] is not None) == traced
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.75$"):
+        dy.integrate(sysm, [1.0], (0.0, 2.0), 0.125)
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.75$"):
+        dy.variational_frame(sysm, [[1.5], [1.0]], [0.0], (0.0, 2.0), 0.125)
+
+
+@pytest.mark.parametrize("traced", [True, False])
+@pytest.mark.parametrize("entries", [lambda t, x: [-x[0]], lambda t, x: [-x[0], -x[1], 0.0]])
+def test_entry_list_of_the_wrong_length_is_refused(entries, traced):
+    sysm = _entry_model(entries if traced else _opaque(entries), 2)
+    count = len(entries(0.0, [1.0, 2.0]))
+    message = rf"^field_entries has {count} entries, state 2$"
+    with pytest.raises(DimensionMismatch, match=message):
+        dy.integrate(sysm, [1.0, 2.0], (0.0, 1.0), 0.1)
+    with pytest.raises(DimensionMismatch, match=message):
+        sysm.check_jacobian()
+
+
+def test_one_state_pass_traces_once_and_compiles_once(monkeypatch):
+    sysm = model("seir3").system
+    entries, calls = sysm.field_entries, []
+
+    def counted(t, x):
+        calls.append(t)
+        return entries(t, x)
+
+    counted_sysm = replace(sysm, field_entries=counted)
+    dy.integrate(counted_sysm, [0.5, 0.2, 0.1], (0.0, 1.0), 1e-3)
+    dy.variational_frame(counted_sysm, [[0.5, 0.2, 0.2], [0.5, 0.2, 0.1]], [0.0], (0.0, 1.0), 1e-3)
+    assert len(calls) == 1  # the trace, not 4 calls per step
+    compiles = []
+
+    def run(name, params):  # a fresh model, as each CLI job builds
+        sysm = model(name, params).system
+        x0 = [0.5, 0.2, 0.1][:sysm.dim]
+        dy.integrate(sysm, x0, (0.0, 0.1), 1e-2)
+        dy.variational_frame(sysm, [np.add(x0, 0.01), x0], [0.0], (0.0, 0.1), 1e-2)
+
+    run("hopf", None)
+    monkeypatch.setattr(dy, "compile", lambda *a: compiles.append(a) or compile(*a),
+                        raising=False)
+    for name, params in [("seir3", None), ("seir3", {"q": 0.7, "p": 0.5}), ("hopf", None)]:
+        run(name, params)
+    assert compiles == []  # the loop source does not depend on the parameters
