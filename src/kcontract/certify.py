@@ -389,41 +389,41 @@ def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
     Returns the roots in seed order and the number of seeds that failed: a
     non-finite field or step, a singular Jacobian, or no convergence within
     max_iters.  A seed stops at the first iterate with
-    max|f(x)| <= tol * max(1, max|x|); every seed follows the iterates a
-    one-seed Newton loop would.
+    max|f(x)| <= tol * max(1, max|x|).  The live seeds advance as one stack,
+    compacted only in an iteration where some seed stops or fails, and the
+    last iteration takes no step.  Every seed follows the iterates a one-seed
+    Newton loop would: the same batched solve, row by row where some Jacobian
+    is singular.
     """
-    x = seeds.astype(float)
-    roots: dict[int, np.ndarray] = {}
-    active = np.arange(len(x))
-    for _ in range(max_iters):
-        if active.size == 0:
-            break
-        xa = x[active]
-        fx = system.field_stack(0.0, xa)
-        finite = np.all(np.isfinite(fx), axis=1)
-        scale = tol * np.maximum(1.0, np.max(np.abs(xa), axis=1))
-        done = finite & (np.max(np.abs(fx), axis=1) <= scale)
-        for i in active[done]:
-            roots[int(i)] = x[i].copy()
+    x, live = seeds.astype(float), np.arange(len(seeds))
+    roots, found = np.empty_like(x), np.zeros(len(x), dtype=bool)
+    for it in range(max_iters if len(x) else 0):
+        fx = system.field_stack(0.0, x)
+        r = np.max(np.abs(fx), axis=1)  # NaN or inf where the field is not finite
+        finite = r < np.inf
+        done = finite & (r <= tol * np.maximum(1.0, np.max(np.abs(x), axis=1)))
         going = finite & ~done
-        active, xa, fx = active[going], xa[going], fx[going]
-        if active.size == 0:
+        if not going.all():
+            roots[live[done]], found[live[done]] = x[done], True
+            x, fx, live = x[going], fx[going], live[going]
+        if live.size == 0 or it == max_iters - 1:
             break
-        jac = system.jacobian_stack(0.0, xa)
+        jac = system.jacobian_stack(0.0, x)
         try:
             steps = np.linalg.solve(jac, -fx[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # some Jacobian is singular: solve row by row so only those seeds fail
             steps = np.full_like(fx, np.nan)
-            for r in range(len(fx)):
+            for i in range(len(fx)):
                 try:
-                    steps[r] = np.linalg.solve(jac[r], -fx[r])
+                    steps[i] = np.linalg.solve(jac[i], -fx[i])
                 except np.linalg.LinAlgError:
                     pass
-        ok = np.all(np.isfinite(steps), axis=1)
-        active = active[ok]
-        x[active] = xa[ok] + steps[ok]
-    return [roots[i] for i in sorted(roots)], len(x) - len(roots)
+        x = x + steps
+        ok = np.isfinite(steps).all(axis=1)
+        if not ok.all():
+            x, live = x[ok], live[ok]
+    return list(roots[found]), len(found) - int(found.sum())
 
 
 def _equilibria(system: SystemModel, pts: np.ndarray, omega: BoxDomain):

@@ -124,6 +124,14 @@ class BoxDomain:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _field_value(value, n: int) -> np.ndarray:
+    """One state's field as (n,): a scalar or size-1 field broadcasts."""
+    out = np.asarray(value, dtype=float)
+    if out.shape not in ((), (1,), (n,)):
+        raise DimensionMismatch(f"field has shape {out.shape}, state {(n,)}")
+    return out if out.shape == (n,) else np.broadcast_to(out, (n,))
+
+
 @dataclass
 class SystemModel:
     """A vector field with analytic Jacobian and optional extras.
@@ -170,7 +178,7 @@ class SystemModel:
         if self.field_batch is not None:
             out = np.asarray(self.field_batch(t, xs), dtype=float)
         else:
-            out = np.stack([np.asarray(self.field(ti, x), dtype=float)
+            out = np.stack([_field_value(self.field(ti, x), self.dim)
                             for ti, x in zip(np.broadcast_to(t, len(xs)), xs)])
         if out.shape != xs.shape:
             raise DimensionMismatch(f"field stack has shape {out.shape}, states {xs.shape}")
@@ -459,10 +467,7 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     n, entries, states = system.dim, system.field_entries, np.empty((len(times),) + x0.shape)
 
     def one_state(t, ys):
-        out = np.asarray(system.field(t, np.array(ys)), dtype=float)
-        if out.shape not in ((), (1,), (n,)):  # a scalar or size-1 field broadcasts
-            raise DimensionMismatch(f"field has shape {out.shape}, state {(n,)}")
-        return (out if out.shape == (n,) else np.broadcast_to(out, (n,))).tolist()
+        return _field_value(system.field(t, np.array(ys)), n).tolist()
 
     def stack(t, ys):  # a non-finite stage raises the typed error, without numpy's warning
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):

@@ -106,13 +106,17 @@ def subspace_to_json(rep: SubspaceReport) -> dict:
     return asdict(rep)
 
 
+CSV_BLOCK_ROWS = 1024  # rows formatted by one % and one write; bounds a long table's text
+
+
 def write_csv(path: str, header: str, table) -> None:
     """A header line, then each row of a 2-D float table as "%.17g" values."""
     rows = np.asarray(table, dtype=float)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        for block in np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS)):
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, frames: np.ndarray | None = None) -> None:

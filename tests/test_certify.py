@@ -449,6 +449,55 @@ def test_gas_census_equals_per_seed_newton():
     assert cert.extras["equilibrium_count"] == 2
 
 
+def test_hopf_census_with_stuck_seeds_equals_per_seed_newton():
+    # Newton's map traps 160 of these seeds on an invariant circle, so they
+    # use up max_iters; the other 9 converge
+    sysm = model("hopf").system
+    pts = dy.BoxDomain.of([-2.0, -2.0], [2.0, 2.0], (13, 13)).grid()
+    roots, skipped = ce._newton_census(sysm, pts)
+    reference = [_reference_newton(sysm, x) for x in pts]
+    expected = [r for r in reference if r is not None]
+    assert skipped == sum(r is None for r in reference) == 160
+    assert len(roots) == len(expected) == 9
+    for got, want in zip(roots, expected):
+        assert np.array_equal(got, want)
+
+
+def _counted(monkeypatch, sysm):
+    """Record the height of every field_stack and jacobian_stack stack."""
+    heights = {"field_stack": [], "jacobian_stack": []}
+    for name, log in heights.items():
+        def call(t, xs, _method=getattr(sysm, name), _log=log):
+            _log.append(len(xs))
+            return _method(t, xs)
+        monkeypatch.setattr(sysm, name, call)
+    return heights
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 50])
+def test_census_calls_the_field_once_per_iteration(monkeypatch, max_iters):
+    sysm = model("hopf").system
+    pts = dy.BoxDomain.of([-2.0, -2.0], [2.0, 2.0], (13, 13)).grid()
+    heights = _counted(monkeypatch, sysm)
+    _, skipped = ce._newton_census(sysm, pts, max_iters=max_iters)
+    # a stuck seed never converges: no step after the last test
+    assert len(heights["field_stack"]) == max_iters
+    assert len(heights["jacobian_stack"]) == max_iters - 1
+    assert heights["field_stack"][0] == len(pts)
+    assert heights["field_stack"][-1] >= skipped  # seeds that stop at the last test count
+    assert heights["field_stack"] == sorted(heights["field_stack"], reverse=True)
+
+
+def test_census_stops_calling_once_every_seed_stopped(monkeypatch):
+    sysm = model("hopf").system
+    heights = _counted(monkeypatch, sysm)
+    roots, skipped = ce._newton_census(sysm, np.array([[0.0, 0.0], [1e-3, 0.0]]))
+    assert skipped == 0 and np.array_equal(roots[0], [0.0, 0.0])
+    assert heights["field_stack"][:2] == [2, 1] and heights["jacobian_stack"][0] == 1
+    assert len(heights["field_stack"]) == len(heights["jacobian_stack"]) + 1
+    assert ce._newton_census(sysm, np.zeros((0, 2))) == ([], 0)
+
+
 def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
     entry = model("seir3")
     omega = dy.BoxDomain.of([0.05] * 3, [0.8] * 3, (6, 5, 7))

@@ -209,6 +209,28 @@ def test_one_state_scalar_field_broadcasts_like_the_array_loop():
     assert same_bits(frame.states, want)
 
 
+@pytest.mark.parametrize("field", [lambda t, x: -x[0], lambda t, x: np.array([-x[0]]),
+                                   lambda t, x: [-0.5 * x[0]]],
+                         ids=["scalar", "size-1-array", "size-1-list"])
+def test_stack_of_a_scalar_field_matches_one_state_runs_bit_for_bit(field):
+    # field_stack calls field row by row; a scalar or size-1 row broadcasts
+    sysm = dy.SystemModel(dim=1, field=field, jacobian=lambda t, x: [[-1.0]])
+    x0s = np.array([[1.0], [2.0], [-0.3]])
+    want = np.array([field(0.0, x) for x in x0s], dtype=float).reshape(3, 1)
+    assert same_bits(sysm.field_stack(0.0, x0s), want)
+    stack = dy.integrate(sysm, x0s, (0.0, 1.0), 0.5)
+    assert stack.states.shape == (3, 3, 1)
+    for i, x0 in enumerate(x0s):
+        assert same_bits(stack.states[:, i], dy.integrate(sysm, x0, (0.0, 1.0), 0.5).states)
+
+
+def test_field_stack_refuses_a_row_of_the_wrong_length():
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: np.append(-x, 0.0),
+                          jacobian=lambda t, x: -np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"field has shape \(3,\), state \(2,\)"):
+        sysm.field_stack(0.0, np.ones((2, 2)))
+
+
 def test_one_state_field_of_the_wrong_length_is_refused():
     sysm = dy.SystemModel(dim=2, field=lambda t, x: np.append(-x, 0.0),
                           jacobian=lambda t, x: -np.eye(2))

@@ -152,6 +152,20 @@ def test_csv_writers_match_per_value_format(tmp_path, rng):
     assert path.read_text().splitlines()[1:] == want
 
 
+@pytest.mark.parametrize("m", [0, 1, io.CSV_BLOCK_ROWS, 2 * io.CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("n", [1, 4])
+def test_write_csv_blocks_give_the_per_row_text(tmp_path, rng, m, n):
+    """Whole blocks of rows give the text of one "%.17g" line per row."""
+    values = np.concatenate([_CSV_EDGE_VALUES, [-5e-324, 1e-310, -1e-320],
+                             rng.standard_normal(100) * 10.0 ** rng.integers(-300, 300, 100)])
+    table = rng.choice(values, size=(m, n))
+    table.flat[:len(values)] = values[:table.size]  # every edge value, where the table holds it
+    path = tmp_path / "t.csv"
+    io.write_csv(str(path), "h", table)
+    line = ",".join(["%.17g"] * n) + "\n"
+    assert path.read_text() == "h\n" + "".join(line % tuple(row) for row in table.tolist())
+
+
 def test_cli_certify_exit_codes(tmp_path, diag2_file):
     assert main(["certify", "--rule", "lti", "--k", "2", "--norm", "l1",
                  "--matrix", diag2_file]) == 0
@@ -202,7 +216,13 @@ def test_cli_volume_refuses_an_order_outside_range(flags, message, tmp_path, mon
     anchors = tmp_path / "anchors.json"
     io.save_matrix_json(anchors, np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0]]))
     flags = [f.format(anchors=anchors) for f in flags]
-    monkeypatch.setattr(dy, "_rk4_path", lambda *args: pytest.fail("integrated"))
+    frame = dy.variational_frame
+
+    def refuse_or_fail(*args, **kwargs):  # the order is refused before integrating
+        frame(*args, **kwargs)
+        pytest.fail("integrated")
+
+    monkeypatch.setattr(dy, "variational_frame", refuse_or_fail)
     assert main(["volume", "--model", "hopf", "--t", "1", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
