@@ -14,6 +14,7 @@ share one (N, n, n) sample stack (``_as_samples``).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -397,7 +398,9 @@ def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
     """
     x, live = seeds.astype(float), np.arange(len(seeds))
     roots, found = np.empty_like(x), np.zeros(len(x), dtype=bool)
-    for it in range(max_iters if len(x) else 0):
+    for it in range(max_iters):
+        if live.size == 0:
+            break
         fx = system.field_stack(0.0, x)
         r = np.max(np.abs(fx), axis=1)  # NaN or inf where the field is not finite
         finite = r < np.inf
@@ -415,13 +418,10 @@ def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
             # some Jacobian is singular: solve row by row so only those seeds fail
             steps = np.full_like(fx, np.nan)
             for i in range(len(fx)):
-                try:
+                with suppress(np.linalg.LinAlgError):
                     steps[i] = np.linalg.solve(jac[i], -fx[i])
-                except np.linalg.LinAlgError:
-                    pass
         x = x + steps
-        ok = np.isfinite(steps).all(axis=1)
-        if not ok.all():
+        if not (ok := np.isfinite(steps).all(axis=1)).all():
             x, live = x[ok], live[ok]
     return list(roots[found]), len(found) - int(found.sum())
 

@@ -126,10 +126,9 @@ class BoxDomain:
 
 def _field_value(value, n: int) -> np.ndarray:
     """One state's field as (n,): a scalar or size-1 field broadcasts."""
-    out = np.asarray(value, dtype=float)
-    if out.shape not in ((), (1,), (n,)):
-        raise DimensionMismatch(f"field has shape {out.shape}, state {(n,)}")
-    return out if out.shape == (n,) else np.broadcast_to(out, (n,))
+    if np.shape(value) not in ((), (1,), (n,)):
+        raise DimensionMismatch(f"field has shape {np.shape(value)}, state {(n,)}")
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,))
 
 
 @dataclass

@@ -20,6 +20,8 @@ from .compound import as_matrix
 from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 from .errors import DimensionMismatch
 
+CSV_BLOCK_ROWS = 1024  # rows formatted by one % and one write; bounds a long table's text
+
 
 def matrix_to_json(a) -> dict:
     m = as_matrix(a)
@@ -104,9 +106,6 @@ def floquet_to_json(res: FloquetResult) -> dict:
 
 def subspace_to_json(rep: SubspaceReport) -> dict:
     return asdict(rep)
-
-
-CSV_BLOCK_ROWS = 1024  # rows formatted by one % and one write; bounds a long table's text
 
 
 def write_csv(path: str, header: str, table) -> None:

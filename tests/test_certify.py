@@ -498,6 +498,21 @@ def test_census_stops_calling_once_every_seed_stopped(monkeypatch):
     assert ce._newton_census(sysm, np.zeros((0, 2))) == ([], 0)
 
 
+def test_census_stops_once_every_step_failed(monkeypatch):
+    # a field-only model with no root and a Jacobian singular everywhere:
+    # every seed fails at its first step, and no stack is ever empty
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: np.array([x[0] + x[1] - 1.0,
+                                                              2.0 * x[0] + 2.0 * x[1] - 3.0]),
+                          jacobian=lambda t, x: np.array([[1.0, 1.0], [2.0, 2.0]]))
+    omega = dy.BoxDomain.of([-1.0, -1.0], [1.0, 1.0], (3, 3))
+    heights = _counted(monkeypatch, sysm)
+    assert ce._newton_census(sysm, omega.grid()) == ([], 9)
+    assert heights == {"field_stack": [9], "jacobian_stack": [9]}
+    monkeypatch.undo()
+    cert = ce.check_gas(sysm, omega)
+    assert cert.verdict == "NOT_CERTIFIED" and cert.extras["seeds_skipped"] == 9
+
+
 def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
     entry = model("seir3")
     omega = dy.BoxDomain.of([0.05] * 3, [0.8] * 3, (6, 5, 7))

@@ -218,14 +218,18 @@ def test_cli_volume_refuses_an_order_outside_range(flags, message, tmp_path, mon
     flags = [f.format(anchors=anchors) for f in flags]
     frame = dy.variational_frame
 
-    def refuse_or_fail(*args, **kwargs):  # the order is refused before integrating
-        frame(*args, **kwargs)
+    def refuse_or_fail(system, *args, **kwargs):  # the order is refused before integrating
+        # every frame stage calls jacobian_stack, so integrating at all fails the test
+        monkeypatch.setattr(system, "jacobian_stack", lambda *_: pytest.fail("integrated"))
+        frame(system, *args, **kwargs)
         pytest.fail("integrated")
 
     monkeypatch.setattr(dy, "variational_frame", refuse_or_fail)
     assert main(["volume", "--model", "hopf", "--t", "1", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+    with pytest.raises(pytest.fail.Exception, match="integrated"):  # an order in range integrates
+        main(["volume", "--model", "hopf", "--t", "1", "--k", "2"])
 
 
 @pytest.mark.parametrize("window, message", [
