@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .combinatorics import binomial, check_order
-from .compound import CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound
+from .compound import add_compound_stack, as_matrix, as_stack, chunks, mult_compound
 from .dynamics import BoxDomain, SystemModel, central_difference_jacobian
 from .errors import BadWeightVector, DimensionMismatch, NotDiagonal, NotPositiveDefinite
 from .measures import (
@@ -151,12 +151,6 @@ def _jsonable_witness(w):
     return w
 
 
-def _chunks(count: int, per_sample: int):
-    """Slices over count samples, each holding at most CHUNK_ELEMENTS elements."""
-    step = max(1, CHUNK_ELEMENTS // max(1, per_sample))
-    return [slice(s, min(count, s + step)) for s in range(0, count, step)]
-
-
 def _sample_elements(n: int, k: int, materialized: bool) -> int:
     """Elements per sample of the largest intermediate of a k-compound rule:
     the C x C compound when it is materialized, else the k x k blocks of the
@@ -171,8 +165,8 @@ def _visit_grid(system: SystemModel, omega: BoxDomain, counts, time_grid, per_sa
 
     Checks the system's Jacobian (once per system), refuses an empty or
     oversized grid and an empty time grid, then calls
-    evaluate(points, jacobians) on chunks of at most CHUNK_ELEMENTS elements
-    (per_sample elements per sample), with the Jacobians conjugated by the
+    evaluate(points, jacobians) on the chunks of compound.chunks with per_sample
+    elements per sample, with the Jacobians conjugated by the
     state-space scaling when one is given.  Returns the grid points, the
     times and each output of evaluate concatenated over the chunks: row s
     belongs to time s // len(points) and point s % len(points).
@@ -188,7 +182,7 @@ def _visit_grid(system: SystemModel, omega: BoxDomain, counts, time_grid, per_sa
         raise DimensionMismatch("empty time grid")
     outputs = []
     for t in times:
-        for rows in _chunks(len(pts), per_sample):
+        for rows in chunks(len(pts), per_sample):
             j = system.jacobian_stack(t, pts[rows])
             outputs.append(evaluate(pts[rows], j if scaling is None else apply_scaling(j, scaling)))
     return pts, times, [np.concatenate(column) for column in zip(*outputs)]
@@ -429,7 +423,7 @@ def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
 def _equilibria(system: SystemModel, pts: np.ndarray, omega: BoxDomain):
     """Clustered census roots inside the box, and the number of failed seeds."""
     roots, skipped = [], 0
-    for rows in _chunks(len(pts), pts.shape[1] ** 2):
+    for rows in chunks(len(pts), pts.shape[1] ** 2):
         found, failed = _newton_census(system, pts[rows])
         roots += found
         skipped += failed
@@ -558,7 +552,6 @@ def control_check(
         jacobian=lambda t, x: as_matrix(system.jacobian(t, x), square=True) + dgt(x),
         domain=system.domain,
     )
-    closed._jacobian_checked = True
     clusters, skipped = _equilibria(closed, pts, omega)
     if len(clusters) != 1:
         failures["equilibrium_census"] = {"count": len(clusters)}

@@ -19,7 +19,7 @@ from . import dynamics as dy
 from . import fileio as io
 from . import models as mz
 from .combinatorics import check_order
-from .compound import CHUNK_ELEMENTS, add_compound, k_content, mult_compound, wedge
+from .compound import add_compound, chunks, k_content, mult_compound, wedge
 from .errors import BadParameter, KContractError
 from .measures import MeasureSpec, Norm, apply_scaling, measure_k_witness, measure_witness
 from .spectra import compound_spectrum_check, eigenvalues
@@ -224,11 +224,10 @@ def cmd_kcontent(args) -> int:
             return x0
         # row blocks of at most CHUNK_ELEMENTS stored samples, in row order
         samples = dy._steps((0.0, args.t), args.h)[0].size * entry.system.dim
-        rows = max(1, CHUNK_ELEMENTS // samples)
         return np.concatenate([
-            dy.integrate(entry.system, x0[s:s + rows], (0.0, args.t), args.h,
+            dy.integrate(entry.system, x0[rows], (0.0, args.t), args.h,
                          domain_exit="ignore").states[-1]
-            for s in range(0, len(x0), rows)])
+            for rows in chunks(len(x0), samples)])
 
     value = k_content(phi, np.zeros(k), np.ones(k), counts)
     _emit({"model": entry.name, "k": k, "t": args.t, "content": value,

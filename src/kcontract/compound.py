@@ -35,6 +35,13 @@ TRANSFORM_COND_CAP = 1e12
 CHUNK_ELEMENTS = 2_000_000
 
 
+def chunks(count: int, per_item: int, budget: int | None = None) -> list[slice]:
+    """Slices that cover range(count) in order, each of at most budget // per_item
+    items, or of one item; budget defaults to CHUNK_ELEMENTS, read at each call."""
+    step = max(1, (CHUNK_ELEMENTS if budget is None else budget) // per_item)
+    return [slice(s, min(count, s + step)) for s in range(0, count, step)]
+
+
 def _validated(a, ndim: int, square: bool) -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=float)
     if m.ndim != ndim:
@@ -138,10 +145,9 @@ def _minors(stack: np.ndarray) -> np.ndarray:
     if k == 1:
         return stack[:, :, 0].copy()
     sets = subset_table(n, k)
-    step = max(1, CHUNK_ELEMENTS // (len(sets) * k * k))
     out = np.empty((len(stack), len(sets)))
-    for s0 in range(0, len(stack), step):
-        out[s0:s0 + step] = np.linalg.det(stack[s0:s0 + step, sets, :])
+    for rows in chunks(len(stack), len(sets) * k * k):
+        out[rows] = np.linalg.det(stack[rows, sets, :])
     return out
 
 

@@ -18,14 +18,15 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import binomial, check_order
-from .compound import (CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, mult_compound,
-                       wedge_stack)
+from .compound import (CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, chunks,
+                       mult_compound, wedge_stack)
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     EvaluationFailure,
     JacobianMismatch,
@@ -170,7 +171,6 @@ class SystemModel:
     field_entries: callable | None = None
     matrix: callable | None = None
     _jacobian_checked: bool = False
-    _trace: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def field_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The field at every row of an (N, n) stack of states, as (N, n)."""
@@ -312,8 +312,8 @@ class SubspaceReport:
 
 
 _NONFINITE = "non-finite state at t={:.6g}"
-# Most state elements one chunk of a state pass (see _rk4_path) advances before
-# writing its samples, held as Python objects till then: a 10^5-step one-state seir3
+# The element budget of a state pass's chunks of steps (see _state_pass), whose states
+# are held as Python objects till the chunk ends: a 10^5-step one-state seir3
 # integrate grows peak RSS by 6 MB with it and by 42 MB with CHUNK_ELEMENTS.
 PASS_CHUNK_ELEMENTS = 1024
 
@@ -377,6 +377,7 @@ class _Traced:
     __bool__ = __float__ = __array__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
 
+@functools.lru_cache(maxsize=64)
 def _trace(entries, n: int):
     """The lines of one RK4 stage that compute {k}0, {k}1, ... from {t} and {x0}, {x1},
     ... by the operations of entries(t, x) in its order, and their constants; (None, ())
@@ -436,33 +437,15 @@ def _compiled_chunk(n: int, stage: tuple | None, m: int, frames: bool):
     return scope["chunk"]
 
 
-def _rk4_path(chunk, y: list, out: np.ndarray, times: np.ndarray, hh: float, stages=None):
-    """Compensated RK4 from the components y on the sample times, by chunk, the loop of
-    _compiled_chunk with its f, caught, isfinite and consts bound, one chunk of steps at a
-    time.  out[i] takes the state at times[i] (out[0] is set), and stages[i], when given,
-    the four stage states of step i.  Returns the number of samples written and the
-    NonFiniteState of the first step whose new state is non-finite or complex, or None."""
-    e, ts = [0.0] * len(y), _stage_times(times, hh)
-    size = max(1, PASS_CHUNK_ELEMENTS // out[0].size)
-    for s0 in range(0, len(times) - 1, size):
-        trail = None if stages is None else []
-        rows, failed, y, e = chunk(ts[s0:s0 + size].tolist(), y, e, trail, 0.5 * hh, hh, hh / 6.0)
-        out[s0 + 1:s0 + 1 + len(rows)] = np.reshape(rows, (-1,) + out.shape[1:])
-        if trail:
-            stages[s0:s0 + len(rows) + failed] = np.reshape(trail, (-1,) + stages.shape[1:])
-        if failed:
-            i = s0 + len(rows)  # the failing step
-            return i + 1, NonFiniteState(_NONFINITE.format(times[i + 1]))
-    return len(times), None
-
-
 def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: float,
                 stages=None):
     """The states of x' = field(t, x) from one state x0 or an (N, n) stack up to the first
-    non-finite step, and its NonFiniteState or None (see _rk4_path).  A stack is one array
-    component through field_stack; its rows round like one-state runs, which take Python
-    floats through the traced entry list (see _trace), else one call of field_entries or
-    of field per stage.  Linear models step by propagators instead (see _matrix_flows)."""
+    non-finite or complex step, and its NonFiniteState or None; stages[i], when given,
+    takes the four stage states of step i.  The loop of _compiled_chunk runs chunks of
+    steps of PASS_CHUNK_ELEMENTS state elements.  A stack is one array component through
+    field_stack; its rows round like one-state runs, which take Python floats through the
+    traced entry list (see _trace), else one call of field_entries or of field per stage.
+    Linear models step by propagators instead (see _matrix_flows)."""
     n, entries, states = system.dim, system.field_entries, np.empty((len(times),) + x0.shape)
 
     def one_state(t, ys):
@@ -476,16 +459,23 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     if x0.ndim == 2:
         f, isfinite = stack, lambda a: np.isfinite(a).all()
     elif entries is not None:
-        if system._trace[0] is not entries:
-            system._trace = (entries, _trace(entries, n))
-        f, (stage, consts) = (lambda t, ys: _entry_list(entries(t, ys), n)), system._trace[1]
+        f, (stage, consts) = (lambda t, ys: _entry_list(entries(t, ys), n)), _trace(entries, n)
         caught = (OverflowError, ZeroDivisionError)  # float ** past the range; inf on an array
     y = [x0] if x0.ndim == 2 else x0.tolist()
+    e, ts = [0.0] * len(y), _stage_times(times, hh)
     chunk = _compiled_chunk(len(y), stage, len(consts), stages is not None)
     states[0] = x0
-    taken, failure = _rk4_path(functools.partial(chunk, f, caught, isfinite, consts), y, states,
-                               times, hh, stages)
-    return states[:taken], failure
+    for steps in chunks(len(ts), x0.size, PASS_CHUNK_ELEMENTS):
+        trail, s0 = (None if stages is None else []), steps.start
+        rows, failed, y, e = chunk(f, caught, isfinite, consts, ts[steps].tolist(), y, e, trail,
+                                   0.5 * hh, hh, hh / 6.0)
+        states[s0 + 1:s0 + 1 + len(rows)] = np.reshape(rows, (-1,) + x0.shape)
+        if trail:
+            stages[s0:s0 + len(rows) + failed] = np.reshape(trail, (-1,) + stages.shape[1:])
+        if failed:
+            i = s0 + len(rows)  # the failing step
+            return states[:i + 1], NonFiniteState(_NONFINITE.format(times[i + 1]))
+    return states, None
 
 
 def _block_length(props, steps: int) -> int:
@@ -637,6 +627,20 @@ def _linearized_flow(system: SystemModel, x0: np.ndarray, w0: np.ndarray, t_span
     return times, states, frames
 
 
+def _domain_exit(mode: str):
+    """None under domain_exit "ignore", else the call for a state outside the declared
+    domain: it raises StateLeftDomain under "error" and warns at the caller of integrate
+    or variational_frame under "warn".  Another mode raises BadParameter."""
+    if mode not in ("warn", "error", "ignore"):
+        raise BadParameter(f"domain_exit {mode!r} is not one of 'warn', 'error', 'ignore'")
+
+    def left(msg: str) -> None:
+        if mode == "error":
+            raise StateLeftDomain(msg)
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    return None if mode == "ignore" else left
+
+
 def integrate(
     system: SystemModel,
     x0,
@@ -653,9 +657,11 @@ def integrate(
     keep its bits (see _state_pass).  The first step at which any state is
     non-finite raises NonFiniteState.  domain_exit controls what happens at the
     first sample at which any state is outside the declared domain: "warn"
-    (default), "error", or "ignore".  The oracle is called once per initial
-    state and must return (len(times), n).
+    (default), "error", or "ignore"; any other value raises BadParameter before
+    integrating.  The oracle is called once per initial state and must return
+    (len(times), n).
     """
+    left = _domain_exit(domain_exit)
     x0 = np.asarray(x0, dtype=float)
     x0 = x0 if x0.ndim == 2 else x0.reshape(-1)
     if x0.shape[-1] != system.dim:
@@ -675,16 +681,13 @@ def integrate(
         if failure is not None:
             raise failure
 
-    if system.domain is not None and domain_exit != "ignore":
+    if left and system.domain is not None:
         box = system.domain
         tol = 1e-9 * max(1.0, float(np.max(np.abs(box.upper))))
         inside = (states >= box.lower - tol) & (states <= box.upper + tol)
         outside = np.flatnonzero(~inside.reshape(len(times), -1).all(axis=1))
         if outside.size:
-            msg = f"trajectory left the declared domain at t={times[outside[0]]:.6g}"
-            if domain_exit == "error":
-                raise StateLeftDomain(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+            left(f"trajectory left the declared domain at t={times[outside[0]]:.6g}")
 
     dev = None
     if system.oracle is not None:
@@ -757,17 +760,14 @@ def variational_frame(
     declared domain warns, raises StateLeftDomain or passes silently as
     domain_exit is "warn", "error" or "ignore", as in integrate.
     """
+    left = _domain_exit(domain_exit)
     anchors = [np.asarray(a, dtype=float).reshape(-1) for a in anchors]
     n = system.dim
     for a in anchors:
         if a.size != n:
             raise DimensionMismatch("anchor dimension mismatch")
-        if (domain_exit != "ignore" and system.domain is not None
-                and not system.domain.contains(a, tol=1e-12)):
-            msg = f"anchor {a} outside the declared domain"
-            if domain_exit == "error":
-                raise StateLeftDomain(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+        if left and system.domain is not None and not system.domain.contains(a, tol=1e-12):
+            left(f"anchor {a} outside the declared domain")
     rvec = np.asarray(r, dtype=float).reshape(-1)
     k = rvec.size
     x0 = simplex_map(anchors, rvec)

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .combinatorics import check_order, subset_table
-from .compound import CHUNK_ELEMENTS, as_matrix, as_stack
+from .compound import as_matrix, as_stack, chunks
 from .errors import NonConvergence, SingularScaling
 
 # Reciprocal-condition refusal threshold for scaling matrices.
@@ -164,8 +164,8 @@ def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     absolute off-tuple column (L1) or row (Linf) sums, and the witness row is
     the lexicographically smallest attaining 1-based tuple (integer dtype).
     For L2 it is the sum of the k largest eigenvalues of the symmetric part,
-    and the witness row holds those eigenvalues.  Work is chunked so no
-    intermediate exceeds CHUNK_ELEMENTS elements.
+    and the witness row holds those eigenvalues.  Work is chunked (see compound.chunks)
+    so no intermediate exceeds CHUNK_ELEMENTS elements.
     """
     m = as_stack(a, square=True)
     n = m.shape[-1]
@@ -183,12 +183,10 @@ def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     count = m.shape[0]
     best = np.full(count, -np.inf)
     arg = np.zeros(count, dtype=np.intp)
-    tuples_per_chunk = min(len(subsets), max(1, CHUNK_ELEMENTS // (k * k)))
-    samples_per_chunk = max(1, CHUNK_ELEMENTS // (tuples_per_chunk * k * k))
-    for s0 in range(0, count, samples_per_chunk):
-        rows = slice(s0, s0 + samples_per_chunk)
-        for c0 in range(0, len(subsets), tuples_per_chunk):
-            ix = subsets[c0:c0 + tuples_per_chunk]
+    cols = chunks(len(subsets), k * k)
+    for rows in chunks(count, cols[0].stop * k * k):  # cols[0] is the widest
+        for c in cols:
+            ix = subsets[c]
             inside = (_tuple_sum(aabs[rows][:, ix[:, :, None], ix[:, None, :]])
                       - _tuple_sum(aabs[rows][:, ix, ix]))
             vals = _tuple_sum(diag[rows][:, ix]) + _tuple_sum(off_abs[rows][:, ix]) - inside
@@ -196,7 +194,7 @@ def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
             v = vals[np.arange(len(j)), j]
             better = v > best[rows]
             best[rows] = np.where(better, v, best[rows])
-            arg[rows] = np.where(better, c0 + j, arg[rows])
+            arg[rows] = np.where(better, c.start + j, arg[rows])
     return best, subsets[arg] + 1
 
 

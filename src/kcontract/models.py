@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compound import CHUNK_ELEMENTS, add_compound_stack, as_matrix
+from .compound import add_compound_stack, as_matrix, chunks
 from .dynamics import BoxDomain, SystemModel, Trajectory
 from .errors import BadParameter, GammaNearZero, UnknownModel
 from .measures import Norm, measure_stack
@@ -324,9 +324,7 @@ def seir_orbit_diagnostics(
     # d/dt of log(x2/x3), from the field itself
     drift = dx[:, 1] / x2 - dx[:, 2] / x3
     mu_vals = np.empty(len(times))
-    step = max(1, CHUNK_ELEMENTS // 9)  # 3 x 3 matrices per sample
-    for s0 in range(0, len(times), step):
-        rows = slice(s0, s0 + step)
+    for rows in chunks(len(times), 9):  # 3 x 3 matrices per sample
         d = _diag_stack(1.0, ratio[rows])
         dinv = _diag_stack(1.0, 1.0 / ratio[rows])
         ddot_dinv = _diag_stack(0.0, drift[rows])

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 from kcontract import certify as ce
+from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import measures as ms
 from kcontract.errors import (
@@ -520,8 +521,7 @@ def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
     for norm in ALL_NORMS:
         whole = ce.certify_nonlinear_grid(entry.system, omega, 2, MeasureSpec(norm))
         with monkeypatch.context() as mp:
-            for module in (ce, ms):
-                mp.setattr(module, "CHUNK_ELEMENTS", 40)
+            mp.setattr(cp, "CHUNK_ELEMENTS", 40)
             chunked = ce.certify_nonlinear_grid(entry.system, omega, 2, MeasureSpec(norm))
         values = [ms.measure_k_witness(entry.system.jacobian(0.0, x), 2, MeasureSpec(norm))
                   for x in pts]
@@ -533,7 +533,7 @@ def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
     weights = np.array([1.0, 1.5, 0.7])
     whole = ce.certify_scaled_l1(entry.system, omega, 2, weights)
     with monkeypatch.context() as mp:
-        mp.setattr(ce, "CHUNK_ELEMENTS", 40)
+        mp.setattr(cp, "CHUNK_ELEMENTS", 40)
         chunked = ce.certify_scaled_l1(entry.system, omega, 2, weights)
     assert (chunked.eta, chunked.witness, chunked.extras) == (
         whole.eta, whole.witness, whole.extras)
@@ -550,8 +550,7 @@ def test_chunked_grid_matches_per_sample_certificate(monkeypatch):
     for call in runs:
         whole = certificate_to_json(call())
         with monkeypatch.context() as mp:
-            for module in (ce, ms):
-                mp.setattr(module, "CHUNK_ELEMENTS", 40)
+            mp.setattr(cp, "CHUNK_ELEMENTS", 40)
             chunked = certificate_to_json(call())
         assert chunked == whole
 

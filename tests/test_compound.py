@@ -268,6 +268,29 @@ def test_wedge_stack_matches_per_sample_wedge(rng):
             assert np.array_equal(cp.wedge(list(f.T)), row)
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+@pytest.mark.parametrize("per_item", [1, 9, 5000])
+@pytest.mark.parametrize("budget", [None, 1, 64])
+def test_chunks_cover_the_items_once_in_order(count, per_item, budget):
+    slices = cp.chunks(count, per_item, budget)
+    covered = [i for s in slices for i in range(count)[s]]
+    assert covered == list(range(count))
+    assert all(s.step is None and s.start < s.stop for s in slices)
+    fit = (cp.CHUNK_ELEMENTS if budget is None else budget) // per_item
+    assert all(s.stop - s.start <= fit or s.stop - s.start == 1 for s in slices)
+    # every slice but the last is full
+    assert all(s.stop - s.start == max(1, fit) for s in slices[:-1])
+
+
+def test_chunks_read_the_budget_at_each_call(monkeypatch):
+    assert cp.chunks(0, 4) == []
+    assert cp.chunks(10, 4) == [slice(0, 10)]
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 12)
+    assert cp.chunks(10, 4) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+    assert cp.chunks(3, 13) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert cp.chunks(10, 4, 1024) == [slice(0, 10)]  # an explicit budget wins
+
+
 def test_wedge_stack_chunk_boundary(rng, monkeypatch):
     frames = rng.standard_normal((37, 5, 3))
     whole = cp.wedge_stack(frames)

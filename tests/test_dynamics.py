@@ -10,6 +10,7 @@ from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import spectra as sp
 from kcontract.errors import (
+    BadParameter,
     DimensionMismatch,
     EvaluationFailure,
     JacobianMismatch,
@@ -103,6 +104,32 @@ def test_variational_frame_domain_exit_modes():
     with pytest.raises(StateLeftDomain, match="anchor"):
         dy.variational_frame(*args, domain_exit="error")
     assert dy.variational_frame(*args, domain_exit="ignore").frames.shape == (11, 1, 1)
+
+
+@pytest.mark.parametrize("mode", ["eror", "Warn", "", None])
+def test_an_unknown_domain_exit_is_refused_before_integrating(mode):
+    calls = []
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: calls.append(t) or -x,
+                          jacobian=lambda t, x: -np.eye(1), domain=dy.BoxDomain.of([-1.0], [1.0]))
+    with pytest.raises(BadParameter, match="^domain_exit .* is not one of"):
+        dy.integrate(sysm, [2.0], (0.0, 0.1), 1e-2, domain_exit=mode)
+    with pytest.raises(BadParameter, match="^domain_exit .* is not one of"):
+        dy.variational_frame(sysm, [[2.0], [0.5]], [0.0], (0.0, 0.1), 1e-2, domain_exit=mode)
+    assert calls == []
+    # this seir3 run leaves the box: a mistyped "error" must not pass as a warning
+    with pytest.raises(BadParameter):
+        dy.integrate(model("seir3").system, [1.5, 0.05, 0.9], (0, 1), 1e-2, domain_exit=mode)
+
+
+def test_domain_exit_warnings_name_the_callers_line():
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: np.ones(1),
+                          jacobian=lambda t, x: np.zeros((1, 1)),
+                          domain=dy.BoxDomain.of([-1.0], [1.0]))
+    with pytest.warns(RuntimeWarning, match="trajectory left") as record:
+        dy.integrate(sysm, [0.9], (0.0, 0.5), 1e-2)
+    with pytest.warns(RuntimeWarning, match="anchor") as frame_record:
+        dy.variational_frame(sysm, [[2.0], [0.5]], [0.0], (0.0, 0.1), 1e-2)
+    assert [w.filename for w in (record[0], frame_record[0])] == [__file__] * 2
 
 
 def test_domain_exit_reports_first_time_outside():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kcontract import cli
+from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import fileio as io
 from kcontract.cli import main
@@ -454,7 +454,7 @@ def test_cli_kcontent_integrates_in_row_blocks(tmp_path, capsys, monkeypatch):
     assert calls == [36]  # 2 points per cell and axis, one block
     calls.clear()
     # 101 samples of 2 components per row: blocks of 5 rows
-    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 101 * 2 * 5 + 1)
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 101 * 2 * 5 + 1)
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
     assert calls == [5] * 7 + [1]
@@ -465,7 +465,7 @@ def test_cli_kcontent_raises_from_the_first_failing_block(tmp_path, capsys, monk
     # far from the origin hopf's RK4 step is unstable: the later rows blow up
     verts = tmp_path / "verts.json"
     io.save_matrix_json(verts, np.array([[20.0, 0.0, 0.0], [0.0, 20.0, 0.0]]))
-    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 101 * 2 * 5)
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 101 * 2 * 5)
     calls = _recording_integrate(monkeypatch)
     assert main(["kcontent", "--model", "hopf", "--vertices", str(verts), "--t", "1",
                  "--grid", "4,4", "--h", "1e-2"]) == 3

@@ -141,10 +141,10 @@ def test_measure_k_stack_matches_compound_route(rng):
                 assert np.array_equal(ms.stack_witness(witnesses, i), single.witness)
 
 
-@pytest.mark.parametrize("chunk", [ms.CHUNK_ELEMENTS, 4])
+@pytest.mark.parametrize("chunk", [cp.CHUNK_ELEMENTS, 4])
 def test_measure_k_ties_take_smallest_tuple(monkeypatch, chunk):
     # chunk = 4 puts every 2-tuple in its own chunk, so ties span chunks
-    monkeypatch.setattr(ms, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     zero = np.zeros((2, 4, 4))
     for norm in (Norm.L1, Norm.LINF):
         values, witnesses = ms.measure_k_stack(zero, 2, norm)

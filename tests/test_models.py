@@ -205,7 +205,7 @@ def test_seir_diagnostics_chunked(monkeypatch):
     entry = mz.model("seir3")
     traj = dy.integrate(entry.system, [0.6, 0.2, 0.15], (0.0, 0.5), 1e-3)
     whole = mz.seir_orbit_diagnostics(entry, traj)
-    monkeypatch.setattr(mz, "CHUNK_ELEMENTS", 9 * 64 + 3)  # 64 samples per chunk
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 9 * 64 + 3)  # 64 samples per chunk
     chunked = mz.seir_orbit_diagnostics(entry, traj)
     assert np.array_equal(chunked.mu_values, whole.mu_values)
 
