@@ -157,6 +157,7 @@ class SystemModel:
     ``field_entries(t, x)``, the field as a list of n entries over x[0], x[1], ...,
     inline when its operations on t and x are only + - * / ** and negation (see
     _trace); else they call it, or else ``field`` of the components as an array.
+    ``field_entries`` must be hashable, because its trace is cached by it.
     """
 
     dim: int

@@ -1090,9 +1090,11 @@ def test_generated_hopf_loop_keeps_the_bits_of_the_array_loop(x0):
     sysm = model("hopf").system
     times, want = fused_rk4_path(sysm.field, x0, (0.0, 1.0), 1e-3)
     assert same_bits(dy.integrate(sysm, x0, (0.0, 1.0), 1e-3).states, want)
-    fr = dy.variational_frame(sysm, [np.array(x0) + [0.0, 0.01], x0], [0.0], (0.0, 1.0), 1e-3)
-    _, states, frames = fused_linearized_flow(sysm, np.array(x0), np.array([[0.0], [0.01]]),
-                                              (0.0, 1.0), 1e-3)
+    anchors = [np.array(x0) + [0.0, 0.01], np.array(x0)]
+    fr = dy.variational_frame(sysm, anchors, [0.0], (0.0, 1.0), 1e-3)
+    # the base starts at h(0) = 1.0 * x0 + 0.0 * anchors[0], where a -0.0 becomes 0.0
+    _, states, frames = fused_linearized_flow(sysm, dy.simplex_map(anchors, [0.0]),
+                                              np.array([[0.0], [0.01]]), (0.0, 1.0), 1e-3)
     assert same_bits(fr.states, states) and close_to_stage_form(fr.frames, frames)
 
 
