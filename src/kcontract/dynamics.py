@@ -18,13 +18,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .combinatorics import binomial, check_order
-from .compound import (CHUNK_ELEMENTS, add_compound_stack, as_matrix, as_stack, chunks,
-                       mult_compound, wedge_stack)
+from . import compound
+from .compound import (add_compound_stack, as_matrix, as_stack, chunks, mult_compound,
+                       wedge_stack)
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -157,7 +158,8 @@ class SystemModel:
     ``field_entries(t, x)``, the field as a list of n entries over x[0], x[1], ...,
     inline when its operations on t and x are only + - * / ** and negation (see
     _trace); else they call it, or else ``field`` of the components as an array.
-    ``field_entries`` must be hashable, because its trace is cached by it.
+    The trace is kept on the model, so the constants it reads are those of the
+    model's first one-state pass; a new model traces its entries again.
     """
 
     dim: int
@@ -172,6 +174,7 @@ class SystemModel:
     field_entries: callable | None = None
     matrix: callable | None = None
     _jacobian_checked: bool = False
+    _trace: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def field_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The field at every row of an (N, n) stack of states, as (N, n)."""
@@ -378,7 +381,6 @@ class _Traced:
     __bool__ = __float__ = __array__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
 
-@functools.lru_cache(maxsize=64)
 def _trace(entries, n: int):
     """The lines of one RK4 stage that compute {k}0, {k}1, ... from {t} and {x0}, {x1},
     ... by the operations of entries(t, x) in its order, and their constants; (None, ())
@@ -460,7 +462,9 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
     if x0.ndim == 2:
         f, isfinite = stack, lambda a: np.isfinite(a).all()
     elif entries is not None:
-        f, (stage, consts) = (lambda t, ys: _entry_list(entries(t, ys), n)), _trace(entries, n)
+        if system._trace[0] is not entries:
+            system._trace = (entries, _trace(entries, n))
+        f, (stage, consts) = (lambda t, ys: _entry_list(entries(t, ys), n)), system._trace[1]
         caught = (OverflowError, ZeroDivisionError)  # float ** past the range; inf on an array
     y = [x0] if x0.ndim == 2 else x0.tolist()
     e, ts = [0.0] * len(y), _stage_times(times, hh)
@@ -536,7 +540,7 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     half, s0, steps = 0.5 * hh, 0, len(times) - 1
     # a step holds about 12 r^2 elements at once; 64 r^2 per step keeps a chunk near
     # 3 MB and as fast as longer ones, and a power of two of steps ends it on a block end
-    fit = CHUNK_ELEMENTS // (64 * sum(np.shape(y)[-2] ** 2 for y in y0s))
+    fit = compound.CHUNK_ELEMENTS // (64 * sum(np.shape(y)[-2] ** 2 for y in y0s))
     size = 1 << max(0, fit.bit_length() - 1)
     while s0 < steps:
         s1 = min(steps, s0 + size)

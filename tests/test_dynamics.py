@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -669,7 +669,7 @@ def _a_funs(rng):
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_linear_flows_match_fused_loop(rng, monkeypatch, chunk):
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     for a_fun in _a_funs(rng):
         n = np.shape(a_fun(0.0))[0]
         times, want = fused_compound_transition(a_fun, 1, (0.0, 0.3), 1e-3)
@@ -684,7 +684,7 @@ def test_linear_flows_match_fused_loop(rng, monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_asymptotic_subspace_matches_fused_loop(rng, monkeypatch, chunk):
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     for a_fun in _a_funs(rng):
         for k in (1, 2):
             rep = dy.asymptotic_subspace(a_fun, k, t_max=0.4, h=2e-3)
@@ -715,7 +715,7 @@ def _lti():
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_variational_frame_matches_fused_loop(monkeypatch, chunk):
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     for name, anchors, r in LINEARIZED_CASES:
         sysm = _lti().system if name == "lti" else model(name).system
         fr = dy.variational_frame(sysm, anchors, r, (0.0, 1.0), 1e-3, domain_exit="ignore")
@@ -742,7 +742,7 @@ def _outcome(fn):
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_floquet_matches_fused_loop(monkeypatch, chunk):
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
 
     def fused_monodromy(system, x0, period, h):
         _, states, frames = fused_linearized_flow(
@@ -794,7 +794,7 @@ def _failing_system(jac_after, field_after, batch):
 def test_linearized_failure_order_matches_fused_loop(monkeypatch, chunk, batch,
                                                      jac_after, field_after, error):
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     sysm = _failing_system(jac_after, field_after, batch)
     with pytest.raises(error) as want:
         fused_linearized_flow(sysm, np.ones(1), np.ones((1, 1)), (0.0, 0.5), 1e-3)
@@ -820,7 +820,7 @@ def test_frame_overflow_order_matches_fused_loop(monkeypatch, chunk, field_after
     # the float maximum (t = 0.889); the stage loop's k4 = 800 (W + h k3)
     # overflows a few steps earlier (t = 0.879), so only the other cases match it
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     sysm = dy.SystemModel(
         dim=1,
         field=lambda t, x: np.array([np.inf if t > field_after else 0.0]),
@@ -852,7 +852,7 @@ def test_blocked_frame_keeps_a_decayed_entry(monkeypatch, chunk):
     # over t = 30 diag2's frame entries grow to e^90 and decay to e^-120; summing
     # the whole chunk into one I + D, D near -I on the decaying entry, loses it
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     sysm = model("diag2").system
     anchors = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     fr = dy.variational_frame(sysm, anchors, [0.0, 0.0], (0.0, 30.0), 1e-3)
@@ -871,7 +871,7 @@ def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, ch
     # small enough for blocks of many steps; the first step with g**i * 1e300 above
     # the float maximum raises, as it does one step at a time
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     z = 0.01
     g = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
     assert dy._block_length([np.full((64, 1, 1), g - 1.0)], 64) > 1
@@ -899,7 +899,7 @@ def test_linear_stack_rows_match_one_state_runs_across_chunks(monkeypatch, rng, 
     # of any height only when the chunk length depends on n alone and D applies to
     # each row on its own
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     sysm = model(name, params).system
     x0s = rng.uniform(-1.0, 1.0, (7, sysm.dim))
     ones = [dy.integrate(sysm, x0, (0.0, 5.0), 1e-2).states for x0 in x0s]
@@ -1012,7 +1012,7 @@ def test_a_fun_is_called_once_per_chunk(monkeypatch, chunk):
     # array form; then each chunk asks for the (m, 3) distinct stage times of its
     # steps at once, and every stage time is asked for once, in order
     if chunk:
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
     calls = []
 
     def a_fun(t):
@@ -1041,7 +1041,7 @@ def test_linear_chunks_end_on_block_ends(monkeypatch, name):
     sysm = model(name).system
 
     def run(chunk):
-        monkeypatch.setattr(dy, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
         fr = dy.variational_frame(sysm, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.2, 0.3],
                                   (0.0, 40.0), 1e-3)
         return dy.integrate(sysm, [0.3, -0.2], (0.0, 40.0), 1e-3).states, fr.states, fr.frames
@@ -1093,7 +1093,7 @@ def test_generated_hopf_loop_keeps_the_bits_of_the_array_loop(x0):
     anchors = [np.array(x0) + [0.0, 0.01], np.array(x0)]
     fr = dy.variational_frame(sysm, anchors, [0.0], (0.0, 1.0), 1e-3)
     # the base starts at h(0) = 1.0 * x0 + 0.0 * anchors[0], where a -0.0 becomes 0.0
-    _, states, frames = fused_linearized_flow(sysm, dy.simplex_map(anchors, [0.0]),
+    _, states, frames = fused_linearized_flow(sysm, 1.0 * np.array(x0) + 0.0 * anchors[0],
                                               np.array([[0.0], [0.01]]), (0.0, 1.0), 1e-3)
     assert same_bits(fr.states, states) and close_to_stage_form(fr.frames, frames)
 
@@ -1165,6 +1165,28 @@ def test_entry_list_of_the_wrong_length_is_refused(entries, traced):
         dy.integrate(sysm, [1.0, 2.0], (0.0, 1.0), 0.1)
     with pytest.raises(DimensionMismatch, match=message):
         sysm.check_jacobian()
+
+
+@dataclass
+class _Decay:  # a dataclass compares by value, so it has no hash
+    rate: float = 1.0
+
+    def __call__(self, t, x):
+        return [-self.rate * x[0]]
+
+
+@pytest.mark.parametrize("callable_entries", [False, True])
+def test_a_fresh_model_traces_its_entries_again(callable_entries):
+    decay = _Decay()
+    entries = decay if callable_entries else decay.__call__  # unhashable, or a bound method
+    for rate in [1.0, 2.0]:  # a parameter sweep: one fresh model per rate
+        decay.rate = rate
+        sysm = dy.SystemModel(dim=1, field=lambda t, x: np.array(entries(t, x)),
+                              jacobian=lambda t, x: np.array([[-decay.rate]]),
+                              field_entries=entries)
+        one = dy.integrate(sysm, [1.0], (0.0, 1.0), 0.1).states
+        assert same_bits(one, dy.integrate(sysm, [[1.0]], (0.0, 1.0), 0.1).states[:, 0])
+        assert one[-1, 0] == pytest.approx(math.exp(-rate), rel=1e-4)
 
 
 def test_one_state_pass_traces_once_and_compiles_once(monkeypatch):
