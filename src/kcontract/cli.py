@@ -90,6 +90,7 @@ def cmd_wedge(args) -> int:
 
 def cmd_measure(args) -> int:
     a = io.load_matrix_json(args.matrix)
+    check_order(args.k, a.shape[0])
     spec = _spec_from(args)
     if args.k > 1:
         if spec.scaling is not None:

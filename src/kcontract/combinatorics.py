@@ -117,6 +117,16 @@ def subset_table(n: int, k: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def cofactor_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (C(n, k), k) arrays: R[pos], and the rank of R without R[pos] in Q_{k-1,n}."""
+    position = {s: r for r, s in enumerate(itertools.combinations(range(n), k - 1))}
+    rest = np.array([[position[s[:p] + s[p + 1:]] for p in range(k)]
+                     for s in itertools.combinations(range(n), k)], dtype=np.intp)
+    _read_only(rest)
+    return subset_table(n, k), rest
+
+
 @dataclass(frozen=True)
 class SwapTable:
     """Every SINGLE_SWAP pair of Q_{k,n}, as parallel read-only arrays.

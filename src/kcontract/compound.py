@@ -2,10 +2,10 @@
 
 The k-th multiplicative compound of an n x m matrix stacks every order-k
 minor in lexicographic order and is multiplicative under matrix products
-(Cauchy-Binet).  The k-th additive compound is the derivative of the
+(Cauchy-Binet); each minor is a cofactor expansion over the minors one order
+lower (_minors).  The k-th additive compound is the derivative of the
 multiplicative compound of I + eps*A at eps = 0; its entries are sums and
-signed copies of entries of A, and it is assembled directly from that
-entrywise rule rather than by differencing.
+signed copies of entries of A, assembled directly from that entrywise rule.
 """
 
 from __future__ import annotations
@@ -64,19 +64,14 @@ def as_stack(a, square: bool = False) -> np.ndarray:
 
 
 def minor(a, rows: tuple[int, ...], cols: tuple[int, ...]) -> float:
-    """Determinant of the submatrix selected by 1-based index tuples."""
+    """Determinant of the submatrix selected by 1-based index tuples (as in mult_compound)."""
     m = as_matrix(a)
     comb.validate_tuple(tuple(rows), m.shape[0])
     comb.validate_tuple(tuple(cols), m.shape[1])
     if len(rows) != len(cols):
         raise IndexOutOfRange("row and column tuples must have equal length")
-    ri = np.asarray(rows, dtype=int) - 1
-    ci = np.asarray(cols, dtype=int) - 1
-    sub = m[np.ix_(ri, ci)]
-    if sub.shape == (1, 1):
-        return float(sub[0, 0])
-    # np.linalg.det is an LU factorization with partial pivoting
-    return float(np.linalg.det(sub))
+    sub = m[np.ix_(np.asarray(rows, dtype=int) - 1, np.asarray(cols, dtype=int) - 1)]
+    return float(_minors(sub[None])[0, 0])
 
 
 def _check_cap(rows: int, cols: int) -> None:
@@ -90,7 +85,7 @@ def mult_compound(a, k: int) -> np.ndarray:
     """k-th multiplicative compound: all order-k minors in lexicographic order.
 
     Column c holds the minors of the n x k frame of columns cols[c], so every
-    minor is one LU determinant of the batched minors kernel (_minors).
+    column comes from the cofactor expansion of the minors kernel (_minors).
     """
     m = as_matrix(a)
     n, p = m.shape
@@ -138,16 +133,28 @@ def _fill_add_compound(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def _minors(stack: np.ndarray) -> np.ndarray:
-    """All order-k minors of every n x k slice of an (N, n, k) stack, as
-    (N, C(n, k)) in lexicographic row order: one LU determinant per minor,
-    batched in chunks of CHUNK_ELEMENTS (k = 1 minors are the entries)."""
+    """All order-k minors of every n x k slice of an (N, n, k) stack, as (N, C(n, k)) in
+    lexicographic row order.  Level 1 is column 0; level j + 1 expands each minor R along
+    column j, adding (-1)**(pos + j) * stack[:, R[pos], j] * minor(R without R[pos]) for
+    increasing pos to +0.0 with + and - only, so an exact zero is +0.0.  The widest level,
+    C(n, min(k, n // 2)), is held to SIZE_CAP, and a chunk to CHUNK_ELEMENTS."""
     n, k = stack.shape[1:]
     if k == 1:
         return stack[:, :, 0].copy()
-    sets = subset_table(n, k)
-    out = np.empty((len(stack), len(sets)))
-    for rows in chunks(len(stack), len(sets) * k * k):
-        out[rows] = np.linalg.det(stack[rows, sets, :])
+    widest = binomial(n, min(k, n // 2))
+    _check_cap(widest, 1)
+    tables = [comb.cofactor_table(n, m) for m in range(2, k + 1)]
+    out = np.empty((len(stack), binomial(n, k)))
+    for rows in chunks(len(stack), 4 * widest):
+        level = stack[rows, :, 0]
+        for j, (sets, rest) in enumerate(tables, 1):
+            col = np.ascontiguousarray(stack[rows, :, j])
+            level, prev = np.zeros((len(level), len(sets))), level
+            for pos in range(j + 1):
+                term = np.take(col, sets[:, pos], axis=1)
+                term *= np.take(prev, rest[:, pos], axis=1)
+                (np.subtract if (pos + j) % 2 else np.add)(level, term, out=level)
+        out[rows] = level
     return out
 
 
@@ -157,14 +164,12 @@ def wedge_stack(frames) -> np.ndarray:
     Returns (N, C(n, k)); row i equals wedge(frames[i].T) bit for bit.  Each
     sample's columns are put in stable lexicographic order, with the sign of
     that permutation, by comparing them row by row; then every minor of every
-    sample comes from one batched determinant.
+    sample comes from one batched cofactor expansion (_minors).
     """
     w = as_stack(frames)
     n, k = w.shape[1:]
     if not 1 <= k <= n:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
-    if k > 1:
-        _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
     # less[s, i, j]: column i of sample s sorts strictly before column j
     less = np.zeros((len(w), k, k), dtype=bool)
     tied = np.ones_like(less)
@@ -244,7 +249,7 @@ def k_content(phi, lower, upper, grid) -> float:
     summed in cell order (midpoint rule).  phi is called once, on the forward
     and backward point of every partial, ordered by cell, then axis, then
     forward/backward; the minors of every cell come from one batched
-    determinant over the cached subset table.
+    cofactor expansion (_minors) over the cached subset tables.
     """
     lo = np.asarray(lower, dtype=float).reshape(-1)
     hi = np.asarray(upper, dtype=float).reshape(-1)
@@ -280,8 +285,6 @@ def k_content(phi, lower, upper, grid) -> float:
     n = values.shape[1]
     if k > n:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
-    if k > 1:
-        _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
 
     # stack[c, :, i] is the i-th partial at cell c; the wedge of a cell's
     # partials is the vector of all order-k minors of its n x k slice

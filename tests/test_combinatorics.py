@@ -111,3 +111,16 @@ def test_subset_rank_type_roundtrip():
     sr = cb.SubsetRank.from_tuple((2, 4), 5)
     assert sr.rank == cb.rank((2, 4), 5)
     assert cb.SubsetRank.from_rank(sr.rank, 5, 2).tuple == (2, 4)
+
+
+def test_cofactor_table_ranks_each_subset_without_one_entry():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            sets, rest = cb.cofactor_table(n, k)
+            assert sets is cb.subset_table(n, k)
+            assert rest.shape == (cb.binomial(n, k), k) and not rest.flags.writeable
+            for r, s in enumerate(itertools.combinations(range(1, n + 1), k)):
+                assert tuple(sets[r] + 1) == s
+                for pos in range(k):
+                    drop = s[:pos] + s[pos + 1:]
+                    assert rest[r, pos] == (cb.rank(drop, n) if drop else 0)

@@ -1,5 +1,9 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcontract import combinatorics as cb
 from kcontract import compound as cp
@@ -27,6 +31,84 @@ def test_minor_order_one_is_entry(rng):
 
 def test_minor_of_identity():
     assert cp.minor(np.eye(4), (1, 3), (1, 3)) == 1.0
+
+
+def test_minor_has_the_bits_of_the_compound_entry(rng):
+    a = rng.standard_normal((6, 6))
+    for k in range(1, 7):
+        subsets = list(itertools.combinations(range(1, 7), k))
+        got = np.array([[cp.minor(a, rows, cols) for cols in subsets] for rows in subsets])
+        assert np.array_equal(got.view(np.int64), cp.mult_compound(a, k).view(np.int64))
+
+
+def _exact_det_and_perm(sub):
+    """det(sub) and perm(|sub|) over the rationals, from the float entries."""
+    entries = [[Fraction(float(v)) for v in row] for row in sub]
+    det = perm = Fraction(0)
+    for sigma in itertools.permutations(range(len(entries))):
+        term = Fraction(1)
+        for i, j in enumerate(sigma):
+            term *= entries[i][j]
+        inversions = sum(x > y for x, y in itertools.combinations(sigma, 2))
+        det += -term if inversions % 2 else term
+        perm += abs(term)
+    return det, perm
+
+
+# exact zeros and entries of either sign from 2**-40 to 2**41: products of five
+# stay far from underflow, so the relative bound below holds for every minor
+_MIXED = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 2.0 ** e,
+                                           st.floats(1.0, 2.0) | st.floats(-2.0, -1.0),
+                                           st.integers(-40, 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_minor_is_within_the_cofactor_error_bound(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, n))
+    a = np.array(data.draw(st.lists(_MIXED, min_size=n * n, max_size=n * n))).reshape(n, n)
+    got = cp.mult_compound(a, k)
+    # k(k + 1)/2 - 1 <= k**2 roundings reach each monomial of the expansion
+    u = Fraction(k * k, 2 ** 53)
+    gamma = u / (1 - u)
+    subsets = list(itertools.combinations(range(n), k))
+    for r, rows in enumerate(subsets):
+        for c, cols in enumerate(subsets):
+            det, perm = _exact_det_and_perm(a[np.ix_(rows, cols)])
+            assert abs(Fraction(float(got[r, c])) - det) <= gamma * perm
+
+
+def test_integer_minors_are_exact(rng):
+    assert cp.mult_compound(np.diag([3.0, 7.0, 11.0]), 3)[0, 0] == 231.0
+    a = rng.integers(-9, 10, (6, 6)).astype(float)
+    for k in range(1, 7):
+        subsets = list(itertools.combinations(range(6), k))
+        want = [[_exact_det_and_perm(a[np.ix_(rows, cols)])[0] for cols in subsets]
+                for rows in subsets]
+        assert np.array_equal(cp.mult_compound(a, k), np.array(want, dtype=float))
+
+
+def test_compounds_of_permutations_hold_no_negative_zero():
+    assert not np.signbit(cp.mult_compound(np.eye(5), 2)).any()
+    # signed permutations: a zero product such as 0 * (-1) is -0.0
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product([1.0, -1.0], repeat=4):
+            p = np.where(np.eye(4)[list(perm)] == 1.0, np.array(signs)[:, None], 0.0)
+            for k in range(1, 5):
+                got = cp.mult_compound(p, k)
+                assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_an_expansion_level_above_the_cap_is_refused():
+    # k > n / 2 passes through level n // 2: C(17, 8) = 24310 exceeds SIZE_CAP
+    every = tuple(range(1, 18))
+    for call in (lambda: cp.wedge(list(np.eye(17)[:16])),
+                 lambda: cp.mult_compound(np.eye(17), 16),
+                 lambda: cp.minor(np.eye(17), every, every)):
+        with pytest.raises(CompoundSizeCapExceeded, match="dimension 24310 exceeds"):
+            call()
+    assert cp.minor(np.eye(17), every[1:], every[1:]) == 1.0  # C(16, 8) = 12870
 
 
 def test_mult_compound_identity():
@@ -294,11 +376,27 @@ def test_chunks_read_the_budget_at_each_call(monkeypatch):
 def test_wedge_stack_chunk_boundary(rng, monkeypatch):
     frames = rng.standard_normal((37, 5, 3))
     whole = cp.wedge_stack(frames)
-    # 10 minors of 3 x 3 per sample: 4 samples per chunk, so 10 chunks
-    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 4 * 10 * 9 + 5)
+    # 4 arrays of the widest level, C(5, 2) = 10 minors, per sample: 4 samples
+    # per chunk, so 10 chunks
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 4 * 4 * 10 + 5)
     assert np.array_equal(cp.wedge_stack(frames), whole)
     want = np.array([wedge_per_sample(list(f.T)) for f in frames])
     assert np.array_equal(whole, want)
+
+
+def test_minors_keep_their_bits_in_small_chunks(rng, monkeypatch):
+    a = rng.standard_normal((7, 7))
+
+    def sphere(r):
+        return np.stack([np.cos(r[:, 0]) * np.sin(r[:, 1]),
+                         np.sin(r[:, 0]) * np.sin(r[:, 1]), np.cos(r[:, 1])], axis=1)
+
+    whole = cp.mult_compound(a, 3), cp.k_content(sphere, [0.0, 0.0], [6.0, 3.0], [9, 7])
+    # 35 frames of 4 * 35 elements, 63 cells of 4 * 3: 3 and 5 items per chunk
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 3 * 4 * 35 + 1)
+    assert np.array_equal(cp.mult_compound(a, 3), whole[0])
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", 5 * 4 * 3)
+    assert cp.k_content(sphere, [0.0, 0.0], [6.0, 3.0], [9, 7]) == whole[1]
 
 
 def test_wedge_stack_errors():

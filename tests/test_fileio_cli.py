@@ -232,6 +232,15 @@ def test_cli_volume_refuses_an_order_outside_range(flags, message, tmp_path, mon
         main(["volume", "--model", "hopf", "--t", "1", "--k", "2"])
 
 
+@pytest.mark.parametrize("flag", ["--k=0", "--k=-3"])
+def test_cli_measure_refuses_an_order_outside_range(flag, diag2_file, capsys):
+    # k <= 1 used to fall through to the k = 1 measure, labelled with the bad k
+    assert main(["measure", "--matrix", diag2_file, flag]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k={flag[4:]} outside [1, 2]\n"
+
+
 @pytest.mark.parametrize("window, message", [
     ("-1", "window -1.0 must be finite and positive"),
     ("0", "window 0.0 must be finite and positive"),
