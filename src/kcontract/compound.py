@@ -2,10 +2,11 @@
 
 The k-th multiplicative compound of an n x m matrix stacks every order-k
 minor in lexicographic order and is multiplicative under matrix products
-(Cauchy-Binet); each minor is a cofactor expansion over the minors one order
-lower (_minors).  The k-th additive compound is the derivative of the
-multiplicative compound of I + eps*A at eps = 0; its entries are sums and
-signed copies of entries of A, assembled directly from that entrywise rule.
+(Cauchy-Binet); a minor of order up to 5 is a cofactor expansion over the
+minors one order lower, a higher one an LU determinant (_minors).  The k-th
+additive compound is the derivative of the multiplicative compound of
+I + eps*A at eps = 0; its entries are sums and signed copies of entries of A,
+assembled directly from that entrywise rule.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ SIZE_CAP = 20_000
 
 # Conjugating transforms with condition numbers above this are refused.
 TRANSFORM_COND_CAP = 1e12
+
+# Highest order of minors built by cofactor expansion (_minors); higher orders are LU
+# determinants.  An expansion holds the C(n, j) minors of every order j < k, more than
+# its C(n, k) outputs when k > n / 2, which up to this order means n <= 9.
+EXPANDED_ORDER = 5
 
 # Largest number of float64 elements a vectorised intermediate may hold; bigger
 # jobs are processed in chunks of this many elements.
@@ -85,7 +91,7 @@ def mult_compound(a, k: int) -> np.ndarray:
     """k-th multiplicative compound: all order-k minors in lexicographic order.
 
     Column c holds the minors of the n x k frame of columns cols[c], so every
-    column comes from the cofactor expansion of the minors kernel (_minors).
+    column comes from one call of the minors kernel (_minors).
     """
     m = as_matrix(a)
     n, p = m.shape
@@ -134,27 +140,51 @@ def _fill_add_compound(m: np.ndarray, k: int) -> np.ndarray:
 
 def _minors(stack: np.ndarray) -> np.ndarray:
     """All order-k minors of every n x k slice of an (N, n, k) stack, as (N, C(n, k)) in
-    lexicographic row order.  Level 1 is column 0; level j + 1 expands each minor R along
-    column j, adding (-1)**(pos + j) * stack[:, R[pos], j] * minor(R without R[pos]) for
-    increasing pos to +0.0 with + and - only, so an exact zero is +0.0.  The widest level,
-    C(n, min(k, n // 2)), is held to SIZE_CAP, and a chunk to CHUNK_ELEMENTS."""
+    lexicographic row order: cofactor expansions (_expansion) up to EXPANDED_ORDER, else
+    LU determinants, in chunks of CHUNK_ELEMENTS.  A slice whose expansion overflows or
+    underflows is redone alone by LU.  The rule reads k only, so minor() has the bits of
+    the mult_compound entry."""
     n, k = stack.shape[1:]
     if k == 1:
         return stack[:, :, 0].copy()
-    widest = binomial(n, min(k, n // 2))
-    _check_cap(widest, 1)
-    tables = [comb.cofactor_table(n, m) for m in range(2, k + 1)]
-    out = np.empty((len(stack), binomial(n, k)))
-    for rows in chunks(len(stack), 4 * widest):
-        level = stack[rows, :, 0]
-        for j, (sets, rest) in enumerate(tables, 1):
-            col = np.ascontiguousarray(stack[rows, :, j])
+    sets = subset_table(n, k)
+    if k > EXPANDED_ORDER:
+        return _determinants(stack, sets)
+    out = np.empty((len(stack), len(sets)))
+    for rows in chunks(len(stack), 4 * binomial(n, min(k, n // 2))):
+        try:
+            out[rows] = _expansion(stack[rows])
+        except FloatingPointError:  # redo the chunk a slice at a time, by LU where that fails
+            if rows.stop - rows.start == 1:
+                out[rows] = _determinants(stack[rows], sets)
+            else:
+                out[rows] = [_minors(s[None])[0] for s in stack[rows]]
+    return out
+
+
+def _expansion(stack: np.ndarray) -> np.ndarray:
+    """Level 1 is column 0; level j + 1 expands each minor R along column j, adding
+    (-1)**(pos + j) * stack[:, R[pos], j] * minor(R without R[pos]) for increasing pos to
+    +0.0 with + and - only, so an exact zero is +0.0.  Each minor of M is then within
+    gamma_{k^2} * perm(|M|) of det(M) unless an intermediate overflows or underflows,
+    which raises FloatingPointError."""
+    level = stack[:, :, 0]
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        for j in range(1, stack.shape[2]):
+            sets, rest = comb.cofactor_table(stack.shape[1], j + 1)
+            col = np.ascontiguousarray(stack[:, :, j])
             level, prev = np.zeros((len(level), len(sets))), level
             for pos in range(j + 1):
                 term = np.take(col, sets[:, pos], axis=1)
                 term *= np.take(prev, rest[:, pos], axis=1)
                 (np.subtract if (pos + j) % 2 else np.add)(level, term, out=level)
-        out[rows] = level
+    return level
+
+
+def _determinants(stack: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    out = np.empty((len(stack), len(sets)))
+    for rows in chunks(len(stack), len(sets) * stack.shape[2] ** 2):
+        out[rows] = np.linalg.det(stack[rows, sets, :])  # one LU factorization per minor
     return out
 
 
@@ -164,12 +194,14 @@ def wedge_stack(frames) -> np.ndarray:
     Returns (N, C(n, k)); row i equals wedge(frames[i].T) bit for bit.  Each
     sample's columns are put in stable lexicographic order, with the sign of
     that permutation, by comparing them row by row; then every minor of every
-    sample comes from one batched cofactor expansion (_minors).
+    sample comes from one batched call of the minors kernel (_minors).
     """
     w = as_stack(frames)
     n, k = w.shape[1:]
     if not 1 <= k <= n:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
+    if k > 1:
+        _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
     # less[s, i, j]: column i of sample s sorts strictly before column j
     less = np.zeros((len(w), k, k), dtype=bool)
     tied = np.ones_like(less)
@@ -248,8 +280,8 @@ def k_content(phi, lower, upper, grid) -> float:
     midpoints with central-difference partials of step half a cell, then
     summed in cell order (midpoint rule).  phi is called once, on the forward
     and backward point of every partial, ordered by cell, then axis, then
-    forward/backward; the minors of every cell come from one batched
-    cofactor expansion (_minors) over the cached subset tables.
+    forward/backward; the minors of every cell come from one batched call
+    of the minors kernel (_minors).
     """
     lo = np.asarray(lower, dtype=float).reshape(-1)
     hi = np.asarray(upper, dtype=float).reshape(-1)
@@ -285,6 +317,8 @@ def k_content(phi, lower, upper, grid) -> float:
     n = values.shape[1]
     if k > n:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
+    if k > 1:
+        _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
 
     # stack[c, :, i] is the i-th partial at cell c; the wedge of a cell's
     # partials is the vector of all order-k minors of its n x k slice

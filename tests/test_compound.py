@@ -82,7 +82,7 @@ def test_every_minor_is_within_the_cofactor_error_bound(data):
 def test_integer_minors_are_exact(rng):
     assert cp.mult_compound(np.diag([3.0, 7.0, 11.0]), 3)[0, 0] == 231.0
     a = rng.integers(-9, 10, (6, 6)).astype(float)
-    for k in range(1, 7):
+    for k in range(1, cp.EXPANDED_ORDER + 1):  # higher orders are LU determinants
         subsets = list(itertools.combinations(range(6), k))
         want = [[_exact_det_and_perm(a[np.ix_(rows, cols)])[0] for cols in subsets]
                 for rows in subsets]
@@ -100,15 +100,29 @@ def test_compounds_of_permutations_hold_no_negative_zero():
                 assert not np.signbit(got[got == 0.0]).any()
 
 
-def test_an_expansion_level_above_the_cap_is_refused():
-    # k > n / 2 passes through level n // 2: C(17, 8) = 24310 exceeds SIZE_CAP
+def test_orders_above_the_expansion_are_lu_determinants(rng):
+    # C(17, 8) = 24310 minors of order 8 would exceed SIZE_CAP: no expansion reaches them
     every = tuple(range(1, 18))
-    for call in (lambda: cp.wedge(list(np.eye(17)[:16])),
-                 lambda: cp.mult_compound(np.eye(17), 16),
-                 lambda: cp.minor(np.eye(17), every, every)):
-        with pytest.raises(CompoundSizeCapExceeded, match="dimension 24310 exceeds"):
-            call()
-    assert cp.minor(np.eye(17), every[1:], every[1:]) == 1.0  # C(16, 8) = 12870
+    a = rng.standard_normal((17, 17))
+    assert cp.minor(a, every, every) == np.linalg.det(a)
+    assert np.array_equal(cp.mult_compound(np.eye(17), 16), np.eye(17))
+    assert np.array_equal(cp.wedge(list(np.eye(17)[:16])), np.eye(17)[0])
+    frames = rng.standard_normal((3, 9, 6))
+    want = [[np.linalg.det(f[list(rows)]) for rows in itertools.combinations(range(9), 6)]
+            for f in frames]
+    assert np.array_equal(cp._minors(frames), np.array(want))
+
+
+@pytest.mark.parametrize("diag, want", [((1e-200, 1e-200, 1e300), 1e-100),
+                                        ((1e200, 1e200, 1e-300), 1e100)])
+def test_an_expansion_out_of_range_falls_back_to_lu(diag, want):
+    # the order-2 minor 1e-400 underflows, or 1e400 overflows
+    for a in (np.diag(diag), np.diag(diag) + np.triu(np.ones((3, 3)), 1)):
+        assert cp.mult_compound(a, 3)[0, 0] == np.linalg.det(a)
+        assert np.linalg.det(a) == pytest.approx(want, rel=1e-12)
+    # the other slices of the stack keep the bits of their own expansion
+    frames = np.stack([np.diag(diag), np.diag([3.0, 7.0, 11.0])] * 3)
+    assert np.array_equal(cp.wedge_stack(frames)[1::2], np.full((3, 1), 231.0))
 
 
 def test_mult_compound_identity():
