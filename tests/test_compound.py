@@ -122,7 +122,7 @@ def test_an_expansion_out_of_range_falls_back_to_lu(diag, want):
         assert np.linalg.det(a) == pytest.approx(want, rel=1e-12)
     # the other slices of the stack keep the bits of their own expansion
     frames = np.stack([np.diag(diag), np.diag([3.0, 7.0, 11.0])] * 3)
-    assert np.array_equal(cp.wedge_stack(frames)[1::2], np.full((3, 1), 231.0))
+    assert np.array_equal(cp._minors(frames)[1::2], np.full((3, 1), 231.0))
 
 
 def test_mult_compound_identity():
