@@ -77,7 +77,7 @@ def _emit(obj: dict, args) -> None:
 def cmd_compound(args) -> int:
     a = io.load_matrix_json(args.matrix)
     out = add_compound(a, args.k) if args.kind == "additive" else mult_compound(a, args.k)
-    _emit(io.matrix_to_json(out), args)
+    _emit({"rows": out.shape[0], "cols": out.shape[1], "data": out}, args)
     return 0
 
 

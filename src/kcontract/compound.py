@@ -213,8 +213,9 @@ def wedge_stack(frames) -> np.ndarray:
     # j before column i is one inversion
     position = less.sum(axis=1) + np.triu(tied, 1).sum(axis=1)
     order = np.argsort(position, axis=1)
-    sign = np.where(np.tril(less, -1).sum(axis=(1, 2)) % 2, -1.0, 1.0)
-    return sign[:, None] * _minors(np.take_along_axis(w, order[:, None, :], axis=2))
+    odd = np.tril(less, -1).sum(axis=(1, 2))[:, None] % 2 == 1
+    minors = _minors(np.take_along_axis(w, order[:, None, :], axis=2))
+    return np.where(odd, 0.0 - minors, minors)  # -minors would turn +0.0 into -0.0
 
 
 def wedge(vectors) -> np.ndarray:
@@ -222,9 +223,9 @@ def wedge(vectors) -> np.ndarray:
 
     Equals the (single) column of the k-th multiplicative compound of the
     n x k stack of the vectors; coordinates follow lexicographic subset order.
-    The columns are canonically reordered (with the permutation sign tracked)
-    before the minors are evaluated, so swapping two arguments negates the
-    result bit-for-bit.  This is the one-sample case of wedge_stack.
+    The columns are canonically reordered (sign tracked) before the minors are
+    evaluated, so swapping two arguments negates every nonzero coordinate bit
+    for bit; exact zeros are +0.0.  This is the one-sample case of wedge_stack.
     """
     cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not cols:

@@ -4,8 +4,8 @@ Matrix JSON schema: {"rows": n, "cols": m, "data": [[...], ...]} (row-major
 decimal floats).  CSV floats carry 17 significant digits so round trips are
 exact; JSON floats use Python's shortest round-trip repr.  ``dump_json``
 writes the text of ``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` in
-one pass: it reads arrays through ``tolist()`` and renders each list of plain
-floats with a single join over ``float.__repr__``.
+one pass: a float64 array row by row from its buffer, spelling each distinct
+entry of a mostly-zero one once; other arrays through ``tolist()``.
 """
 
 from __future__ import annotations
@@ -138,8 +138,11 @@ def write_trace_csv(path: str, trace: ParallelotopeTrace) -> None:
 
 def _write_json(value, indent: str, out: list[str]) -> None:
     """Append to out the text json.dumps(jsonable(value), sort_keys=True,
-    indent=2) gives value when it is nested at the given indent."""
+    indent=2) gives value nested at the given indent, one string per array row."""
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim and value.size:
+            _write_floats(value, indent, out)
+            return
         if np.iscomplexobj(value):
             value = np.stack((value.real, value.imag), axis=-1).reshape(-1, 2)
         value = value.tolist()
@@ -168,10 +171,36 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         out.append(json.dumps(value))  # scalars and empty containers
 
 
+def _write_floats(a: np.ndarray, indent: str, out: list[str]) -> None:
+    """A mostly-zero array spells each distinct nonzero bit pattern once (-0.0,
+    whose sign bit is set, is one) and shares one "0.0" among its +0.0 entries."""
+    spell = float.__repr__ if np.isfinite(a).all() else json.dumps  # NaN, Infinity
+    if 2 * np.count_nonzero(a) > a.size:
+        return _write_rows(a, indent, out, lambda row: map(spell, row.tolist()))
+    bits = a.view(np.uint64)
+    distinct, codes = np.unique(bits[bits != 0], return_inverse=True)
+    words = np.array(["0.0", *map(spell, distinct.view(np.float64).tolist())], dtype=object)
+    index = np.zeros(a.shape, dtype=np.intp)
+    index[bits != 0] = codes + 1
+    _write_rows(index, indent, out, lambda row: words[row].tolist())
+
+
+def _write_rows(a: np.ndarray, indent: str, out: list[str], words) -> None:
+    """Append the nested-list text of a, each last-axis row joined from words(row)."""
+    inner = indent + "  "
+    if a.ndim == 1:
+        return out.append("[\n" + inner + (",\n" + inner).join(words(a)) + "\n" + indent + "]")
+    for i, sub in enumerate(a):
+        out.append(("[\n" if i == 0 else ",\n") + inner)
+        _write_rows(sub, inner, out, words)
+    out.append("\n" + indent + "]")
+
+
 def dump_json(obj: dict, path: str | None) -> str:
     """Serialize deterministically; write to path when given, return the text.
 
-    The text equals json.dumps(jsonable(obj), sort_keys=True, indent=2).
+    The text equals json.dumps(jsonable(obj), sort_keys=True, indent=2); obj
+    may hold numpy arrays and scalars at any depth.
     """
     out: list[str] = []
     _write_json(obj, "", out)

@@ -27,11 +27,13 @@ def well_conditioned(rng, n):
 
 def wedge_per_sample(cols):
     """The per-sample wedge: stable sort of the columns as tuples, then the
-    signed column of the multiplicative compound."""
+    signed column of the multiplicative compound, an odd sign applied as
+    0.0 - minor so that exact zeros stay +0.0."""
     k = len(cols)
     order = sorted(range(k), key=lambda i: tuple(cols[i]))
     inversions = sum(order[i] > order[j] for i in range(k) for j in range(i + 1, k))
-    return (-1) ** inversions * mult_compound(np.column_stack([cols[i] for i in order]), k)[:, 0]
+    minors = mult_compound(np.column_stack([cols[i] for i in order]), k)[:, 0]
+    return 0.0 - minors if inversions % 2 else minors
 
 
 def same_bits(a, b) -> bool:

@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kcontract import compound as cp
 from kcontract import dynamics as dy
@@ -77,6 +80,61 @@ def test_dump_json_matches_json_module(tmp_path):
     obj = {"m": np.arange(4.0).reshape(2, 2)}
     text = io.dump_json(obj, str(path))
     assert path.read_text() == text + "\n"
+
+
+def _json_text(obj) -> str:
+    return json.dumps(io.jsonable(obj), sort_keys=True, indent=2)
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.5, -2.0]
+
+
+@st.composite
+def _float_arrays(draw):
+    """float64 arrays of 1-3 axes (0-length ones included) whose share of
+    nonzero entries runs from 0 to 1, with repeated and non-finite values."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5))
+    values = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(), st.sampled_from(_SPECIAL_FLOATS))))
+    share = draw(st.floats(0.0, 1.0))
+    ranks = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    return np.where(ranks < share, values, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_float_arrays(), b=_float_arrays())
+def test_dump_json_writes_float_arrays_as_the_json_module(a, b):
+    for obj in (a, {"m": a, "rest": [b, {"flipped": a[..., ::-1]}], "n": 1}):
+        assert io.dump_json(obj, None) == _json_text(obj)
+
+
+@pytest.mark.parametrize("nonzero, path", [(99, "distinct"), (100, "distinct"), (101, "rows")])
+def test_dump_json_writes_more_than_half_nonzero_row_by_row(nonzero, path, rng, monkeypatch):
+    a = np.zeros((8, 25))
+    a.flat[rng.permutation(a.size)[:nonzero]] = rng.choice([1.5, -0.25, np.nan, 7.0], nonzero)
+    a.flat[np.flatnonzero(a == 0)[::3]] = -0.0  # counted as zero by the gate
+    seen, write_rows = [], io._write_rows
+
+    def spy(rows, *rest):
+        seen.append(rows.dtype)  # the float64 array itself, or the index of its words
+        write_rows(rows, *rest)
+
+    monkeypatch.setattr(io, "_write_rows", spy)
+    assert io.dump_json({"a": a}, None) == _json_text({"a": a})
+    assert seen[0] == (np.float64 if path == "rows" else np.intp)
+
+
+def test_dump_json_writes_other_arrays_through_lists(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("only a non-empty float64 array of one or more axes")
+
+    monkeypatch.setattr(io, "_write_floats", refuse)
+    for obj in (rng.standard_normal((3, 4)).astype(np.float32),
+                rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+                np.array([1.0, -0.0, np.nan, None], dtype=object),
+                np.arange(6).reshape(2, 3),
+                np.zeros((3, 0, 2))):
+        assert io.dump_json({"x": obj}, None) == _json_text({"x": obj})
 
 
 def test_matrix_to_json_matches_float_conversion(rng):
@@ -298,6 +356,36 @@ def test_cli_additive_compound_matches_pattern(tmp_path, rng, capsys):
         [-a[2, 0], a[1, 0], a[1, 1] + a[2, 2]],
     ])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_cli_compound_prints_the_json_module_text(kind, tmp_path, rng, capsys):
+    a = rng.standard_normal((6, 6))
+    a[0, 1], a[2, 3] = 0.0, -0.0
+    src, out = tmp_path / "a.json", tmp_path / "c.json"
+    io.save_matrix_json(src, a)
+    assert main(["compound", "--k", "3", "--matrix", str(src), "--kind", kind,
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    m = cp.add_compound(a, 3) if kind == "additive" else cp.mult_compound(a, 3)
+    assert printed == json.dumps({"rows": 20, "cols": 20, "data": m.tolist()},
+                                 sort_keys=True, indent=2) + "\n"
+
+
+def test_wedge_of_unit_vectors_holds_no_negative_zero(tmp_path, capsys):
+    eye = np.eye(4)
+    for k in range(2, 5):
+        for picks in itertools.combinations(range(4), k):
+            for order, sign in ((picks, 1.0), (picks[::-1], (-1.0) ** (k * (k - 1) // 2))):
+                w = cp.wedge([eye[i] for i in order])
+                assert not np.signbit(w[w == 0]).any(), order
+                assert sorted(w) == sorted([sign] + [0.0] * (len(w) - 1))
+    path = tmp_path / "v.json"
+    io.save_matrix_json(path, eye[:3, [1, 0]])  # e2, e1 in R^3
+    assert main(["wedge", "--vectors", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert "-0.0" not in printed and json.loads(printed)["coords"] == [-1.0, 0.0, 0.0]
 
 
 def test_cli_volume_oscillator_constant(tmp_path, capsys):
