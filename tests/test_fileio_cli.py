@@ -101,7 +101,7 @@ def _float_arrays(draw):
     return np.where(ranks < share, values, 0.0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(deadline=None)
 @given(a=_float_arrays(), b=_float_arrays())
 def test_dump_json_writes_float_arrays_as_the_json_module(a, b):
     for obj in (a, {"m": a, "rest": [b, {"flipped": a[..., ::-1]}], "n": 1}):
