@@ -84,7 +84,7 @@ def cmd_compound(args) -> int:
 def cmd_wedge(args) -> int:
     v = io.load_matrix_json(args.vectors)
     w = wedge([v[:, j] for j in range(v.shape[1])])
-    _emit({"n": v.shape[0], "k": v.shape[1], "coords": list(w)}, args)
+    _emit({"n": v.shape[0], "k": v.shape[1], "coords": w}, args)
     return 0
 
 

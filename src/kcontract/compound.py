@@ -134,7 +134,8 @@ def _fill_add_compound(m: np.ndarray, k: int) -> np.ndarray:
         sums = sums + diag[..., subsets[:, pos]]
     out = np.zeros(m.shape[:-2] + (r, r))
     out[..., np.arange(r), np.arange(r)] = sums
-    out[..., swaps.rows, swaps.cols] = swaps.sign * m[..., swaps.src_i, swaps.src_j]
+    # 0.0 + turns the -0.0 of a signed zero into +0.0 and leaves every other value exact
+    out[..., swaps.rows, swaps.cols] = 0.0 + swaps.sign * m[..., swaps.src_i, swaps.src_j]
     return out
 
 

@@ -213,7 +213,8 @@ def test_add_compound_3x3_k2_pattern(rng):
 
 
 def _pairwise_add_compound(a, k):
-    """Reference: classify every tuple pair with subset_relation."""
+    """Reference: classify every tuple pair with subset_relation; a signed copy of a zero
+    is +0.0."""
     subsets = cb.all_subsets(a.shape[0], k)
     out = np.zeros((len(subsets), len(subsets)))
     for i, ti in enumerate(subsets):
@@ -221,7 +222,7 @@ def _pairwise_add_compound(a, k):
         for j, tj in enumerate(subsets):
             rel = cb.subset_relation(ti, tj)
             if rel.kind is cb.Relation.SINGLE_SWAP:
-                out[i, j] = rel.sign * a[rel.entries[0] - 1, rel.entries[1] - 1]
+                out[i, j] = 0.0 + rel.sign * a[rel.entries[0] - 1, rel.entries[1] - 1]
     return out
 
 
@@ -235,6 +236,7 @@ def test_add_compound_matches_pairwise_rule_bitwise(rng):
         assert len(cb.single_swap_table(n, k).rows) == cb.binomial(n, k) * k * (n - k)
         got = cp.add_compound(a, k)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (n, k)
+        assert not np.signbit(got[got == 0]).any(), (n, k)
         stack = cp.add_compound_stack(np.stack([2.0 * a, a]), k)
         assert np.array_equal(stack[1].view(np.int64), ref.view(np.int64)), (n, k)
 

@@ -137,6 +137,103 @@ def test_dump_json_writes_other_arrays_through_lists(rng, monkeypatch):
         assert io.dump_json({"x": obj}, None) == _json_text({"x": obj})
 
 
+def _repr_text(x) -> str:
+    return "[\n  " + ",\n  ".join(map(float.__repr__, x.tolist())) + "\n]"
+
+
+def _kernel_text(a) -> str:
+    out: list[str] = []
+    io._write_dense(a, "", out)
+    return "".join(out)
+
+
+@st.composite
+def _kernel_arrays(draw):
+    """Finite float64 arrays from KERNEL_MIN_SIZE to past two blocks, of 1-3 axes: random bit
+    patterns, random values of every decimal exponent repr spells without one, and drawn
+    floats (hypothesis favours edge cases) at drawn places."""
+    size = draw(st.integers(io.KERNEL_MIN_SIZE, 2 * io.KERNEL_BLOCK + 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-5, 17, size)
+    x = np.where(rng.random(size) < draw(st.floats(0.0, 1.0)), bits, spread)
+    drawn = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    x[rng.integers(0, size, len(drawn))] = drawn
+    x[~np.isfinite(x)] = 1.5
+    cut = draw(st.sampled_from([(size,), (1, size), (size // 7, 7), (2, size // 26, 13)]))
+    return x[:int(np.prod(cut))].reshape(cut)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=_kernel_arrays())
+def test_dense_kernel_writes_float_repr(a):
+    assert _kernel_text(a) == json.dumps(a.tolist(), indent=2)
+    obj = {"m": a, "n": [a[..., :3]]}
+    assert io.dump_json(obj, None) == _json_text(obj)
+
+
+def test_dense_kernel_sweep_matches_float_repr():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, 2**18, dtype=np.uint64, endpoint=False)
+    # random signs and significands, with the exponents repr spells without one
+    fixed = rng.integers(0, 2**52, 2**19, dtype=np.uint64)
+    fixed |= rng.integers(1010, 1077, 2**19).astype(np.uint64) << np.uint64(52)
+    fixed |= rng.integers(0, 2, 2**19).astype(np.uint64) << np.uint64(63)
+    k = np.arange(1, 53)
+    tens = 10.0 ** np.arange(-6, 18)
+    twos = 2.0 ** np.arange(-60, 60)
+    families = np.concatenate([
+        1 + 2.0 ** -k, 1 - 2.0 ** -k, (2 * np.arange(65536, 70000) + 1) / 2**17,  # ties
+        twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        5e-324 * np.arange(1, 50), [np.nextafter(2.2250738585072014e-308, 0)],  # subnormals
+        [0.0, -0.0], 1e16 - 2.0 * np.arange(1, 200), 2.0**53 + np.arange(-100, 100),
+        np.arange(1, 5000) * 1e-3, np.arange(-2000, 2000) / 1024, np.arange(-1000.0, 1000.0),
+    ])
+    bits = bits.view(np.float64)
+    for x in (bits[np.isfinite(bits)], fixed.view(np.float64), families, -families):
+        assert _kernel_text(x) == _repr_text(x)
+
+
+def test_dense_kernel_leaves_undecided_entries_to_float_repr(rng, monkeypatch):
+    x = rng.uniform(-9.0, 9.0, 3000)
+    odd = {0: 1 + 2.0**-17,  # halfway between two 17-digit decimals: a rounding tie
+           1: 2.0, 2: -0.5,  # powers of two, whose gap below is half the gap above
+           3: 1e-5, 4: 1e16, 5: -1.5e300,  # repr writes these with an exponent
+           6: 5e-324}  # subnormal
+    for i, v in odd.items():
+        x[i * 400] = v
+    seen, shortest = [], io._shortest
+
+    def spy(block):
+        digits, point, decided = shortest(block)
+        seen.append(~decided)
+        return digits, point, decided
+
+    monkeypatch.setattr(io, "_shortest", spy)
+    assert io.dump_json(x, None) == _repr_text(x)
+    assert np.flatnonzero(np.concatenate(seen)).tolist() == [i * 400 for i in odd]
+
+
+def test_dense_kernel_only_spells_large_dense_finite_arrays(rng, monkeypatch):
+    calls = []
+    spell = io._spell
+    monkeypatch.setattr(io, "_spell", lambda x, *rest: calls.append(len(x)) or spell(x, *rest))
+    small = rng.standard_normal(io.KERNEL_MIN_SIZE - 1)
+    sparse = np.zeros(io.KERNEL_MIN_SIZE * 2)
+    sparse[::3] = rng.standard_normal(len(sparse[::3]))
+    with_nan = rng.standard_normal(io.KERNEL_MIN_SIZE)
+    with_nan[5] = np.nan
+    powers = 2.0 ** rng.integers(-3, 3, io.KERNEL_MIN_SIZE)  # mostly left to float.__repr__
+    for obj in (small, small.reshape(-1, 1), sparse, with_nan, powers, rng.standard_normal(600) + 0j):
+        assert io.dump_json(obj, None) == _json_text(obj)
+    assert calls == []
+    exact = rng.standard_normal((io.KERNEL_MIN_SIZE // 8, 8))
+    large = rng.standard_normal((3, io.KERNEL_BLOCK))
+    assert io.dump_json({"a": exact, "b": large}, None) == _json_text({"a": exact, "b": large})
+    assert calls == [io.KERNEL_MIN_SIZE, io.KERNEL_BLOCK, io.KERNEL_BLOCK, io.KERNEL_BLOCK]
+
+
 def test_matrix_to_json_matches_float_conversion(rng):
     a = rng.standard_normal((5, 3))
     a[0, 0] = -0.0
