@@ -1,16 +1,19 @@
 """JSON and CSV serialization for matrices, traces, and certificates.
 
 Matrix JSON schema: {"rows": n, "cols": m, "data": [[...], ...]} (row-major
-decimal floats).  CSV floats carry 17 significant digits so round trips are
-exact; JSON floats use Python's shortest round-trip repr.  ``dump_json``
+decimal floats).  A CSV float is the text of "%.17g" % v, so round trips are
+exact; a JSON float is Python's shortest round-trip repr.  ``dump_json``
 writes the text of ``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` in
 one pass: a float64 array from its buffer (each distinct entry of a mostly-zero one
-spelled once, a large dense one by the shortest-repr kernel ``_spell``), others by ``tolist()``.
+spelled once), others by ``tolist()``.  The decimal kernel ``_spell`` writes both
+spellings for a large dense array or CSV table, from one exact scaling, one digit table and
+one layout; an entry it cannot decide takes its per-value text.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import asdict
 
@@ -22,11 +25,11 @@ from .compound import as_matrix
 from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 from .errors import DimensionMismatch
 
-CSV_BLOCK_ROWS = 1024  # rows formatted by one % and one write; bounds a long table's text
-# _spell's fixed cost of about 0.3 ms of numpy calls broke even with float.__repr__ (about
-# 1.4 us an entry) near 400 entries, on 2 shared CPUs with numpy 2.4.6
+# _spell's fixed cost of about 0.1 ms of numpy calls broke even with float.__repr__ (about
+# 0.6 us an entry) and with one "%.17g" % over a table (about 0.45 us) near 300 entries, on
+# 2 shared CPUs with numpy 2.4.6
 KERNEL_MIN_SIZE = 512
-KERNEL_BLOCK = 4096  # keeps a pass's temporaries near 1 MB
+KERNEL_BLOCK = 4096  # keeps a pass's temporaries near 0.5 MB
 KERNEL_MARGIN = 1e-6  # a decision this close to a boundary goes to float.__repr__
 
 
@@ -116,17 +119,27 @@ def subspace_to_json(rep: SubspaceReport) -> dict:
 
 
 def write_csv(path: str, header: str, table) -> None:
-    """A header line, then each row of a 2-D float table as "%.17g" values."""
+    """A header line, then each row of a 2-D float table as "%.17g" values: one % over a table
+    below KERNEL_MIN_SIZE entries, the decimal kernel (_spell) over a larger one."""
     rows = np.asarray(table, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"a CSV table must be 2-D, got shape {rows.shape}")
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for block in np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS)):
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        if rows.size < KERNEL_MIN_SIZE:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.write(header + "\n" + line * len(rows) % tuple(rows.ravel().tolist()))
+            return
+        out = [header]  # each entry after "\n" (a row's first) or ","
+        _write_blocks(rows, ["\n" if c else "," for c in range(3)], out, g17=True)
+        fh.writelines(out)
+        fh.write("\n")
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, frames: np.ndarray | None = None) -> None:
     """Header "t,x1,...,xn" plus w{i}{j} columns when a frame stack is given."""
+    if traj.states.ndim != 2:
+        raise DimensionMismatch(
+            f"a trajectory CSV needs (m, n) states, got shape {traj.states.shape}")
     n = traj.states.shape[1]
     cols = ["t"] + [f"x{i + 1}" for i in range(n)]
     table = [traj.times[:, None], traj.states]
@@ -196,40 +209,60 @@ def _write_floats(a: np.ndarray, indent: str, out: list[str]) -> None:
 
 
 def _write_dense(a: np.ndarray, indent: str, out: list[str]) -> None:
-    """Append the nested-list text of a finite array, KERNEL_BLOCK entries at a time, each
-    entry after its prefix: ",\n" and the indent, or the brackets that close and open rows."""
+    """Append the nested-list text of a finite array, each entry after its prefix: ",\n" and
+    the indent, or the brackets that close and open rows."""
     d = a.ndim
     levels = [indent + "  " * j for j in range(d + 1)]
     closes = ["\n" + levels[j] + "]" for j in range(d)]
     opens = ["[\n" + levels[j + 1] for j in range(d)]
     # prefix c is that of an entry starting c new rows at once; the last one opens the array
-    prefixes = ["".join(closes[d - c:][::-1]) + ",\n" + levels[d - c] + "".join(opens[d - c:])
-                for c in range(d)] + ["".join(opens)]
+    _write_blocks(a, ["".join(closes[d - c:][::-1]) + ",\n" + levels[d - c] + "".join(opens[d - c:])
+                      for c in range(d)] + ["".join(opens)], out)
+    out.append("".join(closes[::-1]))
+
+
+def _write_blocks(a: np.ndarray, prefixes: list[str], out: list[str], g17: bool = False) -> None:
+    """Append the text of each entry of a (see _spell), KERNEL_BLOCK entries at a time, after
+    prefixes[c], where c counts the axes, from the last, whose index restarts at the entry."""
     width = -(-max(map(len, prefixes)) // 8) * 8
-    table = np.array(prefixes, f"S{width}").view(np.uint8).reshape(d + 1, -1)
-    block = min(a.size, KERNEL_BLOCK)
-    rows = np.concatenate([np.tile(table[0], (block, 1)), np.zeros((block, 48), np.uint8)], 1)
-    ints, fracs = np.zeros((block, 12), "<u4"), np.zeros((block, 12), "<u4")  # see _spell
+    table = np.array(prefixes, f"S{width}").view(np.uint8).reshape(len(prefixes), -1)
+    rows = np.zeros((min(a.size, KERNEL_BLOCK), width + 40), np.uint8)
+    rows[:, :width] = table[0]
     flat, spans = a.reshape(-1), np.cumprod(a.shape[::-1])  # entry 0 starts all d spans
     for start in range(0, a.size, KERNEL_BLOCK):
         x = flat[start:start + KERNEL_BLOCK]
         firsts = np.arange(-start % a.shape[-1], len(x), a.shape[-1])  # entries starting a row
         rows[firsts, :width] = table[((start + firsts) % spans[:, None] == 0).sum(0)]
-        out.append(_spell(x, rows[:len(x)], ints[:len(x)], fracs[:len(x)]))
+        out.append(_spell(x, rows[:len(x)], g17))
         rows[firsts, :width] = table[0]
-    out.append("".join(closes[::-1]))
 
 
 @functools.cache
 def _kernel_tables():
     """Built on first use: 10^s (s = 0..21, exact in float64) and its Veltkamp halves; the
-    ASCII of 0000..9999 as little-endian words, with every digit and with trailing zeros NUL."""
+    ASCII of 0000..9999 as little-endian words, each digit followed by "."; and the layouts of
+    _spell as words of 0 and 255 bytes."""
     ten = np.array([float(10 ** s) for s in range(22)])
     high = (c := ten * 134217729.0) - (c - ten)
-    v = np.arange(10000)[:, None]
-    digits = (v // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
-    cut = np.where(v % 10 ** np.arange(4, 0, -1) > 0, digits, 0).astype(np.uint8)
-    tables = ten, high, ten - high, digits.view("<u4")[:, 0], cut.view("<u4")[:, 0]
+    v = np.arange(10000, dtype=np.int16)[:, None]  # int16 keeps a first write's peak RSS low
+    digits = np.full((10000, 8), ord("."), np.uint8)
+    digits[:, ::2] = v // 10 ** np.arange(3, -1, -1, dtype=np.int16) % 10 + 48
+    # [repr, %g][point + 3][trailing zeros]: the bytes of a source (see _spell) the text keeps
+    keep = np.zeros((2, 21, 19, 40), bool)
+    for point, zeros in itertools.product(range(-3, 18), range(19)):
+        last = 38 - 2 * zeros  # the last nonzero digit; a zero's 18 "0"s end before digit 0
+        k = keep[:, point + 3, zeros]
+        k[:, 0] = True  # the sign
+        if point <= 0:  # "0.", -point zeros and the digits
+            k[:, 1:3 - point] = k[:, 6:last + 1:2] = True
+            continue
+        dot = 5 + 2 * point  # after the integer digits, "." and the fraction
+        k[:, 6:dot:2] = True
+        k[0, dot] = k[0, dot + 1:max(last, dot + 1) + 1:2] = True  # repr: an empty one is "0"
+        if last > dot:
+            k[1, dot] = k[1, dot + 1:last + 1:2] = True
+    tables = (ten, high, ten - high, digits.view("<u8")[:, 0],
+              np.where(keep, 255, 0).astype(np.uint8).view("<u8").reshape(2, -1, 5))
     _read_only(*tables)
     return tables
 
@@ -240,21 +273,13 @@ def _decidable(x: np.ndarray) -> np.ndarray:
     return (ax >= 1e-4) & (ax < 1e16) & (x.view(np.uint64) << np.uint64(12) != 0) | (ax == 0)
 
 
-def _shortest(x: np.ndarray):
-    """float.__repr__'s digits of each entry as a 17-digit integer (0 for a zero), the position
-    of its decimal point, and whether the entry was decided here.
-
-    Y = |x| 10^(16-E) is in [1e16, 1e17), exactly p + err (10^s is exact; a Dekker product).
-    The first of Y's 15-, 16- and 17-digit roundings strictly inside the half-gap of x (which
-    reads back as x) is the shortest repr and the nearest of its length.  An entry that is not
-    _decidable, or whose decision lies within KERNEL_MARGIN of a boundary, is undecided.
-    """
-    zero = x == 0
-    decided = _decidable(x) & ~zero
-    safe = np.where(decided, np.abs(x), 1.0)
+def _scaled(safe: np.ndarray):
+    """Y = safe 10^(16-E) in [1e16, 1e17) for each safe in [1e-4, 1e17): Y's integer part and
+    fraction, E, 10^(16-E), and whether E is settled.  Both parts are exact: 10^s is exact for
+    s <= 21, and a Dekker product gives Y as p + err."""
     ax_high = (c := safe * 134217729.0) - (c - safe)
     ax_low = safe - ax_high
-    e = np.floor(np.log10(safe)).astype(np.int64)
+    e = np.minimum(np.floor(np.log10(safe)), 16).astype(np.int64)
     for _ in range(2):  # log10 may be one off near a power of ten
         ten, high, low = (t[16 - e] for t in _kernel_tables()[:3])
         p = safe * ten
@@ -264,7 +289,22 @@ def _shortest(x: np.ndarray):
         if not fix.any():
             break
         e += fix
-    f = err - np.floor(err)
+    return y, err - np.floor(err), e, ten, fix == 0
+
+
+def _shortest(x: np.ndarray):
+    """float.__repr__'s digits of each entry as a 17-digit integer (0 for a zero), the position
+    of its decimal point, and whether the entry was decided here.
+
+    The first of Y's (see _scaled) 15-, 16- and 17-digit roundings strictly inside the half-gap
+    of x (which reads back as x) is the shortest repr and the nearest of its length.  An entry
+    that is not _decidable, or whose decision lies within KERNEL_MARGIN of a boundary, is
+    undecided.
+    """
+    zero = x == 0
+    decided = _decidable(x) & ~zero
+    safe = np.where(decided, np.abs(x), 1.0)
+    y, f, e, ten, settled = _scaled(safe)
     half = np.ldexp(ten, np.frexp(safe)[1] - 54)  # half the gap of safe, times 10^s
     r2 = (y % 100).astype(np.float64)
     r1 = r2 - 10 * np.floor(r2 / 10)
@@ -275,42 +315,45 @@ def _shortest(x: np.ndarray):
     near = np.abs([u15 - 50, d15 - half, u16 - 5, d16 - half, f - 0.5]) <= KERNEL_MARGIN
     step = np.where(in15, 100 * up15 - r2, np.where(in16, 10 * up16 - r1, f >= 0.5))
     digits = np.where(zero, 0, y + step.astype(np.int64))
-    decided &= (fix == 0) & (digits < 10 ** 17) & ~(  # no carry to 18 digits
+    decided &= settled & (digits < 10 ** 17) & ~(  # no carry to 18 digits
         near[0] | near[1] | ~in15 & (near[2] | near[3] | ~in16 & near[4]))
-    return digits, np.where(decided, e + 1, np.where(zero, 0, 1)), decided | zero
+    return digits, np.where(decided, e + 1, 1), decided | zero
 
 
-def _spell(x: np.ndarray, rows: np.ndarray, ints: np.ndarray, fracs: np.ndarray) -> str:
-    """Write float.__repr__ of each entry of x into the last 48 bytes of its row of rows, and
-    return the text of rows without NULs: 24 bytes ending in the sign, integer part and ".",
-    24 starting with the fraction, as words of ints and fracs shifted by the decimal point."""
-    digits, point, decided = _shortest(x)
-    full, cut = _kernel_tables()[3:]
-    # ints: 22 NUL, sign, the 17 digits, 8 NUL; fracs: "000", the digits to the last nonzero one
-    later = np.zeros(len(x), bool)  # a nonzero digit follows
-    for k in range(3, -1, -1):
-        digits, quad = np.divmod(digits, 10000)
-        words = full[quad]
-        ints[:, 6 + k] = words
-        fracs[:, 1 + k] = np.where(later, words, cut[quad])
-        later |= quad != 0
-    lead = (digits.astype(np.uint32) + 48) << 24
-    ints[:, 5] = lead | np.where(decided & np.signbit(x), 45 << 16, 0).astype(np.uint32)
-    fracs[:, 0] = lead | 0x303030
-    w = []
-    for src, o in ((ints, np.maximum(point, 1)), (fracs, point + 3)):  # bytes o .. o + 23
-        at = (o >> 3) + np.arange(0, src.size // 2, 6)
-        bits = (o & 7).astype(np.uint64) * np.uint64(8)  # a shift by 64 gives 0
-        got = [src.view("<u8").reshape(-1).take(at + j) for j in range(4)]
-        w += [(got[j] >> bits) | (got[j + 1] << (np.uint64(64) - bits)) for j in range(3)]
-    keep, dot = np.where(point > 0, [[2**56 - 1], [0x2E << 56]], [[2**48 - 1], [0x2E30 << 48]])
-    w[2] = w[2] & keep.astype(np.uint64) | dot.astype(np.uint64)  # "." after the integer, or "0."
-    w[3] |= ((w[3] & np.uint64(0xFF)) == 0) * np.uint64(ord("0"))  # a zero fraction is "0"
-    rows.view("<u8")[:, -6:] = np.stack(w, axis=1)
-    miss = np.flatnonzero(~decided)  # undecided entries take float.__repr__
-    text = np.array([float.__repr__(v) for v in x[miss].tolist()], "S48")
-    rows[miss, -48:] = text.view(np.uint8).reshape(-1, 48)
-    return rows[rows != 0].tobytes().decode("ascii")
+def _rounded(x: np.ndarray):
+    """The "%.17g" digits of each entry, its decimal point and whether it was decided here, as
+    _shortest: Y (see _scaled) rounded half to even, which is exact for |x| in [1e-4, 1e17).
+    It never carries to 10^17: that needs x within 5e-18 of a power of ten below it, and the
+    double nearest below each of 1e-3 .. 1e17 is more than 8e-17 of it away."""
+    ax = np.abs(x)
+    decided = (ax >= 1e-4) & (ax < 1e17)
+    y, f, e, _, settled = _scaled(np.where(decided, ax, 1.0))
+    digits = np.where(ax == 0, 0, y + ((f > 0.5) | (f == 0.5) & (y % 2 == 1)))
+    return digits, np.where(decided & settled, e + 1, 1), decided & settled | (ax == 0)
+
+
+def _spell(x: np.ndarray, rows: np.ndarray, g17: bool = False) -> str:
+    """Write float.__repr__ of each entry of x ("%.17g" % v when g17) into the last 40 bytes of
+    its row of rows, and return the text of rows without NULs.  An entry's source is its sign,
+    "0.000" and its 17 digits, each followed by "."; the layout of its decimal point and count
+    of trailing zero digits keeps the text's bytes.  An undecided entry takes its per-value text."""
+    digits, point, decided = (_rounded if g17 else _shortest)(x)
+    words, layouts = _kernel_tables()[3:]
+    src = rows.view("<u8")[:, -5:]
+    for k in range(4, 0, -1):  # numpy divides by a scalar fast, but its % is slow
+        high = digits // 10000
+        src[:, k] = words[digits - high * 10000]
+        digits = high
+    sign = np.signbit(x) * np.uint64(ord("-"))
+    src[:, 0] = (digits + 48).astype(np.uint64) << 48 | 0x2E003030302E3000 | sign
+    # trailing "0" digits; a zero's run ends at the "." before digit 0, 18 places back
+    zeros = np.argmax(rows[:, -2:-39:-2] != 48, axis=1)
+    src &= layouts[int(g17)][(point + 3) * 19 + zeros]
+    miss = np.flatnonzero(~decided)
+    spell = "%.17g".__mod__ if g17 else float.__repr__
+    text = np.array([spell(v) for v in x[miss].tolist()], "S40")
+    rows[miss, -40:] = text.view(np.uint8).reshape(-1, 40)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_rows(a: np.ndarray, indent: str, out: list[str], words) -> None:

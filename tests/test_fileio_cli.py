@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -307,10 +308,10 @@ def test_csv_writers_match_per_value_format(tmp_path, rng):
     assert path.read_text().splitlines()[1:] == want
 
 
-@pytest.mark.parametrize("m", [0, 1, io.CSV_BLOCK_ROWS, 2 * io.CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("m", [0, 1, io.KERNEL_BLOCK, 2 * io.KERNEL_BLOCK + 3])
 @pytest.mark.parametrize("n", [1, 4])
 def test_write_csv_blocks_give_the_per_row_text(tmp_path, rng, m, n):
-    """Whole blocks of rows give the text of one "%.17g" line per row."""
+    """Whole kernel blocks of entries give the text of one "%.17g" line per row."""
     values = np.concatenate([_CSV_EDGE_VALUES, [-5e-324, 1e-310, -1e-320],
                              rng.standard_normal(100) * 10.0 ** rng.integers(-300, 300, 100)])
     table = rng.choice(values, size=(m, n))
@@ -319,6 +320,102 @@ def test_write_csv_blocks_give_the_per_row_text(tmp_path, rng, m, n):
     io.write_csv(str(path), "h", table)
     line = ",".join(["%.17g"] * n) + "\n"
     assert path.read_text() == "h\n" + "".join(line % tuple(row) for row in table.tolist())
+
+
+def _g17_text(table) -> str:
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "h\n" + "".join(line % tuple(row) for row in table.tolist())
+
+
+def _csv_text(tmp_path, table) -> str:
+    path = tmp_path / "t.csv"
+    io.write_csv(str(path), "h", table)
+    return path.read_text()
+
+
+_BLOCK_EDGES = [0, 1, 7, io.KERNEL_MIN_SIZE - 1, io.KERNEL_MIN_SIZE, io.KERNEL_MIN_SIZE + 1,
+                io.KERNEL_BLOCK - 1, io.KERNEL_BLOCK, io.KERNEL_BLOCK + 1, 2 * io.KERNEL_BLOCK + 5]
+
+
+@st.composite
+def _csv_tables(draw):
+    """Tables of 0 rows, 1 column, and of sizes around KERNEL_MIN_SIZE and KERNEL_BLOCK (rows of
+    3, 5 or 7 entries straddle a block end): random bit patterns, values of every decimal
+    exponent %.17g spells without one, 17-digit ties q / 2^17, the doubles just below powers of
+    ten (the nearest a rounding comes to carrying into a new digit), signed zeros, NaN,
+    infinities and subnormals, and drawn floats at drawn places."""
+    cols = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    rows = draw(st.sampled_from([0, *(-(-size // cols) for size in _BLOCK_EDGES)]))
+    rows += draw(st.integers(-1, 1)) * (rows > 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = rows * cols
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4, 17, size)
+    ties = (2 * rng.integers(2**16, 2**17, size) + 1) / 2**17 * 2.0 ** rng.integers(-13, 40, size)
+    nines = np.nextafter(10.0 ** rng.integers(-3, 18, size), 0)
+    specials = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1e-4, 1e17], size)
+    pick = rng.choice(5, size, p=draw(st.sampled_from([[0.2] * 5, [0.05, 0.8, 0.05, 0.05, 0.05]])))
+    x = np.choose(pick, [bits, spread, ties, nines, specials])
+    drawn = draw(st.lists(st.floats(), max_size=20))
+    if size:
+        x[rng.integers(0, size, len(drawn))] = drawn
+    return x.reshape(rows, cols)
+
+
+@settings(deadline=None, max_examples=60)
+@given(table=_csv_tables())
+def test_write_csv_kernel_gives_the_per_row_text(tmp_path_factory, table):
+    assert _csv_text(tmp_path_factory.mktemp("csv"), table) == _g17_text(table)
+
+
+def test_write_csv_kernel_sweep_gives_the_per_row_text(tmp_path):
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64, endpoint=False)
+    # random signs and significands, with the exponents %.17g spells without one
+    fixed = rng.integers(0, 2**52, 2**19, dtype=np.uint64)
+    fixed |= rng.integers(1009, 1080, 2**19).astype(np.uint64) << np.uint64(52)
+    fixed |= rng.integers(0, 2, 2**19).astype(np.uint64) << np.uint64(63)
+    k = np.arange(1, 53)
+    tens = 10.0 ** np.arange(-6, 19)
+    twos = 2.0 ** np.arange(-60, 60)
+    ties = (2 * np.arange(65536, 131072) + 1) / 2**17  # 18 significant digits, ending in 5
+    families = np.concatenate([
+        ties, ties * 2.0**20, ties / 2**10, 1 + 2.0 ** -k, 1 - 2.0 ** -k,
+        twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        1e17 - 16.0 * np.arange(1, 200), 1e-4 * (1 + 2.0**-52 * np.arange(-50, 50)),
+        5e-324 * np.arange(1, 50), [0.0, -0.0, np.nan, np.inf, -np.inf],
+        2.0**53 + np.arange(-100, 100), np.arange(1, 5000) * 1e-3, np.arange(-1000.0, 1000.0),
+    ])
+    for x in (bits.view(np.float64), fixed.view(np.float64), families, -families):
+        table = x[:len(x) // 3 * 3].reshape(-1, 3)  # rows of 3 straddle each block end
+        assert _csv_text(tmp_path, table) == _g17_text(table)
+
+
+def test_write_csv_below_the_cut_over_never_reaches_the_kernel(tmp_path, rng, monkeypatch):
+    calls = []
+    spell = io._spell
+    monkeypatch.setattr(io, "_spell", lambda x, *rest: calls.append(len(x)) or spell(x, *rest))
+    for shape in ((io.KERNEL_MIN_SIZE - 1, 1), ((io.KERNEL_MIN_SIZE - 1) // 3, 3), (0, 4)):
+        table = rng.standard_normal(shape)
+        assert _csv_text(tmp_path, table) == _g17_text(table)
+    assert calls == []
+    table = rng.standard_normal((io.KERNEL_BLOCK // 3 + 1, 3))  # a row straddles the block end
+    assert _csv_text(tmp_path, table) == _g17_text(table)
+    assert calls == [io.KERNEL_BLOCK, 2]
+
+
+@pytest.mark.parametrize("table", [np.arange(5.0), np.zeros((2, 3, 4)), np.float64(1.0)])
+def test_write_csv_refuses_a_table_that_is_not_2d(tmp_path, table):
+    with pytest.raises(DimensionMismatch, match=re.escape(str(np.shape(table)))):
+        io.write_csv(str(tmp_path / "t.csv"), "h", table)
+
+
+def test_trajectory_csv_refuses_a_stack_trajectory(tmp_path):
+    traj = dy.integrate(model("diag2").system, np.ones((3, 2)), (0.0, 0.01), 1e-3)
+    assert traj.states.shape == (11, 3, 2)
+    with pytest.raises(DimensionMismatch, match=r"\(11, 3, 2\)"):
+        io.write_trajectory_csv(str(tmp_path / "t.csv"), traj)
 
 
 def test_cli_certify_exit_codes(tmp_path, diag2_file):
