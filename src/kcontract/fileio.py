@@ -279,7 +279,7 @@ def _scaled(safe: np.ndarray):
     s <= 21, and a Dekker product gives Y as p + err."""
     ax_high = (c := safe * 134217729.0) - (c - safe)
     ax_low = safe - ax_high
-    e = np.minimum(np.floor(np.log10(safe)), 16).astype(np.int64)
+    e = np.minimum(np.floor(np.log10(safe)), 16).astype(np.int64)  # log10 gives 17 below 1e17
     for _ in range(2):  # log10 may be one off near a power of ten
         ten, high, low = (t[16 - e] for t in _kernel_tables()[:3])
         p = safe * ten
