@@ -6,8 +6,8 @@ exact; a JSON float is Python's shortest round-trip repr.  ``dump_json``
 writes the text of ``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` in
 one pass: a float64 array from its buffer (each distinct entry of a mostly-zero one
 spelled once), others by ``tolist()``.  The decimal kernel ``_spell`` writes both
-spellings for a large dense array or CSV table, from one exact scaling, one digit table and
-one layout; an entry it cannot decide takes its per-value text.
+spellings, for a large dense array and for every CSV table, from one exact scaling, one digit
+table and one layout; an entry it cannot decide takes its per-value text.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .compound import as_matrix
 from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 from .errors import DimensionMismatch
 
-# _spell's fixed cost of about 0.1 ms of numpy calls broke even with float.__repr__ (about
-# 0.6 us an entry) and with one "%.17g" % over a table (about 0.45 us) near 300 entries, on
-# 2 shared CPUs with numpy 2.4.6
+# the smallest float64 array dump_json sends through _spell.  Its fixed cost of about 0.1 ms
+# of numpy calls broke even with float.__repr__ (about 0.6 us an entry) near 300 entries, on
+# 2 shared CPUs with numpy 2.4.6; 512 stays as first set, since no workload writes an array
+# of 300-511 entries to show a gain from moving it
 KERNEL_MIN_SIZE = 512
 KERNEL_BLOCK = 4096  # keeps a pass's temporaries near 0.5 MB
 KERNEL_MARGIN = 1e-6  # a decision this close to a boundary goes to float.__repr__
@@ -119,19 +120,18 @@ def subspace_to_json(rep: SubspaceReport) -> dict:
 
 
 def write_csv(path: str, header: str, table) -> None:
-    """A header line, then each row of a 2-D float table as "%.17g" values: one % over a table
-    below KERNEL_MIN_SIZE entries, the decimal kernel (_spell) over a larger one."""
+    """A header line, then each row of a 2-D float table as "%.17g" values, written by the
+    decimal kernel (_spell) one block at a time."""
     rows = np.asarray(table, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatch(f"a CSV table must be 2-D, got shape {rows.shape}")
     with open(path, "w") as fh:
-        if rows.size < KERNEL_MIN_SIZE:
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.write(header + "\n" + line * len(rows) % tuple(rows.ravel().tolist()))
+        fh.write(header)
+        if not rows.size:
+            fh.write("\n" * (1 + len(rows)))  # each row of no columns is an empty line
             return
-        out = [header]  # each entry after "\n" (a row's first) or ","
-        _write_blocks(rows, ["\n" if c else "," for c in range(3)], out, g17=True)
-        fh.writelines(out)
+        # each entry after "\n" (a row's first) or ","
+        fh.writelines(_write_blocks(rows, ["\n" if c else "," for c in range(3)], g17=True))
         fh.write("\n")
 
 
@@ -216,13 +216,13 @@ def _write_dense(a: np.ndarray, indent: str, out: list[str]) -> None:
     closes = ["\n" + levels[j] + "]" for j in range(d)]
     opens = ["[\n" + levels[j + 1] for j in range(d)]
     # prefix c is that of an entry starting c new rows at once; the last one opens the array
-    _write_blocks(a, ["".join(closes[d - c:][::-1]) + ",\n" + levels[d - c] + "".join(opens[d - c:])
-                      for c in range(d)] + ["".join(opens)], out)
+    out.extend(_write_blocks(a, ["".join(closes[d - c:][::-1]) + ",\n" + levels[d - c]
+                                 + "".join(opens[d - c:]) for c in range(d)] + ["".join(opens)]))
     out.append("".join(closes[::-1]))
 
 
-def _write_blocks(a: np.ndarray, prefixes: list[str], out: list[str], g17: bool = False) -> None:
-    """Append the text of each entry of a (see _spell), KERNEL_BLOCK entries at a time, after
+def _write_blocks(a: np.ndarray, prefixes: list[str], g17: bool = False):
+    """Yield the text of each entry of a (see _spell), KERNEL_BLOCK entries at a time, after
     prefixes[c], where c counts the axes, from the last, whose index restarts at the entry."""
     width = -(-max(map(len, prefixes)) // 8) * 8
     table = np.array(prefixes, f"S{width}").view(np.uint8).reshape(len(prefixes), -1)
@@ -233,7 +233,7 @@ def _write_blocks(a: np.ndarray, prefixes: list[str], out: list[str], g17: bool 
         x = flat[start:start + KERNEL_BLOCK]
         firsts = np.arange(-start % a.shape[-1], len(x), a.shape[-1])  # entries starting a row
         rows[firsts, :width] = table[((start + firsts) % spans[:, None] == 0).sum(0)]
-        out.append(_spell(x, rows[:len(x)], g17))
+        yield _spell(x, rows[:len(x)], g17)
         rows[firsts, :width] = table[0]
 
 

@@ -392,17 +392,14 @@ def test_write_csv_kernel_sweep_gives_the_per_row_text(tmp_path):
         assert _csv_text(tmp_path, table) == _g17_text(table)
 
 
-def test_write_csv_below_the_cut_over_never_reaches_the_kernel(tmp_path, rng, monkeypatch):
+def test_write_csv_spells_every_table_in_kernel_blocks(tmp_path, rng, monkeypatch):
     calls = []
     spell = io._spell
     monkeypatch.setattr(io, "_spell", lambda x, *rest: calls.append(len(x)) or spell(x, *rest))
-    for shape in ((io.KERNEL_MIN_SIZE - 1, 1), ((io.KERNEL_MIN_SIZE - 1) // 3, 3), (0, 4)):
-        table = rng.standard_normal(shape)
+    for shape in ((0, 4), (3, 0), (1, 1), (io.KERNEL_BLOCK // 3 + 1, 3)):  # a row straddles
+        table = rng.standard_normal(shape)                                # the block end
         assert _csv_text(tmp_path, table) == _g17_text(table)
-    assert calls == []
-    table = rng.standard_normal((io.KERNEL_BLOCK // 3 + 1, 3))  # a row straddles the block end
-    assert _csv_text(tmp_path, table) == _g17_text(table)
-    assert calls == [io.KERNEL_BLOCK, 2]
+    assert calls == [1, io.KERNEL_BLOCK, 2]
 
 
 @pytest.mark.parametrize("table", [np.arange(5.0), np.zeros((2, 3, 4)), np.float64(1.0)])
