@@ -62,13 +62,19 @@ def _load_model(args) -> mz.ModelEntry:
 def _box_from(args) -> dy.BoxDomain:
     if not getattr(args, "box", None):
         raise KContractError("this rule needs --box lo1,lo2,...:hi1,hi2,...")
+    if args.box.count(":") != 1:
+        raise KContractError(f"--box {args.box} must be lo1,lo2,...:hi1,hi2,...")
     lo_txt, hi_txt = args.box.split(":")
     counts = _parse_counts(args.grid_counts) if getattr(args, "grid_counts", None) else None
     return dy.BoxDomain.of(_parse_vector(lo_txt), _parse_vector(hi_txt), counts)
 
 
 def _emit(obj: dict, args) -> None:
-    print(io.dump_json(obj, getattr(args, "out", None)))
+    """Stream obj's JSON to --out, when given, and to stdout."""
+    if not getattr(args, "out", None):
+        return io.write_json(obj, sys.stdout)
+    with open(args.out, "w") as fh:  # opened first: a path that fails leaves stdout empty
+        io.write_json(obj, fh, sys.stdout)
 
 
 # -- verb handlers ------------------------------------------------------------
@@ -138,7 +144,7 @@ def cmd_simulate(args) -> int:
     }
     if traj.oracle_max_error is not None:
         summary["oracle_max_error"] = traj.oracle_max_error
-    print(io.dump_json(summary, None))
+    io.write_json(summary, sys.stdout)
     return 0
 
 
@@ -162,14 +168,14 @@ def cmd_volume(args) -> int:
     trace = dy.volume_trace(frame, Norm.parse(args.norm))
     if args.out:
         io.write_trace_csv(args.out, trace)
-    print(io.dump_json({
+    io.write_json({
         "model": entry.name,
         "k": k,
         "norm": args.norm,
         "initial_norm": float(trace.norms[0]),
         "final_norm": float(trace.norms[-1]),
         "decay_exponent": trace.decay_exponent,
-    }, None))
+    }, sys.stdout)
     return 0
 
 
@@ -299,14 +305,14 @@ def cmd_seir_diagnostics(args) -> int:
         io.write_csv(args.out, "t,mu,bound,margin,g1,g2", np.column_stack([
             diag.times, diag.mu_values, diag.bounds, diag.margins, diag.g1, diag.g2,
         ]))
-    print(io.dump_json({
+    io.write_json({
         "min_margin": diag.min_margin,
         "average_mu": diag.average_mu,
         "zeta": diag.zeta,
         "average_ok": diag.average_ok,
         "window": list(diag.window),
         "max_mu": diag.extras["max_mu"],
-    }, None))
+    }, sys.stdout)
     return 0
 
 

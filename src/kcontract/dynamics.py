@@ -87,6 +87,8 @@ class BoxDomain:
         hi = np.asarray(upper, dtype=float).reshape(-1)
         if lo.size != hi.size:
             raise DimensionMismatch("lower and upper must have equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise DimensionMismatch("box bounds must be finite")
         if np.any(hi < lo):
             raise DimensionMismatch("upper must dominate lower componentwise")
         box = cls(lower=lo, upper=hi)
@@ -325,6 +327,8 @@ PASS_CHUNK_ELEMENTS = 1024
 def _steps(t_span, h: float) -> tuple[np.ndarray, float]:
     """The sample times of a fixed-step run over t_span and its step."""
     t0, tf = float(t_span[0]), float(t_span[1])
+    if not np.isfinite([t0, tf, h]).all():  # a step count of inf or nan has no integer
+        raise DimensionMismatch(f"t_span ({t0}, {tf}) and step h {h} must be finite")
     if h <= 0.0:
         raise DimensionMismatch("step h must be positive")
     if tf <= t0:

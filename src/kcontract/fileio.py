@@ -4,8 +4,9 @@ Matrix JSON schema: {"rows": n, "cols": m, "data": [[...], ...]} (row-major
 decimal floats).  A CSV float is the text of "%.17g" % v, so round trips are
 exact; a JSON float is Python's shortest round-trip repr.  ``dump_json``
 writes the text of ``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` in
-one pass: a float64 array from its buffer (each distinct entry of a mostly-zero one
-spelled once), others by ``tolist()``.  The decimal kernel ``_spell`` writes both
+one pass, and ``write_json`` streams that text to files piece by piece: a float64
+array from its buffer (each distinct entry of a mostly-zero one spelled once),
+others by ``tolist()``.  The decimal kernel ``_spell`` writes both
 spellings, for a large dense array and for every CSV table, from one exact scaling, one digit
 table and one layout; an entry it cannot decide takes its per-value text.
 """
@@ -32,6 +33,7 @@ from .errors import DimensionMismatch
 KERNEL_MIN_SIZE = 512
 KERNEL_BLOCK = 4096  # keeps a pass's temporaries near 0.5 MB
 KERNEL_MARGIN = 1e-6  # a decision this close to a boundary goes to float.__repr__
+SINK_CHARS = 65536  # write_json's pending text, written to its files once it reaches this
 
 
 def matrix_to_json(a) -> dict:
@@ -156,7 +158,7 @@ def write_trace_csv(path: str, trace: ParallelotopeTrace) -> None:
     write_csv(path, "t,norm,log_norm", np.column_stack([trace.times, norms, log]))
 
 
-def _write_json(value, indent: str, out: list[str]) -> None:
+def _write_json(value, indent: str, out: list[str] | _Sink) -> None:
     """Append to out the text json.dumps(jsonable(value), sort_keys=True,
     indent=2) gives value nested at the given indent, one string per array row."""
     if isinstance(value, np.ndarray):
@@ -191,7 +193,7 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         out.append(json.dumps(value))  # scalars and empty containers
 
 
-def _write_floats(a: np.ndarray, indent: str, out: list[str]) -> None:
+def _write_floats(a: np.ndarray, indent: str, out: list[str] | _Sink) -> None:
     """A mostly-zero array spells each distinct nonzero bit pattern once (-0.0,
     whose sign bit is set, is one) and shares one "0.0" among its +0.0 entries."""
     spell = float.__repr__ if np.isfinite(a).all() else json.dumps  # NaN, Infinity
@@ -208,7 +210,7 @@ def _write_floats(a: np.ndarray, indent: str, out: list[str]) -> None:
     _write_rows(index, indent, out, lambda row: words[row].tolist())
 
 
-def _write_dense(a: np.ndarray, indent: str, out: list[str]) -> None:
+def _write_dense(a: np.ndarray, indent: str, out: list[str] | _Sink) -> None:
     """Append the nested-list text of a finite array, each entry after its prefix: ",\n" and
     the indent, or the brackets that close and open rows."""
     d = a.ndim
@@ -381,3 +383,45 @@ def dump_json(obj: dict, path: str | None) -> str:
             fh.write(text)
             fh.write("\n")  # not text + "\n", a second copy of a text of many MB
     return text
+
+
+def write_json(obj, *files) -> None:
+    """Write the text of dump_json(obj, None) and "\n" to each file as the writer produces
+    it, in pieces of at least SINK_CHARS characters but the last, so no copy of the whole
+    text is ever held.
+
+    A file whose write fails gets no more text, while the others still get all of it; the
+    first such error is raised after the last piece."""
+    sink = _Sink(files)
+    _write_json(obj, "", sink)
+    sink.append("\n")
+    sink.flush()
+    if sink.error is not None:
+        raise sink.error
+
+
+class _Sink:
+    """The out of _write_json for write_json: it holds the pieces appended since it last
+    wrote, and writes their text to each live file once it reaches SINK_CHARS."""
+
+    def __init__(self, files):
+        self.files, self.pending, self.size, self.error = list(files), [], 0, None
+
+    def append(self, text: str) -> None:
+        self.pending.append(text)
+        self.size += len(text)
+        if self.size >= SINK_CHARS:
+            self.flush()
+
+    def extend(self, texts) -> None:
+        for text in texts:
+            self.append(text)
+
+    def flush(self) -> None:
+        text, self.pending, self.size = "".join(self.pending), [], 0
+        for fh in self.files[:]:
+            try:
+                fh.write(text)
+            except (OSError, ValueError) as exc:  # a broken pipe, a closed file
+                self.files.remove(fh)
+                self.error = self.error or exc

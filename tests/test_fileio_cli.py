@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +140,107 @@ def test_dump_json_writes_other_arrays_through_lists(rng, monkeypatch):
                 np.arange(6).reshape(2, 3),
                 np.zeros((3, 0, 2))):
         assert io.dump_json({"x": obj}, None) == _json_text({"x": obj})
+
+
+class _Recorder:
+    """A file that keeps each write; after `breaks_after` writes, each write raises."""
+
+    def __init__(self, breaks_after=None):
+        self.writes, self.breaks_after = [], breaks_after
+
+    def write(self, text):
+        if self.breaks_after is not None and len(self.writes) >= self.breaks_after:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes.append(text)
+
+
+def test_write_json_writes_the_dump_json_text_to_every_file(monkeypatch):
+    monkeypatch.setattr(io, "SINK_CHARS", 1)  # one write per piece
+    for i, obj in enumerate(_json_corpus()):
+        files = _Recorder(), _Recorder()
+        io.write_json(obj, *files)
+        assert files[0].writes == files[1].writes, i
+        assert "".join(files[0].writes) == io.dump_json(obj, None) + "\n", i
+
+
+def test_write_json_holds_a_large_document_one_piece_at_a_time(rng):
+    obj = {"data": rng.standard_normal((300, 300)), "rows": 300}  # about 2 MB of text
+    out = _Recorder()
+    io.write_json(obj, out)
+    assert "".join(out.writes) == io.dump_json(obj, None) + "\n"
+    # each write is one kernel block's text, or what reached SINK_CHARS
+    assert len(out.writes) > 20 and max(map(len, out.writes)) < 2 * io.SINK_CHARS
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+def test_write_json_finishes_the_other_files_when_one_breaks(broken, rng):
+    obj = {"data": rng.standard_normal((100, 100))}
+    files = [_Recorder(), _Recorder()]
+    files[broken].breaks_after = 2
+    with pytest.raises(BrokenPipeError):
+        io.write_json(obj, *files)
+    assert "".join(files[1 - broken].writes) == io.dump_json(obj, None) + "\n"
+    assert len(files[broken].writes) == 2  # no write after the one that raised
+
+
+def test_cli_out_file_is_complete_when_stdout_breaks(tmp_path, rng, monkeypatch, capsys):
+    a = rng.standard_normal((8, 8))
+    src, out = tmp_path / "a.json", tmp_path / "c.json"
+    io.save_matrix_json(src, a)
+    stdout = _Recorder(breaks_after=1)
+    monkeypatch.setattr(sys, "stdout", stdout)  # as `kcontract ... --out c.json | head -c 1`
+    assert main(["compound", "--k", "4", "--matrix", str(src), "--kind", "multiplicative",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    m = cp.mult_compound(a, 4)
+    assert out.read_text() == json.dumps({"rows": 70, "cols": 70, "data": m.tolist()},
+                                         sort_keys=True, indent=2) + "\n"
+    assert len(stdout.writes) == 1 and out.read_text().startswith(stdout.writes[0])
+
+
+def test_cli_out_path_that_cannot_be_opened_leaves_stdout_empty(tmp_path, diag2_file, capsys):
+    out = tmp_path / "missing" / "c.json"
+    assert main(["compound", "--k", "2", "--matrix", diag2_file, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno 2] ")
+    assert captured.err.count("\n") == 1 and not out.parent.exists()
+
+
+_PEAK_PROBE = """
+import sys
+from kcontract import compound, fileio
+from kcontract.cli import main
+
+
+def peak_kib():  # this process's own peak RSS; see the test
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+
+compound.mult_compound(fileio.load_matrix_json(sys.argv[1]), 4)  # the compound's own peak
+before = peak_kib()
+code = main(["compound", "--k", "4", "--matrix", sys.argv[1], "--kind", "multiplicative",
+             "--out", sys.argv[2]])
+print(code, peak_kib() - before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_cli_json_output_does_not_hold_the_document(tmp_path):
+    # The 495 x 495 multiplicative compound of a 12 x 12 is 6.3 MiB of text.  A writer that
+    # held the whole text, its encoded copy and a printed copy grew the peak by 17.9 MiB past
+    # that of building the compound; streamed, by 1.7 MiB.  The child reads VmHWM, not
+    # ru_maxrss: a child spawned by subprocess starts ru_maxrss at this process's peak.
+    src, out, printed = tmp_path / "a.json", tmp_path / "c.json", tmp_path / "c.out"
+    io.save_matrix_json(src, np.random.default_rng(0).standard_normal((12, 12)))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cp.__file__).resolve().parents[1])}
+    with open(printed, "w") as fh:
+        run = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(src), str(out)],
+                             stdout=fh, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    code, grown_kib = map(int, run.stderr.split())
+    size = out.stat().st_size
+    assert code == 0 and size > 6_000_000 and printed.read_text() == out.read_text()
+    assert grown_kib * 1024 < size
 
 
 def _repr_text(x) -> str:
@@ -488,6 +593,42 @@ def test_cli_measure_refuses_an_order_outside_range(flag, diag2_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: k={flag[4:]} outside [1, 2]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "hopf", "--x0=0.1,0.1", "--t", "inf"],
+    ["simulate", "--model", "hopf", "--x0=0.1,0.1", "--t", "nan"],
+    ["simulate", "--model", "hopf", "--x0=0.1,0.1", "--t", "1", "--h", "nan"],
+    ["simulate", "--model", "hopf", "--x0=0.1,0.1", "--t", "1", "--h", "inf"],
+    ["volume", "--model", "hopf", "--t", "inf"],
+    ["seir-diagnostics", "--x0=0.6,0.2,0.15", "--t", "inf"],
+    ["subspace", "--model", "hopf", "--k", "1", "--tmax", "inf"],
+    ["floquet", "--model", "cos_ltv", "--x0=0.1,0.1", "--period", "inf"],
+    ["kcontent", "--model", "diag2", "--vertices", "{verts}", "--grid", "2,2", "--t", "inf"],
+], ids=["simulate-t-inf", "simulate-t-nan", "simulate-h-nan", "simulate-h-inf", "volume",
+        "seir-diagnostics", "subspace", "floquet", "kcontent"])
+def test_cli_refuses_a_non_finite_horizon_or_step(argv, tmp_path, capsys):
+    # an infinite horizon used to end in an uncaught OverflowError, exit 1 (NOT_CERTIFIED)
+    verts = tmp_path / "verts.json"
+    io.save_matrix_json(verts, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert main([a.format(verts=verts) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: t_span (0.0, ") and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("box, message", [
+    ("0,0:inf,1", "box bounds must be finite"),
+    ("0,nan:1,1", "box bounds must be finite"),
+    ("-inf,0:1,1", "box bounds must be finite"),
+    ("0,0,1,1", "--box 0,0,1,1 must be lo1,lo2,...:hi1,hi2,..."),
+    ("0,0:1,1:2,2", "--box 0,0:1,1:2,2 must be lo1,lo2,...:hi1,hi2,..."),
+])
+def test_cli_refuses_a_non_finite_or_malformed_box(box, message, capsys):
+    # a non-finite bound used to print numpy RuntimeWarnings before its error line
+    assert main(["certify", "--rule", "bendixson", "--model", "hopf", f"--box={box}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("window, message", [
