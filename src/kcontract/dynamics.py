@@ -327,7 +327,7 @@ PASS_CHUNK_ELEMENTS = 1024
 def _steps(t_span, h: float) -> tuple[np.ndarray, float]:
     """The sample times of a fixed-step run over t_span and its step."""
     t0, tf = float(t_span[0]), float(t_span[1])
-    if not np.isfinite([t0, tf, h]).all():  # a step count of inf or nan has no integer
+    if not all(map(math.isfinite, (t0, tf, h))):  # a step count of inf or nan has no integer
         raise DimensionMismatch(f"t_span ({t0}, {tf}) and step h {h} must be finite")
     if h <= 0.0:
         raise DimensionMismatch("step h must be positive")
