@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -471,10 +472,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
+        return code
     except (KContractError, np.linalg.LinAlgError, OSError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            try:  # stdout's pipe is the closed one when its pending text fails too
+                sys.stdout.flush()
+            except BrokenPipeError:  # so point it at os.devnull for the flush at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
 

@@ -67,10 +67,20 @@ def _central_differences(funs, xs: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return np.swapaxes((values[:, :, 0] - values[:, :, 1]) / (2.0 * steps[..., None]), 1, 2)
 
 
-def _relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """max |got - want| / max(1, max |want|) over each entry of the leading axis."""
-    axes = tuple(range(1, want.ndim))
-    return np.max(np.abs(got - want), axis=axes) / np.fmax(1.0, np.max(np.abs(want), axis=axes))
+def _relative_errors(gots, wants) -> np.ndarray:
+    """max |got - want| / max(1, max |want|) per row of each pair, as (rows, pairs), one pass."""
+    got, want = (np.concatenate([a.reshape(len(a), -1) for a in s], axis=1) for s in (gots, wants))
+    starts = np.cumsum([0] + [a[0].size for a in wants[:-1]])
+    return (np.maximum.reduceat(np.abs(got - want), starts, axis=1)
+            / np.fmax(1.0, np.maximum.reduceat(np.abs(want), starts, axis=1)))
+
+
+@functools.lru_cache(maxsize=32)
+def _draws(seed: int, samples: int, width: int) -> np.ndarray:
+    """The check_jacobian draws of a seed, as one read-only (samples, width) array."""
+    draws = np.random.default_rng(seed).random((samples, width))
+    draws.flags.writeable = False
+    return draws
 
 
 @dataclass(frozen=True)
@@ -223,7 +233,7 @@ class SystemModel:
         if self.domain is not None:
             span = self.domain.upper - self.domain.lower
             lo, hi = self.domain.lower + 0.05 * span, self.domain.upper - 0.05 * span
-        draws = np.random.default_rng(seed).random((samples, n + 1))
+        draws = _draws(seed, samples, n + 1)
         xs, times = lo + draws[:, :n] * (hi - lo), draws[:, n]
         rows = list(zip(times.tolist(), xs))
         jacs = np.array([as_matrix(self.jacobian(t, x), square=True) for t, x in rows])
@@ -241,14 +251,15 @@ class SystemModel:
         if self.field_entries is not None:
             forms.append(("field_entries", "field", fxs, np.array(
                 [_entry_list(self.field_entries(t, x.tolist()), n) for t, x in rows], dtype=float)))
-        fd_errs, *errs = [_relative_errors(got, want) for *_, want, got in [(jacs, fds)] + forms]
-        for i, x in enumerate(xs):
-            if fd_errs[i] > rtol:
-                raise JacobianMismatch(f"Jacobian mismatch {fd_errs[i]:.3e} > {rtol:.1e} at x={x}")
-            for (form, reference, _, _), err in zip(forms, errs):
-                if not err[i] <= BATCH_RTOL:  # a NaN disagreement fails too
-                    raise JacobianMismatch(
-                        f"{form} disagrees with {reference} by {err[i]:.3e} at x={x}")
+        errs = _relative_errors(*zip((fds, jacs), *[(got, want) for *_, want, got in forms]))
+        if (errs[:, 0] > rtol).any() or not (errs[:, 1:] <= BATCH_RTOL).all():
+            for x, (fd_err, *form_errs) in zip(xs, errs):  # the first failure, point by point
+                if fd_err > rtol:
+                    raise JacobianMismatch(f"Jacobian mismatch {fd_err:.3e} > {rtol:.1e} at x={x}")
+                for (form, reference, _, _), err in zip(forms, form_errs):
+                    if not err <= BATCH_RTOL:  # a NaN disagreement fails too
+                        raise JacobianMismatch(
+                            f"{form} disagrees with {reference} by {err:.3e} at x={x}")
         self._jacobian_checked = True
 
 
@@ -405,9 +416,9 @@ def _compiled_chunk(n: int, stage: tuple | None, m: int, frames: bool):
     """chunk(f, caught, isfinite, consts, ts, ys, es, trail, half, hh, sixth), the loop of
     every RK4 state pass: n components ys, Kahan compensation es, one step per row t,
     t + h/2, t + h of ts.  A stage runs stage (see _trace) on the m consts, else calls f;
-    an exception in caught gives nan entries.  Returns the new states, whether the last
-    step failed (not isfinite, or complex), the state and the compensation; with frames,
-    trail takes each step's four stage states, complex values as nan."""
+    an exception in caught gives nan entries.  Returns the new states' components in one
+    flat list, whether the last step failed (not isfinite, or complex), the state and the
+    compensation; with frames, trail takes each step's four stage states, complex as nan."""
     def names(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(i) for i in range(n))
 
@@ -436,7 +447,7 @@ def _compiled_chunk(n: int, stage: tuple | None, m: int, frames: bool):
             return rows, True, None, None
         {f"trail += ({trail})" if frames else ""}
         {names("e{0} = (n{0} - y{0}) - a{0}; y{0} = n{0}", "; ")}
-        rows.append(({names("y{}, ", "")}))
+        rows += ({names("y{}, ", "")})
     return rows, False, [{names("y{}")}], [{names("e{}")}]
 """
     scope = {"nan": math.nan}
@@ -478,9 +489,10 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
         trail, s0 = (None if stages is None else []), steps.start
         rows, failed, y, e = chunk(f, caught, isfinite, consts, ts[steps].tolist(), y, e, trail,
                                    0.5 * hh, hh, hh / 6.0)
-        states[s0 + 1:s0 + 1 + len(rows)] = np.reshape(rows, (-1,) + x0.shape)
+        rows = np.reshape(rows, (-1,) + x0.shape)  # a flat list converts fastest
+        states[s0 + 1:s0 + 1 + len(rows)] = rows
         if trail:
-            stages[s0:s0 + len(rows) + failed] = np.reshape(trail, (-1,) + stages.shape[1:])
+            stages[s0:s0 + len(rows) + failed] = np.fromiter(trail, float).reshape(-1, 4, n)
         if failed:
             i = s0 + len(rows)  # the failing step
             return states[:i + 1], NonFiniteState(_NONFINITE.format(times[i + 1]))
@@ -540,7 +552,7 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
     one step Y + P Y.  A block whose new states hold a non-finite value is redone
     step by step, so the first non-finite step raises NonFiniteState."""
     outs = [np.full((len(times),) + np.shape(y), y, dtype=float) for y in y0s]
-    comps = [np.zeros(np.shape(y)) for y in y0s]
+    comps, ends = [np.zeros(np.shape(y)) for y in y0s], [None] * len(y0s)  # ends: after a block
     half, s0, steps = 0.5 * hh, 0, len(times) - 1
     # a step holds about 12 r^2 elements at once; 64 r^2 per step keeps a chunk near
     # 3 MB and as fast as longer ones, and a power of two of steps ends it on a block end
@@ -566,19 +578,18 @@ def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndar
         b, redo = 0, 0  # steps b..redo-1 of a failed block go one at a time
         while b < s1 - s0:
             i = s0 + b
-            ds = [p[b:b + 1] for p in props] if b < redo else [d[b:b + width] for d in scans]
-            adjs = [_apply(d, out[i]) - comp for d, out, comp in zip(ds, outs, comps)]
-            news = [out[i] + adj for out, adj in zip(outs, adjs)]
-            taken = len(ds[0])
-            if not all(np.isfinite(y).all() for y in news):
-                if taken == 1:
-                    raise NonFiniteState(_NONFINITE.format(times[i + 1]))
-                redo = b + taken
-                continue
-            for q, (out, new, adj) in enumerate(zip(outs, news, adjs)):
-                comps[q] = (new[-1] - out[i]) - adj[-1]
-                out[i + 1:i + 1 + taken] = new
-            b += taken
+            for q, (p, scan, out) in enumerate(zip(props, scans, outs)):
+                d = p[b:b + 1] if b < redo else scan[b:b + width]
+                adj = _apply(d, out[i]) - comps[q]
+                j = i + len(d)  # the block writes samples i+1..j, then tests them
+                if not np.isfinite(np.add(out[i], adj, out=out[i + 1:j + 1])).all():
+                    if len(d) == 1:
+                        raise NonFiniteState(_NONFINITE.format(times[i + 1]))
+                    redo = b + len(d)
+                    break
+                ends[q] = (out[j] - out[i]) - adj[-1]
+            else:  # every flow is finite: take the block and its Kahan updates
+                comps, ends, b = ends, comps, j - s0
         s0 = s1
     return outs
 
@@ -712,13 +723,14 @@ def integrate(
 
 
 def _compound_flows(a_fun, orders, t_span, h: float) -> list[MatrixTrajectory]:
-    """dY/dt = A^[k](t) Y, Y(t0) = I, for every k of orders, in one RK4 pass;
-    a_fun(t0) sizes A, then _matrix_flows calls it on arrays of times."""
+    """dY/dt = A^[k](t) Y, Y(t0) = I, for every k of orders, one flow per distinct k in
+    one RK4 pass; a_fun(t0) sizes A, then _matrix_flows calls it on arrays of times."""
     n = as_matrix(a_fun(float(t_span[0])), square=True).shape[0]
     times, hh = _steps(t_span, h)
-    flows = _matrix_flows(a_fun, n, orders, [np.eye(binomial(n, k)) for k in orders],
-                          times, hh, check=True)
-    return [MatrixTrajectory(times=times, matrices=y) for y in flows]
+    ks = list(dict.fromkeys(orders))
+    eyes = [np.eye(binomial(n, k)) for k in ks]
+    flows = _matrix_flows(a_fun, n, ks, eyes, times, hh, check=True)
+    return [MatrixTrajectory(times=times, matrices=flows[ks.index(k)]) for k in orders]
 
 
 def transition_matrix(a_fun, t_span, h: float = 1e-3) -> MatrixTrajectory:

@@ -695,6 +695,26 @@ def test_asymptotic_subspace_matches_fused_loop(rng, monkeypatch, chunk):
             assert close_to_stage_form(rep.compound_norm, np.linalg.norm(comp, 2))
 
 
+@pytest.mark.parametrize("k, flows", [(1, 1), (2, 2)])
+def test_subspace_integrates_each_distinct_order_once(monkeypatch, k, flows):
+    # asymptotic_subspace asks for the orders [1, k]; at k = 1 both reports read one
+    # flow, with the bits of Phi and its 1st compound integrated in separate runs
+    sweeps, rk4_linear = [], dy._rk4_linear
+
+    def spy(coefficients, y0s, times, hh):
+        sweeps.append(len(y0s))
+        return rk4_linear(coefficients, y0s, times, hh)
+
+    monkeypatch.setattr(dy, "_rk4_linear", spy)
+    rep = dy.asymptotic_subspace(cos_ltv_matrix, k, t_max=2.0, h=1e-3)
+    assert sweeps == [flows]
+    if k == 1:
+        phi = dy.transition_matrix(cos_ltv_matrix, (0.0, 2.0), 1e-3).final
+        comp = dy.compound_transition(cos_ltv_matrix, 1, (0.0, 2.0), 1e-3).final
+        assert same_bits(rep.singular_values, np.linalg.svd(phi, compute_uv=False))
+        assert same_bits(rep.compound_norm, float(np.linalg.norm(comp, 2)))
+
+
 # (model, anchors, r) of variational frames
 LINEARIZED_CASES = [
     ("hopf", [[0.3, 0.9], [1.1, -0.2], [-0.5, 0.4]], [0.3, 0.3]),
@@ -883,6 +903,30 @@ def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, ch
     with pytest.raises(NonFiniteState) as got:
         dy.variational_frame(sysm, [[1e300], [0.0]], [0.0], (0.0, 3.0), 1e-3)
     assert str(got.value) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 1])  # blocks of 8 steps; one step per chunk
+@pytest.mark.parametrize("orders", [[1, 2], [2, 1], [2]])
+def test_two_flow_overflow_raises_at_the_first_failing_step(monkeypatch, chunk, orders):
+    # A = diag(a, a, 0) with 2 a h = 1/32: the 2nd compound diag(2a, a, a) grows from
+    # 1e298 by the RK4 factor g of z = 1/32 per step and overflows while Phi, from I,
+    # stays finite.  With [1, 2] each block writes Phi's samples before the compound's
+    # samples fail; the block is redone step by step and raises at the compound's first
+    # failing step, the 4th of its block, as the compound alone and one step per chunk do
+    if chunk:
+        monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
+    z, h = 1.0 / 32.0, 1e-3
+    g = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    assert dy._block_length([np.full((64, 1, 1), g - 1.0)], 64) == 8
+    step = int(np.log(np.finfo(float).max / 1e298) / np.log(g)) + 1
+    assert step == 756 and step % 8 == 4
+    times, hh = dy._steps((0.0, 1.0), h)
+    y0s = {1: np.eye(3), 2: 1e298 * np.eye(3)}
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.756$"):
+        dy._matrix_flows(lambda t: np.diag([z / (2 * h), z / (2 * h), 0.0]), 3, orders,
+                         [y0s[k] for k in orders], times, hh, check=True)
 
 
 # -- states of linear models on step propagators -------------------------------------

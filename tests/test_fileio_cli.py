@@ -198,6 +198,24 @@ def test_cli_out_file_is_complete_when_stdout_breaks(tmp_path, rng, monkeypatch,
     assert len(stdout.writes) == 1 and out.read_text().startswith(stdout.writes[0])
 
 
+def test_cli_exits_3_when_stdout_is_a_closed_pipe():
+    # as `kcontract kcontent --surface sphere --grid 4,4 | head -c 0` with buffered stdout:
+    # the JSON fits in stdout's buffer, so only a flush can meet the closed pipe, and the
+    # flush at exit must not meet it again (that printed "Exception ignored" and exit 120)
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cp.__file__).resolve().parents[1])
+    try:
+        run = subprocess.run([sys.executable, "-m", "kcontract.cli", "kcontent", "--surface",
+                              "sphere", "--grid", "4,4"], stdout=write, stderr=subprocess.PIPE,
+                             text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert run.returncode == 3
+    assert run.stderr == "error: [Errno 32] Broken pipe\n"
+
+
 def test_cli_out_path_that_cannot_be_opened_leaves_stdout_empty(tmp_path, diag2_file, capsys):
     out = tmp_path / "missing" / "c.json"
     assert main(["compound", "--k", "2", "--matrix", diag2_file, "--out", str(out)]) == 3

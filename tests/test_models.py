@@ -472,6 +472,26 @@ def test_check_jacobian_calls_each_batch_form_once(name):
         assert calls["field_entries"] == (samples if sysm.field_entries is not None else 0)
 
 
+def test_check_jacobian_draws_are_one_read_only_array():
+    draws = dy._draws(7, 5, 3)
+    assert dy._draws(7, 5, 3) is draws
+    assert same_bits(draws, np.random.default_rng(7).random((5, 3)))
+    with pytest.raises(ValueError, match="read-only"):
+        draws[0, 0] = 0.5
+
+
+def test_check_jacobian_compares_a_scalar_field_row_by_row():
+    # a dim-1 field may return a scalar; its (N,) values and field_batch's (N, 1) stack are
+    # compared point by point, not broadcast against each other into (N, N)
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: -x[0], jacobian=lambda t, x: [[-1.0]],
+                          field_batch=lambda t, xs: -xs)
+    sysm.check_jacobian()
+    bad = replace(sysm, field_batch=lambda t, xs: -xs * (1.0 + 1e-9 * (xs > 0.5)))
+    with pytest.raises(JacobianMismatch, match=r"^field_batch disagrees with field by "
+                                                r"5\.514e-10 at x=\[0\.551"):
+        bad.check_jacobian()
+
+
 def test_central_differences_keep_their_bits(rng):
     def fun(x):
         return np.array([np.sin(x[0]) * x[1] - x[2] ** 3, np.tanh(x[2]) * x[0], x[1] / 7.0])
