@@ -29,7 +29,6 @@ from .measures import (
     apply_scaling,
     measure_k_stack,
     measure_stack,
-    stack_witness,
     symmetric_eigh,
 )
 
@@ -138,17 +137,9 @@ def certify_lti(a, k: int, spec: MeasureSpec, time_grid=None) -> Certificate:
         eta=-float(values[worst]),
         verdict=_verdict(values[worst]),
         witness={"time": times[worst],
-                 "attaining": _jsonable_witness(stack_witness(witnesses, worst))},
+                 "attaining": witnesses[worst].tolist()},
         grid_meta=meta,
     )
-
-
-def _jsonable_witness(w):
-    if isinstance(w, np.ndarray):
-        return _floats(w.reshape(-1))
-    if isinstance(w, tuple):
-        return list(w)
-    return w
 
 
 def _sample_elements(n: int, k: int, materialized: bool) -> int:
@@ -226,14 +217,14 @@ def certify_nonlinear_grid(
     pts, times, (values, *witnesses) = _visit_grid(
         system, omega, counts, time_grid, per_sample, evaluate, spec.scaling)
     worst = int(np.argmax(values))
-    attaining = stack_witness(witnesses[0], worst) if witnesses else None
     return Certificate(
         rule="NONLINEAR_GRID",
         k=k,
         norm=_norm_label(spec) if compound_scaling is None else "scaled-" + spec.norm.value,
         eta=-float(values[worst]),
         verdict=_verdict(values[worst]),
-        witness={**_sample_at(pts, times, worst), "attaining": _jsonable_witness(attaining)},
+        witness={**_sample_at(pts, times, worst),
+                 "attaining": witnesses[0][worst].tolist() if witnesses else None},
         grid_meta=_grid_meta(omega, counts, time_grid),
     )
 

@@ -105,17 +105,13 @@ def cmd_measure(args) -> int:
         mv = measure_k_witness(a, args.k, MeasureSpec(spec.norm))
     else:
         mv = measure_witness(a, spec)
-    _emit(
-        {"value": mv.value, "witness": io.jsonable(mv.witness),
-         "norm": args.norm, "k": args.k},
-        args,
-    )
+    _emit({"value": mv.value, "witness": mv.witness, "norm": args.norm, "k": args.k}, args)
     return 0
 
 
 def cmd_spectrum(args) -> int:
     a = io.load_matrix_json(args.matrix)
-    out = {"eigenvalues": io.jsonable(eigenvalues(a))}
+    out = {"eigenvalues": eigenvalues(a)}
     if args.check_compound:
         rep = compound_spectrum_check(a, args.check_compound)
         out["compound_check"] = {
@@ -140,7 +136,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "model": entry.name,
         "t_final": float(traj.times[-1]),
-        "x_final": io.jsonable(traj.states[-1]),
+        "x_final": traj.states[-1],
         "samples": len(traj.times),
     }
     if traj.oracle_max_error is not None:
@@ -311,7 +307,7 @@ def cmd_seir_diagnostics(args) -> int:
         "average_mu": diag.average_mu,
         "zeta": diag.zeta,
         "average_ok": diag.average_ok,
-        "window": list(diag.window),
+        "window": diag.window,
         "max_mu": diag.extras["max_mu"],
     }, sys.stdout)
     return 0

@@ -535,6 +535,8 @@ def _apply(d: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (d.reshape(-1, d.shape[2]) @ y).reshape(d.shape[:1] + y.shape)
 
 
+# a non-finite A(t) or state raises its typed error, without numpy's warning first
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_linear(coefficients, y0s, times: np.ndarray, hh: float) -> list[np.ndarray]:
     """Samples of dY/dt = A(t) Y from each Y(times[0]) of y0s by compensated RK4;
     each Y is an (r, c) matrix or an (N, r, c) stack of them (see _apply).
@@ -691,10 +693,8 @@ def integrate(
 
     times, hh = _steps(t_span, h)
     if system.matrix is not None:
-        # a non-finite A(t) or state raises NonFiniteState, without numpy's warning first
-        with np.errstate(invalid="ignore", over="ignore"):
-            (flow,) = _matrix_flows(system.matrix, system.dim, [1],
-                                    [x0.reshape(-1, system.dim, 1)], times, hh, check=False)
+        (flow,) = _matrix_flows(system.matrix, system.dim, [1],
+                                [x0.reshape(-1, system.dim, 1)], times, hh, check=False)
         states = flow.reshape((len(times),) + x0.shape)
     else:
         states, failure = _state_pass(system, x0, times, hh)

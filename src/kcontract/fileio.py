@@ -2,13 +2,15 @@
 
 Matrix JSON schema: {"rows": n, "cols": m, "data": [[...], ...]} (row-major
 decimal floats).  A CSV float is the text of "%.17g" % v, so round trips are
-exact; a JSON float is Python's shortest round-trip repr.  ``dump_json``
-writes the text of ``json.dumps(jsonable(obj), sort_keys=True, indent=2)`` in
-one pass, and ``write_json`` streams that text to files piece by piece: a float64
-array from its buffer (each distinct entry of a mostly-zero one spelled once),
-others by ``tolist()``.  The decimal kernel ``_spell`` writes both
-spellings, for a large dense array and for every CSV table, from one exact scaling, one digit
-table and one layout; an entry it cannot decide takes its per-value text.
+exact; a JSON float is Python's shortest round-trip repr.  ``write_json`` is
+the one JSON writer: it streams the text of ``json.dumps(jsonable(obj),
+sort_keys=True, indent=2)`` to files piece by piece, and ``dump_json`` is that
+text written into a string.  A float64 array is spelled from its buffer (each
+distinct entry of a mostly-zero one spelled once), any other array as ``jsonable``
+converts it; a list of floats and an array row share one spelling rule.  The
+decimal kernel ``_spell`` writes both spellings, for a large dense array and for
+every CSV table, from one exact scaling, one digit table and one layout; an entry
+it cannot decide takes its per-value text.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import asdict
+from io import StringIO
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .compound import as_matrix
 from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 from .errors import DimensionMismatch
 
-# the smallest float64 array dump_json sends through _spell.  Its fixed cost of about 0.1 ms
+# the smallest float64 array the JSON writer sends through _spell.  Its fixed cost of about 0.1 ms
 # of numpy calls broke even with float.__repr__ (about 0.6 us an entry) near 300 entries, on
 # 2 shared CPUs with numpy 2.4.6; 512 stays as first set, since no workload writes an array
 # of 300-511 entries to show a gain from moving it
@@ -85,7 +89,7 @@ def jsonable(value):
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return [[float(v.real), float(v.imag)] for v in value.reshape(-1)]
-        return [jsonable(v) for v in value.tolist()]
+        return jsonable(value.tolist())  # a 0-d array gives its scalar
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, (np.floating,)):
@@ -158,18 +162,13 @@ def write_trace_csv(path: str, trace: ParallelotopeTrace) -> None:
     write_csv(path, "t,norm,log_norm", np.column_stack([trace.times, norms, log]))
 
 
-def _write_json(value, indent: str, out: list[str] | _Sink) -> None:
+def _write_json(value, indent: str, out: _Sink) -> None:
     """Append to out the text json.dumps(jsonable(value), sort_keys=True,
     indent=2) gives value nested at the given indent, one string per array row."""
-    if isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.ndim and value.size:
-            _write_floats(value, indent, out)
-            return
-        if np.iscomplexobj(value):
-            value = np.stack((value.real, value.imag), axis=-1).reshape(-1, 2)
-        value = value.tolist()
-    elif not isinstance(value, (dict, list, tuple)):
-        value = jsonable(value)  # numpy scalars to Python ones, complex to [re, im]
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim and value.size:
+        return _write_floats(value, indent, out)
+    if not isinstance(value, (dict, list, tuple)):
+        value = jsonable(value)  # numpy scalars and other arrays to Python values
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = sorted({str(k): v for k, v in value.items()}.items())
@@ -178,22 +177,18 @@ def _write_json(value, indent: str, out: list[str] | _Sink) -> None:
             _write_json(v, inner, out)
         out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)) and value:
-        sep = ",\n" + inner
-        if set(map(type, value)) == {float}:
-            text = sep.join(map(float.__repr__, value))
-            if "n" in text:  # a nan or inf, which JSON spells NaN / Infinity
-                text = sep.join(map(json.dumps, value))
-            out.append("[\n" + inner + text + "\n" + indent + "]")
-            return
+        if set(map(type, value)) == {float}:  # spelled as _write_floats spells an array row
+            spell = float.__repr__ if all(map(math.isfinite, value)) else json.dumps
+            return _write_rows(value, indent, out, lambda row: map(spell, row))
         for i, v in enumerate(value):
-            out.append(("[\n" + inner) if i == 0 else sep)
+            out.append(("[\n" if i == 0 else ",\n") + inner)
             _write_json(v, inner, out)
         out.append("\n" + indent + "]")
     else:
         out.append(json.dumps(value))  # scalars and empty containers
 
 
-def _write_floats(a: np.ndarray, indent: str, out: list[str] | _Sink) -> None:
+def _write_floats(a: np.ndarray, indent: str, out: _Sink) -> None:
     """A mostly-zero array spells each distinct nonzero bit pattern once (-0.0,
     whose sign bit is set, is one) and shares one "0.0" among its +0.0 entries."""
     spell = float.__repr__ if np.isfinite(a).all() else json.dumps  # NaN, Infinity
@@ -210,7 +205,7 @@ def _write_floats(a: np.ndarray, indent: str, out: list[str] | _Sink) -> None:
     _write_rows(index, indent, out, lambda row: words[row].tolist())
 
 
-def _write_dense(a: np.ndarray, indent: str, out: list[str] | _Sink) -> None:
+def _write_dense(a: np.ndarray, indent: str, out: _Sink) -> None:
     """Append the nested-list text of a finite array, each entry after its prefix: ",\n" and
     the indent, or the brackets that close and open rows."""
     d = a.ndim
@@ -218,8 +213,9 @@ def _write_dense(a: np.ndarray, indent: str, out: list[str] | _Sink) -> None:
     closes = ["\n" + levels[j] + "]" for j in range(d)]
     opens = ["[\n" + levels[j + 1] for j in range(d)]
     # prefix c is that of an entry starting c new rows at once; the last one opens the array
-    out.extend(_write_blocks(a, ["".join(closes[d - c:][::-1]) + ",\n" + levels[d - c]
-                                 + "".join(opens[d - c:]) for c in range(d)] + ["".join(opens)]))
+    for text in _write_blocks(a, ["".join(closes[d - c:][::-1]) + ",\n" + levels[d - c]
+                                  + "".join(opens[d - c:]) for c in range(d)] + ["".join(opens)]):
+        out.append(text)
     out.append("".join(closes[::-1]))
 
 
@@ -358,10 +354,10 @@ def _spell(x: np.ndarray, rows: np.ndarray, g17: bool = False) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_rows(a: np.ndarray, indent: str, out: list[str], words) -> None:
-    """Append the nested-list text of a, each last-axis row joined from words(row)."""
+def _write_rows(a, indent: str, out: _Sink, words) -> None:
+    """Append the nested-list text of an array or list, each last-axis row from words(row)."""
     inner = indent + "  "
-    if a.ndim == 1:
+    if getattr(a, "ndim", 1) == 1:
         return out.append("[\n" + inner + (",\n" + inner).join(words(a)) + "\n" + indent + "]")
     for i, sub in enumerate(a):
         out.append(("[\n" if i == 0 else ",\n") + inner)
@@ -373,22 +369,21 @@ def dump_json(obj: dict, path: str | None) -> str:
     """Serialize deterministically; write to path when given, return the text.
 
     The text equals json.dumps(jsonable(obj), sort_keys=True, indent=2); obj
-    may hold numpy arrays and scalars at any depth.
+    may hold numpy arrays and scalars at any depth.  It is write_json's text less its "\n".
     """
-    out: list[str] = []
-    _write_json(obj, "", out)
-    text = "".join(out)
+    text = StringIO()
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")  # not text + "\n", a second copy of a text of many MB
-    return text
+            write_json(obj, text, fh)
+    else:
+        write_json(obj, text)
+    return text.getvalue()[:-1]
 
 
 def write_json(obj, *files) -> None:
-    """Write the text of dump_json(obj, None) and "\n" to each file as the writer produces
-    it, in pieces of at least SINK_CHARS characters but the last, so no copy of the whole
-    text is ever held.
+    """Write the text json.dumps(jsonable(obj), sort_keys=True, indent=2) and "\n" to each
+    file as _write_json produces it, in pieces of at least SINK_CHARS characters but the
+    last, so no copy of the whole text is ever held.
 
     A file whose write fails gets no more text, while the others still get all of it; the
     first such error is raised after the last piece."""
@@ -401,8 +396,8 @@ def write_json(obj, *files) -> None:
 
 
 class _Sink:
-    """The out of _write_json for write_json: it holds the pieces appended since it last
-    wrote, and writes their text to each live file once it reaches SINK_CHARS."""
+    """The out of _write_json: it holds the pieces appended since it last wrote, and writes
+    their text to each live file once it reaches SINK_CHARS."""
 
     def __init__(self, files):
         self.files, self.pending, self.size, self.error = list(files), [], 0, None
@@ -412,10 +407,6 @@ class _Sink:
         self.size += len(text)
         if self.size >= SINK_CHARS:
             self.flush()
-
-    def extend(self, texts) -> None:
-        for text in texts:
-            self.append(text)
 
     def flush(self) -> None:
         text, self.pending, self.size = "".join(self.pending), [], 0

@@ -823,7 +823,6 @@ def test_linearized_failure_order_matches_fused_loop(monkeypatch, chunk, batch,
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [None, 40, 640])
 @pytest.mark.parametrize("field_after, jac_after, error, frame_first", [
@@ -883,7 +882,6 @@ def test_blocked_frame_keeps_a_decayed_entry(monkeypatch, chunk):
     assert np.all(np.abs(decayed - want) <= 1e-13 * np.abs(want))
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, chunk):
@@ -905,7 +903,6 @@ def test_blocked_frame_overflow_raises_at_the_first_failing_step(monkeypatch, ch
     assert str(got.value) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [None, 1])  # blocks of 8 steps; one step per chunk
 @pytest.mark.parametrize("orders", [[1, 2], [2, 1], [2]])
@@ -927,6 +924,23 @@ def test_two_flow_overflow_raises_at_the_first_failing_step(monkeypatch, chunk, 
     with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.756$"):
         dy._matrix_flows(lambda t: np.diag([z / (2 * h), z / (2 * h), 0.0]), 3, orders,
                          [y0s[k] for k in orders], times, hh, check=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_flow_overflow_raises_without_a_warning():
+    # Phi's first entry grows by the RK4 factor of z = 800 h = 0.8 a step and overflows at
+    # t = 0.889; every linear flow raises the typed error alone, as integrate does
+    def a(t):
+        return np.diag([800.0, 0.0])
+
+    for call in (lambda: dy.transition_matrix(a, (0.0, 1.0), 1e-3),
+                 lambda: dy.compound_transition(a, 1, (0.0, 1.0), 1e-3),
+                 lambda: dy.asymptotic_subspace(a, 1, t_max=1.0),
+                 lambda: dy.integrate(dy.SystemModel(dim=2, field=lambda t, x: a(t) @ x,
+                                                     jacobian=lambda t, x: a(t), matrix=a),
+                                      [1.0, 1.0], (0.0, 1.0), 1e-3)):
+        with pytest.raises(NonFiniteState, match=r"^non-finite state at t=0\.889$"):
+            call()
 
 
 # -- states of linear models on step propagators -------------------------------------

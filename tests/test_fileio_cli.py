@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import fileio as io
+from kcontract.certify import Certificate
 from kcontract.cli import main
 from kcontract.errors import DimensionMismatch
 from kcontract.measures import Norm
@@ -54,6 +56,11 @@ def _json_corpus():
         nonfinite,
         list(nonfinite),
         [float("nan"), -0.0, 0.0, float("-inf")],
+        [0.5, float("inf"), 2.0],
+        (1.5, -0.0, float("nan"), float("inf"), float("-inf")),  # a tuple of Python floats
+        np.array(1.5),  # 0-d arrays give their scalars
+        np.array(2),
+        np.array(1 - 2j),
         rng.standard_normal((4, 5)),
         rng.standard_normal(7).astype(np.float32),
         (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))),
@@ -85,6 +92,20 @@ def test_dump_json_matches_json_module(tmp_path):
     obj = {"m": np.arange(4.0).reshape(2, 2)}
     text = io.dump_json(obj, str(path))
     assert path.read_text() == text + "\n"
+
+
+def test_dump_json_spells_0d_and_complex_arrays_as_literal_text():
+    # the writer converts these through jsonable, so the corpus test cannot check them alone
+    text = '{\n  "f": 1.5,\n  "i": 2\n}'
+    assert io.dump_json({"f": np.array(1.5), "i": np.array(2)}, None) == text
+    # a complex array of any shape is a list of [re, im] pairs, one per entry
+    assert io.dump_json(np.array(1 - 2j), None) == "[\n  [\n    1.0,\n    -2.0\n  ]\n]"
+    pairs = "[\n  [\n    1.0,\n    2.0\n  ],\n  [\n    NaN,\n    -0.5\n  ]\n]"
+    assert io.dump_json(np.array([[1 + 2j], [np.nan - 0.5j]], dtype=np.complex64), None) == pairs
+    cert = Certificate(rule="r", k=1, norm="l1", eta=1.0, verdict="CERTIFIED",
+                       witness={"x": np.array(1.5)}, grid_meta={"n": np.array(2)})
+    out = io.certificate_to_json(cert)
+    assert (out["witness"], out["grid"]) == ({"x": 1.5}, {"n": 2})
 
 
 def _json_text(obj) -> str:
@@ -138,7 +159,8 @@ def test_dump_json_writes_other_arrays_through_lists(rng, monkeypatch):
                 rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
                 np.array([1.0, -0.0, np.nan, None], dtype=object),
                 np.arange(6).reshape(2, 3),
-                np.zeros((3, 0, 2))):
+                np.zeros((3, 0, 2)),
+                np.array(1.5)):
         assert io.dump_json({"x": obj}, None) == _json_text({"x": obj})
 
 
@@ -160,7 +182,7 @@ def test_write_json_writes_the_dump_json_text_to_every_file(monkeypatch):
         files = _Recorder(), _Recorder()
         io.write_json(obj, *files)
         assert files[0].writes == files[1].writes, i
-        assert "".join(files[0].writes) == io.dump_json(obj, None) + "\n", i
+        assert "".join(files[0].writes) == _json_text(obj) + "\n", i
 
 
 def test_write_json_holds_a_large_document_one_piece_at_a_time(rng):
@@ -214,6 +236,17 @@ def test_cli_exits_3_when_stdout_is_a_closed_pipe():
         os.close(write)
     assert run.returncode == 3
     assert run.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_cli_linear_flow_overflow_prints_one_error_line(tmp_path, capsys):
+    # Phi of diag(800, 0) overflows at t = 0.889: exit 3 with the error line alone, and no
+    # numpy warning before it
+    path = tmp_path / "d.json"
+    io.save_matrix_json(path, np.diag([800.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["subspace", "--matrix", str(path), "--k", "2", "--tmax", "1"]) == 3
+    assert capsys.readouterr().err == "error: non-finite state at t=0.889\n"
 
 
 def test_cli_out_path_that_cannot_be_opened_leaves_stdout_empty(tmp_path, diag2_file, capsys):
