@@ -1,8 +1,9 @@
 """Command-line front end with file-based I/O.
 
-Exit codes: 0 success, 1 certificate NOT_CERTIFIED, 2 usage error,
-3 numeric failure (single-line diagnostic on stderr).  Outputs are
-deterministic for fixed inputs and flags.
+Exit codes: 0 success, 1 certificate NOT_CERTIFIED (and nothing else),
+2 a flag or --config value argparse refuses, 3 any other failure (one
+`error:` line on stderr).  Outputs are deterministic for fixed inputs
+and flags.
 """
 
 from __future__ import annotations
@@ -243,6 +244,8 @@ def cmd_certify(args) -> int:
     rule = args.rule
     if rule in ("lti", "diagonal", "row"):
         a = _required_matrix(args.matrix, "--matrix", f"the {rule} rule")
+    else:
+        system, box = _load_model(args).system, _box_from(args)
     if rule == "lti":
         cert = ce.certify_lti(a, args.k, _spec_from(args))
     elif rule == "diagonal":
@@ -250,50 +253,34 @@ def cmd_certify(args) -> int:
     elif rule == "row":
         cert = ce.certify_row_rule(a)
     elif rule == "grid":
-        entry = _load_model(args)
-        cert = ce.certify_nonlinear_grid(
-            entry.system, _box_from(args), args.k, _spec_from(args)
-        )
+        cert = ce.certify_nonlinear_grid(system, box, args.k, _spec_from(args))
     elif rule == "scaled-l1":
-        entry = _load_model(args)
         if not args.weights:
             raise KContractError("--weights w1,w2,... required for scaled-l1")
-        cert = ce.certify_scaled_l1(
-            entry.system, _box_from(args), args.k, _parse_vector(args.weights)
-        )
+        cert = ce.certify_scaled_l1(system, box, args.k, _parse_vector(args.weights))
     elif rule == "bendixson":
-        entry = _load_model(args)
-        cert = ce.check_bendixson(entry.system, _box_from(args), _spec_from(args))
+        cert = ce.check_bendixson(system, box, _spec_from(args))
     elif rule == "gas":
-        entry = _load_model(args)
-        cert = ce.check_gas(entry.system, _box_from(args), _spec_from(args))
-    elif rule == "control":
-        entry = _load_model(args)
+        cert = ce.check_gas(system, box, _spec_from(args))
+    else:  # control
         if not (args.gmatrix and args.pmatrix):
             raise KContractError("--gmatrix and --pmatrix required for control")
         g = io.load_matrix_json(args.gmatrix)
         p = io.load_matrix_json(args.pmatrix)
-        target = (_parse_vector(args.target) if args.target
-                  else np.zeros(entry.system.dim))
-        f_e = np.asarray(entry.system.field(0.0, target), dtype=float)
+        target = _parse_vector(args.target) if args.target else np.zeros(system.dim)
+        f_e = np.asarray(system.field(0.0, target), dtype=float)
         u_star, *_ = np.linalg.lstsq(g, -f_e, rcond=None)
-        gain = args.gain
 
-        def theta(x, _g=g, _p=p, _e=target, _u=u_star, _k=gain):
-            return -_k * (_g.T @ _p @ (x - _e)) + _u
+        def theta(x):
+            return -args.gain * (g.T @ p @ (x - target)) + u_star
 
-        cert = ce.control_check(entry.system, lambda x: g, theta, p, _box_from(args))
-    else:  # pragma: no cover - argparse restricts choices
-        raise KContractError(f"unknown rule {rule}")
+        cert = ce.control_check(system, lambda x: g, theta, p, box)
     _emit(io.certificate_to_json(cert), args)
     return 0 if cert.certified else 1
 
 
 def cmd_seir_diagnostics(args) -> int:
-    params = {}
-    if args.params:
-        _, params = io.load_params_json(args.params)
-    entry = mz.model("seir3", params)
+    entry = _load_model(args)
     mz.check_window(args.window)
     traj = dy.integrate(entry.system, _parse_vector(args.x0), (0.0, args.t),
                         args.h, domain_exit="warn")
@@ -442,24 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, default=1e-3)
     sp.add_argument("--window", type=float, default=None)
     _add_common(sp)
-    sp.set_defaults(handler=cmd_seir_diagnostics)
+    sp.set_defaults(handler=cmd_seir_diagnostics, model="seir3")
 
     return parser
-
-
-def _merge_config(args, argv) -> None:
-    """Fill flags from --config JSON; explicitly passed flags win."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path) as fh:
-        cfg = json.load(fh)
-    for key, value in cfg.items():
-        flag = "--" + key
-        given = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        attr = key.replace("-", "_")
-        if not given and hasattr(args, attr):
-            setattr(args, attr, value)
 
 
 def main(argv=None) -> int:
@@ -467,12 +439,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, argv)
+        if args.config:  # parse again with the config's flags first, so explicit flags win
+            with open(args.config) as fh:
+                config = json.load(fh)
+            flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()
+                     if value is not None and hasattr(args, key.replace("-", "_"))]
+            verb = argv.index(args.verb) + 1
+            args = parser.parse_args([*argv[:verb], *flags, *argv[verb:]])
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
         return code
-    except (KContractError, np.linalg.LinAlgError, OSError, ValueError,
-            json.JSONDecodeError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
             try:  # stdout's pipe is the closed one when its pending text fails too

@@ -28,7 +28,7 @@ from .certify import Certificate
 from .combinatorics import _read_only
 from .compound import as_matrix
 from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
-from .errors import DimensionMismatch
+from .errors import BadParameter, DimensionMismatch
 
 # the smallest float64 array the JSON writer sends through _spell.  Its fixed cost of about 0.1 ms
 # of numpy calls broke even with float.__repr__ (about 0.6 us an entry) near 300 entries, on
@@ -77,7 +77,10 @@ def load_params_json(path: str) -> tuple[str | None, dict]:
     """Model parameter file: {"name": ..., "params": {...}}; both optional."""
     with open(path) as fh:
         obj = json.load(fh)
-    return obj.get("name"), obj.get("params", {})
+    params = obj.get("params", {}) if isinstance(obj, dict) else None
+    if not isinstance(params, dict):
+        raise BadParameter(f'params file {path} is not {{"name": ..., "params": {{...}}}}')
+    return obj.get("name"), params
 
 
 def jsonable(value):

@@ -9,6 +9,7 @@ the finite-difference Jacobian self-test.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -148,6 +149,9 @@ def seir_rates(params: dict):
     """Unpack and validate the epidemic-model parameters."""
     p = dict(SEIR_DEFAULTS)
     p.update(params or {})
+    for key in SEIR_DEFAULTS:
+        if isinstance(p[key], bool) or not isinstance(p[key], numbers.Real):
+            raise BadParameter(f"seir3 parameter {key} = {p[key]!r} is not a real number")
     lam, zeta, c = p["lam"], p["zeta"], p["c"]
     q, pw, gamma = p["q"], p["p"], p["gamma"]
     if lam <= 0 or zeta <= 0 or c <= 0:

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kcontract import certify as ce
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import fileio as io
 from kcontract.certify import Certificate
 from kcontract.cli import main
-from kcontract.errors import DimensionMismatch
-from kcontract.measures import Norm
-from kcontract.models import cos_ltv_matrix, model
+from kcontract.errors import BadParameter, DimensionMismatch
+from kcontract.measures import MeasureSpec, Norm, apply_scaling, measure_k_witness
+from kcontract.models import cos_ltv_matrix, model, seir_orbit_diagnostics
 
 
 @pytest.fixture
@@ -42,6 +43,17 @@ def test_matrix_json_schema_validation():
         io.matrix_from_json({"rows": 2, "data": [[1.0]]})
     with pytest.raises(DimensionMismatch):
         io.matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "seir3", {"params": [0.5]}, {"params": None}])
+def test_params_file_must_be_an_object_with_object_params(obj, tmp_path):
+    # these used to reach dict.update or dict(...) (AttributeError, TypeError)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(BadParameter, match="^params file .* is not "):
+        io.load_params_json(str(path))
+    path.write_text(json.dumps({"params": {"zeta": 0.5}}))
+    assert io.load_params_json(str(path)) == (None, {"zeta": 0.5})
 
 
 def _json_corpus():
@@ -602,10 +614,16 @@ def test_cli_missing_file_exit_code(capsys):
     ["certify", "--rule", "diagonal"],
     ["certify", "--rule", "row"],
     ["kcontent", "--model", "diag2", "--grid", "3,3"],
-], ids=["lti", "diagonal", "row", "kcontent"])
-def test_cli_refuses_a_missing_input_file(argv, capsys):
-    # exit 1 would read as NOT_CERTIFIED; a missing input is a refusal
-    assert main(argv) == 3
+    ["certify", "--rule", "gas", "--box=0,0,0:1,1,1", "--params", "{string_zeta}"],
+    ["certify", "--rule", "gas", "--box=0,0,0:1,1,1", "--params", "{not_an_object}"],
+], ids=["lti", "diagonal", "row", "kcontent", "params-string-zeta", "params-not-an-object"])
+def test_cli_refuses_a_missing_input_file(argv, tmp_path, capsys):
+    # exit 1 would read as NOT_CERTIFIED; a missing or malformed input is a refusal
+    files = {"string_zeta": {"name": "seir3", "params": {"zeta": "0.5"}}, "not_an_object": [1, 2]}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    assert main([a.format(**{name: tmp_path / f"{name}.json" for name in files})
+                 for a in argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -726,6 +744,110 @@ def test_cli_certify_output_matches_example(tmp_path, diag2_file, capsys):
     assert cert["rule"] == "LTI_MEASURE"
 
 
+def _printed(obj) -> str:
+    return io.dump_json(obj, None) + "\n"
+
+
+@pytest.mark.parametrize("rule, a, code", [
+    ("diagonal", np.diag([-3.0, -2.0, -1.0]), 0),
+    ("diagonal", np.diag([1.0, -2.0, 0.5]), 1),
+    ("row", np.array([[-3.0, 1.0, 0.0], [0.5, -2.0, 0.2], [0.0, 0.3, -1.0]]), 0),
+    ("row", np.diag([1.0, -2.0, 0.5]), 1),
+])
+def test_cli_certify_matrix_rules_print_the_library_certificate(rule, a, code, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    io.save_matrix_json(path, a)
+    cert = ce.certify_diagonal(a, 2) if rule == "diagonal" else ce.certify_row_rule(a)
+    assert main(["certify", "--rule", rule, "--k", "2", "--matrix", str(path)]) == code
+    assert capsys.readouterr().out == _printed(io.certificate_to_json(cert))
+
+
+@pytest.mark.parametrize("target", [None, "0.5,0"])
+def test_cli_certify_control_prints_the_library_certificate(target, tmp_path, capsys):
+    # theta(x) = -gain G^T P (x - e) + u*, with u* the least-squares input that holds e
+    eye = tmp_path / "I.json"
+    io.save_matrix_json(eye, np.eye(2))
+    g = p = np.eye(2)
+    e = np.zeros(2) if target is None else np.array([0.5, 0.0])
+    system = model("hopf").system
+    u_star = np.linalg.lstsq(g, -np.asarray(system.field(0.0, e)), rcond=None)[0]
+
+    def theta(x):
+        return -3.0 * (g.T @ p @ (x - e)) + u_star
+
+    omega = dy.BoxDomain.of([-1.0, -1.0], [1.0, 1.0], (5, 5))
+    cert = ce.control_check(system, lambda x: g, theta, p, omega)
+    flags = [] if target is None else [f"--target={target}"]
+    assert main(["certify", "--rule", "control", "--model", "hopf", "--box=-1,-1:1,1",
+                 "--grid-counts", "5,5", "--gmatrix", str(eye), "--pmatrix", str(eye),
+                 "--gain", "3", *flags]) == 1
+    assert capsys.readouterr().out == _printed(io.certificate_to_json(cert))
+    assert cert.eta == -2.0
+    # the analytic input-term Jacobian -gain G G^T P gives the central differences' verdict
+    exact = ce.control_check(system, lambda x: g, theta, p, omega,
+                             d_gtheta=lambda x: -3.0 * (g @ g.T @ p))
+    assert exact.verdict == cert.verdict
+    assert len(exact.extras["equilibria"]) == len(cert.extras["equilibria"])
+    assert np.allclose(exact.extras["equilibria"], cert.extras["equilibria"], rtol=0, atol=1e-12)
+    assert exact.extras["sup_input_term"] == pytest.approx(cert.extras["sup_input_term"],
+                                                           abs=1e-6)
+
+
+def _simulate_summary(entry, x0, t, h) -> str:
+    traj = dy.integrate(entry.system, np.array(x0), (0.0, t), h, domain_exit="warn")
+    summary = {"model": entry.name, "t_final": float(traj.times[-1]),
+               "x_final": traj.states[-1], "samples": len(traj.times)}
+    if traj.oracle_max_error is not None:
+        summary["oracle_max_error"] = traj.oracle_max_error
+    return _printed(summary)
+
+
+def test_cli_model_comes_from_the_params_file_and_the_matrix(tmp_path, diag2_file, capsys):
+    # without --model the params file names the model; "lti" takes its "a" from --matrix
+    seir, lti = tmp_path / "seir.json", tmp_path / "lti.json"
+    seir.write_text(json.dumps({"name": "seir3", "params": {"zeta": 0.5}}))
+    lti.write_text(json.dumps({"name": "lti", "params": {"a": [[0.0, 0.0], [0.0, 0.0]]}}))
+    argv = ["simulate", "--x0=0.6,0.2,0.15", "--t", "1", "--h", "0.01"]
+    assert main([*argv, "--params", str(seir)]) == 0
+    want = _simulate_summary(model("seir3", {"zeta": 0.5}), [0.6, 0.2, 0.15], 1.0, 0.01)
+    assert capsys.readouterr().out == want
+    diag = {"a": np.diag([3.0, -4.0]).tolist()}
+    for flags in (["--params", str(lti)], ["--model", "lti"]):
+        assert main(["simulate", "--x0=1,1", "--t", "1", "--h", "0.01", "--matrix", diag2_file,
+                     *flags]) == 0
+        want = _simulate_summary(model("lti", diag), [1.0, 1.0], 1.0, 0.01)
+        assert capsys.readouterr().out == want
+
+
+def test_cli_seir_diagnostics_reads_the_params_file(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"params": {"zeta": 0.3, "gamma": 0.6}}))
+    assert main(["seir-diagnostics", "--x0=0.6,0.2,0.15", "--t", "10", "--h", "0.01",
+                 "--window", "5", "--params", str(params)]) == 0
+    entry = model("seir3", {"zeta": 0.3, "gamma": 0.6})
+    traj = dy.integrate(entry.system, np.array([0.6, 0.2, 0.15]), (0.0, 10.0), 0.01,
+                        domain_exit="warn")
+    diag = seir_orbit_diagnostics(entry, traj, window=5.0)
+    assert capsys.readouterr().out == _printed({
+        "min_margin": diag.min_margin, "average_mu": diag.average_mu, "zeta": diag.zeta,
+        "average_ok": diag.average_ok, "window": diag.window,
+        "max_mu": diag.extras["max_mu"]})
+    assert diag.zeta == 0.3
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_cli_measure_of_a_scaled_compound_matches_the_library(norm, tmp_path, rng, capsys):
+    a, m = rng.standard_normal((3, 3)), np.diag([1.0, 2.0, 0.5]) + 0.1 * np.ones((3, 3))
+    a_path, m_path = tmp_path / "a.json", tmp_path / "m.json"
+    io.save_matrix_json(a_path, a)
+    io.save_matrix_json(m_path, m)
+    assert main(["measure", "--matrix", str(a_path), "--scaling", str(m_path), "--k", "2",
+                 "--norm", norm]) == 0
+    mv = measure_k_witness(apply_scaling(a, m), 2, MeasureSpec(Norm.parse(norm)))
+    assert capsys.readouterr().out == _printed(
+        {"value": mv.value, "witness": mv.witness, "norm": norm, "k": 2})
+
+
 def test_cli_additive_compound_matches_pattern(tmp_path, rng, capsys):
     a = rng.standard_normal((3, 3))
     path = tmp_path / "a.json"
@@ -805,22 +927,47 @@ def test_cli_determinism(tmp_path, diag2_file):
 
 def test_cli_config_merge(tmp_path, diag2_file, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k": 2, "norm": "l1"}))
+
+    def run(config, *argv):
+        cfg.write_text(json.dumps(config))
+        return main([*argv, "--config", str(cfg)])
+
+    lti = ["certify", "--rule", "lti", "--matrix", diag2_file]
     # config supplies k and norm
-    code = main(["certify", "--rule", "lti", "--matrix", diag2_file,
-                 "--config", str(cfg)])
-    assert code == 0
-    cert = json.loads(capsys.readouterr().out)
+    assert run({"k": 2, "norm": "l1"}, *lti) == 0
+    text = capsys.readouterr().out
+    cert = json.loads(text)
     assert cert["norm"] == "l1" and cert["k"] == 2 and cert["eta"] == 1.0
-    # explicit flag wins over config
-    code = main(["certify", "--rule", "lti", "--matrix", diag2_file,
-                 "--config", str(cfg), "--norm", "l2"])
-    cert = json.loads(capsys.readouterr().out)
-    assert cert["norm"] == "l2"
+    # a value is read as the flag's own text would be: "2" is the integer 2
+    assert run({"k": "2", "norm": "l1"}, *lti) == 0
+    assert capsys.readouterr().out == text
+    assert main([*lti, "--k", "2", "--norm", "l1"]) == 0
+    assert capsys.readouterr().out == text
+    # explicit flag wins over config, also when abbreviated
+    run({"k": 2, "norm": "l1"}, *lti, "--norm", "l2")
+    assert json.loads(capsys.readouterr().out)["norm"] == "l2"
+    measure = ["measure", "--matrix", diag2_file]
+    assert run({"norm": "linf"}, *measure, "--nor", "l1") == 0
+    assert json.loads(capsys.readouterr().out)["norm"] == "l1"
+    # a null value keeps the default, and a key the verb lacks is ignored
+    assert run({"norm": None, "tmax": 5}, *measure) == 0
+    assert json.loads(capsys.readouterr().out)["norm"] == "l2"
+    # a key may spell the flag's dashes as underscores
+    assert run({"grid_counts": "3,3"}, "certify", "--rule", "grid", "--model", "hopf",
+               "--box=-1,-1:1,1") == 1
+    assert json.loads(capsys.readouterr().out)["grid"]["counts"] == [3, 3]
     # the parser is shared between calls; config values must not leak
-    code = main(["certify", "--rule", "lti", "--matrix", diag2_file, "--k", "1"])
+    main([*lti, "--k", "1"])
     cert = json.loads(capsys.readouterr().out)
     assert cert["norm"] == "l2" and cert["k"] == 1
+    # an internal name, a value the flag refuses, or a required flag left to the config
+    # is a usage error
+    for config, argv in (({"handler": "x"}, measure), ({"norm": "l7"}, measure),
+                         ({"matrix": diag2_file}, ["measure"])):
+        with pytest.raises(SystemExit) as exc:
+            run(config, *argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_simulate_and_oracle(tmp_path, capsys):

@@ -45,6 +45,14 @@ def test_registry_and_lookup_errors():
         mz.model("seir3", {"p": 1.5})
 
 
+@pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+def test_seir3_refuses_a_parameter_that_is_not_a_real_number(value):
+    # these used to reach `<=` (TypeError), or pass as 1 (True)
+    with pytest.raises(BadParameter, match="^seir3 parameter zeta = .* is not a real number$"):
+        mz.model("seir3", {"zeta": value})
+    assert mz.seir_rates({"zeta": np.float32(0.5), "q": np.int64(2)})["q"] == 2
+
+
 def test_all_models_pass_jacobian_selftest():
     for name in mz.model_names():
         params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
