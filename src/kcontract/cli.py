@@ -442,6 +442,8 @@ def main(argv=None) -> int:
         if args.config:  # parse again with the config's flags first, so explicit flags win
             with open(args.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise BadParameter(f"--config {args.config} is not a {{flag: value}} object")
             flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()
                      if value is not None and hasattr(args, key.replace("-", "_"))]
             verb = argv.index(args.verb) + 1

@@ -45,7 +45,7 @@ SV_DECAY_THRESHOLD = 1e-4
 FLOQUET_STABILITY_MARGIN = 1e-6
 # Per-axis sample count of a box grid when neither the caller nor the box sets one.
 DEFAULT_GRID_COUNT = 11
-# Largest relative disagreement allowed between batch and scalar model callables.
+# Largest relative disagreement of a model's stacks and field_entries with field and jacobian.
 BATCH_RTOL = 1e-12
 
 
@@ -154,24 +154,25 @@ class SystemModel:
     used to report integration error: the (len(times), n) states at an array
     of times from one initial state.  ``period`` marks time-periodic fields.
 
-    ``field_batch(t, X)`` and ``jacobian_batch(t, X)``, when present, take one
-    float time or an (N,) array of per-row times and an (N, n) stack of states,
-    and return the (N, n) fields and (N, n, n) Jacobians with the arithmetic of
-    the scalar callables.  The grid certificates, ``integrate`` on a stack and
-    the RK4 stages of the linearized flows evaluate through ``field_stack`` and
-    ``jacobian_stack``, which use them, or else the scalar callables row by row.
+    ``field_stack(t, X)`` and ``jacobian_stack(t, X)``, at one float time or an (N,)
+    array of per-row times and an (N, n) stack of states, return the (N, n) fields
+    and (N, n, n) Jacobians that the grid certificates, ``integrate`` on a stack and
+    the linearized flows use: A(t) @ x and A(t) of ``matrix``, else the entry lists
+    at x = X.T, else ``field`` and ``jacobian`` row by row.
 
     ``matrix(t)``, when present, is the A(t) of a linear model x' = A(t) x: (n, n)
     at a float t, shape + (n, n) or one (n, n) at an array of times, else
     DimensionMismatch, as for every linear flow (see _matrix_flows).  Its states,
     one or a stack, and a frame with them, advance on the step propagators of A(t).
-    Any other model's one-state RK4 state pass runs on Python-float components,
-    with the bits of the array arithmetic, in one generated loop.  Its stages run
-    ``field_entries(t, x)``, the field as a list of n entries over x[0], x[1], ...,
-    inline when its operations on t and x are only + - * / ** and negation (see
-    _trace); else they call it, or else ``field`` of the components as an array.
-    The trace is kept on the model, so the constants it reads are those of the
-    model's first one-state pass; a new model traces its entries again.
+    ``field_entries(t, x)`` and ``jacobian_entries(t, x)`` are the field as a list of
+    n entries and the Jacobian as n rows of them, over x[0], x[1], ...; on a stack,
+    each entry is an (N,) column or a constant.  Any other model's one-state RK4
+    state pass runs on Python-float components, with the bits of the array
+    arithmetic, in one generated loop.  Its stages run ``field_entries`` inline when
+    its operations on t and x are only + - * / ** and negation (see _trace); else
+    they call it, or else ``field``.  The trace is kept on the model, so the
+    constants it reads are those of the model's first one-state pass; a new model
+    traces its entries again.
     """
 
     dim: int
@@ -181,50 +182,46 @@ class SystemModel:
     oracle: callable | None = None
     period: float | None = None
     name: str = ""
-    field_batch: callable | None = None
-    jacobian_batch: callable | None = None
     field_entries: callable | None = None
+    jacobian_entries: callable | None = None
     matrix: callable | None = None
     _jacobian_checked: bool = False
     _trace: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def field_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The field at every row of an (N, n) stack of states, as (N, n)."""
-        if self.field_batch is not None:
-            out = np.asarray(self.field_batch(t, xs), dtype=float)
-        else:
-            out = np.stack([_field_value(self.field(ti, x), self.dim)
-                            for ti, x in zip(np.broadcast_to(t, len(xs)), xs)])
-        if out.shape != xs.shape:
-            raise DimensionMismatch(f"field stack has shape {out.shape}, states {xs.shape}")
-        return out
+        if self.matrix is not None:
+            return (_matrix_at(self.matrix, t, self.dim) @ xs[..., None])[..., 0]
+        if self.field_entries is not None:
+            return _entries_at(self.field_entries, "field_entries", t, xs, self.dim)
+        return np.stack([_field_value(self.field(ti, x), self.dim)
+                         for ti, x in zip(np.broadcast_to(t, len(xs)), xs)])
 
     def jacobian_stack(self, t, xs: np.ndarray) -> np.ndarray:
         """The Jacobian at every row of an (N, n) stack of states, as (N, n, n).
 
         The stack passes the checks of ``as_stack(..., square=True)``.
         """
-        if self.jacobian_batch is not None:
-            out = self.jacobian_batch(t, xs)
+        if self.matrix is not None:
+            out = np.broadcast_to(_matrix_at(self.matrix, t, self.dim), (*xs.shape, self.dim))
+        elif self.jacobian_entries is not None:
+            out = _entries_at(self.jacobian_entries, "jacobian_entries", t, xs, self.dim)
         else:
             out = [self.jacobian(ti, x) for ti, x in zip(np.broadcast_to(t, len(xs)), xs)]
-        out = as_stack(out, square=True)
-        if out.shape[0] != len(xs):
-            raise DimensionMismatch(f"{out.shape[0]} Jacobians for {len(xs)} states")
-        return out
+        return as_stack(out, square=True)
 
     def check_jacobian(self, rtol: float = 1e-4, samples: int = 5, seed: int = 7) -> None:
         """Compare the analytic Jacobian with central differences of the field.
 
         Raises JacobianMismatch when the relative error exceeds rtol at any sampled
         point, or when a form the integrators use instead disagrees there by more than
-        BATCH_RTOL: a batch callable with its scalar counterpart, ``matrix`` on a time
-        array with ``jacobian``, or ``matrix(t) @ x`` or ``field_entries`` with ``field``;
-        the first failure, point by point.  Points are drawn from the declared domain
-        (shrunk a little so differences stay inside) or from the unit box around 0; no
-        points raise DimensionMismatch.  The scalar ``field`` and ``jacobian`` stay the
-        reference, called at each point; each batch callable and ``matrix`` on a time
-        array is called once, on all points at per-row times.
+        BATCH_RTOL: ``field_entries`` with ``field``, or a stack built from ``matrix``
+        or the entry lists with ``field`` or ``jacobian``; the first failure, point by
+        point.  Points are drawn from the declared domain (shrunk a little so
+        differences stay inside) or from the unit box around 0; no points raise
+        DimensionMismatch.  The scalar ``field`` and ``jacobian`` stay the reference;
+        they and then ``field_entries`` are called at each point, and each stack once,
+        on all points at per-row times.
         """
         if samples < 1:
             raise DimensionMismatch(f"check_jacobian needs a sample point, got samples={samples}")
@@ -240,17 +237,13 @@ class SystemModel:
         fds = _central_differences([lambda y, t=t: self.field(t, y) for t, _ in rows], xs)
         fxs = np.array([self.field(t, x) for t, x in rows], dtype=float)
         forms = []  # (form, reference, the reference's values, the form's values)
-        if self.jacobian_batch is not None:
-            forms.append(("jacobian_batch", "jacobian", jacs, self.jacobian_stack(times, xs)))
-        if self.field_batch is not None:
-            forms.append(("field_batch", "field", fxs, self.field_stack(times, xs)))
-        if (a := self.matrix) is not None:
-            forms += [("matrix on a time array", "jacobian", jacs, _matrix_at(a, times, n)),
-                      ("matrix(t) @ x", "field", fxs,
-                       np.array([_matrix_at(a, t, n) @ x for t, x in rows]))]
-        if self.field_entries is not None:
+        if self.field_entries is not None:  # first: it refuses a list of the wrong length
             forms.append(("field_entries", "field", fxs, np.array(
                 [_entry_list(self.field_entries(t, x.tolist()), n) for t, x in rows], dtype=float)))
+        if self.matrix is not None or self.field_entries is not None:
+            forms.append(("field_stack", "field", fxs, self.field_stack(times, xs)))
+        if self.matrix is not None or self.jacobian_entries is not None:
+            forms.append(("jacobian_stack", "jacobian", jacs, self.jacobian_stack(times, xs)))
         errs = _relative_errors(*zip((fds, jacs), *[(got, want) for *_, want, got in forms]))
         if (errs[:, 0] > rtol).any() or not (errs[:, 1:] <= BATCH_RTOL).all():
             for x, (fd_err, *form_errs) in zip(xs, errs):  # the first failure, point by point
@@ -354,11 +347,32 @@ def _stage_times(times: np.ndarray, hh: float) -> np.ndarray:
     return times[:-1, None] + np.array([0.0, 0.5, 1.0]) * hh
 
 
-def _entry_list(entries, n: int):
-    """A field_entries value, refused with DimensionMismatch unless it has n entries."""
+def _entry_list(entries, n: int, form: str = "field_entries"):
+    """A value of the entry list form, refused with DimensionMismatch unless n long."""
     if len(entries) != n:
-        raise DimensionMismatch(f"field_entries has {len(entries)} entries, state {n}")
+        raise DimensionMismatch(f"{form} has {len(entries)} entries, state {n}")
     return entries
+
+
+def _filled(entries, lead: tuple) -> np.ndarray:
+    """The vector or matrix written as a list of entries (or of row lists), as
+    an array of shape lead + its own shape.  Each entry is a float, which broadcasts,
+    or an array of shape lead; a row of another length raises ValueError."""
+    rows = entries if isinstance(entries[0], list) else [entries]
+    out = np.empty(lead + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, value in zip(range(out.shape[-1]), row, strict=True):
+            out[..., i, j] = value
+    return out if rows is entries else out[..., 0, :]
+
+
+def _entries_at(entries, form: str, t, xs: np.ndarray, n: int) -> np.ndarray:
+    """The entry list form at x = X.T of an (N, n) stack X, as (N, n) or (N, n, n); a
+    TypeError or ValueError, float() of a column say, raises DimensionMismatch."""
+    try:
+        return _filled(_entry_list(entries(t, xs.T), n, form), (len(xs),))
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{form} fails on a stack of states: {exc}") from exc
 
 
 class _Traced:

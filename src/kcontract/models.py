@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compound import add_compound_stack, as_matrix, chunks
-from .dynamics import BoxDomain, SystemModel, Trajectory
+from .dynamics import BoxDomain, SystemModel, Trajectory, _filled
 from .errors import BadParameter, GammaNearZero, UnknownModel
 from .measures import Norm, measure_stack
 
@@ -38,29 +38,11 @@ class ModelEntry:
         return "NONE" if self.system.oracle is None else "CLOSED_FORM"
 
 
-def _filled(entries, lead: tuple = ()) -> np.ndarray:
-    """The vector or matrix written as a list of entries (or of row lists), as
-    an array of shape lead + its own shape.  Each entry is a float, which
-    broadcasts, or an array of shape lead, such as one value per time or state."""
-    if not lead:
-        return np.array(entries)
-    rows = entries if isinstance(entries[0], list) else [entries]
-    out = np.empty(lead + (len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            out[..., i, j] = value
-    return out if rows is entries else out[..., 0, :]
-
-
 def _linear_entry(name: str, a, description: str, *, parameters=None, transition=None,
                   period=None) -> ModelEntry:
     """The linear model x' = A(t) x, written once as its ``matrix`` a(t) (see
-    SystemModel).  The field is a(t) @ x, the Jacobian a(t) and, when the
-    transition matrix Phi(t) is known (it takes times alike), the oracle
-    Phi(times) @ x0.  The stack callables broadcast one a(t) over the rows, or
-    pair a(t_i) with row i, and compute (a(t) @ xs[..., None])[..., 0], which
-    rounds like a(t) @ x.
-    """
+    SystemModel): the field a(t) @ x, the Jacobian a(t) and, when the transition
+    matrix Phi(t) is known (it takes times alike), the oracle Phi(times) @ x0."""
     n = len(a(0.0))
     oracle = None
     if transition is not None:
@@ -68,8 +50,6 @@ def _linear_entry(name: str, a, description: str, *, parameters=None, transition
             return transition(times) @ np.asarray(x0, dtype=float)
 
     sys = SystemModel(dim=n, field=lambda t, x: a(t) @ x, jacobian=lambda t, x: a(t),
-                      field_batch=lambda t, xs: (a(t) @ xs[..., None])[..., 0],
-                      jacobian_batch=lambda t, xs: np.broadcast_to(a(t), (len(xs), n, n)).copy(),
                       matrix=a, oracle=oracle, period=period, name=name)
     return ModelEntry(name=name, system=sys, parameters=parameters or {},
                       description=description)
@@ -128,21 +108,12 @@ def _cos_ltv_entry(params: dict) -> ModelEntry:
 
 
 def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
-    """A model whose field(t, x) and jacobian(t, x) are written once, as lists
-    of entries over the components x[0], x[1], ...
-
-    The field list is the model's ``field_entries``, which the one-state RK4
-    state pass traces into its generated loop.  The one-state callables turn
-    the lists into arrays.  The stack callables evaluate the same functions at
-    x = X.T, so each entry is an (N,) array computed with the one-state
-    arithmetic, and fill (N, n) and (N, n, n) arrays with them (_filled), where
-    constants broadcast.
-    """
+    """A model whose field(t, x) and jacobian(t, x) are written once, as lists of
+    entries over the components x[0], x[1], ...: its ``field_entries`` and
+    ``jacobian_entries`` (see SystemModel), which its field and jacobian turn into arrays."""
     return SystemModel(dim=dim, field=lambda t, x: np.array(field(t, x)),
                        jacobian=lambda t, x: np.array(jacobian(t, x)),
-                       field_batch=lambda t, xs: _filled(field(t, xs.T), (len(xs),)),
-                       jacobian_batch=lambda t, xs: _filled(jacobian(t, xs.T), (len(xs),)),
-                       field_entries=field, **extras)
+                       field_entries=field, jacobian_entries=jacobian, **extras)
 
 
 def seir_rates(params: dict):
@@ -238,9 +209,13 @@ def model_names() -> list[str]:
 
 
 def model(name: str, params: dict | None = None) -> ModelEntry:
-    """Look up a registered model; runs the Jacobian self-test."""
+    """Look up a registered model; runs the Jacobian self-test.  A parameter the model
+    does not take raises BadParameter."""
     if name not in _BUILDERS:
         raise UnknownModel(f"unknown model {name!r}; available: {model_names()}")
+    takes = {"lti": ["a"], "seir3": list(SEIR_DEFAULTS)}.get(name, [])
+    if unknown := [key for key in params or {} if key not in takes]:
+        raise BadParameter(f"model {name!r} takes no parameter {unknown[0]!r}; it takes {takes}")
     entry = _BUILDERS[name](params or {})
     entry.system.check_jacobian()
     return entry

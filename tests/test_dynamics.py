@@ -290,6 +290,34 @@ def test_integrate_stack_matches_one_state_runs_bit_for_bit(name, rng):
         assert stack.oracle_max_error == max(one.oracle_max_error for one in ones)
 
 
+def _forced_entries(t, x):
+    return [x[1], -x[0] + 0.5 * (1.0 - x[0] * x[0]) * x[1] + 0.3 * t]
+
+
+def _forced_jacobian_entries(t, x):
+    return [[0.0, 1.0], [-1.0 - x[0] * x[1], 0.5 * (1.0 - x[0] * x[0])]]
+
+
+def test_user_entry_lists_give_the_stacks_of_field_and_jacobian(rng):
+    # a model with entry lists and no matrix builds its stacks from the lists,
+    # with the bits of its one-state field and jacobian
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: np.array(_forced_entries(t, x)),
+                          jacobian=lambda t, x: np.array(_forced_jacobian_entries(t, x)),
+                          field_entries=_forced_entries, jacobian_entries=_forced_jacobian_entries)
+    sysm.check_jacobian()
+    ts, xs = rng.uniform(0.0, 5.0, 40), rng.uniform(-2.0, 2.0, (40, 2))
+    xs[:4], xs[4:8, 0] = 0.0, -0.0  # the signs of zero entries are compared too
+    for t in (ts, 1.25):
+        rows = list(zip(np.broadcast_to(t, len(xs)), xs))
+        assert same_bits(sysm.field_stack(t, xs), np.stack([sysm.field(s, x) for s, x in rows]))
+        assert same_bits(sysm.jacobian_stack(t, xs),
+                         np.stack([sysm.jacobian(s, x) for s, x in rows]))
+    x0s = rng.uniform(-1.0, 1.0, (4, 2))
+    stack = dy.integrate(sysm, x0s, (0.0, 2.0), 1e-2)
+    for i, x0 in enumerate(x0s):
+        assert same_bits(stack.states[:, i], dy.integrate(sysm, x0, (0.0, 2.0), 1e-2).states)
+
+
 # each row overflows on the way; any other RuntimeWarning fails the test
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -297,7 +325,7 @@ def test_integrate_stack_raises_at_the_first_failing_step():
     # x' = x^2 blows up at t = 1 / x0: the row from 4 fails first
     sysm = dy.SystemModel(dim=1, field=lambda t, x: x * x,
                           jacobian=lambda t, x: np.array([[2.0 * x[0]]]),
-                          field_batch=lambda t, xs: xs * xs)
+                          field_entries=lambda t, x: [x[0] * x[0]])
     with pytest.raises(NonFiniteState) as one:
         dy.integrate(sysm, [4.0], (0.0, 2.0), 1e-3)
     with pytest.raises(NonFiniteState) as stack:
@@ -787,35 +815,36 @@ def test_floquet_matches_fused_loop(monkeypatch, chunk):
             assert all(close_to_stage_form(g, w) for g, w in zip(got_values, want_values)), name
 
 
-def _failing_system(jac_after, field_after, batch):
+def _failing_system(jac_after, field_after, entries):
     """A 1-D flow whose stage Jacobian turns infinite once t > jac_after and
-    whose field turns infinite once t > field_after."""
+    whose field turns infinite once t > field_after; with entries, its stage
+    Jacobians come from jacobian_entries on columns of per-row times."""
     def field(t, x):
         return np.array([np.inf if t > field_after else -x[0]])
 
     def jac(t, x):
         return np.array([[np.inf if t > jac_after else -1.0]])
 
-    def jac_batch(t, xs):
-        return np.where(np.asarray(t) > jac_after, np.inf, -1.0).reshape(-1, 1, 1)
+    def jac_entries(t, x):
+        return [[np.where(np.asarray(t) > jac_after, np.inf, -1.0)]]
 
     return dy.SystemModel(dim=1, field=field, jacobian=jac,
-                          jacobian_batch=jac_batch if batch else None)
+                          jacobian_entries=jac_entries if entries else None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [None, 40, 640])
-@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("entries", [False, True])
 @pytest.mark.parametrize("jac_after, field_after, error", [
     (0.24005, 0.24105, EvaluationFailure),  # the Jacobian fails one step before the state
     (0.24105, 0.24005, NonFiniteState),     # the state fails one step before the Jacobian
     (0.24005, 0.24005, EvaluationFailure),  # same step: the Jacobian comes first
 ])
-def test_linearized_failure_order_matches_fused_loop(monkeypatch, chunk, batch,
+def test_linearized_failure_order_matches_fused_loop(monkeypatch, chunk, entries,
                                                      jac_after, field_after, error):
     if chunk:
         monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
-    sysm = _failing_system(jac_after, field_after, batch)
+    sysm = _failing_system(jac_after, field_after, entries)
     with pytest.raises(error) as want:
         fused_linearized_flow(sysm, np.ones(1), np.ones((1, 1)), (0.0, 0.5), 1e-3)
     with pytest.raises(error) as got:
@@ -1223,6 +1252,23 @@ def test_entry_list_of_the_wrong_length_is_refused(entries, traced):
         dy.integrate(sysm, [1.0, 2.0], (0.0, 1.0), 0.1)
     with pytest.raises(DimensionMismatch, match=message):
         sysm.check_jacobian()
+
+
+def test_entry_list_that_fails_on_columns_is_refused():
+    # a stack calls the entry list on (N,) columns, where float() of one raises TypeError
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: -x, jacobian=lambda t, x: -np.eye(2),
+                          field_entries=_opaque(lambda t, x: [-x[0], -x[1]]))
+    message = r"^field_entries fails on a stack of states: "
+    with pytest.raises(DimensionMismatch, match=message):
+        sysm.check_jacobian()
+    with pytest.raises(DimensionMismatch, match=message):
+        dy.integrate(sysm, [[1.0, 2.0], [0.5, 0.5]], (0.0, 1.0), 0.1)
+    one = dy.integrate(sysm, [1.0, 2.0], (0.0, 1.0), 0.1)  # one state takes floats
+    assert same_bits(one.states, fused_rk4_path(sysm.field, [1.0, 2.0], (0.0, 1.0), 0.1)[1])
+    jac = replace(sysm, field_entries=None, jacobian_entries=lambda t, x: [
+        [-1.0, 0.0 * float(x[0])], [0.0, -1.0]])
+    with pytest.raises(DimensionMismatch, match=r"^jacobian_entries fails on a stack of states: "):
+        jac.check_jacobian()
 
 
 @dataclass

@@ -968,6 +968,10 @@ def test_cli_config_merge(tmp_path, diag2_file, capsys):
             run(config, *argv)
         assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+    # a file that does not hold one {flag: value} object is named in the one error line
+    assert run([1], *measure) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --config {cfg} is not a {{flag: value}} object\n"
 
 
 def test_cli_simulate_and_oracle(tmp_path, capsys):

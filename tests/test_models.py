@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -51,6 +52,19 @@ def test_seir3_refuses_a_parameter_that_is_not_a_real_number(value):
     with pytest.raises(BadParameter, match="^seir3 parameter zeta = .* is not a real number$"):
         mz.model("seir3", {"zeta": value})
     assert mz.seir_rates({"zeta": np.float32(0.5), "q": np.int64(2)})["q"] == 2
+
+
+@pytest.mark.parametrize("name, params, takes", [
+    ("seir3", {"zetta": 0.5}, list(mz.SEIR_DEFAULTS)),
+    ("hopf", {"zeta": 0.5}, []),
+    ("lti", {"a": [[-1.0]], "b": 1.0}, ["a"]),
+])
+def test_model_refuses_a_parameter_it_does_not_take(name, params, takes):
+    # a misspelt key used to be kept unused, and the verdict was the default model's
+    key = next(k for k in params if k not in takes)
+    with pytest.raises(BadParameter, match=re.escape(
+            f"model {name!r} takes no parameter {key!r}; it takes {takes}")):
+        mz.model(name, params)
 
 
 def test_all_models_pass_jacobian_selftest():
@@ -238,14 +252,14 @@ def test_batch_callables_match_scalar_ones(rng):
 
 
 def test_batch_jacobians_match_scalar_bit_for_bit():
-    # the RK4 stage Jacobians of the linearized flows come from the batch
-    # callables, so they must round exactly like the scalar ones
+    # the RK4 stage Jacobians of the linearized flows come from the stack built
+    # from jacobian_entries, so they must round exactly like the scalar ones
     rng = np.random.default_rng(11)
     for name, xs in (("hopf", rng.uniform(-2.0, 2.0, (100_000, 2))),
                      ("seir3", rng.random((100_000, 3)))):
         sysm = mz.model(name).system
         scalar = np.stack([sysm.jacobian(0.0, x) for x in xs])
-        assert same_bits(sysm.jacobian_batch(0.0, xs), scalar), name
+        assert same_bits(sysm.jacobian_stack(0.0, xs), scalar), name
 
 
 def test_stacks_pair_rows_with_per_row_times(rng):
@@ -320,51 +334,61 @@ def test_check_jacobian_rejects_disagreeing_batch():
     def jac(t, x):
         return np.array([[-1.0, 2.0 * x[1]], [0.0, -1.0]])
 
-    def jac_batch(t, xs):
-        return np.stack([jac(t, x) for x in xs])
+    def jac_entries(t, x):
+        return [[-1.0, 2.0 * x[1]], [0.0, -1.0]]
 
-    good = dy.SystemModel(dim=2, field=field, jacobian=jac, jacobian_batch=jac_batch)
+    good = dy.SystemModel(dim=2, field=field, jacobian=jac, jacobian_entries=jac_entries)
     good.check_jacobian()
     with pytest.raises(DimensionMismatch, match="needs a sample point"):
         good.check_jacobian(samples=0)
-    off = dy.SystemModel(dim=2, field=field, jacobian=jac,
-                         jacobian_batch=lambda t, xs: jac_batch(t, xs) * (1.0 + 1e-9))
-    with pytest.raises(JacobianMismatch):
+    off = dy.SystemModel(dim=2, field=field, jacobian=jac, jacobian_entries=lambda t, x: [
+        [v * (1.0 + 1e-9) for v in row] for row in jac_entries(t, x)])
+    with pytest.raises(JacobianMismatch, match="^jacobian_stack disagrees with jacobian"):
         off.check_jacobian()
     bad_field = dy.SystemModel(dim=2, field=field, jacobian=jac,
-                               field_batch=lambda t, xs: -xs)
-    with pytest.raises(JacobianMismatch):
+                               field_entries=lambda t, x: [-x[0], -x[1]])
+    with pytest.raises(JacobianMismatch, match="^field_entries disagrees with field"):
         bad_field.check_jacobian()
 
 
 def test_check_jacobian_compares_matrix_and_field_entries():
-    # the RK4 trusts matrix(times), matrix(t) @ x and field_entries in place of
-    # jacobian and field; each one off by 1e-6 is refused
+    # the integrators trust field_entries and the stacks built from matrix or the
+    # entry lists in place of field and jacobian; each one off by 1e-6 is refused
     a, b = np.array([[-1.0, 0.5], [0.2, -2.0]]), np.array([[0.0, 0.3], [-0.4, 0.0]])
 
     def matrix(t):
         return a + np.multiply.outer(np.cos(t), b)
 
-    def linear(field=lambda t, x: matrix(t) @ x, **kw):
-        return dy.SystemModel(dim=2, field=field, jacobian=lambda t, x: matrix(t),
-                              **{"matrix": matrix, **kw})
+    def linear(**kw):
+        return dy.SystemModel(**{"dim": 2, "field": lambda t, x: matrix(t) @ x,
+                                 "jacobian": lambda t, x: matrix(t), "matrix": matrix, **kw})
 
     def entries(t, x):
         return [-x[0] + x[1] * x[1], -x[1]]
 
+    def jac_entries(t, x):
+        return [[-1.0, 2.0 * x[1]], [0.0, -1.0]]
+
     def nonlinear(**kw):
-        return dy.SystemModel(dim=2, field=lambda t, x: np.array(entries(t, x)),
-                              jacobian=lambda t, x: np.array([[-1.0, 2.0 * x[1]], [0.0, -1.0]]),
-                              **{"field_entries": entries, **kw})
+        return dy.SystemModel(**{"dim": 2, "field": lambda t, x: np.array(entries(t, x)),
+                                 "jacobian": lambda t, x: np.array(jac_entries(t, x)),
+                                 "field_entries": entries, "jacobian_entries": jac_entries,
+                                 **kw})
 
     linear().check_jacobian()
     nonlinear().check_jacobian()
     bad = [
-        (linear(matrix=lambda t: matrix(t) * (1.0 + 1e-6)), "matrix on a time array"),
-        (linear(matrix=lambda t: matrix(t) + 1e-6 * np.ndim(t)), "matrix on a time array"),
-        (linear(field=lambda t, x: matrix(t) @ x + 1e-6), r"matrix\(t\) @ x"),
+        (linear(matrix=lambda t: matrix(t) * (1.0 + 1e-6)), "field_stack"),
+        (linear(matrix=lambda t: matrix(t) + 1e-6 * np.ndim(t)), "field_stack"),
+        (linear(field=lambda t, x: matrix(t) @ x + 1e-6), "field_stack"),
+        (linear(jacobian=lambda t, x: matrix(t) + 1e-6), "jacobian_stack"),
         (nonlinear(field_entries=lambda t, x: [v + 1e-6 for v in entries(t, x)]),
          "field_entries"),
+        (nonlinear(field_entries=lambda t, x: [v + 1e-6 * np.ndim(t) for v in entries(t, x)]),
+         "field_stack"),
+        (nonlinear(jacobian_entries=lambda t, x: [[v + 1e-6 for v in row]
+                                                  for row in jac_entries(t, x)]),
+         "jacobian_stack"),
     ]
     for sysm, what in bad:
         with pytest.raises(JacobianMismatch, match=f"^{what} disagrees"):
@@ -406,24 +430,13 @@ def _sample_x(sysm, samples, k):
 
 def _off_at(sysm, tk, off):
     """Copies of sysm, each with one callable off by `off` at the time tk alone."""
-    def rows(t, out):  # the rows of a stack evaluated at tk
-        out = np.array(out, dtype=float)
-        out[np.broadcast_to(np.asarray(t) == tk, out.shape[:1])] += off
-        return out
-
-    def when(t, value):
-        return value + off if t == tk else value
+    def when(t, value):  # t is one time, or the per-row times of a stack
+        return np.where(np.asarray(t) == tk, value + off, value)
 
     field, jacobian = sysm.field, sysm.jacobian  # the Jacobian off by 1e4 * off fails rtol
     copies = {"field": replace(sysm, field=lambda t, x: when(t, np.asarray(field(t, x)))),
               "jacobian": replace(sysm, jacobian=lambda t, x: np.asarray(jacobian(t, x))
                                   + (1e4 * off if t == tk else 0.0))}
-    if sysm.jacobian_batch is not None:
-        batch = sysm.jacobian_batch
-        copies["jacobian_batch"] = replace(sysm, jacobian_batch=lambda t, xs: rows(t, batch(t, xs)))
-    if sysm.field_batch is not None:
-        fbatch = sysm.field_batch
-        copies["field_batch"] = replace(sysm, field_batch=lambda t, xs: rows(t, fbatch(t, xs)))
     if sysm.matrix is not None:
         matrix = sysm.matrix
         copies["matrix"] = replace(sysm, matrix=lambda t: np.where(
@@ -432,6 +445,10 @@ def _off_at(sysm, tk, off):
         entries = sysm.field_entries
         copies["field_entries"] = replace(
             sysm, field_entries=lambda t, x: [when(t, v) for v in entries(t, x)])
+    if sysm.jacobian_entries is not None:
+        jac_entries = sysm.jacobian_entries
+        copies["jacobian_entries"] = replace(sysm, jacobian_entries=lambda t, x: [
+            [when(t, v) for v in row] for row in jac_entries(t, x)])
     return copies
 
 
@@ -453,8 +470,8 @@ def test_check_jacobian_matches_per_sample_loop(name):
 
 @pytest.mark.parametrize("name", mz.model_names())
 def test_check_jacobian_calls_each_batch_form_once(name):
-    # the batch forms and matrix on a time array take all points at once, while
-    # the scalar field and jacobian stay the per-point reference
+    # each stack takes all points at once, while the scalar field and jacobian, and
+    # field_entries, are called at each point
     sysm = _builtin(name)
     calls = Counter()
 
@@ -464,7 +481,7 @@ def test_check_jacobian_calls_each_batch_form_once(name):
             return fun(t, *args)
         return call
 
-    names = ("field", "jacobian", "field_batch", "jacobian_batch", "matrix", "field_entries")
+    names = ("field", "jacobian", "matrix", "field_entries", "jacobian_entries")
     copy = replace(sysm, **{k: counted(k, getattr(sysm, k)) for k in names
                             if getattr(sysm, k) is not None})
     n = sysm.dim
@@ -473,11 +490,11 @@ def test_check_jacobian_calls_each_batch_form_once(name):
         copy.check_jacobian(samples=samples)
         assert calls["field"] == samples * (2 * n + 1)
         assert calls["jacobian"] == samples
-        assert calls["jacobian_batch on times"] == calls["field_batch on times"] == 1
-        assert calls["jacobian_batch"] == calls["field_batch"] == 0
-        assert calls["matrix on times"] == (sysm.matrix is not None)
-        assert calls["matrix"] == (samples if sysm.matrix is not None else 0)
+        assert calls["matrix on times"] == 2 * (sysm.matrix is not None)  # once per stack
+        assert calls["field_entries on times"] == (sysm.field_entries is not None)
+        assert calls["jacobian_entries on times"] == (sysm.jacobian_entries is not None)
         assert calls["field_entries"] == (samples if sysm.field_entries is not None else 0)
+        assert calls["matrix"] == calls["jacobian_entries"] == 0
 
 
 def test_check_jacobian_draws_are_one_read_only_array():
@@ -489,15 +506,20 @@ def test_check_jacobian_draws_are_one_read_only_array():
 
 
 def test_check_jacobian_compares_a_scalar_field_row_by_row():
-    # a dim-1 field may return a scalar; its (N,) values and field_batch's (N, 1) stack are
-    # compared point by point, not broadcast against each other into (N, N)
+    # a dim-1 field may return a scalar; its (N,) values and the (N, 1) values of
+    # field_entries, per point or as a stack, are compared point by point, not
+    # broadcast against each other into (N, N)
     sysm = dy.SystemModel(dim=1, field=lambda t, x: -x[0], jacobian=lambda t, x: [[-1.0]],
-                          field_batch=lambda t, xs: -xs)
+                          field_entries=lambda t, x: [-x[0]])
     sysm.check_jacobian()
-    bad = replace(sysm, field_batch=lambda t, xs: -xs * (1.0 + 1e-9 * (xs > 0.5)))
-    with pytest.raises(JacobianMismatch, match=r"^field_batch disagrees with field by "
-                                                r"5\.514e-10 at x=\[0\.551"):
-        bad.check_jacobian()
+    # np.ndim(t) is 1 at the per-row times of a stack and 0 at one point's time, so
+    # the second list is off on the stack alone
+    for form, scale in (("field_entries", lambda t: 1.0), ("field_stack", np.ndim)):
+        bad = replace(sysm, field_entries=lambda t, x: [
+            -x[0] * (1.0 + 1e-9 * (x[0] > 0.5) * scale(t))])
+        with pytest.raises(JacobianMismatch, match=rf"^{form} disagrees with field by "
+                                                    r"5\.514e-10 at x=\[0\.551"):
+            bad.check_jacobian()
 
 
 def test_central_differences_keep_their_bits(rng):
@@ -518,16 +540,21 @@ def test_central_differences_keep_their_bits(rng):
 def test_jacobian_stack_keeps_matrix_checks():
     xs = np.zeros((3, 2))
     cases = [
-        (lambda t, xs: np.full((len(xs), 2, 2), np.nan), EvaluationFailure),
-        (lambda t, xs: np.zeros((len(xs), 2, 3)), NotSquare),
-        (lambda t, xs: np.zeros((len(xs), 2)), DimensionMismatch),
-        (lambda t, xs: np.zeros((1, 2, 2)), DimensionMismatch),
+        (lambda t, x: [[np.nan, 0.0], [0.0, 0.0]], EvaluationFailure),
+        (lambda t, x: [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], NotSquare),
+        (lambda t, x: [0.0, 0.0], DimensionMismatch),
+        (lambda t, x: [[0.0, 0.0]], DimensionMismatch),  # one row for two states
+        (lambda t, x: [[0.0, 0.0], [0.0]], DimensionMismatch),  # a short row
     ]
-    for batch, error in cases:
+    for entries, error in cases:
         sysm = dy.SystemModel(dim=2, field=lambda t, x: x, jacobian=lambda t, x: np.eye(2),
-                              jacobian_batch=batch)
+                              jacobian_entries=entries)
         with pytest.raises(error):
             sysm.jacobian_stack(0.0, xs)
+    linear_nan = dy.SystemModel(dim=2, field=lambda t, x: x, jacobian=lambda t, x: np.eye(2),
+                                matrix=lambda t: np.full((2, 2), np.nan))
+    with pytest.raises(EvaluationFailure):
+        linear_nan.jacobian_stack(0.0, xs)
     scalar_nan = dy.SystemModel(dim=2, field=lambda t, x: x,
                                 jacobian=lambda t, x: np.full((2, 2), np.inf))
     with pytest.raises(EvaluationFailure):
