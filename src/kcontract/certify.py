@@ -1,9 +1,10 @@
 """Sufficient-condition checkers producing contraction certificates.
 
-Conditions stated "for all x" are verified by sampling a box grid; the
-certificate records the grid and marks itself non-exhaustive.  Success means
-the sampled supremum of the relevant measure stays at or below -1e-10, and
-the reported rate eta is the negated supremum.
+Conditions stated "for all x" are verified by sampling the grid of a box, with
+the box's own counts (BoxDomain.grid_counts); the certificate records the grid
+and marks itself non-exhaustive.  Success means the sampled supremum of the
+relevant measure stays at or below -1e-10, and the reported rate eta is the
+negated supremum.
 
 Every rule evaluates its samples as one stack.  The grid rules share one grid
 visit (``_visit_grid``), which works in chunks of at most CHUNK_ELEMENTS
@@ -36,6 +37,8 @@ ETA_TOL = 1e-10
 METZLER_TOL = 1e-12
 MAX_GRID_SAMPLES = 1_000_000
 EQUILIBRIUM_CLUSTER_RADIUS = 1e-6
+# Largest sampled measure control_check accepts in its two semidefinite conditions.
+SEMIDEF_TOL = 1e-7
 
 
 @dataclass
@@ -150,9 +153,9 @@ def _sample_elements(n: int, k: int, materialized: bool) -> int:
     return max(n * n, c * c if materialized else c * k * k)
 
 
-def _visit_grid(system: SystemModel, omega: BoxDomain, counts, time_grid, per_sample: int,
-                evaluate, scaling=None) -> tuple[np.ndarray, list[float], list[np.ndarray]]:
-    """Evaluate a grid rule at every (time, point) sample of a box grid.
+def _visit_grid(system: SystemModel, omega: BoxDomain, time_grid, per_sample: int, evaluate,
+                scaling=None) -> tuple[np.ndarray, list[float], list[np.ndarray]]:
+    """Evaluate a grid rule at every (time, point) sample of the box's grid.
 
     Checks the system's Jacobian (once per system), refuses an empty or
     oversized grid and an empty time grid, then calls
@@ -164,10 +167,10 @@ def _visit_grid(system: SystemModel, omega: BoxDomain, counts, time_grid, per_sa
     """
     if not system._jacobian_checked:
         system.check_jacobian()
-    size = math.prod(omega.grid_counts(counts))  # refuse before building the grid
+    size = math.prod(omega.grid_counts())  # refuse before building the grid
     if size > MAX_GRID_SAMPLES:
         raise DimensionMismatch(f"grid of {size} samples exceeds cap {MAX_GRID_SAMPLES}")
-    pts = omega.grid(counts)
+    pts = omega.grid()
     times = [0.0] if time_grid is None else _floats(time_grid)
     if not times:
         raise DimensionMismatch("empty time grid")
@@ -184,8 +187,8 @@ def _sample_at(pts: np.ndarray, times: list[float], s: int) -> dict:
     return {"point": _floats(pts[s % len(pts)]), "time": times[s // len(pts)]}
 
 
-def _grid_meta(omega: BoxDomain, counts, time_grid=None) -> dict:
-    meta = {"counts": list(omega.grid_counts(counts)), "exhaustive": False,
+def _grid_meta(omega: BoxDomain, time_grid=None) -> dict:
+    meta = {"counts": list(omega.grid_counts()), "exhaustive": False,
             "lower": _floats(omega.lower), "upper": _floats(omega.upper)}
     if time_grid is not None:
         meta["time_grid"] = _floats(time_grid)
@@ -198,10 +201,9 @@ def certify_nonlinear_grid(
     k: int,
     spec: MeasureSpec,
     time_grid=None,
-    counts=None,
     compound_scaling=None,
 ) -> Certificate:
-    """Sampled sufficient condition mu(J^[k](t, x)) <= -eta over a box grid.
+    """Sampled sufficient condition mu(J^[k](t, x)) <= -eta over the box's grid.
 
     compound_scaling, when given, is a callable x -> W(x) applied in compound
     space: the sampled value is mu(W J^[k] W^{-1}).  The verdict CERTIFIED is
@@ -215,7 +217,7 @@ def certify_nonlinear_grid(
 
     per_sample = _sample_elements(omega.dim, k, compound_scaling is not None)
     pts, times, (values, *witnesses) = _visit_grid(
-        system, omega, counts, time_grid, per_sample, evaluate, spec.scaling)
+        system, omega, time_grid, per_sample, evaluate, spec.scaling)
     worst = int(np.argmax(values))
     return Certificate(
         rule="NONLINEAR_GRID",
@@ -225,7 +227,7 @@ def certify_nonlinear_grid(
         verdict=_verdict(values[worst]),
         witness={**_sample_at(pts, times, worst),
                  "attaining": witnesses[0][worst].tolist() if witnesses else None},
-        grid_meta=_grid_meta(omega, counts, time_grid),
+        grid_meta=_grid_meta(omega, time_grid),
     )
 
 
@@ -285,14 +287,13 @@ def certify_scaled_l1(
     k: int,
     v,
     time_grid=None,
-    counts=None,
 ) -> Certificate:
     """Scaled-L1 rule for k-cooperative systems.
 
-    Requires J^[k] Metzler at every sample and v^T J^[k](t, x) <= -eta 1^T
-    for a strictly positive weight vector v of length C(n, k).  The raw eta
-    comes from the weighted column sums; extras carry the effective rate
-    eta / max(v) for the |V x|_1 norm itself.
+    Requires J^[k] Metzler and v^T J^[k](t, x) <= -eta 1^T at every sample of
+    the box's grid, for a strictly positive weight vector v of length C(n, k).
+    The raw eta comes from the weighted column sums; extras carry the
+    effective rate eta / max(v) for the |V x|_1 norm itself.
     """
     vv = np.asarray(v, dtype=float).reshape(-1)
     if np.any(vv <= 0.0):
@@ -309,7 +310,7 @@ def certify_scaled_l1(
         return off.min(axis=(-2, -1)), q.max(axis=-1), q.argmax(axis=-1)
 
     pts, times, (min_off, qmax, qarg) = _visit_grid(
-        system, omega, counts, time_grid, _sample_elements(omega.dim, k, True), evaluate)
+        system, omega, time_grid, _sample_elements(omega.dim, k, True), evaluate)
     violations = np.flatnonzero(min_off < -METZLER_TOL)
     metzler_ok = violations.size == 0
     worst = int(np.argmax(qmax))
@@ -328,7 +329,7 @@ def certify_scaled_l1(
         eta=-worst_val,
         verdict=_verdict(worst_val) if metzler_ok else "NOT_CERTIFIED",
         witness={**_sample_at(pts, times, worst), "column": int(qarg[worst]) + 1},
-        grid_meta=_grid_meta(omega, counts, time_grid),
+        grid_meta=_grid_meta(omega, time_grid),
         extras=extras,
     )
 
@@ -337,17 +338,16 @@ def check_bendixson(
     system: SystemModel,
     omega: BoxDomain,
     spec: MeasureSpec = MeasureSpec(Norm.L2),
-    counts=None,
 ) -> Certificate:
     """Rule out non-trivial periodic orbits of a time-invariant system.
 
-    Succeeds when mu(J^[2](x)) < 0 everywhere on the grid, or when
+    Succeeds when mu(J^[2](x)) < 0 everywhere on the box's grid, or when
     mu(-J^[2](x)) < 0 everywhere (time-reversed branch).
     """
     def evaluate(points, j):
         return measure_k_stack(j, 2, spec.norm)[0], measure_k_stack(-j, 2, spec.norm)[0]
 
-    pts, _, (fwd, bwd) = _visit_grid(system, omega, counts, None,
+    pts, _, (fwd, bwd) = _visit_grid(system, omega, None,
                                      _sample_elements(omega.dim, 2, False), evaluate, spec.scaling)
     sup_f, sup_b = float(np.max(fwd)), float(np.max(bwd))
     if sup_f <= -ETA_TOL:
@@ -363,7 +363,7 @@ def check_bendixson(
         eta=-sup,
         verdict="NOT_CERTIFIED" if branch == "none" else "CERTIFIED",
         witness={"point": _floats(pts[arg]), "branch": branch},
-        grid_meta=_grid_meta(omega, counts),
+        grid_meta=_grid_meta(omega),
         extras={"sup_forward": sup_f, "sup_reversed": sup_b},
     )
 
@@ -423,17 +423,11 @@ def _equilibria(system: SystemModel, pts: np.ndarray, omega: BoxDomain):
     return _cluster(inside, omega), skipped
 
 
-def _cluster(points: list[np.ndarray], omega: BoxDomain,
-             radius: float = EQUILIBRIUM_CLUSTER_RADIUS) -> list[np.ndarray]:
+def _cluster(points: list[np.ndarray], omega: BoxDomain) -> list[np.ndarray]:
     span = np.maximum(omega.upper - omega.lower, 1e-30)
     reps: list[np.ndarray] = []
     for p in points:
-        matched = False
-        for r in reps:
-            if np.max(np.abs(p - r) / span) <= radius:
-                matched = True
-                break
-        if not matched:
+        if not any(np.max(np.abs(p - r) / span) <= EQUILIBRIUM_CLUSTER_RADIUS for r in reps):
             reps.append(p)
     return reps
 
@@ -442,18 +436,17 @@ def check_gas(
     system: SystemModel,
     omega: BoxDomain,
     spec: MeasureSpec = MeasureSpec(Norm.L2),
-    counts=None,
 ) -> Certificate:
     """Global-convergence certificate from 2-order contraction on a box.
 
-    Requires the sampled mu(J^[2]) to be negative on the grid and an
+    Requires the sampled mu(J^[2]) to be negative on the box's grid and an
     equilibrium census (Newton from every grid seed, clustered at radius
-    1e-6 in the box-scaled max norm) to find exactly one equilibrium.  With
-    several equilibria the certificate reports the census and declines a
-    convergence verdict.
+    EQUILIBRIUM_CLUSTER_RADIUS in the box-scaled max norm) to find exactly one
+    equilibrium.  With several equilibria the certificate reports the census
+    and declines a convergence verdict.
     """
     pts, _, (vals,) = _visit_grid(
-        system, omega, counts, None, _sample_elements(omega.dim, 2, False),
+        system, omega, None, _sample_elements(omega.dim, 2, False),
         lambda points, j: (measure_k_stack(j, 2, spec.norm)[0],), spec.scaling)
     sup = float(np.max(vals))
     measure_ok = sup <= -ETA_TOL
@@ -465,7 +458,7 @@ def check_gas(
         eta=-sup,
         verdict="CERTIFIED" if (measure_ok and len(clusters) == 1) else "NOT_CERTIFIED",
         witness={"point": _floats(pts[int(np.argmax(vals))])},
-        grid_meta=_grid_meta(omega, counts),
+        grid_meta=_grid_meta(omega),
         extras={
             "equilibria": [_floats(r) for r in clusters],
             "equilibrium_count": len(clusters),
@@ -492,16 +485,14 @@ def control_check(
     p,
     omega: BoxDomain,
     d_gtheta=None,
-    counts=None,
-    semidef_tol: float = 1e-7,
 ) -> Certificate:
     """Closed-loop GAS check for x' = f(x) + G(x) theta(x).
 
-    Verifies on the grid: (1) P J(x) + J(x)^T P is negative semidefinite,
+    Verifies on the box's grid: (1) P J(x) + J(x)^T P is negative semidefinite,
     (2) mu_2((P^(2))^{1/2} J^[2](x) (P^(2))^{-1/2}) < 0, and (3)
-    mu_2(P^{1/2} d(G theta)/dx P^{-1/2}) <= 0, then runs a closed-loop
-    equilibrium census.  d_gtheta defaults to central differences of
-    x -> G(x) theta(x).
+    mu_2(P^{1/2} d(G theta)/dx P^{-1/2}) <= 0, (1) and (3) up to SEMIDEF_TOL,
+    then runs a closed-loop equilibrium census.  d_gtheta defaults to central
+    differences of x -> G(x) theta(x).
     """
     pm = as_matrix(p, square=True)
     if np.max(np.abs(pm - pm.T)) > 1e-10 * max(1.0, float(np.max(np.abs(pm)))):
@@ -527,12 +518,12 @@ def control_check(
                 measure_stack(p2_rt @ add_compound_stack(j, 2) @ p2_irt, Norm.L2),
                 measure_stack(p_rt @ d @ p_irt, Norm.L2))
 
-    pts, _, (c1, c2, c3) = _visit_grid(system, omega, counts, None,
+    pts, _, (c1, c2, c3) = _visit_grid(system, omega, None,
                                        _sample_elements(omega.dim, 2, True), evaluate)
     failures = {}
-    for name, values, bound in (("drift_semidefinite", c1, semidef_tol),
+    for name, values, bound in (("drift_semidefinite", c1, SEMIDEF_TOL),
                                 ("compound_measure", c2, -ETA_TOL),
-                                ("input_term_measure", c3, semidef_tol)):
+                                ("input_term_measure", c3, SEMIDEF_TOL)):
         i = int(np.argmax(values))
         if float(values[i]) > bound:
             failures[name] = {"point": _floats(pts[i]), "value": float(values[i])}
@@ -554,7 +545,7 @@ def control_check(
         eta=-float(np.max(c2)),
         verdict="CERTIFIED" if not failures else "NOT_CERTIFIED",
         witness=failures if failures else {"point": None},
-        grid_meta=_grid_meta(omega, counts),
+        grid_meta=_grid_meta(omega),
         extras={
             "equilibria": [_floats(r) for r in clusters],
             "seeds_skipped": skipped,

@@ -9,7 +9,6 @@ assembly and compound measures read in one vectorised pass.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -146,20 +145,18 @@ class SwapTable:
 
 @functools.lru_cache(maxsize=64)
 def single_swap_table(n: int, k: int) -> SwapTable:
-    """The C(n, k) * k * (n - k) single-swap pairs of Q_{k,n}."""
-    subsets = list(itertools.combinations(range(n), k))
-    position = {s: r for r, s in enumerate(subsets)}
-    pairs, signs = [], []
-    for r, s in enumerate(subsets):
-        outside = [v for v in range(n) if v not in s]
-        for l, u in enumerate(s):
-            rest = list(s[:l] + s[l + 1:])
-            for v in outside:
-                m = bisect.bisect_left(rest, v)
-                pairs.append((r, position[tuple(rest[:m] + [v] + rest[m:])], u, v))
-                signs.append(-1.0 if (l + m) % 2 else 1.0)
-    cols = np.array(pairs, dtype=np.intp).reshape(-1, 4).T.copy()
-    table = SwapTable(cols[0], cols[1], cols[2], cols[3], np.array(signs, dtype=float))
+    """The C(n, k) * k * (n - k) single-swap pairs of Q_{k,n}.
+
+    Removing position l of a tuple leaves a (k-1)-subset (cofactor_table), which
+    lies in n - k + 1 tuples; every ordered pair of distinct (tuple, position)
+    entries that leave the same subset is one single swap.
+    """
+    sets, rest = cofactor_table(n, k)
+    groups = np.argsort(rest, axis=None, kind="stable").reshape(-1, n - k + 1)
+    first, second = np.nonzero(~np.eye(n - k + 1, dtype=bool))
+    rows, l = np.divmod(groups[:, first].ravel(), k)
+    cols, m = np.divmod(groups[:, second].ravel(), k)
+    table = SwapTable(rows, cols, sets[rows, l], sets[cols, m], np.where((l + m) % 2, -1.0, 1.0))
     _read_only(table.rows, table.cols, table.src_i, table.src_j, table.sign)
     return table
 

@@ -193,9 +193,9 @@ def wedge_stack(frames) -> np.ndarray:
     """wedge of the k columns of every n x k matrix of an (N, n, k) stack.
 
     Returns (N, C(n, k)); row i equals wedge(frames[i].T) bit for bit.  Each
-    sample's columns are put in stable lexicographic order, with the sign of
-    that permutation, by comparing them row by row; then every minor of every
-    sample comes from one batched call of the minors kernel (_minors).
+    sample's columns are put in stable lexicographic order (np.lexsort, row 0
+    the primary key), with the sign of that permutation; then every minor of
+    every sample comes from one batched call of the minors kernel (_minors).
     """
     w = as_stack(frames)
     n, k = w.shape[1:]
@@ -203,18 +203,9 @@ def wedge_stack(frames) -> np.ndarray:
         raise OrderTooLarge(f"cannot wedge {k} vectors in R^{n}")
     if k > 1:
         _check_cap(binomial(n, k), 1)  # the size limits of mult_compound
-    # less[s, i, j]: column i of sample s sorts strictly before column j
-    less = np.zeros((len(w), k, k), dtype=bool)
-    tied = np.ones_like(less)
-    for row in np.moveaxis(w, 1, 0):
-        less |= tied & (row[:, :, None] < row[:, None, :])
-        tied &= row[:, :, None] == row[:, None, :]
-    # a column's sorted position counts the columns before it, plus equal
-    # columns to its left (the sort is stable); each pair i < j with column
-    # j before column i is one inversion
-    position = less.sum(axis=1) + np.triu(tied, 1).sum(axis=1)
-    order = np.argsort(position, axis=1)
-    odd = np.tril(less, -1).sum(axis=(1, 2))[:, None] % 2 == 1
+    order = np.lexsort(np.moveaxis(w[:, ::-1], 1, 0))  # lexsort's last key is the primary one
+    # the permutation's parity: each pair i < j with order[i] > order[j] is one inversion
+    odd = np.triu(order[:, :, None] > order[:, None, :], 1).sum(axis=(1, 2))[:, None] % 2 == 1
     minors = _minors(np.take_along_axis(w, order[:, None, :], axis=2))
     return np.where(odd, 0.0 - minors, minors)  # -minors would turn +0.0 into -0.0
 

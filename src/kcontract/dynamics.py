@@ -43,22 +43,24 @@ NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-8
 SV_DECAY_THRESHOLD = 1e-4
 FLOQUET_STABILITY_MARGIN = 1e-6
-# Per-axis sample count of a box grid when neither the caller nor the box sets one.
+# Per-axis sample count of a box grid whose box sets none.
 DEFAULT_GRID_COUNT = 11
 # Largest relative disagreement of a model's stacks and field_entries with field and jacobian.
 BATCH_RTOL = 1e-12
+# Relative step of every central difference: column j steps by it times max(1, |x_j|).
+DIFFERENCE_STEP = 1e-6
 
 
-def central_difference_jacobian(fun, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central differences of fun at x, column j with the step eps * max(1, |x_j|)."""
-    return _central_differences([fun], np.asarray(x, dtype=float).reshape(1, -1), eps)[0]
+def central_difference_jacobian(fun, x: np.ndarray) -> np.ndarray:
+    """Central differences of fun at x, column j with the step DIFFERENCE_STEP * max(1, |x_j|)."""
+    return _central_differences([fun], np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-def _central_differences(funs, xs: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def _central_differences(funs, xs: np.ndarray) -> np.ndarray:
     """central_difference_jacobian of funs[i] at each row xs[i] of an (N, n) stack,
     as (N, m, n), with all N 2n perturbed points built as one array."""
     n = xs.shape[1]
-    steps = eps * np.fmax(1.0, np.abs(xs))  # fmax(1, nan) is 1, as max(1.0, nan)
+    steps = DIFFERENCE_STEP * np.fmax(1.0, np.abs(xs))  # fmax(1, nan) is 1, as max(1.0, nan)
     dx = np.zeros(xs.shape + (n,))
     dx[:, range(n), range(n)] = steps
     points = np.stack([xs[:, None] + dx, xs[:, None] - dx], axis=2)  # x + step, x - step
@@ -101,8 +103,8 @@ class BoxDomain:
             raise DimensionMismatch("box bounds must be finite")
         if np.any(hi < lo):
             raise DimensionMismatch("upper must dominate lower componentwise")
-        box = cls(lower=lo, upper=hi)
-        return box if counts is None else cls(lo, hi, box.grid_counts(counts))
+        box = cls(lo, hi, counts)
+        return box if counts is None else cls(lo, hi, box.grid_counts())
 
     @property
     def dim(self) -> int:
@@ -114,22 +116,21 @@ class BoxDomain:
             np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
         )
 
-    def grid_counts(self, counts=None) -> tuple[int, ...]:
-        """Per-axis sample counts: counts, else the box's own, else the default.
+    def grid_counts(self) -> tuple[int, ...]:
+        """Per-axis sample counts: the box's own, else DEFAULT_GRID_COUNT on every axis.
 
         Refuses counts whose length is not dim or that hold an entry below 1.
         """
-        if counts is None:
-            counts = self.counts or (DEFAULT_GRID_COUNT,) * self.dim
+        counts = (DEFAULT_GRID_COUNT,) * self.dim if self.counts is None else self.counts
         counts = tuple(int(c) for c in counts)
         if len(counts) != self.dim or any(c < 1 for c in counts):
             raise DimensionMismatch("bad per-axis grid counts")
         return counts
 
-    def grid(self, counts=None) -> np.ndarray:
-        """All grid points as an (N, dim) array, row-major over axes."""
+    def grid(self) -> np.ndarray:
+        """All points of the grid of grid_counts() as an (N, dim) array, row-major over axes."""
         axes = []
-        for i, c in enumerate(self.grid_counts(counts)):
+        for i, c in enumerate(self.grid_counts()):
             if c == 1:
                 axes.append(np.array([0.5 * (self.lower[i] + self.upper[i])]))
             else:
@@ -857,17 +858,15 @@ def floquet(
     x0_seed,
     h: float = 1e-3,
     period: float | None = None,
-    newton_tol: float = NEWTON_TOL,
-    max_iters: int = NEWTON_MAX_ITERS,
-    stability_margin: float = FLOQUET_STABILITY_MARGIN,
 ) -> FloquetResult:
     """Locate a periodic orbit and judge its stability via the 2nd compound.
 
-    Newton iterates on the period-T return map with the first coordinate
-    frozen (phase condition); the return-map Jacobian is the integrated
-    monodromy.  The orbit is ORBITALLY_STABLE when the spectral radius of
-    the 2nd multiplicative compound of the monodromy is below 1.  A wrong
-    period raises NoPeriodFound once Newton stalls on the section.
+    Newton iterates (to NEWTON_TOL, at most NEWTON_MAX_ITERS times) on the period-T
+    return map with the first coordinate frozen (phase condition); the return-map
+    Jacobian is the integrated monodromy.  The orbit is ORBITALLY_STABLE when the
+    spectral radius of the 2nd multiplicative compound of the monodromy is below
+    1 - FLOQUET_STABILITY_MARGIN.  A wrong period raises NoPeriodFound once Newton
+    stalls on the section.
     """
     T = float(period if period is not None else (system.period or 0.0))
     if T <= 0.0:
@@ -880,13 +879,13 @@ def floquet(
     residual = previous = np.inf
     xT = x0
     phi = np.eye(n)
-    for it in range(1, max_iters + 1):
+    for it in range(1, NEWTON_MAX_ITERS + 1):
         xT, phi = _flow_with_monodromy(system, x0, T, h)
         g = xT - x0
         residual = float(np.max(np.abs(g)))
         # converged, or stalled on the section while the full residual stays put
-        if residual <= newton_tol or (float(np.max(np.abs(g[1:]))) <= newton_tol
-                                      and abs(residual - previous) <= newton_tol):
+        if residual <= NEWTON_TOL or (float(np.max(np.abs(g[1:]))) <= NEWTON_TOL
+                                      and abs(residual - previous) <= NEWTON_TOL):
             break
         previous = residual
         jac = (phi - np.eye(n))[1:, 1:]
@@ -898,25 +897,22 @@ def floquet(
             raise NewtonDivergence("non-finite Newton step")
         x0[1:] += delta
     else:
-        it = max_iters
-    if residual > newton_tol:
+        it = NEWTON_MAX_ITERS
+    if residual > NEWTON_TOL:
         reduced = float(np.max(np.abs((xT - x0)[1:])))
-        if reduced <= newton_tol * 10.0:
+        if reduced <= NEWTON_TOL * 10.0:
             raise NoPeriodFound(
                 f"section fixed point found but full residual {residual:.3e} "
                 "stays large; declared period looks wrong"
             )
         raise NewtonDivergence(
-            f"Newton residual {residual:.3e} after {max_iters} iterations"
-        )
+            f"Newton residual {residual:.3e} after {NEWTON_MAX_ITERS} iterations")
 
     multipliers = eigenvalues(phi)
     comp = mult_compound(phi, 2)
     radius = float(np.max(np.abs(eigenvalues(comp)))) if comp.size else 0.0
     trivial_err = float(np.min(np.abs(multipliers - 1.0)))
-    verdict = (
-        "ORBITALLY_STABLE" if radius < 1.0 - stability_margin else "INCONCLUSIVE"
-    )
+    verdict = "ORBITALLY_STABLE" if radius < 1.0 - FLOQUET_STABILITY_MARGIN else "INCONCLUSIVE"
     return FloquetResult(
         period=T,
         orbit_start=x0,
@@ -936,26 +932,24 @@ def asymptotic_subspace(
     k: int,
     t_max: float = 30.0,
     h: float = 1e-3,
-    sv_threshold: float = SV_DECAY_THRESHOLD,
-    decay_threshold: float = SV_DECAY_THRESHOLD,
 ) -> SubspaceReport:
     """Estimate the decaying-subspace dimension of an LTV flow and test it
     against decay of the k-th compound system.
 
     Assumes the caller has checked uniform stability.  Singular values of
-    Phi(t_max) below sv_threshold * max(1, sigma_max) count as decaying
+    Phi(t_max) below SV_DECAY_THRESHOLD * max(1, sigma_max) count as decaying
     directions (Phi(0) = I pins the natural scale at 1, so a uniformly
     contracting flow counts every direction); the compound system counts as
-    decayed when ||Y(t_max)|| drops below decay_threshold.  Consistency
+    decayed when ||Y(t_max)|| is at most SV_DECAY_THRESHOLD.  Consistency
     means: compound decays iff the decaying dimension is at least n - k + 1.
     Phi and Y share each a_fun call, made as in transition_matrix.
     """
     phi, comp = _compound_flows(a_fun, [1, k], (0.0, t_max), h)
     n = phi.final.shape[0]
     sv = np.linalg.svd(phi.final, compute_uv=False)
-    d = int(np.count_nonzero(sv < sv_threshold * max(1.0, sv[0])))
+    d = int(np.count_nonzero(sv < SV_DECAY_THRESHOLD * max(1.0, sv[0])))
     cnorm = float(np.linalg.norm(comp.final, 2))
-    decayed = cnorm <= decay_threshold
+    decayed = cnorm <= SV_DECAY_THRESHOLD
     need = n - k + 1
     return SubspaceReport(
         t_max=t_max,
@@ -965,6 +959,6 @@ def asymptotic_subspace(
         compound_norm=cnorm,
         compound_decayed=decayed,
         consistent=(decayed == (d >= need)),
-        sv_threshold=sv_threshold,
-        decay_threshold=decay_threshold,
+        sv_threshold=SV_DECAY_THRESHOLD,
+        decay_threshold=SV_DECAY_THRESHOLD,
     )

@@ -215,7 +215,8 @@ def measure_k_witness(a, k: int, spec: MeasureSpec) -> MeasureValue:
     """
     m = as_matrix(a, square=True)
     if spec.scaling is not None:
-        raise SingularScaling("measure_k_direct takes an unscaled spec; conjugate A first")
+        raise SingularScaling("the closed-form k-compound measure takes an unscaled spec; "
+                              "conjugate A first")
     values, witnesses = measure_k_stack(m[None], k, spec.norm)
     return MeasureValue(float(values[0]), stack_witness(witnesses, 0))
 

@@ -20,6 +20,8 @@ from .errors import BadParameter, GammaNearZero, UnknownModel
 from .measures import Norm, measure_stack
 
 GAMMA_FLOOR = 1e-8
+# How far above -zeta the time-averaged measure may sit for average_ok.
+AVERAGE_SLACK = 1e-3
 
 # Runnable defaults only; every parameter is overridable per call.
 SEIR_DEFAULTS = {"lam": 2.0, "zeta": 0.2, "c": 1.0, "q": 1.0, "p": 1.0, "gamma": 0.5}
@@ -116,8 +118,15 @@ def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
                        field_entries=field, jacobian_entries=jacobian, **extras)
 
 
+def _refuse_unknown(name: str, params, takes: list) -> None:
+    """Raise BadParameter naming the first key of params that the model does not take."""
+    if unknown := [key for key in params or {} if key not in takes]:
+        raise BadParameter(f"model {name!r} takes no parameter {unknown[0]!r}; it takes {takes}")
+
+
 def seir_rates(params: dict):
-    """Unpack and validate the epidemic-model parameters."""
+    """Unpack and validate the epidemic-model parameters, the keys of SEIR_DEFAULTS."""
+    _refuse_unknown("seir3", params, list(SEIR_DEFAULTS))
     p = dict(SEIR_DEFAULTS)
     p.update(params or {})
     for key in SEIR_DEFAULTS:
@@ -213,9 +222,7 @@ def model(name: str, params: dict | None = None) -> ModelEntry:
     does not take raises BadParameter."""
     if name not in _BUILDERS:
         raise UnknownModel(f"unknown model {name!r}; available: {model_names()}")
-    takes = {"lti": ["a"], "seir3": list(SEIR_DEFAULTS)}.get(name, [])
-    if unknown := [key for key in params or {} if key not in takes]:
-        raise BadParameter(f"model {name!r} takes no parameter {unknown[0]!r}; it takes {takes}")
+    _refuse_unknown(name, params, {"lti": ["a"], "seir3": list(SEIR_DEFAULTS)}.get(name, []))
     entry = _BUILDERS[name](params or {})
     entry.system.check_jacobian()
     return entry
@@ -270,15 +277,14 @@ def seir_orbit_diagnostics(
     entry: ModelEntry,
     trajectory: Trajectory,
     window: float | None = None,
-    gamma_floor: float = GAMMA_FLOOR,
-    average_slack: float = 1e-3,
 ) -> SeirDiagnostics:
     """Evaluate the compound-measure bound along an integrated trajectory.
 
     window, when given, restricts the time average to the trailing window of
     that length (useful when the transient has not died out); it must be finite,
     positive and hold 2 samples (else BadParameter).  Requires the second and
-    third coordinates to stay above gamma_floor.
+    third coordinates to stay at or above GAMMA_FLOOR (else GammaNearZero);
+    average_ok allows the average AVERAGE_SLACK above -zeta.
     """
     if entry.name != "seir3":
         raise UnknownModel("diagnostics apply to the seir3 model")
@@ -289,11 +295,9 @@ def seir_orbit_diagnostics(
 
     times = trajectory.times
     states = trajectory.states
-    if np.min(states[:, 2]) < gamma_floor or np.min(states[:, 1]) < gamma_floor:
+    if np.min(states[:, 2]) < GAMMA_FLOOR or np.min(states[:, 1]) < GAMMA_FLOOR:
         raise GammaNearZero(
-            "trajectory coordinate below floor "
-            f"{gamma_floor}; scaled diagnostics undefined"
-        )
+            f"trajectory coordinate below floor {GAMMA_FLOOR}; scaled diagnostics undefined")
 
     # seir3 is autonomous, so one time serves the whole stack
     sys = entry.system
@@ -336,7 +340,7 @@ def seir_orbit_diagnostics(
         min_margin=float(np.min(margins)),
         average_mu=average,
         zeta=zeta,
-        average_ok=average <= -zeta + average_slack,
+        average_ok=average <= -zeta + AVERAGE_SLACK,
         window=(float(t_lo), float(t_hi)),
         extras={
             "max_mu": float(np.max(mu_vals)),

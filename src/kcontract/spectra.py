@@ -22,13 +22,13 @@ DIM_CAP = 64
 ILL_CONDITION_THRESHOLD = 1e6
 
 
-def eigenvalues(a, dim_cap: int = DIM_CAP) -> np.ndarray:
+def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a real square matrix (LAPACK), as a complex array
-    sorted by (re, im)."""
+    sorted by (re, im); a matrix of order above DIM_CAP raises OrderTooLarge."""
     m = as_matrix(a, square=True)
     n = m.shape[0]
-    if n > dim_cap:
-        raise OrderTooLarge(f"dimension {n} exceeds eigenvalue cap {dim_cap}")
+    if n > DIM_CAP:
+        raise OrderTooLarge(f"dimension {n} exceeds eigenvalue cap {DIM_CAP}")
     try:
         vals = np.linalg.eigvals(m).astype(complex)
     except np.linalg.LinAlgError as exc:

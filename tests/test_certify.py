@@ -359,6 +359,10 @@ def _vacuous_cases():
     expanding = [np.diag([-1.0, -2.0]), np.diag([5.0, 1.0])]
     hopf = model("hopf").system
     box = dy.BoxDomain.of([-1, -1], [1, 1], (3, 3))
+
+    def counted(counts):
+        return dy.BoxDomain(box.lower, box.upper, counts)
+
     l1 = MeasureSpec(Norm.L1)
     a, p = _lyapunov_setup()
     b3 = np.array([[-5.0, 0.0, 10.0], [0.0, -5.0, 0.0], [0.0, 0.0, -5.0]])
@@ -380,17 +384,19 @@ def _vacuous_cases():
         "grid-empty-times": lambda: ce.certify_nonlinear_grid(hopf, box, 2, l1, time_grid=[]),
         "scaled-l1-empty-times": lambda: ce.certify_scaled_l1(
             linear_system(a), box, 1, [1.0, 1.0], time_grid=[]),
-        "bendixson-empty-grid": lambda: ce.check_bendixson(hopf, box, l1, counts=(0, 3)),
-        "gas-empty-grid": lambda: ce.check_gas(hopf, box, l1, counts=(3, 0)),
+        # boxes built directly, so that BoxDomain.of does not refuse their counts first
+        "bendixson-empty-grid": lambda: ce.check_bendixson(hopf, counted((0, 3)), l1),
+        "gas-empty-grid": lambda: ce.check_gas(hopf, counted((3, 0)), l1),
         "control-empty-grid": lambda: ce.control_check(
-            linear_system(a), lambda x: np.ones((2, 1)), lambda x: np.zeros(1), p, box,
-            counts=(0, 0)),
+            linear_system(a), lambda x: np.ones((2, 1)), lambda x: np.zeros(1), p,
+            counted((0, 0))),
         # certified eta 5.0 on 1-component points before counts were checked
         "grid-short-counts": lambda: ce.certify_nonlinear_grid(
-            linear_system(np.diag([-3.0, -2.0])), box, 2, MeasureSpec(Norm.L2), counts=(3,)),
+            linear_system(np.diag([-3.0, -2.0])), counted((3,)), 2, MeasureSpec(Norm.L2)),
         "grid-short-counts-hopf": lambda: ce.certify_nonlinear_grid(
-            hopf, box, 2, MeasureSpec(Norm.L2), counts=(3,)),
-        "gas-long-counts": lambda: ce.check_gas(hopf, box, l1, counts=(3, 3, 3)),
+            hopf, counted((3,)), 2, MeasureSpec(Norm.L2)),
+        "gas-long-counts": lambda: ce.check_gas(hopf, counted((3, 3, 3)), l1),
+        "gas-no-counts": lambda: ce.check_gas(hopf, counted(()), l1),
     }
 
 

@@ -124,3 +124,20 @@ def test_cofactor_table_ranks_each_subset_without_one_entry():
                 for pos in range(k):
                     drop = s[:pos] + s[pos + 1:]
                     assert rest[r, pos] == (cb.rank(drop, n) if drop else 0)
+
+
+def test_single_swap_table_entries_are_the_single_swaps_of_subset_relation():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            table = cb.single_swap_table(n, k)
+            subsets = cb.all_subsets(n, k)
+            got = {(r, c): (int(i) + 1, int(j) + 1, s) for r, c, i, j, s in zip(
+                table.rows.tolist(), table.cols.tolist(), table.src_i, table.src_j,
+                table.sign.tolist())}
+            assert len(got) == len(table.rows) == cb.binomial(n, k) * k * (n - k)
+            want = {}
+            for (r, a), (c, b) in itertools.product(enumerate(subsets), repeat=2):
+                rel = cb.subset_relation(a, b)
+                if rel.kind is cb.Relation.SINGLE_SWAP:
+                    want[r, c] = (*rel.entries, float(rel.sign))
+            assert got == want, (n, k)

@@ -352,6 +352,12 @@ def _wedge_frames(rng):
             w[3::13, 0, 0] = 0.0
             w[3::13, 0, 1] = -0.0
         cases.append(w)
+    # many columns of few values: long runs of ties, zero and signed-zero columns
+    for n, k in [(6, 4), (8, 6)]:
+        w = rng.integers(-1, 2, (200, n, k)).astype(float)
+        w[::4, :-1] = 0.0  # the columns differ in their last coordinate only
+        w[rng.random(w.shape) < 0.25] = -0.0
+        cases.append(w)
     return cases
 
 

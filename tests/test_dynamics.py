@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from kcontract import certify as ce
 from kcontract import compound as cp
 from kcontract import dynamics as dy
+from kcontract import models as mz
 from kcontract import spectra as sp
 from kcontract.errors import (
     BadParameter,
     DimensionMismatch,
     EvaluationFailure,
+    GammaNearZero,
     JacobianMismatch,
+    NewtonDivergence,
     NoPeriodFound,
     NonFiniteState,
+    OrderTooLarge,
     StateLeftDomain,
 )
 from kcontract.measures import Norm
@@ -1319,3 +1324,66 @@ def test_one_state_pass_traces_once_and_compiles_once(monkeypatch):
     for name, params in [("seir3", None), ("seir3", {"q": 0.7, "p": 0.5}), ("hopf", None)]:
         run(name, params)
     assert compiles == []  # the loop source does not depend on the parameters
+
+
+def _seir_diagnostics():
+    entry = model("seir3")
+    return mz.seir_orbit_diagnostics(
+        entry, dy.integrate(entry.system, [0.6, 0.2, 0.15], (0.0, 0.5), 1e-2))
+
+
+def _two_equilibria_gas():
+    # equilibria (-0.5, 0) and (0.5, 0): half a box width apart in the box-scaled norm
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: np.array([x[0] ** 2 - 0.25, -x[1]]),
+                          jacobian=lambda t, x: np.array([[2.0 * x[0], 0.0], [0.0, -1.0]]))
+    return ce.check_gas(sysm, dy.BoxDomain.of([-1, -1], [1, 1], (5, 5)))
+
+
+def _lyapunov_control():
+    a = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    p = np.array([[0.5, 0.25], [0.25, 1.0 / 3.0]])  # solves A^T P + P A = -I
+    return ce.control_check(linear_system(a), lambda x: np.ones((2, 1)), lambda x: np.zeros(1),
+                            p, dy.BoxDomain.of([-1, -1], [1, 1], (3, 3)))
+
+
+# (module, constant, patched value, call, what the call does at the patched value only: a
+# typed error it raises, or a predicate of its result)
+CALL_TIME_CONSTANTS = {
+    "DIM_CAP": (sp, "DIM_CAP", 2, lambda: sp.eigenvalues(np.eye(3)), OrderTooLarge),
+    "GAMMA_FLOOR": (mz, "GAMMA_FLOOR", 0.5, _seir_diagnostics, GammaNearZero),
+    "AVERAGE_SLACK": (mz, "AVERAGE_SLACK", -1.0, _seir_diagnostics,
+                      lambda diag: not diag.average_ok),
+    "NEWTON_MAX_ITERS": (dy, "NEWTON_MAX_ITERS", 1,
+                         lambda: dy.floquet(model("hopf").system, [0.0, 1.2]), NewtonDivergence),
+    "NEWTON_TOL": (dy, "NEWTON_TOL", 1.0, lambda: dy.floquet(model("hopf").system, [0.0, 1.2]),
+                   lambda res: res.newton_iterations == 1),
+    "FLOQUET_STABILITY_MARGIN": (dy, "FLOQUET_STABILITY_MARGIN", 1.0,
+                                 lambda: dy.floquet(model("hopf").system, [0.0, 1.2]),
+                                 lambda res: res.verdict == "INCONCLUSIVE"),
+    "SV_DECAY_THRESHOLD": (dy, "SV_DECAY_THRESHOLD", 1e-20,
+                           lambda: dy.asymptotic_subspace(lambda t: -np.eye(3), 1, h=1e-2),
+                           lambda rep: rep.decaying_dimension == 0 and not rep.compound_decayed
+                           and rep.sv_threshold == rep.decay_threshold == 1e-20),
+    "DIFFERENCE_STEP": (dy, "DIFFERENCE_STEP", 0.1,
+                        lambda: dy.central_difference_jacobian(lambda x: x ** 3, [0.0]),
+                        lambda d: d[0, 0] == pytest.approx(0.01)),
+    "SEMIDEF_TOL": (ce, "SEMIDEF_TOL", -1.0, _lyapunov_control,
+                    lambda cert: "drift_semidefinite" in cert.witness),
+    "EQUILIBRIUM_CLUSTER_RADIUS": (ce, "EQUILIBRIUM_CLUSTER_RADIUS", 1.0, _two_equilibria_gas,
+                                   lambda cert: cert.extras["equilibrium_count"] == 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALL_TIME_CONSTANTS))
+def test_each_setting_is_its_module_constant_read_at_call_time(monkeypatch, case):
+    # these values were keyword defaults, bound at import, so patching the constant did nothing
+    module, name, value, call, outcome = CALL_TIME_CONSTANTS[case]
+    is_error = isinstance(outcome, type) and issubclass(outcome, Exception)
+    result = call()
+    assert is_error or not outcome(result)
+    monkeypatch.setattr(module, name, value)
+    if is_error:
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert outcome(call())

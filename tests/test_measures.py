@@ -263,5 +263,6 @@ def test_scaling_rejections(rng):
     a = rng.standard_normal((3, 3))
     with pytest.raises(SingularScaling):
         ms.measure(a, MeasureSpec(Norm.L1, scaling=np.diag([1.0, 1e-15, 1.0])))
-    with pytest.raises(SingularScaling):
-        ms.measure_k_direct(a, 2, MeasureSpec(Norm.L1, scaling=np.eye(3)))
+    for fun in (ms.measure_k_direct, ms.measure_k_witness):  # the message names neither
+        with pytest.raises(SingularScaling, match="^the closed-form k-compound measure takes"):
+            fun(a, 2, MeasureSpec(Norm.L1, scaling=np.eye(3)))

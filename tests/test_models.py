@@ -67,6 +67,13 @@ def test_model_refuses_a_parameter_it_does_not_take(name, params, takes):
         mz.model(name, params)
 
 
+def test_seir_rates_refuses_a_key_it_does_not_take():
+    # a direct caller used to get the defaults back with the unused key added
+    with pytest.raises(BadParameter, match=re.escape(
+            f"model 'seir3' takes no parameter 'zetta'; it takes {list(mz.SEIR_DEFAULTS)}")):
+        mz.seir_rates({"zetta": 0.5})
+
+
 def test_all_models_pass_jacobian_selftest():
     for name in mz.model_names():
         params = {"a": [[-1.0, 0.3], [0.2, -2.0]]} if name == "lti" else None
