@@ -37,6 +37,8 @@ ETA_TOL = 1e-10
 METZLER_TOL = 1e-12
 MAX_GRID_SAMPLES = 1_000_000
 EQUILIBRIUM_CLUSTER_RADIUS = 1e-6
+# A census seed stops at the first Newton iterate with max|f(x)| <= it * max(1, max|x|).
+NEWTON_CENSUS_TOL = 1e-12
 # Largest sampled measure control_check accepts in its two semidefinite conditions.
 SEMIDEF_TOL = 1e-7
 
@@ -368,14 +370,14 @@ def check_bendixson(
     )
 
 
-def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
+def _newton_census(system: SystemModel, seeds: np.ndarray,
                    max_iters: int = 50) -> tuple[list[np.ndarray], int]:
     """Newton's method for f(x) = 0 from every seed at once.
 
     Returns the roots in seed order and the number of seeds that failed: a
     non-finite field or step, a singular Jacobian, or no convergence within
     max_iters.  A seed stops at the first iterate with
-    max|f(x)| <= tol * max(1, max|x|).  The live seeds advance as one stack,
+    max|f(x)| <= NEWTON_CENSUS_TOL * max(1, max|x|).  The live seeds advance as one stack,
     compacted only in an iteration where some seed stops or fails, and the
     last iteration takes no step.  Every seed follows the iterates a one-seed
     Newton loop would: the same batched solve, row by row where some Jacobian
@@ -389,7 +391,7 @@ def _newton_census(system: SystemModel, seeds: np.ndarray, tol: float = 1e-12,
         fx = system.field_stack(0.0, x)
         r = np.max(np.abs(fx), axis=1)  # NaN or inf where the field is not finite
         finite = r < np.inf
-        done = finite & (r <= tol * np.maximum(1.0, np.max(np.abs(x), axis=1)))
+        done = finite & (r <= NEWTON_CENSUS_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1)))
         going = finite & ~done
         if not going.all():
             roots[live[done]], found[live[done]] = x[done], True

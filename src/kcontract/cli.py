@@ -4,27 +4,42 @@ Exit codes: 0 success, 1 certificate NOT_CERTIFIED (and nothing else),
 2 a flag or --config value argparse refuses, 3 any other failure (one
 `error:` line on stderr).  Outputs are deterministic for fixed inputs
 and flags.
+
+Importing this module executes only it and ``errors``: every other layer is
+registered in ``sys.modules`` as a lazy module that executes on its first
+attribute access, so a verb loads only the layers it calls (``compound`` never
+executes ``dynamics``, ``models`` or ``certify``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import certify as ce
-from . import dynamics as dy
-from . import fileio as io
-from . import models as mz
-from .combinatorics import check_order
-from .compound import add_compound, chunks, k_content, mult_compound, wedge
 from .errors import BadParameter, KContractError
-from .measures import MeasureSpec, Norm, apply_scaling, measure_k_witness, measure_witness
-from .spectra import compound_spectrum_check, eigenvalues
+
+
+def _lazy(name: str):
+    """The module kcontract.<name> of sys.modules; when absent, it is first registered
+    there as a lazy module, which executes on its first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+    return sys.modules[full]
+
+
+cb, cp, ms, spc, dy, mz, ce, io = map(_lazy, (
+    "combinatorics", "compound", "measures", "spectra", "dynamics", "models", "certify",
+    "fileio"))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -41,9 +56,9 @@ def _required_matrix(path, flag: str, use: str) -> np.ndarray:
     return io.load_matrix_json(path)
 
 
-def _spec_from(args) -> MeasureSpec:
+def _spec_from(args) -> ms.MeasureSpec:
     scaling = io.load_matrix_json(args.scaling) if getattr(args, "scaling", None) else None
-    return MeasureSpec(Norm.parse(args.norm), scaling)
+    return ms.MeasureSpec(ms.Norm.parse(args.norm), scaling)
 
 
 def _load_model(args) -> mz.ModelEntry:
@@ -84,37 +99,37 @@ def _emit(obj: dict, args) -> None:
 
 def cmd_compound(args) -> int:
     a = io.load_matrix_json(args.matrix)
-    out = add_compound(a, args.k) if args.kind == "additive" else mult_compound(a, args.k)
+    out = cp.add_compound(a, args.k) if args.kind == "additive" else cp.mult_compound(a, args.k)
     _emit({"rows": out.shape[0], "cols": out.shape[1], "data": out}, args)
     return 0
 
 
 def cmd_wedge(args) -> int:
     v = io.load_matrix_json(args.vectors)
-    w = wedge([v[:, j] for j in range(v.shape[1])])
+    w = cp.wedge([v[:, j] for j in range(v.shape[1])])
     _emit({"n": v.shape[0], "k": v.shape[1], "coords": w}, args)
     return 0
 
 
 def cmd_measure(args) -> int:
     a = io.load_matrix_json(args.matrix)
-    check_order(args.k, a.shape[0])
+    cb.check_order(args.k, a.shape[0])
     spec = _spec_from(args)
     if args.k > 1:
         if spec.scaling is not None:
-            a = apply_scaling(a, spec.scaling)
-        mv = measure_k_witness(a, args.k, MeasureSpec(spec.norm))
+            a = ms.apply_scaling(a, spec.scaling)
+        mv = ms.measure_k_witness(a, args.k, ms.MeasureSpec(spec.norm))
     else:
-        mv = measure_witness(a, spec)
+        mv = ms.measure_witness(a, spec)
     _emit({"value": mv.value, "witness": mv.witness, "norm": args.norm, "k": args.k}, args)
     return 0
 
 
 def cmd_spectrum(args) -> int:
     a = io.load_matrix_json(args.matrix)
-    out = {"eigenvalues": eigenvalues(a)}
+    out = {"eigenvalues": spc.eigenvalues(a)}
     if args.check_compound:
-        rep = compound_spectrum_check(a, args.check_compound)
+        rep = spc.compound_spectrum_check(a, args.check_compound)
         out["compound_check"] = {
             "k": rep.k,
             "sum_distance": rep.sum_distance,
@@ -159,11 +174,11 @@ def cmd_volume(args) -> int:
         k = len(anchors) - 1
     else:
         k = args.k
-        check_order(k, n)
+        cb.check_order(k, n)
         anchors = _default_anchors(n, k)
     r = _parse_vector(args.r) if args.r else np.zeros(k)
     frame = dy.variational_frame(entry.system, anchors, r, (0.0, args.t), args.h)
-    trace = dy.volume_trace(frame, Norm.parse(args.norm))
+    trace = dy.volume_trace(frame, ms.Norm.parse(args.norm))
     if args.out:
         io.write_trace_csv(args.out, trace)
     io.write_json({
@@ -208,7 +223,7 @@ def cmd_kcontent(args) -> int:
                 np.sin(r[:, 0]) * np.sin(r[:, 1]),
                 np.cos(r[:, 1]),
             ])
-        value = k_content(phi, [0.0, 0.0], [2.0 * np.pi, np.pi], counts)
+        value = cp.k_content(phi, [0.0, 0.0], [2.0 * np.pi, np.pi], counts)
         _emit({"surface": "sphere", "content": value, "grid": list(counts)}, args)
         return 0
 
@@ -232,9 +247,9 @@ def cmd_kcontent(args) -> int:
         return np.concatenate([
             dy.integrate(entry.system, x0[rows], (0.0, args.t), args.h,
                          domain_exit="ignore").states[-1]
-            for rows in chunks(len(x0), samples)])
+            for rows in cp.chunks(len(x0), samples)])
 
-    value = k_content(phi, np.zeros(k), np.ones(k), counts)
+    value = cp.k_content(phi, np.zeros(k), np.ones(k), counts)
     _emit({"model": entry.name, "k": k, "t": args.t, "content": value,
            "grid": list(counts)}, args)
     return 0

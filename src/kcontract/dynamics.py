@@ -49,6 +49,10 @@ DEFAULT_GRID_COUNT = 11
 BATCH_RTOL = 1e-12
 # Relative step of every central difference: column j steps by it times max(1, |x_j|).
 DIFFERENCE_STEP = 1e-6
+# check_jacobian's bound on the analytic Jacobian's relative error to central differences,
+# and the seed of its draw points.
+JACOBIAN_RTOL = 1e-4
+JACOBIAN_SEED = 7
 
 
 def central_difference_jacobian(fun, x: np.ndarray) -> np.ndarray:
@@ -211,14 +215,14 @@ class SystemModel:
             out = [self.jacobian(ti, x) for ti, x in zip(np.broadcast_to(t, len(xs)), xs)]
         return as_stack(out, square=True)
 
-    def check_jacobian(self, rtol: float = 1e-4, samples: int = 5, seed: int = 7) -> None:
+    def check_jacobian(self, samples: int = 5) -> None:
         """Compare the analytic Jacobian with central differences of the field.
 
-        Raises JacobianMismatch when the relative error exceeds rtol at any sampled
-        point, or when a form the integrators use instead disagrees there by more than
-        BATCH_RTOL: ``field_entries`` with ``field``, or a stack built from ``matrix``
-        or the entry lists with ``field`` or ``jacobian``; the first failure, point by
-        point.  Points are drawn from the declared domain (shrunk a little so
+        Raises JacobianMismatch when the relative error exceeds JACOBIAN_RTOL at any
+        point drawn from JACOBIAN_SEED, or when a form the integrators use instead
+        disagrees there by more than BATCH_RTOL: ``field_entries`` with ``field``, or a
+        stack built from ``matrix`` or the entry lists with ``field`` or ``jacobian``;
+        the first failure, point by point.  Points are drawn from the declared domain (shrunk a little so
         differences stay inside) or from the unit box around 0; no points raise
         DimensionMismatch.  The scalar ``field`` and ``jacobian`` stay the reference;
         they and then ``field_entries`` are called at each point, and each stack once,
@@ -231,7 +235,7 @@ class SystemModel:
         if self.domain is not None:
             span = self.domain.upper - self.domain.lower
             lo, hi = self.domain.lower + 0.05 * span, self.domain.upper - 0.05 * span
-        draws = _draws(seed, samples, n + 1)
+        draws = _draws(JACOBIAN_SEED, samples, n + 1)
         xs, times = lo + draws[:, :n] * (hi - lo), draws[:, n]
         rows = list(zip(times.tolist(), xs))
         jacs = np.array([as_matrix(self.jacobian(t, x), square=True) for t, x in rows])
@@ -246,10 +250,11 @@ class SystemModel:
         if self.matrix is not None or self.jacobian_entries is not None:
             forms.append(("jacobian_stack", "jacobian", jacs, self.jacobian_stack(times, xs)))
         errs = _relative_errors(*zip((fds, jacs), *[(got, want) for *_, want, got in forms]))
-        if (errs[:, 0] > rtol).any() or not (errs[:, 1:] <= BATCH_RTOL).all():
+        if (errs[:, 0] > JACOBIAN_RTOL).any() or not (errs[:, 1:] <= BATCH_RTOL).all():
             for x, (fd_err, *form_errs) in zip(xs, errs):  # the first failure, point by point
-                if fd_err > rtol:
-                    raise JacobianMismatch(f"Jacobian mismatch {fd_err:.3e} > {rtol:.1e} at x={x}")
+                if fd_err > JACOBIAN_RTOL:
+                    raise JacobianMismatch(
+                        f"Jacobian mismatch {fd_err:.3e} > {JACOBIAN_RTOL:.1e} at x={x}")
                 for (form, reference, _, _), err in zip(forms, form_errs):
                     if not err <= BATCH_RTOL:  # a NaN disagreement fails too
                         raise JacobianMismatch(
@@ -866,7 +871,8 @@ def floquet(
     Jacobian is the integrated monodromy.  The orbit is ORBITALLY_STABLE when the
     spectral radius of the 2nd multiplicative compound of the monodromy is below
     1 - FLOQUET_STABILITY_MARGIN.  A wrong period raises NoPeriodFound once Newton
-    stalls on the section.
+    stalls on the section; NEWTON_MAX_ITERS reached before the section residual is
+    small raises NewtonDivergence.
     """
     T = float(period if period is not None else (system.period or 0.0))
     if T <= 0.0:
@@ -877,7 +883,7 @@ def floquet(
         raise DimensionMismatch("floquet analysis needs dim >= 2")
 
     residual = previous = np.inf
-    xT = x0
+    g = np.full(n, np.inf)
     phi = np.eye(n)
     for it in range(1, NEWTON_MAX_ITERS + 1):
         xT, phi = _flow_with_monodromy(system, x0, T, h)
@@ -899,7 +905,7 @@ def floquet(
     else:
         it = NEWTON_MAX_ITERS
     if residual > NEWTON_TOL:
-        reduced = float(np.max(np.abs((xT - x0)[1:])))
+        reduced = float(np.max(np.abs(g[1:])))  # at the last point evaluated, not the stepped x0
         if reduced <= NEWTON_TOL * 10.0:
             raise NoPeriodFound(
                 f"section fixed point found but full residual {residual:.3e} "

@@ -21,14 +21,17 @@ import json
 import math
 from dataclasses import asdict
 from io import StringIO
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .certify import Certificate
 from .combinatorics import _read_only
 from .compound import as_matrix
-from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 from .errors import BadParameter, DimensionMismatch
+
+if TYPE_CHECKING:  # annotations only: writing a result executes neither layer
+    from .certify import Certificate
+    from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 
 # the smallest float64 array the JSON writer sends through _spell.  Its fixed cost of about 0.1 ms
 # of numpy calls broke even with float.__repr__ (about 0.6 us an entry) near 300 entries, on

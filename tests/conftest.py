@@ -4,6 +4,7 @@ import pytest
 from kcontract.certify import ETA_TOL, Certificate
 from kcontract.combinatorics import binomial
 from kcontract.compound import add_compound, as_matrix, mult_compound
+from kcontract import dynamics as dy
 from kcontract.dynamics import BATCH_RTOL
 from kcontract.errors import JacobianMismatch, NonFiniteState
 from kcontract.measures import MeasureSpec, apply_scaling, measure_k_witness
@@ -123,10 +124,11 @@ def central_difference_per_column(fun, x, eps=1e-6):
     return np.stack(columns, axis=1)
 
 
-def check_jacobian_per_sample(system, rtol=1e-4, samples=5, seed=7):
+def check_jacobian_per_sample(system, samples=5):
     """SystemModel.check_jacobian one sample point at a time: the differences
-    first, then each form the integrators use on a 1-row stack or one time."""
-    rng = np.random.default_rng(seed)
+    first, then each form the integrators use on a 1-row stack or one time.
+    Like it, reads dy.JACOBIAN_RTOL and dy.JACOBIAN_SEED at each call."""
+    rtol, rng = dy.JACOBIAN_RTOL, np.random.default_rng(dy.JACOBIAN_SEED)
     if system.domain is not None:
         span = system.domain.upper - system.domain.lower
         lo = system.domain.lower + 0.05 * span

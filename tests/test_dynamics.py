@@ -653,6 +653,16 @@ def test_floquet_wrong_period_stops_once_newton_stalls(monkeypatch):
     assert len(flows) == 4
 
 
+def test_floquet_cut_off_while_converging_is_not_a_wrong_period(monkeypatch):
+    # two iterations leave hopf's true period 2 pi just short of NEWTON_TOL and a third
+    # converges: the section residual of the last flow is judged, not that of the stepped x0
+    monkeypatch.setattr(dy, "NEWTON_MAX_ITERS", 2)
+    with pytest.raises(NewtonDivergence, match="after 2 iterations"):
+        dy.floquet(model("hopf").system, [0.0, 1.2])
+    monkeypatch.setattr(dy, "NEWTON_MAX_ITERS", 3)
+    assert dy.floquet(model("hopf").system, [0.0, 1.2]).newton_iterations == 3
+
+
 def test_asymptotic_subspace_cos_ltv():
     rep = dy.asymptotic_subspace(cos_ltv_matrix, 2, t_max=30.0, h=1e-3)
     assert rep.decaying_dimension == 1 == rep.required_dimension
@@ -1346,6 +1356,19 @@ def _lyapunov_control():
                             p, dy.BoxDomain.of([-1, -1], [1, 1], (3, 3)))
 
 
+def _check_jacobian_times():
+    # the times at which check_jacobian evaluates the field: its draws' last column
+    times = []
+    sysm = dy.SystemModel(dim=1, field=lambda t, x: times.append(t) or -x,
+                          jacobian=lambda t, x: -np.eye(1))
+    sysm.check_jacobian()
+    return set(times)
+
+
+def _stable_linear_gas():
+    return ce.check_gas(linear_system(-np.eye(2)), dy.BoxDomain.of([-1, -1], [1, 1], (3, 3)))
+
+
 # (module, constant, patched value, call, what the call does at the patched value only: a
 # typed error it raises, or a predicate of its result)
 CALL_TIME_CONSTANTS = {
@@ -1371,6 +1394,13 @@ CALL_TIME_CONSTANTS = {
                     lambda cert: "drift_semidefinite" in cert.witness),
     "EQUILIBRIUM_CLUSTER_RADIUS": (ce, "EQUILIBRIUM_CLUSTER_RADIUS", 1.0, _two_equilibria_gas,
                                    lambda cert: cert.extras["equilibrium_count"] == 1),
+    "JACOBIAN_RTOL": (dy, "JACOBIAN_RTOL", 1e-30, lambda: model("hopf").system.check_jacobian(),
+                      JacobianMismatch),
+    "JACOBIAN_SEED": (dy, "JACOBIAN_SEED", 8, _check_jacobian_times,
+                      lambda times: times == set(np.random.default_rng(8).random((5, 2))[:, 1])),
+    # every seed stops where it starts: each of the 9 grid points counts as an equilibrium
+    "NEWTON_CENSUS_TOL": (ce, "NEWTON_CENSUS_TOL", 1e3, _stable_linear_gas,
+                          lambda cert: cert.extras["equilibrium_count"] == 9),
 }
 
 

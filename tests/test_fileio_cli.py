@@ -592,6 +592,102 @@ def test_cli_certify_exit_codes(tmp_path, diag2_file):
                  "--matrix", str(zero)]) == 1
 
 
+CERTIFICATE_KEYS = {"eta", "grid", "k", "norm", "rule", "verdict", "witness"}
+# the README's command-line calls, on small inputs: (argv, exit code, top-level JSON keys,
+# CSV header of the --out file)
+README_CALLS = [
+    ("certify --rule lti --k 2 --norm l1 --matrix diag2.json", 0, CERTIFICATE_KEYS, None),
+    ("compound --k 2 --matrix A.json --kind additive", 0, {"cols", "data", "rows"}, None),
+    ("wedge --vectors vecs.json", 0, {"coords", "k", "n"}, None),
+    ("measure --matrix A.json --norm linf --k 2", 0, {"k", "norm", "value", "witness"}, None),
+    ("spectrum --matrix A.json --check-compound 2", 0, {"compound_check", "eigenvalues"}, None),
+    ("simulate --model cos_ltv --x0 2,1 --t 0.5 --out traj.csv", 0,
+     {"model", "oracle_max_error", "samples", "t_final", "x_final"}, "t,x1,x2"),
+    ("volume --model oscillator --k 2 --t 0.5 --out trace.csv", 0,
+     {"decay_exponent", "final_norm", "initial_norm", "k", "model", "norm"}, "t,norm,log_norm"),
+    ("floquet --model hopf --x0 0,1.2", 0,
+     {"compound_monodromy", "compound_spectral_radius", "monodromy", "multipliers",
+      "newton_iterations", "newton_residual", "orbit_start", "period",
+      "trivial_multiplier_error", "verdict"}, None),
+    ("subspace --model cos_ltv --k 2 --tmax 1", 0,
+     {"compound_decayed", "compound_norm", "consistent", "decay_threshold", "decaying_dimension",
+      "required_dimension", "singular_values", "sv_threshold", "t_max"}, None),
+    ("kcontent --surface sphere --grid 4,4", 0, {"content", "grid", "surface"}, None),
+    ("kcontent --model diag2 --vertices verts.json --t 0.1 --grid 2,2", 0,
+     {"content", "grid", "k", "model", "t"}, None),
+    ("certify --rule gas --model hopf --box=-2,-2:2,2 --grid-counts 3,3", 1,
+     CERTIFICATE_KEYS | {"extras"}, None),
+    ("seir-diagnostics --x0 0.6,0.2,0.15 --t 1 --window 0.5 --out diag.csv", 0,
+     {"average_mu", "average_ok", "max_mu", "min_margin", "window", "zeta"},
+     "t,mu,bound,margin,g1,g2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, keys, header", README_CALLS,
+                         ids=[argv for argv, *_ in README_CALLS])
+def test_readme_call_keeps_its_output_shape(argv, code, keys, header, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    io.save_matrix_json("diag2.json", np.diag([3.0, -4.0]))
+    io.save_matrix_json("A.json", [[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [4.0, 0.0, 2.0]])
+    io.save_matrix_json("vecs.json", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    io.save_matrix_json("verts.json", [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert set(json.loads(out)) == keys
+    if header is not None:
+        with open(argv.split("--out ")[1]) as fh:
+            assert fh.readline() == header + "\n"
+
+
+# a module counts as executed once it is a plain module: a lazy one not yet run is a subclass
+_EXECUTED = ("\nimport json, sys, types\nprint(json.dumps(sorted(name for name, m in "
+             "sys.modules.items() if name.startswith('kcontract.') and type(m) is types.ModuleType)))")
+
+
+def _executed_after(code: str, cwd) -> list[str]:
+    """The kcontract submodules a fresh interpreter has executed once code has run."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cp.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code + _EXECUTED], capture_output=True,
+                         text=True, env=env, cwd=cwd, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_or_the_cli_executes_no_layer(tmp_path):
+    assert _executed_after("import kcontract", tmp_path) == []
+    assert _executed_after("import kcontract.cli", tmp_path) == ["kcontract.cli", "kcontract.errors"]
+
+
+@pytest.mark.parametrize("argv", [
+    "compound --k 2 --matrix A.json", "measure --matrix A.json --k 2", "spectrum --matrix A.json",
+    "wedge --vectors A.json", "kcontent --surface sphere --grid 4,4",
+])
+def test_matrix_verbs_never_execute_dynamics_models_or_certify(argv, tmp_path):
+    io.save_matrix_json(tmp_path / "A.json", np.diag([1.0, -2.0, 3.0]))
+    executed = _executed_after(f"from kcontract.cli import main\nmain({argv.split()!r})", tmp_path)
+    assert "kcontract.fileio" in executed
+    assert not {"kcontract.dynamics", "kcontract.models", "kcontract.certify"} & set(executed)
+
+
+def test_package_names_resolve_on_first_access(tmp_path):
+    code = "\n".join([
+        "import kcontract",
+        "assert set(kcontract.__all__) <= set(dir(kcontract))",
+        "assert kcontract.models.SEIR_MIX.shape == (3, 3)",
+        "try:",
+        "    kcontract.no_such_name",
+        "    raise SystemExit('an unknown name resolved')",
+        "except AttributeError:",
+        "    pass",
+        "from kcontract import *",
+        "assert all(globals()[name] is getattr(kcontract, name) for name in kcontract.__all__)",
+        "assert eigenvalues is kcontract.spectra.eigenvalues and errors is kcontract.errors",
+    ])
+    assert "kcontract.certify" in _executed_after(code, tmp_path)
+
+
 def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--rule", "nonsense"])
