@@ -14,6 +14,7 @@ share one (N, n, n) sample stack (``_as_samples``).
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
@@ -39,6 +40,8 @@ MAX_GRID_SAMPLES = 1_000_000
 EQUILIBRIUM_CLUSTER_RADIUS = 1e-6
 # A census seed stops at the first Newton iterate with max|f(x)| <= it * max(1, max|x|).
 NEWTON_CENSUS_TOL = 1e-12
+# Newton iterations of a census seed, the last of which takes no step.
+NEWTON_CENSUS_MAX_ITERS = 50
 # Largest sampled measure control_check accepts in its two semidefinite conditions.
 SEMIDEF_TOL = 1e-7
 
@@ -370,30 +373,31 @@ def check_bendixson(
     )
 
 
-def _newton_census(system: SystemModel, seeds: np.ndarray,
-                   max_iters: int = 50) -> tuple[list[np.ndarray], int]:
+def _newton_census(system: SystemModel, seeds: np.ndarray) -> tuple[list[np.ndarray], int]:
     """Newton's method for f(x) = 0 from every seed at once.
 
     Returns the roots in seed order and the number of seeds that failed: a
     non-finite field or step, a singular Jacobian, or no convergence within
-    max_iters.  A seed stops at the first iterate with
+    NEWTON_CENSUS_MAX_ITERS.  A seed stops at the first iterate with
     max|f(x)| <= NEWTON_CENSUS_TOL * max(1, max|x|).  The live seeds advance as one stack,
-    compacted only in an iteration where some seed stops or fails, and the
-    last iteration takes no step.  Every seed follows the iterates a one-seed
-    Newton loop would: the same batched solve, row by row where some Jacobian
-    is singular.
+    compacted, and tested for finite residuals and steps row by row, only in an iteration
+    where some seed stops or fails; the last iteration takes no step.  Every seed follows
+    the iterates a one-seed Newton loop would: the same batched solve, row by row where
+    some Jacobian is singular.
     """
+    max_iters = NEWTON_CENSUS_MAX_ITERS
     x, live = seeds.astype(float), np.arange(len(seeds))
     roots, found = np.empty_like(x), np.zeros(len(x), dtype=bool)
     for it in range(max_iters):
         if live.size == 0:
             break
         fx = system.field_stack(0.0, x)
-        r = np.max(np.abs(fx), axis=1)  # NaN or inf where the field is not finite
-        finite = r < np.inf
-        done = finite & (r <= NEWTON_CENSUS_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1)))
-        going = finite & ~done
-        if not going.all():
+        r = _row_max_abs(fx)  # NaN or inf where the field is not finite
+        bound = NEWTON_CENSUS_TOL * np.maximum(1.0, _row_max_abs(x))
+        if not ((r > bound).all() and r.max() < np.inf):  # some seed stops or fails
+            finite = r < np.inf
+            done = finite & (r <= bound)
+            going = finite & ~done
             roots[live[done]], found[live[done]] = x[done], True
             x, fx, live = x[going], fx[going], live[going]
         if live.size == 0 or it == max_iters - 1:
@@ -408,9 +412,16 @@ def _newton_census(system: SystemModel, seeds: np.ndarray,
                 with suppress(np.linalg.LinAlgError):
                     steps[i] = np.linalg.solve(jac[i], -fx[i])
         x = x + steps
-        if not (ok := np.isfinite(steps).all(axis=1)).all():
+        if not math.isfinite(steps.sum()):  # a non-finite step makes the sum NaN or inf
+            ok = np.isfinite(steps).all(axis=1)
             x, live = x[ok], live[ok]
     return list(roots[found]), len(found) - int(found.sum())
+
+
+def _row_max_abs(a: np.ndarray) -> np.ndarray:
+    """max |a[i, j]| over j for each row of an (N, n) array, NaN where the row holds one,
+    taken a column at a time: for a few columns far cheaper than a reduction along rows."""
+    return functools.reduce(np.maximum, np.abs(a.T))
 
 
 def _equilibria(system: SystemModel, pts: np.ndarray, omega: BoxDomain):

@@ -238,7 +238,14 @@ class SystemModel:
         draws = _draws(JACOBIAN_SEED, samples, n + 1)
         xs, times = lo + draws[:, :n] * (hi - lo), draws[:, n]
         rows = list(zip(times.tolist(), xs))
-        jacs = np.array([as_matrix(self.jacobian(t, x), square=True) for t, x in rows])
+        values = []
+        try:
+            values += (self.jacobian(t, x) for t, x in rows)
+            jacs = as_stack(values, square=True)
+        except Exception:
+            for value in values:  # the first failure, point by point, as as_matrix words it
+                as_matrix(value, square=True)
+            raise
         fds = _central_differences([lambda y, t=t: self.field(t, y) for t, _ in rows], xs)
         fxs = np.array([self.field(t, x) for t, x in rows], dtype=float)
         forms = []  # (form, reference, the reference's values, the form's values)

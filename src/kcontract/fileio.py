@@ -7,7 +7,9 @@ the one JSON writer: it streams the text of ``json.dumps(jsonable(obj),
 sort_keys=True, indent=2)`` to files piece by piece, and ``dump_json`` is that
 text written into a string.  A float64 array is spelled from its buffer (each
 distinct entry of a mostly-zero one spelled once), any other array as ``jsonable``
-converts it; a list of floats and an array row share one spelling rule.  The
+converts it; a list of floats and an array row share one spelling rule.  Every other
+scalar and every key is written as json.dumps writes it, without a call to it per
+value, and numpy scalars are converted once.  The
 decimal kernel ``_spell`` writes both spellings, for a large dense array and for
 every CSV table, from one exact scaling, one digit table and one layout; an entry
 it cannot decide takes its per-value text.
@@ -21,6 +23,7 @@ import json
 import math
 from dataclasses import asdict
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -168,36 +171,51 @@ def write_trace_csv(path: str, trace: ParallelotopeTrace) -> None:
     write_csv(path, "t,norm,log_norm", np.column_stack([trace.times, norms, log]))
 
 
+def _json_float(v: float) -> str:
+    """json.dumps's text of a float: its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+# json.dumps's text of a leaf of each of these exact types, spelled without a call to it
+_LEAVES = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
+           int: int.__repr__, float: _json_float, type(None): lambda v: "null"}
+
+
 def _write_json(value, indent: str, out: _Sink) -> None:
     """Append to out the text json.dumps(jsonable(value), sort_keys=True,
     indent=2) gives value nested at the given indent, one string per array row."""
-    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim and value.size:
-        return _write_floats(value, indent, out)
-    if not isinstance(value, (dict, list, tuple)):
-        value = jsonable(value)  # numpy scalars and other arrays to Python values
+    if type(value) not in _LEAVES:
+        if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim and value.size:
+            return _write_floats(value, indent, out)
+        if not isinstance(value, (dict, list, tuple)):
+            value = jsonable(value)  # numpy scalars and other arrays to Python values
+    if (spell := _LEAVES.get(type(value))) is not None:
+        return out.append(spell(value))
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = sorted({str(k): v for k, v in value.items()}.items())
         for i, (key, v) in enumerate(items):
-            out.append(("{\n" if i == 0 else ",\n") + inner + json.dumps(key) + ": ")
+            out.append(("{\n" if i == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": ")
             _write_json(v, inner, out)
         out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {float}:  # spelled as _write_floats spells an array row
-            spell = float.__repr__ if all(map(math.isfinite, value)) else json.dumps
+            spell = float.__repr__ if all(map(math.isfinite, value)) else _json_float
             return _write_rows(value, indent, out, lambda row: map(spell, row))
         for i, v in enumerate(value):
             out.append(("[\n" if i == 0 else ",\n") + inner)
             _write_json(v, inner, out)
         out.append("\n" + indent + "]")
     else:
-        out.append(json.dumps(value))  # scalars and empty containers
+        out.append(json.dumps(value))  # empty containers; json refuses other types
 
 
 def _write_floats(a: np.ndarray, indent: str, out: _Sink) -> None:
     """A mostly-zero array spells each distinct nonzero bit pattern once (-0.0,
     whose sign bit is set, is one) and shares one "0.0" among its +0.0 entries."""
-    spell = float.__repr__ if np.isfinite(a).all() else json.dumps  # NaN, Infinity
+    spell = float.__repr__ if np.isfinite(a).all() else _json_float  # NaN, Infinity
     if 2 * np.count_nonzero(a) > a.size:
         if spell is float.__repr__ and a.size >= KERNEL_MIN_SIZE:
             if _decidable(a.flat[::a.size // KERNEL_MIN_SIZE]).mean() > 0.5:  # else repr wins

@@ -9,6 +9,7 @@ the finite-difference Jacobian self-test.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field as dc_field
 
@@ -113,9 +114,31 @@ def _entrywise_system(dim: int, field, jacobian, **extras) -> SystemModel:
     """A model whose field(t, x) and jacobian(t, x) are written once, as lists of
     entries over the components x[0], x[1], ...: its ``field_entries`` and
     ``jacobian_entries`` (see SystemModel), which its field and jacobian turn into arrays."""
-    return SystemModel(dim=dim, field=lambda t, x: np.array(field(t, x)),
-                       jacobian=lambda t, x: np.array(jacobian(t, x)),
+    return SystemModel(dim=dim, field=_on_floats(field), jacobian=_on_floats(jacobian),
                        field_entries=field, jacobian_entries=jacobian, **extras)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _on_floats(entries):
+    """entries(t, x) as an array, evaluated on the Python floats of a float64 state x.
+
+    Their + - * / round as numpy's scalars do, and ** calls the same libm pow, so the
+    bits are those of the numpy scalars x[i].  Where Python floats raise (a division by
+    zero, an overflowing **) or give a value that is not a finite float64 (a negative
+    base to a fractional power is complex), the entries run again on x[i], which keep
+    numpy's values and RuntimeWarnings."""
+    def evaluate(t, x):
+        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1:
+            try:  # fsum of a non-finite entry is not finite, or raises ValueError
+                out = np.array(entries(t, x.tolist()))
+                if out.dtype is _FLOAT64 and math.isfinite(math.fsum(out.ravel().tolist())):
+                    return out
+            except (ArithmeticError, ValueError):  # ZeroDivisionError, OverflowError
+                pass
+        return np.array(entries(t, x))
+    return evaluate
 
 
 def _refuse_unknown(name: str, params, takes: list) -> None:

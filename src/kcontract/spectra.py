@@ -7,11 +7,11 @@ A^[k] (or A^(k)) against k-sums (or k-products) of the spectrum of A.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .combinatorics import subset_table
 from .compound import add_compound, as_matrix, mult_compound
 from .errors import OrderTooLarge, QRNonConvergence
 
@@ -36,24 +36,36 @@ def eigenvalues(a) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
+def _abs(z: np.ndarray) -> np.ndarray:
+    """abs of each complex entry with the bits of abs() of a numpy scalar (libm hypot),
+    which np.abs of a complex array does not always give."""
+    return np.hypot(z.real, z.imag)
+
+
 def _greedy_match(x: np.ndarray, y: np.ndarray) -> float:
-    """Max distance under greedy nearest-pair matching of two equal multisets."""
+    """Max distance under greedy nearest-pair matching of two equal multisets: each entry
+    of x in (re, im) order takes the nearest entry of y still free, the first in (re, im)
+    order on ties, or the first free one at a NaN distance, as np.argmin picks."""
     xs = x[np.lexsort((x.imag, x.real))]
-    ys = list(y[np.lexsort((y.imag, y.real))])
+    ys = y[np.lexsort((y.imag, y.real))]
+    dists = _abs(xs[:, None] - ys[None, :])
+    orders = np.argsort(np.where(np.isnan(dists), -1.0, dists), axis=1, kind="stable")
+    free = [True] * len(ys)
     worst = 0.0
-    for v in xs:
-        dists = [abs(v - w) for w in ys]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        ys.pop(j)
+    for i, order in enumerate(orders.tolist()):
+        j = next(j for j in order if free[j])
+        free[j] = False
+        worst = max(worst, dists[i, j])
     return worst
 
 
 def _min_gap(vals: np.ndarray) -> float:
+    """The least distance of neighbours in (re, im) order, as Python's min takes it: a NaN
+    counts only as the first distance."""
     if vals.size < 2:
         return np.inf
-    vs = vals[np.lexsort((vals.imag, vals.real))]
-    return float(min(abs(vs[i + 1] - vs[i]) for i in range(vs.size - 1)))
+    gaps = _abs(np.diff(vals[np.lexsort((vals.imag, vals.real))]))
+    return float(gaps[0] if np.isnan(gaps[0]) else np.fmin.reduce(gaps))
 
 
 @dataclass
@@ -82,19 +94,17 @@ def compound_spectrum_check(a, k: int, check_products: bool = True) -> CompoundS
     lam = eigenvalues(m)
     lam_add = eigenvalues(add_compound(m, k))
 
-    sums = np.array(
-        [sum(c) for c in itertools.combinations(lam, k)], dtype=complex
-    )
+    tuples = lam[subset_table(len(lam), k)]  # one row per k-subset, in rank order
+    sums = np.zeros(len(tuples), dtype=complex)
+    for column in tuples.T:  # left to right from 0, as Python's sum
+        sums = sums + column
     scale = max(1.0, float(np.max(np.abs(lam_add))), float(np.max(np.abs(sums))))
     sum_dist = _greedy_match(sums, lam_add)
 
     prod_dist = None
     if check_products and abs(np.linalg.det(m)) > 1e-12:
         lam_mult = eigenvalues(mult_compound(m, k))
-        prods = np.array(
-            [np.prod(np.array(c)) for c in itertools.combinations(lam, k)],
-            dtype=complex,
-        )
+        prods = np.prod(tuples, axis=1)
         prod_dist = _greedy_match(prods, lam_mult)
         scale = max(scale, float(np.max(np.abs(lam_mult))), float(np.max(np.abs(prods))))
 

@@ -486,7 +486,8 @@ def test_census_calls_the_field_once_per_iteration(monkeypatch, max_iters):
     sysm = model("hopf").system
     pts = dy.BoxDomain.of([-2.0, -2.0], [2.0, 2.0], (13, 13)).grid()
     heights = _counted(monkeypatch, sysm)
-    _, skipped = ce._newton_census(sysm, pts, max_iters=max_iters)
+    monkeypatch.setattr(ce, "NEWTON_CENSUS_MAX_ITERS", max_iters)
+    _, skipped = ce._newton_census(sysm, pts)
     # a stuck seed never converges: no step after the last test
     assert len(heights["field_stack"]) == max_iters
     assert len(heights["jacobian_stack"]) == max_iters - 1

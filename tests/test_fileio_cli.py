@@ -146,6 +146,34 @@ def test_dump_json_writes_float_arrays_as_the_json_module(a, b):
         assert io.dump_json(obj, None) == _json_text(obj)
 
 
+# leaves the writer spells itself, and the numpy scalars it converts first
+_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x08\x1f\x7f", "\n\r\t", "  ",
+                     "\ud800 \udfff", "é ☃ \U0001f600", ""]),
+    st.booleans(), st.none(),
+    st.integers(), st.integers(-2**80, 2**80),
+    st.sampled_from([2**63, -2**63 - 1, 2**64 - 1, 10**30, -10**30]),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8), st.booleans().map(np.bool_),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([{}, [], ()]),
+)
+
+
+@settings(deadline=None)
+@given(leaves=st.lists(_LEAVES, max_size=6),
+       keys=st.lists(_LEAVES.filter(lambda v: not isinstance(v, (dict, list))), max_size=6),
+       floats=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)), max_size=4))
+def test_write_json_spells_leaves_and_keys_as_the_json_module(leaves, keys, floats):
+    # each leaf alone, in a list, as a dict key and as a value; a list of Python floats
+    # takes the row spelling of float arrays
+    for obj in (*leaves, leaves, floats, dict(zip(keys, leaves)), dict.fromkeys(keys, floats),
+                {"a": leaves, "b": [dict.fromkeys(keys, None), floats]}):
+        assert io.dump_json(obj, None) == _json_text(obj)
+
+
 @pytest.mark.parametrize("nonzero, path", [(99, "distinct"), (100, "distinct"), (101, "rows")])
 def test_dump_json_writes_more_than_half_nonzero_row_by_row(nonzero, path, rng, monkeypatch):
     a = np.zeros((8, 25))

@@ -1,4 +1,5 @@
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -502,6 +503,87 @@ def test_check_jacobian_calls_each_batch_form_once(name):
         assert calls["jacobian_entries on times"] == (sysm.jacobian_entries is not None)
         assert calls["field_entries"] == (samples if sysm.field_entries is not None else 0)
         assert calls["matrix"] == calls["jacobian_entries"] == 0
+
+
+def _scalar_forms(sysm, t, x):
+    """field and jacobian at x, each with the types of x its entry list saw and the
+    RuntimeWarnings raised, next to the entry lists evaluated on numpy scalars x[i]."""
+    seen = []
+
+    def spy(entries):
+        def call(t, x):
+            seen.append(type(x))
+            return entries(t, x)
+        return call
+
+    spied = mz._entrywise_system(sysm.dim, spy(sysm.field_entries), spy(sysm.jacobian_entries))
+    out = []
+    for form, entries in (("field", sysm.field_entries), ("jacobian", sysm.jacobian_entries)):
+        runs = []
+        for fun in (getattr(spied, form), lambda t, x: np.array(entries(t, x))):
+            seen.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = fun(t, x)
+            runs.append((value, [str(w.message) for w in caught], list(seen)))
+        out.append(runs)
+    return out
+
+
+_FRACTIONAL_SEIR = {"q": 1.7, "p": 0.6}
+
+
+@pytest.mark.parametrize("name, params", [("hopf", None), ("seir3", _FRACTIONAL_SEIR),
+                                          ("seir3", {"q": 0.35, "p": 0.45})])
+def test_scalar_forms_on_python_floats_keep_the_numpy_scalar_bits(name, params, rng):
+    sysm = mz.model(name, params).system
+    scales = [1e-3, 1.0, 3.0, 1e3] if name == "hopf" else [1.0]
+    for scale in scales:
+        for x in rng.uniform(-scale if name == "hopf" else 0.0, scale, (200, sysm.dim)):
+            for (got, got_warned, got_seen), (want, want_warned, _) in _scalar_forms(sysm, 0.5, x):
+                assert got_seen == [list]  # the float path, with no second evaluation
+                assert same_bits(got, want) and got_warned == want_warned == []
+
+
+@pytest.mark.parametrize("name, params, x", [
+    ("hopf", None, [1e200, 3e200]),  # x0 * x0 overflows
+    ("seir3", _FRACTIONAL_SEIR, [1e200, 0.5, 0.5]),  # x0 ** q overflows
+    ("seir3", {"q": 0.5, "p": 0.6}, [0.0, 0.5, 0.5]),  # 0.0 ** (q - 1.0) divides by zero
+    ("seir3", _FRACTIONAL_SEIR, [-0.5, 0.5, 0.5]),  # a negative base to a fractional power
+])
+def test_scalar_forms_warn_as_numpy_scalars_where_python_floats_fail(name, params, x):
+    sysm = mz.model(name, params).system
+    warned = False
+    for (got, got_warned, got_seen), (want, want_warned, _) in _scalar_forms(
+            sysm, 0.0, np.array(x)):
+        assert same_bits(got, want) and got_warned == want_warned
+        if want_warned:  # the float path failed, and the numpy scalars ran again
+            warned = True
+            assert got_seen == [list, np.ndarray] and not np.isfinite(got).all()
+    assert warned
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([[np.nan, 0.0], [0.0, -1.0]], EvaluationFailure),
+    ([-1.0, -1.0], DimensionMismatch),
+    ([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], NotSquare),
+])
+def test_check_jacobian_reports_the_first_point_whose_jacobian_fails(bad, error):
+    # the Jacobians are checked as one stack, yet the error is that of as_matrix at the
+    # first failing point, also when a later call raises
+    def jacobian(t, x):
+        calls.append(t)
+        if len(calls) == 4:
+            raise ZeroDivisionError("a later point")
+        return bad if len(calls) == 3 else [[-1.0, 0.0], [0.0, -1.0]]
+
+    calls = []
+    sysm = dy.SystemModel(dim=2, field=lambda t, x: -x, jacobian=jacobian)
+    with pytest.raises(error) as caught:
+        cp.as_matrix(bad, square=True)
+    with pytest.raises(error, match=f"^{re.escape(str(caught.value))}$"):
+        sysm.check_jacobian()
+    assert len(calls) == 4
 
 
 def test_check_jacobian_draws_are_one_read_only_array():

@@ -7,7 +7,7 @@ from kcontract import compound as cp
 from kcontract import spectra as sp
 from kcontract.errors import EigensolveFailure, OrderTooLarge, QRNonConvergence
 
-from conftest import well_conditioned
+from conftest import same_bits, well_conditioned
 
 
 def test_diagonal_spectrum():
@@ -136,3 +136,76 @@ def test_eigensolve_failure_is_typed(monkeypatch):
     with pytest.raises(QRNonConvergence) as info:
         sp.eigenvalues(np.eye(3))
     assert isinstance(info.value, EigensolveFailure)
+
+
+
+def _greedy_match_per_pair(x, y):
+    """The matching one pair at a time: abs() of each numpy-scalar difference, and
+    np.argmin over the entries of y still free."""
+    xs = x[np.lexsort((x.imag, x.real))]
+    ys = list(y[np.lexsort((y.imag, y.real))])
+    worst = 0.0
+    for v in xs:
+        dists = [abs(v - w) for w in ys]
+        j = int(np.argmin(dists))
+        worst = max(worst, dists[j])
+        ys.pop(j)
+    return worst
+
+
+def _min_gap_per_pair(vals):
+    if vals.size < 2:
+        return np.inf
+    vs = vals[np.lexsort((vals.imag, vals.real))]
+    return float(min(abs(vs[i + 1] - vs[i]) for i in range(vs.size - 1)))
+
+
+def _compound_spectrum_per_combination(a, k):
+    """compound_spectrum_check's distances and scale from a sum and a product per
+    combination of eigenvalues, matched one pair at a time."""
+    lam, lam_add = sp.eigenvalues(a), sp.eigenvalues(cp.add_compound(a, k))
+    sums = np.array([sum(c) for c in itertools.combinations(lam, k)], dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(lam_add))), float(np.max(np.abs(sums))))
+    out = [_greedy_match_per_pair(sums, lam_add)]
+    if abs(np.linalg.det(a)) > 1e-12:
+        lam_mult = sp.eigenvalues(cp.mult_compound(a, k))
+        prods = np.array([np.prod(np.array(c)) for c in itertools.combinations(lam, k)],
+                         dtype=complex)
+        out.append(_greedy_match_per_pair(prods, lam_mult))
+        scale = max(scale, float(np.max(np.abs(lam_mult))), float(np.max(np.abs(prods))))
+    gap = min(_min_gap_per_pair(lam), _min_gap_per_pair(lam_add))
+    return out, scale, gap
+
+
+def test_compound_spectrum_arrays_keep_the_per_combination_bits(rng):
+    # ties (integer parts), signed zeros, subnormals, overflow and NaN distances: the
+    # array forms keep abs() of a numpy scalar and the first-minimum tie-break
+    specials = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    parts = [lambda size: rng.standard_normal(size), lambda size: rng.integers(-2, 3, size),
+             lambda size: rng.choice(specials, size),
+             lambda size: np.round(rng.standard_normal(size), 1) * (rng.random() < 0.5)]
+
+    def draw(part, size):
+        z = np.zeros(size, dtype=complex)
+        z.real, z.imag = part(size), part(size)
+        return z
+
+    for trial in range(800):
+        size = int(rng.integers(1, 24))
+        x, y = draw(parts[trial % 4], size), draw(parts[trial % 4], size)
+        with np.errstate(all="ignore"):  # inf - inf, inf * 0
+            want, got = _greedy_match_per_pair(x, y), sp._greedy_match(x, y)
+            assert type(got) is type(want) and same_bits(got, want), (x, y)
+            assert same_bits(sp._min_gap(x), _min_gap_per_pair(x)), x
+    # left-to-right sums and products per combination, through the report's distances
+    for trial in range(120):
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(1, n + 1))
+        a = rng.standard_normal((n, n))
+        a = [a, np.round(a), np.diag(np.round(rng.standard_normal(n)))][trial % 3]
+        distances, scale, gap = _compound_spectrum_per_combination(a, k)
+        rep = sp.compound_spectrum_check(a, k)
+        got = [rep.sum_distance] + ([] if rep.product_distance is None else [rep.product_distance])
+        assert all(type(g) is type(w) and same_bits(g, w) for g, w in zip(got, distances))
+        assert len(got) == len(distances) and same_bits(rep.scale, scale)
+        assert rep.ill_conditioned == (gap == 0 or scale / gap > sp.ILL_CONDITION_THRESHOLD)
