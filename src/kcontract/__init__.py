@@ -35,6 +35,7 @@ _HOME = {  # submodule: the public names it defines
     "models": ("ModelEntry", "SeirDiagnostics", "model", "model_names",
                "seir_orbit_diagnostics"),
     "fileio": (),
+    "floattext": (),
     "cli": (),
     "errors": (),
 }

@@ -10,15 +10,14 @@ distinct entry of a mostly-zero one spelled once), any other array as ``jsonable
 converts it; a list of floats and an array row share one spelling rule.  Every other
 scalar and every key is written as json.dumps writes it, without a call to it per
 value, and numpy scalars are converted once.  The
-decimal kernel ``_spell`` writes both spellings, for a large dense array and for
-every CSV table, from one exact scaling, one digit table and one layout; an entry
-it cannot decide takes its per-value text.
+decimal kernel of ``floattext`` writes both spellings, for a large dense array
+and for every CSV table: ``_write_blocks`` lays each entry's 24-byte text after
+its prefix in a row, KERNEL_BLOCK entries at a time, and drops the rows' NULs.
+An entry the kernel cannot decide takes its per-value text.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 from dataclasses import asdict
@@ -28,7 +27,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .combinatorics import _read_only
 from .compound import as_matrix
 from .errors import BadParameter, DimensionMismatch
 
@@ -36,13 +34,16 @@ if TYPE_CHECKING:  # annotations only: writing a result executes neither layer
     from .certify import Certificate
     from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 
-# the smallest float64 array the JSON writer sends through _spell.  Its fixed cost of about 0.1 ms
-# of numpy calls broke even with float.__repr__ (about 0.6 us an entry) near 300 entries, on
-# 2 shared CPUs with numpy 2.4.6; 512 stays as first set, since no workload writes an array
-# of 300-511 entries to show a gain from moving it
-KERNEL_MIN_SIZE = 512
-KERNEL_BLOCK = 4096  # keeps a pass's temporaries near 0.5 MB
-KERNEL_MARGIN = 1e-6  # a decision this close to a boundary goes to float.__repr__
+# the smallest float64 array the JSON writer sends through _spell.  Its fixed cost of about
+# 0.13 ms of numpy calls breaks even with float.__repr__ (about 0.55 us an entry) near 240
+# entries for a 1-D array and near 195 for rows of 8; the 15 x 15 and 21 x 21 compounds of the
+# benchmark tie within 2% either way (in-process, 2 shared CPUs, numpy 2.4.6)
+KERNEL_MIN_SIZE = 240
+# a block's temporaries take about 170 bytes an entry, 0.35 MB.  Blocks of 4096 (0.7 MB) were
+# as fast, but they made the benchmark's peak RSS bimodal: in most runs of compound-algebra
+# glibc then kept a later 6.5 MB text buffer on top of its heap, 7 MB more at the peak (gone
+# with a fixed mmap threshold); at 2048 every run matched the parent's
+KERNEL_BLOCK = 2048
 SINK_CHARS = 65536  # write_json's pending text, written to its files once it reaches this
 
 
@@ -218,7 +219,9 @@ def _write_floats(a: np.ndarray, indent: str, out: _Sink) -> None:
     spell = float.__repr__ if np.isfinite(a).all() else _json_float  # NaN, Infinity
     if 2 * np.count_nonzero(a) > a.size:
         if spell is float.__repr__ and a.size >= KERNEL_MIN_SIZE:
-            if _decidable(a.flat[::a.size // KERNEL_MIN_SIZE]).mean() > 0.5:  # else repr wins
+            from .floattext import decidable
+
+            if decidable(a.flat[::a.size // KERNEL_MIN_SIZE]).mean() > 0.5:  # else repr wins
                 return _write_dense(a, indent, out)
         return _write_rows(a, indent, out, lambda row: map(spell, row.tolist()))
     bits = a.view(np.uint64)
@@ -245,137 +248,35 @@ def _write_dense(a: np.ndarray, indent: str, out: _Sink) -> None:
 
 def _write_blocks(a: np.ndarray, prefixes: list[str], g17: bool = False):
     """Yield the text of each entry of a (see _spell), KERNEL_BLOCK entries at a time, after
-    prefixes[c], where c counts the axes, from the last, whose index restarts at the entry."""
-    width = -(-max(map(len, prefixes)) // 8) * 8
-    table = np.array(prefixes, f"S{width}").view(np.uint8).reshape(len(prefixes), -1)
-    rows = np.zeros((min(a.size, KERNEL_BLOCK), width + 40), np.uint8)
+    prefixes[c], where c counts the axes, from the last, whose index restarts at the entry.
+    A row's prefix field is as wide as prefixes[0]; a longer prefix stands there as one mark
+    byte, 0x80 + c (never ASCII), which the block's text then has replaced."""
+    width = -(-len(prefixes[0]) // 8) * 8 or 8
+    marks = {c: (bytes([0x80 + c]), p.encode()) for c, p in enumerate(prefixes) if len(p) > width}
+    fields = [marks[c][0] if c in marks else p.encode() for c, p in enumerate(prefixes)]
+    table = np.array(fields, f"S{width}").view(np.uint8).reshape(len(prefixes), -1)
+    rows = np.zeros((min(a.size, KERNEL_BLOCK), width + 24), np.uint8)
     rows[:, :width] = table[0]
     flat, spans = a.reshape(-1), np.cumprod(a.shape[::-1])  # entry 0 starts all d spans
     for start in range(0, a.size, KERNEL_BLOCK):
         x = flat[start:start + KERNEL_BLOCK]
         firsts = np.arange(-start % a.shape[-1], len(x), a.shape[-1])  # entries starting a row
-        rows[firsts, :width] = table[((start + firsts) % spans[:, None] == 0).sum(0)]
-        yield _spell(x, rows[:len(x)], g17)
+        kinds = ((start + firsts) % spans[:, None] == 0).sum(0)
+        rows[firsts, :width] = table[kinds]
+        text = _spell(x, rows[:len(x)], g17)
+        for c in marks.keys() & set(kinds.tolist()):
+            text = text.replace(*marks[c])
+        yield text.decode("ascii")
         rows[firsts, :width] = table[0]
 
 
-@functools.cache
-def _kernel_tables():
-    """Built on first use: 10^s (s = 0..21, exact in float64) and its Veltkamp halves; the
-    ASCII of 0000..9999 as little-endian words, each digit followed by "."; and the layouts of
-    _spell as words of 0 and 255 bytes."""
-    ten = np.array([float(10 ** s) for s in range(22)])
-    high = (c := ten * 134217729.0) - (c - ten)
-    v = np.arange(10000, dtype=np.int16)[:, None]  # int16 keeps a first write's peak RSS low
-    digits = np.full((10000, 8), ord("."), np.uint8)
-    digits[:, ::2] = v // 10 ** np.arange(3, -1, -1, dtype=np.int16) % 10 + 48
-    # [repr, %g][point + 3][trailing zeros]: the bytes of a source (see _spell) the text keeps
-    keep = np.zeros((2, 21, 19, 40), bool)
-    for point, zeros in itertools.product(range(-3, 18), range(19)):
-        last = 38 - 2 * zeros  # the last nonzero digit; a zero's 18 "0"s end before digit 0
-        k = keep[:, point + 3, zeros]
-        k[:, 0] = True  # the sign
-        if point <= 0:  # "0.", -point zeros and the digits
-            k[:, 1:3 - point] = k[:, 6:last + 1:2] = True
-            continue
-        dot = 5 + 2 * point  # after the integer digits, "." and the fraction
-        k[:, 6:dot:2] = True
-        k[0, dot] = k[0, dot + 1:max(last, dot + 1) + 1:2] = True  # repr: an empty one is "0"
-        if last > dot:
-            k[1, dot] = k[1, dot + 1:last + 1:2] = True
-    tables = (ten, high, ten - high, digits.view("<u8")[:, 0],
-              np.where(keep, 255, 0).astype(np.uint8).view("<u8").reshape(2, -1, 5))
-    _read_only(*tables)
-    return tables
+def _spell(x: np.ndarray, rows: np.ndarray, g17: bool = False) -> bytes:
+    """Write float.__repr__ of each entry of x ("%.17g" % v when g17) into the last 24 bytes of
+    its row of rows (see floattext.write), and return the bytes of rows without NULs."""
+    from . import floattext  # the first block executes the kernel's module
 
-
-def _decidable(x: np.ndarray) -> np.ndarray:
-    """Zeros, and entries repr spells without an exponent but powers of two (uneven gaps)."""
-    ax = np.abs(x)
-    return (ax >= 1e-4) & (ax < 1e16) & (x.view(np.uint64) << np.uint64(12) != 0) | (ax == 0)
-
-
-def _scaled(safe: np.ndarray):
-    """Y = safe 10^(16-E) in [1e16, 1e17) for each safe in [1e-4, 1e17): Y's integer part and
-    fraction, E, 10^(16-E), and whether E is settled.  Both parts are exact: 10^s is exact for
-    s <= 21, and a Dekker product gives Y as p + err."""
-    ax_high = (c := safe * 134217729.0) - (c - safe)
-    ax_low = safe - ax_high
-    e = np.minimum(np.floor(np.log10(safe)), 16).astype(np.int64)  # log10 gives 17 below 1e17
-    for _ in range(2):  # log10 may be one off near a power of ten
-        ten, high, low = (t[16 - e] for t in _kernel_tables()[:3])
-        p = safe * ten
-        err = ((ax_high * high - p) + ax_high * low + ax_low * high) + ax_low * low
-        y = p.astype(np.int64) + np.floor(err).astype(np.int64)
-        fix = (y >= 10 ** 17).astype(np.int64) - (y < 10 ** 16)
-        if not fix.any():
-            break
-        e += fix
-    return y, err - np.floor(err), e, ten, fix == 0
-
-
-def _shortest(x: np.ndarray):
-    """float.__repr__'s digits of each entry as a 17-digit integer (0 for a zero), the position
-    of its decimal point, and whether the entry was decided here.
-
-    The first of Y's (see _scaled) 15-, 16- and 17-digit roundings strictly inside the half-gap
-    of x (which reads back as x) is the shortest repr and the nearest of its length.  An entry
-    that is not _decidable, or whose decision lies within KERNEL_MARGIN of a boundary, is
-    undecided.
-    """
-    zero = x == 0
-    decided = _decidable(x) & ~zero
-    safe = np.where(decided, np.abs(x), 1.0)
-    y, f, e, ten, settled = _scaled(safe)
-    half = np.ldexp(ten, np.frexp(safe)[1] - 54)  # half the gap of safe, times 10^s
-    r2 = (y % 100).astype(np.float64)
-    r1 = r2 - 10 * np.floor(r2 / 10)
-    u15, u16 = r2 + f, r1 + f  # Y past its 15- and 16-digit truncations
-    up15, up16 = u15 >= 50, u16 >= 5
-    d15, d16 = np.abs(u15 - 100 * up15), np.abs(u16 - 10 * up16)
-    in15, in16 = d15 < half, d16 < half
-    near = np.abs([u15 - 50, d15 - half, u16 - 5, d16 - half, f - 0.5]) <= KERNEL_MARGIN
-    step = np.where(in15, 100 * up15 - r2, np.where(in16, 10 * up16 - r1, f >= 0.5))
-    digits = np.where(zero, 0, y + step.astype(np.int64))
-    decided &= settled & (digits < 10 ** 17) & ~(  # no carry to 18 digits
-        near[0] | near[1] | ~in15 & (near[2] | near[3] | ~in16 & near[4]))
-    return digits, np.where(decided, e + 1, 1), decided | zero
-
-
-def _rounded(x: np.ndarray):
-    """The "%.17g" digits of each entry, its decimal point and whether it was decided here, as
-    _shortest: Y (see _scaled) rounded half to even, which is exact for |x| in [1e-4, 1e17).
-    It never carries to 10^17: that needs x within 5e-18 of a power of ten below it, and the
-    double nearest below each of 1e-3 .. 1e17 is more than 8e-17 of it away."""
-    ax = np.abs(x)
-    decided = (ax >= 1e-4) & (ax < 1e17)
-    y, f, e, _, settled = _scaled(np.where(decided, ax, 1.0))
-    digits = np.where(ax == 0, 0, y + ((f > 0.5) | (f == 0.5) & (y % 2 == 1)))
-    return digits, np.where(decided & settled, e + 1, 1), decided & settled | (ax == 0)
-
-
-def _spell(x: np.ndarray, rows: np.ndarray, g17: bool = False) -> str:
-    """Write float.__repr__ of each entry of x ("%.17g" % v when g17) into the last 40 bytes of
-    its row of rows, and return the text of rows without NULs.  An entry's source is its sign,
-    "0.000" and its 17 digits, each followed by "."; the layout of its decimal point and count
-    of trailing zero digits keeps the text's bytes.  An undecided entry takes its per-value text."""
-    digits, point, decided = (_rounded if g17 else _shortest)(x)
-    words, layouts = _kernel_tables()[3:]
-    src = rows.view("<u8")[:, -5:]
-    for k in range(4, 0, -1):  # numpy divides by a scalar fast, but its % is slow
-        high = digits // 10000
-        src[:, k] = words[digits - high * 10000]
-        digits = high
-    sign = np.signbit(x) * np.uint64(ord("-"))
-    src[:, 0] = (digits + 48).astype(np.uint64) << 48 | 0x2E003030302E3000 | sign
-    # trailing "0" digits; a zero's run ends at the "." before digit 0, 18 places back
-    zeros = np.argmax(rows[:, -2:-39:-2] != 48, axis=1)
-    src &= layouts[int(g17)][(point + 3) * 19 + zeros]
-    miss = np.flatnonzero(~decided)
-    spell = "%.17g".__mod__ if g17 else float.__repr__
-    text = np.array([spell(v) for v in x[miss].tolist()], "S40")
-    rows[miss, -40:] = text.view(np.uint8).reshape(-1, 40)
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    floattext.write(x, rows[:, -24:], g17)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _write_rows(a, indent: str, out: _Sink, words) -> None:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from kcontract.compound import add_compound, as_matrix, mult_compound
 from kcontract import dynamics as dy
 from kcontract.dynamics import BATCH_RTOL
 from kcontract.errors import JacobianMismatch, NonFiniteState
-from kcontract.measures import MeasureSpec, apply_scaling, measure_k_witness
+from kcontract.measures import MeasureSpec, Norm, apply_scaling, measure_k_witness
 
 
 @pytest.fixture
@@ -305,3 +307,40 @@ def _cos_ltv_oracle(t, x0):
 
 LINEAR_ORACLES = {"diag2": _diag2_oracle, "oscillator": _oscillator_oracle,
                   "cos_ltv": _cos_ltv_oracle}
+
+
+AUDIT_FRAME = 1e-3  # the length of each start frame's columns
+AUDIT_SETTLE = 0.05  # rates are read from this time on, each over 50 steps of h = 1e-3 or more
+
+
+def audit(system, box, cert, t, h):
+    """Check a certificate against the flow it bounds (Coppel's inequality on the k-compound
+    variational equation): mu(J^[k]) <= -eta on the convex box gives
+    |w(s)| <= exp(-eta s) |w(0)| for the wedge w of k variational columns, in the
+    certificate's norm, while the base trajectory stays in the box.
+
+    Frames start at a grid of the box (5 points an axis in the plane, 4 in 3-D), one for
+    each k-subset of the coordinate axes, with columns AUDIT_FRAME long; each runs to time t
+    with step h and counts up to its first sample outside the box, from AUDIT_SETTLE on.
+    Returns the worst rate log(|w(s)| / |w(0)|) / s, its start point and the number of frames
+    that count.  A worst rate above -eta refutes the certificate; a lower one proves nothing.
+    """
+    norm, k, n = Norm.parse(cert.norm), cert.k, box.dim
+    per_axis = 5 if n <= 2 else 4
+    worst, start, counted = -np.inf, None, 0
+    for x0 in dy.BoxDomain.of(box.lower, box.upper, (per_axis,) * n).grid():
+        for axes in itertools.combinations(range(n), k):
+            anchors = [x0 + AUDIT_FRAME * np.eye(n)[i] for i in axes] + [x0]
+            frame = dy.variational_frame(system, anchors, np.zeros(k), (0.0, t), h,
+                                         domain_exit="ignore")
+            inside = (frame.states >= box.lower).all(1) & (frame.states <= box.upper).all(1)
+            stop = int(np.argmin(inside)) if not inside.all() else len(inside)
+            norms = dy.volume_trace(frame, norm).norms
+            s = np.arange(stop)[frame.times[:stop] >= AUDIT_SETTLE]
+            if not s.size:
+                continue
+            counted += 1
+            rates = np.log(norms[s] / norms[0]) / frame.times[s]
+            if rates.max() > worst:
+                worst, start = float(rates.max()), x0
+    return worst, start, counted

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
@@ -6,6 +8,7 @@ from kcontract import certify as ce
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import measures as ms
+from kcontract.cli import main
 from kcontract.errors import (
     BadWeightVector,
     DimensionMismatch,
@@ -18,7 +21,8 @@ from kcontract.fileio import certificate_to_json, dump_json
 from kcontract.measures import MeasureSpec, Norm
 from kcontract.models import SEIR_MIX, model
 
-from conftest import diagonal_per_sample, lti_per_sample, row_rule_per_sample, well_conditioned
+from conftest import (audit, diagonal_per_sample, lti_per_sample, row_rule_per_sample,
+                      well_conditioned)
 
 ALL_NORMS = (Norm.L1, Norm.L2, Norm.LINF)
 
@@ -600,3 +604,38 @@ def test_sample_rules_match_per_sample_loops(rng):
         ]
         for got, want in pairs:
             assert _json_bytes(got) == _json_bytes(want)
+
+
+def _grid_certificate(name, lower, upper, counts, norm):
+    system, box = model(name).system, dy.BoxDomain.of(lower, upper, counts)
+    return system, box, ce.certify_nonlinear_grid(system, box, 2, MeasureSpec(Norm.parse(norm)))
+
+
+def test_audit_refutes_the_sampled_hopf_certificate(capsys):
+    """The known defect of sampled grid verdicts (ROADMAP item 2): a 2x2 grid certifies a box
+    that holds hopf's unit-circle limit cycle, which 2-contraction rules out.  At the origin,
+    an equilibrium, areas grow at the rate trace J(0) = 2, against the claimed -6."""
+    assert main(["certify", "--rule", "grid", "--model", "hopf", "--k", "2", "--norm", "l1",
+                 "--box=-1,-1:1,1", "--grid-counts", "2,2"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    system, box, cert = _grid_certificate("hopf", [-1, -1], [1, 1], (2, 2), "l1")
+    assert (printed["verdict"], printed["eta"], printed["grid"]["exhaustive"]) == \
+        (cert.verdict, cert.eta, False) == ("CERTIFIED", 6.0, False)
+    worst, start, frames = audit(system, box, cert, 0.5, 1e-3)
+    assert worst == pytest.approx(2.0, abs=1e-9) and worst > -cert.eta
+    assert np.array_equal(start, [0.0, 0.0]) and frames == 17
+
+
+@pytest.mark.parametrize("name, lower, upper, counts, norm, eta, worst, start, frames", [
+    ("hopf", [1, 1], [2, 2], (3, 3), "l1", 6.0, -8.847128, [1.25, 1.25], 15),
+    # the seir3 grid certificate of the CI smoke step
+    ("seir3", [0.1, 0.1, 0.2], [0.7, 0.8, 0.8], (5, 5, 5), "l2", 0.1168876, -0.764687,
+     [0.7, 0.1 + 0.7 / 3, 0.2], 153),
+])
+def test_audit_does_not_refute_honest_certificates(name, lower, upper, counts, norm, eta, worst,
+                                                   start, frames):
+    system, box, cert = _grid_certificate(name, lower, upper, counts, norm)
+    assert cert.verdict == "CERTIFIED" and cert.eta == pytest.approx(eta, abs=1e-7)
+    got, at, counted = audit(system, box, cert, 0.5, 1e-3)
+    assert got == pytest.approx(worst, abs=1e-6) and got <= -cert.eta
+    assert np.allclose(at, start) and counted == frames

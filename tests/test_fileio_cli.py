@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from kcontract import certify as ce
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import fileio as io
+from kcontract import floattext as ft
 from kcontract.certify import Certificate
 from kcontract.cli import main
 from kcontract.errors import BadParameter, DimensionMismatch
@@ -400,14 +403,14 @@ def test_dense_kernel_leaves_undecided_entries_to_float_repr(rng, monkeypatch):
            6: 5e-324}  # subnormal
     for i, v in odd.items():
         x[i * 400] = v
-    seen, shortest = [], io._shortest
+    seen, shortest = [], ft._shortest
 
     def spy(block):
         digits, point, decided = shortest(block)
         seen.append(~decided)
         return digits, point, decided
 
-    monkeypatch.setattr(io, "_shortest", spy)
+    monkeypatch.setattr(ft, "_shortest", spy)
     assert io.dump_json(x, None) == _repr_text(x)
     assert np.flatnonzero(np.concatenate(seen)).tolist() == [i * 400 for i in odd]
 
@@ -595,7 +598,106 @@ def test_write_csv_spells_every_table_in_kernel_blocks(tmp_path, rng, monkeypatc
     for shape in ((0, 4), (3, 0), (1, 1), (io.KERNEL_BLOCK // 3 + 1, 3)):  # a row straddles
         table = rng.standard_normal(shape)                                # the block end
         assert _csv_text(tmp_path, table) == _g17_text(table)
-    assert calls == [1, io.KERNEL_BLOCK, 2]
+    assert calls == [1, io.KERNEL_BLOCK, 3 - io.KERNEL_BLOCK % 3]
+
+
+def _spied_decisions(monkeypatch) -> list:
+    """Patch both kernel deciders to record, per call, which entries they decided."""
+    seen = []
+    for name in ("_shortest", "_rounded"):
+        decide = getattr(ft, name)
+
+        def spy(x, decide=decide):
+            digits, layout, decided = decide(x)
+            seen.append(decided.copy())
+            return digits, layout, decided
+        monkeypatch.setattr(ft, name, spy)
+    return seen
+
+
+# runs of trailing zero digits that end inside and at the edges of the 4-digit chunks
+_ZERO_RUNS = [1.0, 10.0, 1e4, 1e8, 1e12, 1e15, 123456780000.0, 0.5, 1e-4, -0.0, 0.0, 3.0,
+              30.0, 3e4, 3e8, 3e12, 3e15, 2.5, 1234.5, 0.0012, 120000.5, 100000000.5,
+              1000000000000.5, 9007199254740993.0 - 1, 99999999999999.98, 1e16 - 2, 1e-3]
+_ZERO_RUNS += [float(f"{'12345678912345678'[:n]}e{e}") for n in range(1, 18) for e in (-n - 3, -n, -2, 0, 15 - n)]
+
+
+def test_kernel_spells_trailing_zero_runs_across_chunks(tmp_path, monkeypatch):
+    """Texts whose digits end at every place of each 4-digit chunk, of both signs, both
+    spellings: the kernel itself decides every entry its rules allow."""
+    x = np.array(_ZERO_RUNS + [-v for v in _ZERO_RUNS])
+    x = np.resize(x, (-(-io.KERNEL_MIN_SIZE // len(x)) + 1) * len(x))
+    seen = _spied_decisions(monkeypatch)
+    assert _kernel_text(x) == _repr_text(x)
+    table = x.reshape(-1, 2)
+    assert _csv_text(tmp_path, table) == _g17_text(table)
+    repr_decided, g17_decided = seen
+    ax = np.abs(x)
+    assert np.array_equal(repr_decided, ft.decidable(x))
+    assert np.array_equal(g17_decided, (ax >= 1e-4) & (ax < 1e17) | (ax == 0))
+
+
+# doubles of [1e-4, 1e-3) next to a 15-digit text: x 1e20 lies within 1e-6 of half a gap from a
+# multiple of 100, inside it (the first of each pair) or outside, by 7e-13 and by 1e-7
+_HALF_GAP_EDGES = [0.000245915956272258, 0.00024617999099336697, 0.000247711082133521,
+                   0.00024438486513210397]
+
+
+def test_shortest_leaves_a_15_digit_half_gap_edge_undecided(rng):
+    """An entry whose 15-digit rounding lies within KERNEL_MARGIN of its half-gap, on either
+    side, is undecided, whatever its computed distance says; the distance is taken exactly."""
+    x = np.concatenate([_HALF_GAP_EDGES, rng.uniform(1e-4, 1e-3, 2000)])
+    near = []
+    for v in x.tolist():
+        y, half = Fraction(v) * 10**20, Fraction(2) ** (math.frexp(v)[1] - 54) * 10**20
+        near.append(abs(abs(y - 100 * round(y / 100)) - half) <= ft.KERNEL_MARGIN)
+    near = np.array(near)
+    assert near[:len(_HALF_GAP_EDGES)].all()
+    _, _, decided = ft._shortest(x)
+    assert not decided[near].any()
+    assert _kernel_text(x) == _repr_text(x)
+
+
+_BLOCK = io.KERNEL_BLOCK
+
+
+@pytest.mark.parametrize("shape", [
+    (_BLOCK,), (_BLOCK + 1,), (2 * _BLOCK - 1,),  # a block ends inside the one row
+    (2, _BLOCK), (4, _BLOCK // 2), (_BLOCK // 4 + 3, 4),  # rows start at each block edge
+    (3, _BLOCK - 1), (2, _BLOCK + 1), (_BLOCK // 3 + 2, 3), (1, 2 * _BLOCK + 5),  # and inside
+    (2, 2, _BLOCK // 2), (3, 2, _BLOCK // 4), (3, 5, 547), (2, _BLOCK + 1, 1),
+])
+def test_kernel_rows_start_inside_and_at_block_edges(shape, tmp_path, rng):
+    """Both spellings of arrays of 1-3 axes whose rows, and planes, start at and between
+    the entries where a KERNEL_BLOCK begins."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 16, shape)
+    x.flat[::97] = np.round(x.flat[::97], 2)  # some texts end in a run of zeros
+    assert io.dump_json({"a": x}, None) == _json_text({"a": x})
+    table = x.reshape(-1, shape[-1])
+    assert _csv_text(tmp_path, table) == _g17_text(table)
+
+
+@pytest.mark.parametrize("lengths", [(1, 1, 1), (8, 8, 8), (8, 9, 20), (9, 16, 17),
+                                     (16, 3, 40), (17, 0, 8), (5, 33, 2)])
+@pytest.mark.parametrize("g17", [False, True])
+def test_kernel_writes_prefixes_longer_than_their_field(lengths, g17, rng):
+    """Each entry's text follows prefixes[c], c the count of axes that restart at it,
+    whether the prefix fits the row's field (as wide as prefixes[0]) or stands there as a
+    mark that is replaced."""
+    x = rng.standard_normal((3, _BLOCK // 5)) * 10.0 ** rng.integers(-3, 10, (3, _BLOCK // 5))
+    prefixes = ["".join(" ,\n[]"[(i + c) % 5] for i in range(n)) for c, n in enumerate(lengths)]
+    spell = "%.17g".__mod__ if g17 else float.__repr__
+    want = "".join(prefixes[2 if i == 0 else int(i % x.shape[1] == 0)] + spell(v)
+                   for i, v in enumerate(x.reshape(-1).tolist()))
+    assert "".join(io._write_blocks(x, prefixes, g17)) == want
+
+
+def test_kernel_spells_deeply_nested_arrays(rng):
+    """An array whose entry prefix outgrows 8 bytes, and whose row prefixes outgrow that."""
+    deep = rng.standard_normal((2, 3, 400))
+    for _ in range(6):
+        deep = {"k": deep, "n": [deep[..., :2]] if isinstance(deep, np.ndarray) else 1}
+    assert io.dump_json(deep, None) == _json_text(deep)
 
 
 @pytest.mark.parametrize("table", [np.arange(5.0), np.zeros((2, 3, 4)), np.float64(1.0)])
