@@ -39,10 +39,11 @@ if TYPE_CHECKING:  # annotations only: writing a result executes neither layer
 # entries for a 1-D array and near 195 for rows of 8; the 15 x 15 and 21 x 21 compounds of the
 # benchmark tie within 2% either way (in-process, 2 shared CPUs, numpy 2.4.6)
 KERNEL_MIN_SIZE = 240
-# a block's temporaries take about 170 bytes an entry, 0.35 MB.  Blocks of 4096 (0.7 MB) were
-# as fast, but they made the benchmark's peak RSS bimodal: in most runs of compound-algebra
-# glibc then kept a later 6.5 MB text buffer on top of its heap, 7 MB more at the peak (gone
-# with a fixed mmap threshold); at 2048 every run matched the parent's
+# a block's temporaries take about 170 bytes an entry, 0.35 MB, and none of them, not even its
+# rows or bytes, outlives the yield of its text: a buffer still held while the caller wrote sat
+# above the growing text buffer on glibc's heap, which then had to move, and in most benchmark
+# runs compound-algebra peaked 7 MB (11%) higher.  Blocks of 4096 were as fast per entry, but
+# in some runs still peaked 2.5 MB higher
 KERNEL_BLOCK = 2048
 SINK_CHARS = 65536  # write_json's pending text, written to its files once it reaches this
 
@@ -255,19 +256,20 @@ def _write_blocks(a: np.ndarray, prefixes: list[str], g17: bool = False):
     marks = {c: (bytes([0x80 + c]), p.encode()) for c, p in enumerate(prefixes) if len(p) > width}
     fields = [marks[c][0] if c in marks else p.encode() for c, p in enumerate(prefixes)]
     table = np.array(fields, f"S{width}").view(np.uint8).reshape(len(prefixes), -1)
-    rows = np.zeros((min(a.size, KERNEL_BLOCK), width + 24), np.uint8)
-    rows[:, :width] = table[0]
     flat, spans = a.reshape(-1), np.cumprod(a.shape[::-1])  # entry 0 starts all d spans
     for start in range(0, a.size, KERNEL_BLOCK):
         x = flat[start:start + KERNEL_BLOCK]
+        rows = np.zeros((len(x), width + 24), np.uint8)
+        rows[:, :width] = table[0]
         firsts = np.arange(-start % a.shape[-1], len(x), a.shape[-1])  # entries starting a row
         kinds = ((start + firsts) % spans[:, None] == 0).sum(0)
         rows[firsts, :width] = table[kinds]
-        text = _spell(x, rows[:len(x)], g17)
+        text = _spell(x, rows, g17)
+        del rows  # nothing but the text outlives the yield (see KERNEL_BLOCK)
         for c in marks.keys() & set(kinds.tolist()):
             text = text.replace(*marks[c])
-        yield text.decode("ascii")
-        rows[firsts, :width] = table[0]
+        text = text.decode("ascii")
+        yield text
 
 
 def _spell(x: np.ndarray, rows: np.ndarray, g17: bool = False) -> bytes:
