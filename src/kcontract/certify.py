@@ -14,15 +14,15 @@ share one (N, n, n) sample stack (``_as_samples``).
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .combinatorics import binomial, check_order
-from .compound import add_compound_stack, as_matrix, as_stack, chunks, mult_compound
+from .combinatorics import binomial, check_order, single_swap_table
+from .compound import (add_compound_stack, as_matrix, as_stack, chunks, lane_max, lane_min,
+                       lane_sum, mult_compound)
 from .dynamics import BoxDomain, SystemModel, central_difference_jacobian
 from .errors import BadWeightVector, DimensionMismatch, NotDiagonal, NotPositiveDefinite
 from .measures import (
@@ -247,8 +247,7 @@ def certify_diagonal(d, k: int, time_grid=None) -> Certificate:
         raise NotDiagonal(f"sample at t={times[int(np.argmax(off_diagonal))]} is not diagonal")
     diag = np.diagonal(stack, axis1=1, axis2=2)
     top = np.argsort(-diag, axis=1, kind="stable")[:, :k]
-    # summing C-ordered rows keeps numpy's pairwise order equal to one sample's
-    values = np.ascontiguousarray(np.take_along_axis(diag, top, axis=1)).sum(axis=1)
+    values = lane_sum(np.take_along_axis(diag, top, axis=1), 1)
     worst = int(np.argmax(values))
     return Certificate(
         rule="DIAGONAL",
@@ -271,8 +270,8 @@ def certify_row_rule(a, time_grid=None) -> Certificate:
     n = stack.shape[-1]
     aabs = np.abs(stack)
     diag = np.diagonal(stack, axis1=1, axis2=2)
-    trace = np.ascontiguousarray(diag).sum(axis=1)
-    col_off = aabs.sum(axis=1) - np.diagonal(aabs, axis1=1, axis2=2)
+    trace = lane_sum(diag, 1)
+    col_off = lane_sum(aabs, 1) - np.diagonal(aabs, axis1=1, axis2=2)
     values = col_off + trace[:, None] - diag  # (sample, column)
     worst = int(np.argmax(values))  # the first sample, then the first column, on ties
     return Certificate(
@@ -308,11 +307,13 @@ def certify_scaled_l1(
         jk = add_compound_stack(j, k)
         if vv.size != jk.shape[-1]:
             raise BadWeightVector(f"weight vector must have length C(n, {k})")
-        diag = np.arange(jk.shape[-1])
-        off = jk.copy()
-        off[:, diag, diag] = 0.0
+        # off the diagonal, J^[k] holds its single-swap entries and exact zeros: lane 0, an
+        # entry of the diagonal, is zeroed to stand for them
+        swaps = single_swap_table(j.shape[-1], k)
+        off = jk[:, np.r_[0, swaps.rows], np.r_[0, swaps.cols]]
+        off[:, 0] = 0.0
         q = vv @ jk
-        return off.min(axis=(-2, -1)), q.max(axis=-1), q.argmax(axis=-1)
+        return lane_min(off, -1), lane_max(q, -1), q.argmax(axis=-1)
 
     pts, times, (min_off, qmax, qarg) = _visit_grid(
         system, omega, time_grid, _sample_elements(omega.dim, k, True), evaluate)
@@ -392,8 +393,8 @@ def _newton_census(system: SystemModel, seeds: np.ndarray) -> tuple[list[np.ndar
         if live.size == 0:
             break
         fx = system.field_stack(0.0, x)
-        r = _row_max_abs(fx)  # NaN or inf where the field is not finite
-        bound = NEWTON_CENSUS_TOL * np.maximum(1.0, _row_max_abs(x))
+        r = lane_max(np.abs(fx), -1)  # NaN or inf where the field is not finite
+        bound = NEWTON_CENSUS_TOL * np.maximum(1.0, lane_max(np.abs(x), -1))
         if not ((r > bound).all() and r.max() < np.inf):  # some seed stops or fails
             finite = r < np.inf
             done = finite & (r <= bound)
@@ -416,12 +417,6 @@ def _newton_census(system: SystemModel, seeds: np.ndarray) -> tuple[list[np.ndar
             ok = np.isfinite(steps).all(axis=1)
             x, live = x[ok], live[ok]
     return list(roots[found]), len(found) - int(found.sum())
-
-
-def _row_max_abs(a: np.ndarray) -> np.ndarray:
-    """max |a[i, j]| over j for each row of an (N, n) array, NaN where the row holds one,
-    taken a column at a time: for a few columns far cheaper than a reduction along rows."""
-    return functools.reduce(np.maximum, np.abs(a.T))
 
 
 def _equilibria(system: SystemModel, pts: np.ndarray, omega: BoxDomain):

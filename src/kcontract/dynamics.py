@@ -24,8 +24,8 @@ import numpy as np
 
 from .combinatorics import binomial, check_order
 from . import compound
-from .compound import (add_compound_stack, as_matrix, as_stack, chunks, mult_compound,
-                       wedge_stack)
+from .compound import (add_compound_stack, as_matrix, as_stack, chunks, lane_max, lane_sum,
+                       mult_compound, wedge_stack)
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -133,14 +133,13 @@ class BoxDomain:
 
     def grid(self) -> np.ndarray:
         """All points of the grid of grid_counts() as an (N, dim) array, row-major over axes."""
-        axes = []
-        for i, c in enumerate(self.grid_counts()):
-            if c == 1:
-                axes.append(np.array([0.5 * (self.lower[i] + self.upper[i])]))
-            else:
-                axes.append(np.linspace(self.lower[i], self.upper[i], c))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        counts = self.grid_counts()
+        points = np.empty(counts + (self.dim,))
+        for i, c in enumerate(counts):
+            axis = (np.linspace(self.lower[i], self.upper[i], c) if c > 1
+                    else 0.5 * (self.lower[i] + self.upper[i]))
+            points[..., i] = np.reshape(axis, (-1,) + (1,) * (self.dim - 1 - i))
+        return points.reshape(-1, self.dim)
 
 
 def _field_value(value, n: int) -> np.ndarray:
@@ -529,7 +528,7 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
 def _block_length(props, steps: int) -> int:
     """The largest power of two B with B * max ||P||_inf <= 1/2 over every step
     propagator of a chunk, at most steps; 1 when a propagator is non-finite."""
-    norm = max(float(np.abs(p).sum(axis=2).max()) for p in props)
+    norm = max(float(lane_sum(np.abs(p), 2).max()) for p in props)
     width = 1
     while width < steps and 2 * width * norm <= 0.5:  # False on a NaN norm
         width *= 2
@@ -836,9 +835,9 @@ def volume_trace(frame: FrameTrajectory, norm: Norm = Norm.L2) -> ParallelotopeT
     """
     wedges = wedge_stack(frame.frames)
     if norm is Norm.L1:
-        norms = np.abs(wedges).sum(axis=1)
+        norms = lane_sum(np.abs(wedges), 1)
     elif norm is Norm.LINF:
-        norms = np.abs(wedges).max(axis=1)
+        norms = lane_max(np.abs(wedges), 1)
     else:
         norms = np.sqrt(np.vecdot(wedges, wedges))
     slope = None

@@ -7,6 +7,10 @@ compound (measure of add_compound) or, preferably, by the closed-form
 k-compound rules which never build the compound: max over k-tuples of signed
 diagonal sums plus absolute off-tuple column/row sums for L1/Linf, and the
 sum of the k largest eigenvalues of the symmetric part for L2.
+
+Each sum or maximum over lines, tuples and blocks is compound.lane_sum or
+lane_max, numpy's bits lane by lane below LANE_TERMS terms, so a value does not
+depend on the stack it is evaluated in.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .combinatorics import check_order, subset_table
-from .compound import as_matrix, as_stack, chunks
+from .compound import LANE_TERMS, as_matrix, as_stack, chunks, lane_max, lane_sum
 from .errors import NonConvergence, SingularScaling
 
 # Reciprocal-condition refusal threshold for scaling matrices.
@@ -107,7 +111,7 @@ def _line_sums(a: np.ndarray, norm: Norm) -> np.ndarray:
     each matrix in a (..., n, n) array."""
     aabs = np.abs(a)
     axis = -2 if norm is Norm.L1 else -1
-    return (np.diagonal(a, axis1=-2, axis2=-1) + aabs.sum(axis=axis)
+    return (np.diagonal(a, axis1=-2, axis2=-1) + lane_sum(aabs, axis)
             - np.diagonal(aabs, axis1=-2, axis2=-1))
 
 
@@ -130,7 +134,7 @@ def measure_stack(a, norm: Norm) -> np.ndarray:
     m = as_stack(a, square=True)
     if norm is Norm.L2:
         return _descending_eigh(m, compute_vectors=False)[0][:, 0]
-    return _line_sums(m, norm).max(axis=-1)
+    return lane_max(_line_sums(m, norm), -1)
 
 
 def measure_witness(a, spec: MeasureSpec) -> MeasureValue:
@@ -146,14 +150,13 @@ def measure(a, spec: MeasureSpec) -> float:
     return measure_witness(a, spec).value
 
 
-def _tuple_sum(block: np.ndarray) -> np.ndarray:
-    """Sum each (sample, tuple) block of a gathered (N, C, ...) array.
-
-    Gathers can come out with the sample axis innermost in memory; summing a
-    C-ordered copy keeps numpy's pairwise summation order equal to that of a
-    single matrix, so a sample's value does not depend on the stack it is in.
-    """
-    return np.ascontiguousarray(block).reshape(block.shape[0], block.shape[1], -1).sum(axis=-1)
+def _tuple_sums(src: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The sum of src[index[c]] for each row c of index, as (C, N), src holding one sample
+    per column: a lane per term below LANE_TERMS terms, else a C-ordered (N, C, terms)
+    gather summed along its last axis, as numpy sums a single matrix's terms."""
+    if index.shape[1] < LANE_TERMS:
+        return lane_sum(src[index.T], 0)
+    return lane_sum(np.take(src.T, index, axis=1), -1).T
 
 
 def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
@@ -172,26 +175,28 @@ def measure_k_stack(a, k: int, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     check_order(k, n)
     if norm is Norm.L2:
         top = _descending_eigh(m, compute_vectors=False)[0][:, :k].copy()
-        return top.sum(axis=-1), top
+        return lane_sum(top, -1), top
 
     subsets = subset_table(n, k)
-    aabs = np.abs(m)
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    axis = -2 if norm is Norm.L1 else -1
-    off_abs = aabs.sum(axis=axis) - np.diagonal(aabs, axis1=-2, axis2=-1)
-
     count = m.shape[0]
     best = np.full(count, -np.inf)
     arg = np.zeros(count, dtype=np.intp)
     cols = chunks(len(subsets), k * k)
     for rows in chunks(count, cols[0].stop * k * k):  # cols[0] is the widest
+        flat = np.ascontiguousarray(m[rows].reshape(-1, n * n).T)  # row i * n + j is a_ij
+        aabs = np.abs(flat)
+        # a column sum runs along a middle axis of the stack, which numpy sums in index
+        # order at any length; a row sum along the last
+        off_abs = (lane_sum(aabs.reshape(n, n, -1), 0) if norm is Norm.L1
+                   else _tuple_sums(aabs, np.arange(n * n).reshape(n, n))) - aabs[::n + 1]
         for c in cols:
             ix = subsets[c]
-            inside = (_tuple_sum(aabs[rows][:, ix[:, :, None], ix[:, None, :]])
-                      - _tuple_sum(aabs[rows][:, ix, ix]))
-            vals = _tuple_sum(diag[rows][:, ix]) + _tuple_sum(off_abs[rows][:, ix]) - inside
-            j = np.argmax(vals, axis=1)  # first maximum: the smallest tuple on ties
-            v = vals[np.arange(len(j)), j]
+            # the flat indices i * n + j of each tuple's block, row by row, and of its diagonal
+            cells = (ix[:, :, None] * n + ix[:, None, :]).reshape(len(ix), k * k)
+            inside = _tuple_sums(aabs, cells) - _tuple_sums(aabs, ix * (n + 1))
+            vals = _tuple_sums(flat[::n + 1], ix) + _tuple_sums(off_abs, ix) - inside
+            j = np.argmax(vals, axis=0)  # first maximum: the smallest tuple on ties
+            v = vals[j, np.arange(len(j))]
             better = v > best[rows]
             best[rows] = np.where(better, v, best[rows])
             arg[rows] = np.where(better, c.start + j, arg[rows])

@@ -319,16 +319,20 @@ def audit(system, box, cert, t, h):
     |w(s)| <= exp(-eta s) |w(0)| for the wedge w of k variational columns, in the
     certificate's norm, while the base trajectory stays in the box.
 
-    Frames start at a grid of the box (5 points an axis in the plane, 4 in 3-D), one for
-    each k-subset of the coordinate axes, with columns AUDIT_FRAME long; each runs to time t
-    with step h and counts up to its first sample outside the box, from AUDIT_SETTLE on.
+    Frames start at a grid of the box (5 points an axis in the plane, 4 in 3-D), then at the
+    certificate's witness point (its worst sample) when it names one, one for each k-subset
+    of the coordinate axes, with columns AUDIT_FRAME long; each runs to time t with step h
+    and counts up to its first sample outside the box, from AUDIT_SETTLE on.
     Returns the worst rate log(|w(s)| / |w(0)|) / s, its start point and the number of frames
     that count.  A worst rate above -eta refutes the certificate; a lower one proves nothing.
     """
     norm, k, n = Norm.parse(cert.norm), cert.k, box.dim
     per_axis = 5 if n <= 2 else 4
     worst, start, counted = -np.inf, None, 0
-    for x0 in dy.BoxDomain.of(box.lower, box.upper, (per_axis,) * n).grid():
+    starts = list(dy.BoxDomain.of(box.lower, box.upper, (per_axis,) * n).grid())
+    if cert.witness.get("point") is not None:
+        starts.append(np.array(cert.witness["point"], dtype=float))
+    for x0 in starts:
         for axes in itertools.combinations(range(n), k):
             anchors = [x0 + AUDIT_FRAME * np.eye(n)[i] for i in axes] + [x0]
             frame = dy.variational_frame(system, anchors, np.zeros(k), (0.0, t), h,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -210,6 +211,9 @@ def test_certify_scaled_l1_metzler_and_rate():
     assert cert.verdict == "CERTIFIED"
     assert cert.eta == pytest.approx(1.0)
     assert cert.extras["eta_effective"] == pytest.approx(0.5)
+    # k = n: J^[n] is the 1x1 trace, with no off-diagonal entry to be negative
+    top = ce.certify_scaled_l1(sysm, omega, 2, [1.0])
+    assert (top.verdict, top.eta, top.extras["metzler_ok"]) == ("CERTIFIED", 4.0, True)
 
     # negative off-diagonal in A^[k] produces a Metzler-violation witness
     b = np.array([[-1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [-0.3, 0.0, -1.0]])
@@ -624,6 +628,19 @@ def test_audit_refutes_the_sampled_hopf_certificate(capsys):
     worst, start, frames = audit(system, box, cert, 0.5, 1e-3)
     assert worst == pytest.approx(2.0, abs=1e-9) and worst > -cert.eta
     assert np.array_equal(start, [0.0, 0.0]) and frames == 17
+
+
+def test_audit_starts_a_frame_at_the_witness():
+    """On [-1, 1.5]^2 the audit's 5 x 5 grid misses hopf's origin, where areas grow fastest
+    (rate trace J(0) = 2); a certificate whose witness names the origin is refuted there, by
+    one frame more than the grid's."""
+    system, box, cert = _grid_certificate("hopf", [-1, -1], [1.5, 1.5], (2, 2), "l1")
+    assert cert.verdict == "CERTIFIED" and cert.witness["point"] == [-1.0, -1.0]
+    grid_worst, _, grid_frames = audit(system, box, cert, 0.5, 1e-3)
+    at_origin = dataclasses.replace(cert, witness={**cert.witness, "point": [0.0, 0.0]})
+    worst, start, frames = audit(system, box, at_origin, 0.5, 1e-3)
+    assert worst == pytest.approx(2.0, abs=1e-9) and grid_worst < 1.9
+    assert np.array_equal(start, [0.0, 0.0]) and frames == grid_frames + 1
 
 
 @pytest.mark.parametrize("name, lower, upper, counts, norm, eta, worst, start, frames", [

@@ -573,3 +573,31 @@ def test_k_content_names_first_non_finite_cell():
 
     with pytest.raises(EvaluationFailure, match=r"near \[0\.375\]"):
         cp.k_content(phi, [0.0], [1.0], [4])
+
+
+def _signed_mix(rng, shape):
+    """Entries of magnitude 1e-8 to 1e8, a quarter of them -0.0 and some 0.0, so sums and
+    maxima meet signed zeros and ties of 0.0 with -0.0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    a[rng.random(shape) < 0.25] = -0.0
+    a[rng.random(shape) < 0.15] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("terms", range(1, 13))
+def test_lane_reductions_have_numpys_bits(rng, terms):
+    """lane_sum, lane_max and lane_min against the installed numpy's sum, max and min, on
+    the last and a middle axis of C-ordered arrays and of take gathers: below LANE_TERMS
+    terms they add or compare lane by lane, from it on they are numpy's own reduction."""
+    for _ in range(10):
+        a = _signed_mix(rng, (6, terms, 5))
+        a[0] = rng.choice([0.0, -0.0], size=(terms, 5))  # only signed zeros: every max is a tie
+        flat = a.reshape(6, -1)
+        cases = [(a, 1), (np.ascontiguousarray(np.swapaxes(a, 1, 2)), -1),
+                 (np.take(flat, rng.integers(0, flat.shape[1], (terms, 4)), axis=1), 1),
+                 (np.take(flat, rng.integers(0, flat.shape[1], (4, terms)), axis=1), 2)]
+        for b, axis in cases:
+            for lane, whole in ((cp.lane_sum, b.sum), (cp.lane_max, b.max), (cp.lane_min, b.min)):
+                got, want = lane(b, axis), whole(axis=axis)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lane, axis)

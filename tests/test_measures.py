@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kcontract import combinatorics as cb
 from kcontract import compound as cp
 from kcontract import measures as ms
 from kcontract import spectra as sp
@@ -266,3 +267,63 @@ def test_scaling_rejections(rng):
     for fun in (ms.measure_k_direct, ms.measure_k_witness):  # the message names neither
         with pytest.raises(SingularScaling, match="^the closed-form k-compound measure takes"):
             fun(a, 2, MeasureSpec(Norm.L1, scaling=np.eye(3)))
+
+
+def _tuple_sum(block):
+    """The closed-form measure's sum of each (sample, tuple) block before lane sums: a
+    C-ordered copy of the gather, summed along its last axis."""
+    return np.ascontiguousarray(block).reshape(block.shape[0], block.shape[1], -1).sum(axis=-1)
+
+
+def _measure_k_stack_by_blocks(m, k, norm):
+    """measure_k_stack for L1/Linf as it was written before lane sums, kept as its bitwise
+    reference."""
+    n = m.shape[-1]
+    subsets = cb.subset_table(n, k)
+    aabs = np.abs(m)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    off_abs = aabs.sum(axis=-2 if norm is Norm.L1 else -1) - np.diagonal(aabs, axis1=-2, axis2=-1)
+    best, arg = np.full(len(m), -np.inf), np.zeros(len(m), dtype=np.intp)
+    cols = cp.chunks(len(subsets), k * k)
+    for rows in cp.chunks(len(m), cols[0].stop * k * k):
+        for c in cols:
+            ix = subsets[c]
+            inside = (_tuple_sum(aabs[rows][:, ix[:, :, None], ix[:, None, :]])
+                      - _tuple_sum(aabs[rows][:, ix, ix]))
+            vals = _tuple_sum(diag[rows][:, ix]) + _tuple_sum(off_abs[rows][:, ix]) - inside
+            j = np.argmax(vals, axis=1)
+            v = vals[np.arange(len(j)), j]
+            better = v > best[rows]
+            best[rows] = np.where(better, v, best[rows])
+            arg[rows] = np.where(better, c.start + j, arg[rows])
+    return best, subsets[arg] + 1
+
+
+def _measure_stack_by_axes(m, norm):
+    """measure_stack for L1/Linf as numpy's sum and max along the stack's axes."""
+    aabs = np.abs(m)
+    lines = (np.diagonal(m, axis1=-2, axis2=-1) + aabs.sum(axis=-2 if norm is Norm.L1 else -1)
+             - np.diagonal(aabs, axis1=-2, axis2=-1))
+    return lines.max(axis=-1)
+
+
+@pytest.mark.parametrize("chunk", [cp.CHUNK_ELEMENTS, 4])
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 2), (4, 2), (5, 3), (9, 4), (12, 6),
+                                  (14, 5)])
+def test_lane_sums_keep_the_bits_of_block_sums(rng, monkeypatch, chunk, n, k):
+    """measure_k_stack and measure_stack against numpy's sums of C-ordered gathers, bit for
+    bit: values over twelve decades with signed zeros, and integer stacks full of ties."""
+    monkeypatch.setattr(cp, "CHUNK_ELEMENTS", chunk)
+    count = 3 if n > 8 else 12
+    mixed = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-6, 6, (count, n, n))
+    mixed[rng.random(mixed.shape) < 0.2] = -0.0
+    tied = rng.integers(-2, 3, (count, n, n)).astype(float)
+    tied[0] = 0.0
+    for stack in (mixed, tied):
+        for norm in (Norm.L1, Norm.LINF):
+            values, witnesses = ms.measure_k_stack(stack, k, norm)
+            want_values, want_witnesses = _measure_k_stack_by_blocks(stack, k, norm)
+            assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
+            assert np.array_equal(witnesses, want_witnesses)
+            got, want = ms.measure_stack(stack, norm), _measure_stack_by_axes(stack, norm)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
