@@ -57,28 +57,26 @@ JACOBIAN_SEED = 7
 
 def central_difference_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central differences of fun at x, column j with the step DIFFERENCE_STEP * max(1, |x_j|)."""
-    return _central_differences([fun], np.asarray(x, dtype=float).reshape(1, -1))[0]
+    return _central_differences(lambda ys, rows: [fun(y) for y in ys],
+                                np.asarray(x, dtype=float).reshape(1, -1), False)[1][0]
 
 
-def _central_differences(funs, xs: np.ndarray) -> np.ndarray:
-    """central_difference_jacobian of funs[i] at each row xs[i] of an (N, n) stack,
-    as (N, m, n), with all N 2n perturbed points built as one array."""
-    n = xs.shape[1]
+def _central_differences(stack, xs: np.ndarray, centres: bool):
+    """central_difference_jacobian at each row of an (N, n) stack xs, as (N, m, n), from one
+    call stack(ys, rows): ys holds xs itself when centres is set, then x + step and x - step
+    of each column of each row x, and ys[i] steps from xs[rows[i]].  Returns stack's values
+    at the centres ((0, m) without them) and the differences."""
+    n, c = xs.shape[1], len(xs) if centres else 0
     steps = DIFFERENCE_STEP * np.fmax(1.0, np.abs(xs))  # fmax(1, nan) is 1, as max(1.0, nan)
     dx = np.zeros(xs.shape + (n,))
     dx[:, range(n), range(n)] = steps
     points = np.stack([xs[:, None] + dx, xs[:, None] - dx], axis=2)  # x + step, x - step
-    values = np.array([[fun(y) for y in ys.reshape(-1, n)] for fun, ys in zip(funs, points)],
-                      dtype=float).reshape(len(xs), n, 2, -1)
-    return np.swapaxes((values[:, :, 0] - values[:, :, 1]) / (2.0 * steps[..., None]), 1, 2)
-
-
-def _relative_errors(gots, wants) -> np.ndarray:
-    """max |got - want| / max(1, max |want|) per row of each pair, as (rows, pairs), one pass."""
-    got, want = (np.concatenate([a.reshape(len(a), -1) for a in s], axis=1) for s in (gots, wants))
-    starts = np.cumsum([0] + [a[0].size for a in wants[:-1]])
-    return (np.maximum.reduceat(np.abs(got - want), starts, axis=1)
-            / np.fmax(1.0, np.maximum.reduceat(np.abs(want), starts, axis=1)))
+    rows = np.concatenate([np.arange(c), np.arange(len(xs)).repeat(2 * n)])
+    values = np.asarray(stack(np.concatenate([xs[:c], points.reshape(-1, n)]), rows),
+                        dtype=float).reshape(len(rows), -1)
+    diffs = values[c:].reshape(len(xs), n, 2, -1)
+    return values[:c], np.swapaxes((diffs[:, :, 0] - diffs[:, :, 1]) / (2.0 * steps[..., None]),
+                                   1, 2)
 
 
 @functools.lru_cache(maxsize=32)
@@ -215,17 +213,19 @@ class SystemModel:
         return as_stack(out, square=True)
 
     def check_jacobian(self, samples: int = 5) -> None:
-        """Compare the analytic Jacobian with central differences of the field.
+        """Compare the analytic Jacobian with central differences of ``field_stack``.
 
-        Raises JacobianMismatch when the relative error exceeds JACOBIAN_RTOL at any
-        point drawn from JACOBIAN_SEED, or when a form the integrators use instead
-        disagrees there by more than BATCH_RTOL: ``field_entries`` with ``field``, or a
-        stack built from ``matrix`` or the entry lists with ``field`` or ``jacobian``;
-        the first failure, point by point.  Points are drawn from the declared domain (shrunk a little so
-        differences stay inside) or from the unit box around 0; no points raise
-        DimensionMismatch.  The scalar ``field`` and ``jacobian`` stay the reference;
-        they and then ``field_entries`` are called at each point, and each stack once,
-        on all points at per-row times.
+        Points are drawn from JACOBIAN_SEED in the declared domain (shrunk a little so
+        differences stay inside) or in the unit box around 0; no points raise
+        DimensionMismatch.  The scalar ``jacobian`` is called at each point, and so is the
+        scalar ``field`` when a stack built from ``matrix`` or ``field_entries`` is held to
+        it; then ``field_entries`` at each point.  ``field_stack`` is called once, on the
+        points and their differenced points at per-row times, and ``jacobian_stack`` once,
+        on the points.  Raises JacobianMismatch at the first point, and there at the first
+        check, whose relative error is not within its bound (so NaN fails), in this order:
+        ``field_entries``, then ``field_stack``, against ``field`` (BATCH_RTOL); the
+        differences against ``jacobian`` (JACOBIAN_RTOL); ``jacobian_stack`` against
+        ``jacobian`` (BATCH_RTOL).
         """
         if samples < 1:
             raise DimensionMismatch(f"check_jacobian needs a sample point, got samples={samples}")
@@ -245,26 +245,28 @@ class SystemModel:
             for value in values:  # the first failure, point by point, as as_matrix words it
                 as_matrix(value, square=True)
             raise
-        fds = _central_differences([lambda y, t=t: self.field(t, y) for t, _ in rows], xs)
-        fxs = np.array([self.field(t, x) for t, x in rows], dtype=float)
-        forms = []  # (form, reference, the reference's values, the form's values)
-        if self.field_entries is not None:  # first: it refuses a list of the wrong length
-            forms.append(("field_entries", "field", fxs, np.array(
-                [_entry_list(self.field_entries(t, x.tolist()), n) for t, x in rows], dtype=float)))
-        if self.matrix is not None or self.field_entries is not None:
-            forms.append(("field_stack", "field", fxs, self.field_stack(times, xs)))
+        checks = []  # (message, bound, the form's values, the reference's values)
+        if stacked := self.matrix is not None or self.field_entries is not None:
+            fxs = np.array([self.field(t, x) for t, x in rows], dtype=float)
+        if self.field_entries is not None:  # before the stack: it refuses a wrong length
+            entries = [_entry_list(self.field_entries(t, x.tolist()), n) for t, x in rows]
+            checks.append(("field_entries disagrees with field by {:.3e}", BATCH_RTOL,
+                           np.array(entries, dtype=float), fxs))
+        at_xs, fds = _central_differences(lambda ys, i: self.field_stack(times[i], ys), xs, True)
+        if stacked:
+            checks.append(("field_stack disagrees with field by {:.3e}", BATCH_RTOL, at_xs, fxs))
+        checks.append((f"Jacobian mismatch {{:.3e}} > {JACOBIAN_RTOL:.1e}", JACOBIAN_RTOL,
+                       fds, jacs))
         if self.matrix is not None or self.jacobian_entries is not None:
-            forms.append(("jacobian_stack", "jacobian", jacs, self.jacobian_stack(times, xs)))
-        errs = _relative_errors(*zip((fds, jacs), *[(got, want) for *_, want, got in forms]))
-        if (errs[:, 0] > JACOBIAN_RTOL).any() or not (errs[:, 1:] <= BATCH_RTOL).all():
-            for x, (fd_err, *form_errs) in zip(xs, errs):  # the first failure, point by point
-                if fd_err > JACOBIAN_RTOL:
-                    raise JacobianMismatch(
-                        f"Jacobian mismatch {fd_err:.3e} > {JACOBIAN_RTOL:.1e} at x={x}")
-                for (form, reference, _, _), err in zip(forms, form_errs):
-                    if not err <= BATCH_RTOL:  # a NaN disagreement fails too
-                        raise JacobianMismatch(
-                            f"{form} disagrees with {reference} by {err:.3e} at x={x}")
+            checks.append(("jacobian_stack disagrees with jacobian by {:.3e}", BATCH_RTOL,
+                           self.jacobian_stack(times, xs), jacs))
+        errs = [np.abs(got.reshape(samples, -1) - want.reshape(samples, -1)).max(1)
+                / np.fmax(1.0, np.abs(want).reshape(samples, -1).max(1))
+                for *_, got, want in checks]
+        for x, point in zip(xs, np.array(errs).T.tolist()):  # the first failure, point by point
+            for (message, bound, *_), err in zip(checks, point):
+                if not err <= bound:  # a NaN error fails too
+                    raise JacobianMismatch(f"{message.format(err)} at x={x}")
         self._jacobian_checked = True
 
 

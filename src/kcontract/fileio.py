@@ -11,7 +11,7 @@ converts it; a list of floats and an array row share one spelling rule.  Every o
 scalar and every key is written as json.dumps writes it, without a call to it per
 value, and numpy scalars are converted once.  The
 decimal kernel of ``floattext`` writes both spellings, for a large dense array
-and for every CSV table: ``_write_blocks`` lays each entry's 24-byte text after
+or CSV table: ``_write_blocks`` lays each entry's 24-byte text after
 its prefix in a row, KERNEL_BLOCK entries at a time, and drops the rows' NULs.
 An entry the kernel cannot decide takes its per-value text.
 """
@@ -34,10 +34,11 @@ if TYPE_CHECKING:  # annotations only: writing a result executes neither layer
     from .certify import Certificate
     from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 
-# the smallest float64 array the JSON writer sends through _spell.  Its fixed cost of about
-# 0.13 ms of numpy calls breaks even with float.__repr__ (about 0.55 us an entry) near 240
-# entries for a 1-D array and near 195 for rows of 8; the 15 x 15 and 21 x 21 compounds of the
-# benchmark tie within 2% either way (in-process, 2 shared CPUs, numpy 2.4.6)
+# the smallest float64 array the JSON writer, and the smallest table write_csv, sends through
+# _spell.  Its fixed cost of about 0.13 ms of numpy calls breaks even with float.__repr__ (about
+# 0.55 us an entry) near 240 entries for a 1-D array and near 195 for rows of 8; the 15 x 15 and
+# 21 x 21 compounds of the benchmark tie within 2% either way (in-process, 2 shared CPUs, numpy
+# 2.4.6).  A CSV table's "%.17g" text breaks even with the kernel nearer 130 entries
 KERNEL_MIN_SIZE = 240
 # a block's temporaries take about 170 bytes an entry, 0.35 MB, and none of them, not even its
 # rows or bytes, outlives the yield of its text: a buffer still held while the caller wrote sat
@@ -137,18 +138,17 @@ def subspace_to_json(rep: SubspaceReport) -> dict:
 
 
 def write_csv(path: str, header: str, table) -> None:
-    """A header line, then each row of a 2-D float table as "%.17g" values, written by the
-    decimal kernel (_spell) one block at a time."""
+    """A header line, then each row of a 2-D float table as "%.17g" values: value by value
+    below KERNEL_MIN_SIZE entries, else by the decimal kernel (_spell) one block at a time."""
     rows = np.asarray(table, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatch(f"a CSV table must be 2-D, got shape {rows.shape}")
     with open(path, "w") as fh:
         fh.write(header)
-        if not rows.size:
-            fh.write("\n" * (1 + len(rows)))  # each row of no columns is an empty line
-            return
-        # each entry after "\n" (a row's first) or ","
-        fh.writelines(_write_blocks(rows, ["\n" if c else "," for c in range(3)], g17=True))
+        if rows.size < KERNEL_MIN_SIZE:  # a row of no columns is an empty line
+            fh.writelines("\n" + ",".join(map("%.17g".__mod__, row)) for row in rows.tolist())
+        else:  # each entry after "\n" (a row's first) or ","
+            fh.writelines(_write_blocks(rows, ["\n" if c else "," for c in range(3)], g17=True))
         fh.write("\n")
 
 

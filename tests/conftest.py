@@ -127,9 +127,11 @@ def central_difference_per_column(fun, x, eps=1e-6):
 
 
 def check_jacobian_per_sample(system, samples=5):
-    """SystemModel.check_jacobian one sample point at a time: the differences
-    first, then each form the integrators use on a 1-row stack or one time.
-    Like it, reads dy.JACOBIAN_RTOL and dy.JACOBIAN_SEED at each call."""
+    """SystemModel.check_jacobian one sample point at a time, each stack a 1-row stack at
+    one time.  At each point, in this order: field_entries, then field_stack, against
+    field; the central differences of field_stack against jacobian; jacobian_stack
+    against jacobian.  A check fails unless its relative error is within its bound, so a
+    NaN error fails.  Like it, reads dy.JACOBIAN_RTOL and dy.JACOBIAN_SEED at each call."""
     rtol, rng = dy.JACOBIAN_RTOL, np.random.default_rng(dy.JACOBIAN_SEED)
     if system.domain is not None:
         span = system.domain.upper - system.domain.lower
@@ -142,25 +144,24 @@ def check_jacobian_per_sample(system, samples=5):
         x = lo + rng.random(system.dim) * (hi - lo)
         t = float(rng.random())
         jac = as_matrix(system.jacobian(t, x), square=True)
-        fd = central_difference_per_column(lambda y: system.field(t, y), x)
-        scale = max(1.0, float(np.max(np.abs(jac))))
-        err = float(np.max(np.abs(jac - fd))) / scale
-        if err > rtol:
-            raise JacobianMismatch(f"Jacobian mismatch {err:.3e} > {rtol:.1e} at x={x}")
-        fx = np.asarray(system.field(t, x), dtype=float)
-        pairs = []  # (form, reference, the reference's value, the form's value)
-        if system.field_entries is not None:
-            pairs.append(("field_entries", "field", fx,
-                          np.asarray(system.field_entries(t, x.tolist()), dtype=float)))
+        checks = []  # (message, bound, the reference's value, the form's value)
         if system.matrix is not None or system.field_entries is not None:
-            pairs.append(("field_stack", "field", fx, system.field_stack(t, x[None])[0]))
+            fx = np.asarray(system.field(t, x), dtype=float)
+            if system.field_entries is not None:
+                checks.append(("field_entries disagrees with field by {:.3e}", BATCH_RTOL, fx,
+                               np.asarray(system.field_entries(t, x.tolist()), dtype=float)))
+            checks.append(("field_stack disagrees with field by {:.3e}", BATCH_RTOL, fx,
+                           system.field_stack(t, x[None])[0]))
+        fd = central_difference_per_column(lambda y: system.field_stack(t, y[None])[0], x)
+        checks.append((f"Jacobian mismatch {{:.3e}} > {rtol:.1e}", rtol, jac, fd))
         if system.matrix is not None or system.jacobian_entries is not None:
-            pairs.append(("jacobian_stack", "jacobian", jac, system.jacobian_stack(t, x[None])[0]))
-        for form, reference, want, got in pairs:
+            checks.append(("jacobian_stack disagrees with jacobian by {:.3e}", BATCH_RTOL, jac,
+                           system.jacobian_stack(t, x[None])[0]))
+        for message, bound, want, got in checks:
             scale = max(1.0, float(np.max(np.abs(want))))
             err = float(np.max(np.abs(got - want))) / scale
-            if not err <= BATCH_RTOL:  # a NaN disagreement fails too
-                raise JacobianMismatch(f"{form} disagrees with {reference} by {err:.3e} at x={x}")
+            if not err <= bound:  # a NaN error fails too
+                raise JacobianMismatch(f"{message.format(err)} at x={x}")
 
 
 def _samples_per_sample(a, time_grid):

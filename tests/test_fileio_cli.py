@@ -591,14 +591,28 @@ def test_write_csv_kernel_sweep_gives_the_per_row_text(tmp_path):
         assert _csv_text(tmp_path, table) == _g17_text(table)
 
 
-def test_write_csv_spells_every_table_in_kernel_blocks(tmp_path, rng, monkeypatch):
+def test_write_csv_spells_large_tables_in_kernel_blocks(tmp_path, rng, monkeypatch):
     calls = []
     spell = io._spell
     monkeypatch.setattr(io, "_spell", lambda x, *rest: calls.append(len(x)) or spell(x, *rest))
-    for shape in ((0, 4), (3, 0), (1, 1), (io.KERNEL_BLOCK // 3 + 1, 3)):  # a row straddles
-        table = rng.standard_normal(shape)                                # the block end
+    small = io.KERNEL_MIN_SIZE // 4
+    for shape in ((0, 4), (3, 0), (1, 1), (small - 1, 4), (small, 4),
+                  (io.KERNEL_BLOCK // 3 + 1, 3)):  # a row straddles the block end
+        table = rng.standard_normal(shape)
         assert _csv_text(tmp_path, table) == _g17_text(table)
-    assert calls == [1, io.KERNEL_BLOCK, 3 - io.KERNEL_BLOCK % 3]
+    assert calls == [io.KERNEL_MIN_SIZE, io.KERNEL_BLOCK, 3 - io.KERNEL_BLOCK % 3]
+
+
+def test_small_csv_tables_have_the_kernels_bytes(tmp_path, rng):
+    # below KERNEL_MIN_SIZE entries write_csv spells value by value, with the kernel's bytes
+    edges = np.array(_CSV_EDGE_VALUES + [-5e-324, 1e-310, -1e-320])
+    values = np.concatenate([edges, rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)])
+    for rows in range(1, 61):
+        for cols in range(1, 5):
+            table = rng.choice(values, size=(rows, cols))
+            table.flat[:len(edges)] = np.roll(edges, rows + cols)[:table.size]
+            kernel = io._write_blocks(table, ["\n" if c else "," for c in range(3)], g17=True)
+            assert _csv_text(tmp_path, table) == "h" + "".join(kernel) + "\n"
 
 
 def _spied_decisions(monkeypatch) -> list:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kcontract import certify as ce
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import measures as ms
@@ -427,13 +428,19 @@ def _verdicts(sysm, **kw):
     return out
 
 
-def _sample_x(sysm, samples, k):
-    """Sample point k of check_jacobian."""
+def _points(sysm, samples):
+    """The sample points and times of check_jacobian."""
     lo, hi = -np.ones(sysm.dim), np.ones(sysm.dim)
     if sysm.domain is not None:
         span = sysm.domain.upper - sysm.domain.lower
         lo, hi = sysm.domain.lower + 0.05 * span, sysm.domain.upper - 0.05 * span
-    return lo + np.random.default_rng(7).random((samples, sysm.dim + 1))[k, :sysm.dim] * (hi - lo)
+    draws = np.random.default_rng(7).random((samples, sysm.dim + 1))
+    return lo + draws[:, :sysm.dim] * (hi - lo), draws[:, sysm.dim]
+
+
+def _sample_x(sysm, samples, k):
+    """Sample point k of check_jacobian."""
+    return _points(sysm, samples)[0][k]
 
 
 def _off_at(sysm, tk, off):
@@ -476,11 +483,20 @@ def test_check_jacobian_matches_per_sample_loop(name):
                     assert want[1].endswith(f"at x={_sample_x(copy, samples, k)}"), (form, off)
 
 
-@pytest.mark.parametrize("name", mz.model_names())
-def test_check_jacobian_calls_each_batch_form_once(name):
-    # each stack takes all points at once, while the scalar field and jacobian, and
-    # field_entries, are called at each point
+def _field_only(name):
+    """A built-in's field and jacobian alone: its field_stack calls field row by row."""
     sysm = _builtin(name)
+    return dy.SystemModel(dim=sysm.dim, field=sysm.field, jacobian=sysm.jacobian,
+                          domain=sysm.domain)
+
+
+@pytest.mark.parametrize("name", mz.model_names() + ["field-only hopf", "field-only seir3"])
+def test_check_jacobian_calls_each_batch_form_once(name):
+    # one field_stack call takes the points and their differenced points, and the
+    # jacobian_stack call the points; the scalar field (only when a stack built from
+    # matrix or field_entries is held to it), jacobian and field_entries are called at
+    # each point
+    sysm = _field_only(name.split()[-1]) if name.startswith("field-only") else _builtin(name)
     calls = Counter()
 
     def counted(key, fun):
@@ -492,17 +508,95 @@ def test_check_jacobian_calls_each_batch_form_once(name):
     names = ("field", "jacobian", "matrix", "field_entries", "jacobian_entries")
     copy = replace(sysm, **{k: counted(k, getattr(sysm, k)) for k in names
                             if getattr(sysm, k) is not None})
-    n = sysm.dim
+    n, stacked = sysm.dim, sysm.matrix is not None or sysm.field_entries is not None
     for samples in (5, 9):
         calls.clear()
         copy.check_jacobian(samples=samples)
-        assert calls["field"] == samples * (2 * n + 1)
+        # without a stack form, field_stack is field row by row
+        assert calls["field"] == (samples if stacked else samples * (2 * n + 1))
         assert calls["jacobian"] == samples
         assert calls["matrix on times"] == 2 * (sysm.matrix is not None)  # once per stack
         assert calls["field_entries on times"] == (sysm.field_entries is not None)
         assert calls["jacobian_entries on times"] == (sysm.jacobian_entries is not None)
         assert calls["field_entries"] == (samples if sysm.field_entries is not None else 0)
-        assert calls["matrix"] == calls["jacobian_entries"] == 0
+        assert calls["matrix"] == calls["jacobian_entries"] == calls["field on times"] == 0
+
+
+@pytest.mark.parametrize("name, params", [(name, LTI3 if name == "lti" else None)
+                                          for name in mz.model_names()]
+                         + [("seir3", {"q": q, "p": p}) for q, p in ((0.7, 0.8), (1.7, 0.6),
+                                                                     (0.35, 0.45))])
+def test_stacked_differences_are_those_of_the_scalar_field(name, params):
+    # the self-test differences field_stack, which check_jacobian holds to field within
+    # BATCH_RTOL at the points; at the default parameters its differences are the
+    # per-point ones of field bit for bit.  Where array ** rounds apart from the scalar
+    # pow (seir3 at a fractional q and p) they move a little, and the verdict does not
+    sysm = mz.model(name, params).system
+    for samples in (5, 50):
+        sysm.check_jacobian(samples=samples)
+        xs, times = _points(sysm, samples)
+        at_xs, got = dy._central_differences(lambda ys, i: sysm.field_stack(times[i], ys),
+                                             xs, True)
+        want = np.stack([central_difference_per_column(lambda y: sysm.field(t, y), x)
+                         for t, x in zip(times.tolist(), xs)])
+        assert same_bits(at_xs, sysm.field_stack(times, xs))
+        if params is None or name == "lti":
+            assert same_bits(got, want)
+            continue
+        jacs = sysm.jacobian_stack(times, xs)
+        for fd in (got, want):
+            err = np.abs(fd - jacs).max((1, 2)) / np.fmax(1.0, np.abs(jacs).max((1, 2)))
+            assert (err <= dy.JACOBIAN_RTOL).all()
+        assert np.abs(got - want).max() <= 1e-9
+
+
+def test_a_nan_difference_fails_the_self_test():
+    # NaN differences are not within JACOBIAN_RTOL: a field that is NaN everywhere, or
+    # only away from the sample points, fails the self-test and every certificate on it
+    def nan_away(t, x):
+        return np.where(np.isin(x, xs).all(), -x, np.nan)
+
+    xs = -1.0 + np.random.default_rng(7).random((5, 3))[:, :2] * 2.0  # the sample points
+    omega = dy.BoxDomain.of([-1, -1], [1, 1], (3, 3))
+    for field in (lambda t, x: np.full(2, np.nan), nan_away):
+        sysm = dy.SystemModel(dim=2, field=field, jacobian=lambda t, x: -np.eye(2))
+        message = rf"^Jacobian mismatch nan > 1\.0e-04 at x={re.escape(str(xs[0]))}$"
+        with pytest.raises(JacobianMismatch, match=message):
+            sysm.check_jacobian()
+        with pytest.raises(JacobianMismatch, match=message):
+            check_jacobian_per_sample(sysm)
+        with pytest.raises(JacobianMismatch, match=message):
+            ce.certify_nonlinear_grid(sysm, omega, 2, ms.MeasureSpec(ms.Norm.L2))
+    assert same_bits(nan_away(0.0, xs[3]), -xs[3])
+
+
+def test_check_jacobian_reports_the_checks_of_a_point_in_order():
+    # two faults at one point: the order field_entries, field_stack, differences,
+    # jacobian_stack decides which one the message names, in check_jacobian and in
+    # the per-sample loop alike
+    hopf = _builtin("hopf")
+    entries, jac_entries, jacobian = hopf.field_entries, hopf.jacobian_entries, hopf.jacobian
+
+    def on_stacks(x, v):  # off by 1e-6 on a stack's columns alone, not on floats
+        return v + 1e-6 * np.ndim(x[0])
+
+    faults = {
+        "field_entries": dict(field_entries=lambda t, x: [v + 1e-6 for v in entries(t, x)]),
+        "field_stack": dict(field_entries=lambda t, x: [on_stacks(x, v) for v in entries(t, x)]),
+        "Jacobian mismatch": dict(jacobian=lambda t, x: jacobian(t, x) + 1e-2),
+        "jacobian_stack": dict(jacobian_entries=lambda t, x: [
+            [on_stacks(x, v) for v in row] for row in jac_entries(t, x)]),
+    }
+    order = list(faults)
+    for i, first in enumerate(order):
+        for second in order[i + 1:]:
+            if {first, second} == {"field_entries", "field_stack"}:
+                continue  # both are one callable
+            sysm = replace(hopf, **faults[first], **faults[second])
+            want, got = _verdicts(sysm)
+            assert got == want and got[0] is JacobianMismatch, (first, second)
+            assert got[1].startswith(first), (first, second, got[1])
+            assert got[1].endswith(f"at x={_sample_x(sysm, 5, 0)}")
 
 
 def _scalar_forms(sysm, t, x):
@@ -620,10 +714,19 @@ def test_central_differences_keep_their_bits(rng):
     for x in xs:
         assert same_bits(dy.central_difference_jacobian(fun, x),
                          central_difference_per_column(fun, x))
-    # the stacked kernel gives each row the bits of its own differences
-    funs = [lambda y, s=s: fun(y) * s for s in rng.uniform(0.5, 2.0, len(xs))]
-    want = np.stack([central_difference_per_column(f, x) for f, x in zip(funs, xs)])
-    assert same_bits(dy._central_differences(funs, xs), want)
+    # the one stack call gives each row the bits of its own differences, and its values
+    # at the points themselves when asked for
+    scales = rng.uniform(0.5, 2.0, len(xs))
+
+    def stack(ys, rows):
+        return [fun(y) * scales[r] for y, r in zip(ys, rows)]
+
+    want = np.stack([central_difference_per_column(lambda y: fun(y) * s, x)
+                     for s, x in zip(scales, xs)])
+    for centres in (False, True):
+        at_xs, got = dy._central_differences(stack, xs, centres)
+        assert same_bits(got, want)
+        assert same_bits(at_xs, np.array(stack(xs, range(len(xs))))[:len(xs) * centres])
 
 
 def test_jacobian_stack_keeps_matrix_checks():
