@@ -35,10 +35,10 @@ if TYPE_CHECKING:  # annotations only: writing a result executes neither layer
     from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 
 # the smallest float64 array the JSON writer, and the smallest table write_csv, sends through
-# _spell.  Its fixed cost of about 0.13 ms of numpy calls breaks even with float.__repr__ (about
-# 0.55 us an entry) near 240 entries for a 1-D array and near 195 for rows of 8; the 15 x 15 and
-# 21 x 21 compounds of the benchmark tie within 2% either way (in-process, 2 shared CPUs, numpy
-# 2.4.6).  A CSV table's "%.17g" text breaks even with the kernel nearer 130 entries
+# _spell.  Its fixed cost of about 0.08 ms of numpy calls breaks even with float.__repr__ (about
+# 0.5 us an entry) near 200 entries for a 1-D array and near 150 for rows of 8, and with a CSV
+# table's "%.17g" text near 130 entries in rows of 4 (in-process, 2 shared CPUs, numpy 2.4.6).
+# One cut-over serves both writers; the benchmark's 15 x 15 compound stays below it
 KERNEL_MIN_SIZE = 240
 # a block's temporaries take about 170 bytes an entry, 0.35 MB, and none of them, not even its
 # rows or bytes, outlives the yield of its text: a buffer still held while the caller wrote sat

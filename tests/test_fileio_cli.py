@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -350,12 +351,12 @@ def _kernel_text(a) -> str:
 @st.composite
 def _kernel_arrays(draw):
     """Finite float64 arrays from KERNEL_MIN_SIZE to past two blocks, of 1-3 axes: random bit
-    patterns, random values of every decimal exponent repr spells without one, and drawn
-    floats (hypothesis favours edge cases) at drawn places."""
+    patterns, random values of every normal decimal exponent, and drawn floats (hypothesis
+    favours edge cases) at drawn places."""
     size = draw(st.integers(io.KERNEL_MIN_SIZE, 2 * io.KERNEL_BLOCK + 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
-    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-5, 17, size)
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-307, 308, size)
     x = np.where(rng.random(size) < draw(st.floats(0.0, 1.0)), bits, spread)
     drawn = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
     x[rng.integers(0, size, len(drawn))] = drawn
@@ -372,17 +373,24 @@ def test_dense_kernel_writes_float_repr(a):
     assert io.dump_json(obj, None) == _json_text(obj)
 
 
+# where the spellings switch to and from an exponent, and the ends of the normal range
+_SWITCHES = np.array([1e-5, 1e-4, 1e16, 1e17, 2.2250738585072014e-308, 1.7976931348623157e308])
+_SWITCHES = np.concatenate([_SWITCHES, np.nextafter(_SWITCHES, 0),
+                            np.nextafter(_SWITCHES[:-1], np.inf)])
+
+
 def test_dense_kernel_sweep_matches_float_repr():
     rng = np.random.default_rng(21)
     bits = rng.integers(0, 2**64, 2**18, dtype=np.uint64, endpoint=False)
-    # random signs and significands, with the exponents repr spells without one
+    # random signs and significands, with every normal binary exponent
     fixed = rng.integers(0, 2**52, 2**19, dtype=np.uint64)
-    fixed |= rng.integers(1010, 1077, 2**19).astype(np.uint64) << np.uint64(52)
+    fixed |= rng.integers(1, 2047, 2**19).astype(np.uint64) << np.uint64(52)
     fixed |= rng.integers(0, 2, 2**19).astype(np.uint64) << np.uint64(63)
     k = np.arange(1, 53)
-    tens = 10.0 ** np.arange(-6, 18)
-    twos = 2.0 ** np.arange(-60, 60)
+    tens = 10.0 ** np.arange(-307, 309)
+    twos = 2.0 ** np.arange(-1022, 1024)
     families = np.concatenate([
+        _SWITCHES, 1e-4 * (1 + 2.0**-52 * np.arange(-50, 50)), 1e16 + 2.0 * np.arange(-50, 50),
         1 + 2.0 ** -k, 1 - 2.0 ** -k, (2 * np.arange(65536, 70000) + 1) / 2**17,  # ties
         twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
         tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
@@ -399,7 +407,7 @@ def test_dense_kernel_leaves_undecided_entries_to_float_repr(rng, monkeypatch):
     x = rng.uniform(-9.0, 9.0, 3000)
     odd = {0: 1 + 2.0**-17,  # halfway between two 17-digit decimals: a rounding tie
            1: 2.0, 2: -0.5,  # powers of two, whose gap below is half the gap above
-           3: 1e-5, 4: 1e16, 5: -1.5e300,  # repr writes these with an exponent
+           3: 1e-5, 4: 1e16, 5: -1.5e300,  # repr writes these with an exponent: decided
            6: 5e-324}  # subnormal
     for i, v in odd.items():
         x[i * 400] = v
@@ -412,7 +420,8 @@ def test_dense_kernel_leaves_undecided_entries_to_float_repr(rng, monkeypatch):
 
     monkeypatch.setattr(ft, "_shortest", spy)
     assert io.dump_json(x, None) == _repr_text(x)
-    assert np.flatnonzero(np.concatenate(seen)).tolist() == [i * 400 for i in odd]
+    undecided = [i * 400 for i in odd if i not in (3, 4, 5)]
+    assert np.flatnonzero(np.concatenate(seen)).tolist() == undecided
 
 
 def test_dense_kernel_only_spells_large_dense_finite_arrays(rng, monkeypatch):
@@ -539,8 +548,8 @@ _BLOCK_EDGES = [0, 1, 7, io.KERNEL_MIN_SIZE - 1, io.KERNEL_MIN_SIZE, io.KERNEL_M
 @st.composite
 def _csv_tables(draw):
     """Tables of 0 rows, 1 column, and of sizes around KERNEL_MIN_SIZE and KERNEL_BLOCK (rows of
-    3, 5 or 7 entries straddle a block end): random bit patterns, values of every decimal
-    exponent %.17g spells without one, 17-digit ties q / 2^17, the doubles just below powers of
+    3, 5 or 7 entries straddle a block end): random bit patterns, values of every normal
+    decimal exponent, ties q / 2^17 of every binary exponent, the doubles just below powers of
     ten (the nearest a rounding comes to carrying into a new digit), signed zeros, NaN,
     infinities and subnormals, and drawn floats at drawn places."""
     cols = draw(st.sampled_from([1, 2, 3, 5, 7]))
@@ -549,9 +558,10 @@ def _csv_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = rows * cols
     bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
-    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4, 17, size)
-    ties = (2 * rng.integers(2**16, 2**17, size) + 1) / 2**17 * 2.0 ** rng.integers(-13, 40, size)
-    nines = np.nextafter(10.0 ** rng.integers(-3, 18, size), 0)
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-307, 308, size)
+    ties = (2 * rng.integers(2**16, 2**17, size) + 1) / 2**17
+    ties *= 2.0 ** rng.integers(-1000, 1000, size)
+    nines = np.nextafter(10.0 ** rng.integers(-307, 309, size), 0)
     specials = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1e-4, 1e17], size)
     pick = rng.choice(5, size, p=draw(st.sampled_from([[0.2] * 5, [0.05, 0.8, 0.05, 0.05, 0.05]])))
     x = np.choose(pick, [bits, spread, ties, nines, specials])
@@ -570,15 +580,16 @@ def test_write_csv_kernel_gives_the_per_row_text(tmp_path_factory, table):
 def test_write_csv_kernel_sweep_gives_the_per_row_text(tmp_path):
     rng = np.random.default_rng(22)
     bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64, endpoint=False)
-    # random signs and significands, with the exponents %.17g spells without one
+    # random signs and significands, with every normal binary exponent
     fixed = rng.integers(0, 2**52, 2**19, dtype=np.uint64)
-    fixed |= rng.integers(1009, 1080, 2**19).astype(np.uint64) << np.uint64(52)
+    fixed |= rng.integers(1, 2047, 2**19).astype(np.uint64) << np.uint64(52)
     fixed |= rng.integers(0, 2, 2**19).astype(np.uint64) << np.uint64(63)
     k = np.arange(1, 53)
-    tens = 10.0 ** np.arange(-6, 19)
-    twos = 2.0 ** np.arange(-60, 60)
+    tens = 10.0 ** np.arange(-307, 309)
+    twos = 2.0 ** np.arange(-1022, 1024)
     ties = (2 * np.arange(65536, 131072) + 1) / 2**17  # 18 significant digits, ending in 5
     families = np.concatenate([
+        _SWITCHES, ties * 2.0**-40, ties * 2.0**900, ties * 2.0**-1000,
         ties, ties * 2.0**20, ties / 2**10, 1 + 2.0 ** -k, 1 - 2.0 ** -k,
         twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
         tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
@@ -646,9 +657,8 @@ def test_kernel_spells_trailing_zero_runs_across_chunks(tmp_path, monkeypatch):
     table = x.reshape(-1, 2)
     assert _csv_text(tmp_path, table) == _g17_text(table)
     repr_decided, g17_decided = seen
-    ax = np.abs(x)
     assert np.array_equal(repr_decided, ft.decidable(x))
-    assert np.array_equal(g17_decided, (ax >= 1e-4) & (ax < 1e17) | (ax == 0))
+    assert g17_decided.all()  # every entry is zero or finite and normal
 
 
 # doubles of [1e-4, 1e-3) next to a 15-digit text: x 1e20 lies within 1e-6 of half a gap from a
@@ -670,6 +680,92 @@ def test_shortest_leaves_a_15_digit_half_gap_edge_undecided(rng):
     _, _, decided = ft._shortest(x)
     assert not decided[near].any()
     assert _kernel_text(x) == _repr_text(x)
+
+
+# doubles of decimal exponent -300, -299, -150, 200 and 300, where 10^(16-E) is no double, next
+# to a boundary of the repr decision, found by lattice reduction: Y = x 10^(16-E) lies within
+# 2e-13 of a 17-, 16- or 15-digit tie, or of half a gap from a multiple of 100 or 10 (each pair
+# straddles it), and the shorter roundings are not inside the gap; and 1e23, which lies below
+# 10^23 and whose 15-digit rounding carries to 10^17 ("1e+23")
+_REPR_EDGES = [1.0675983567764548e-300, 1.2325971178464805e-300, 1.145204147132755e-300,
+               1.3467319214173501e-300, 1.34673192141735e-300, 1.293248255703062e-300,
+               1.2932482557030619e-300, 1.1380971049864826e+300, 1.2727289156184925e+300,
+               2.545457831236985e+300, 1.1867751959053301e+300, 1.18677519590533e+300,
+               1.254331617943091e+300, 1.2543316179430909e+300, 1.1740793868512777e-150,
+               1.1499432630093755e-150, 1.0377210698632901e-150, 1.5153730763345093e+200,
+               1.422527927361542e+200, 2.8087554798327875e-299, 1.13164042513298e-299, 1e23]
+# "%.17g" with an exponent: Y within 1e-14 of a tie, exact ties where 10^(16-E) is a double
+# (43 2^-22, E = -5) and where it is not (3 2^-25, E = -8), and doubles just below a power of
+# ten whose 17 digits carry to 10^17 ("1e+153")
+_G17_EDGES = [1.0675983567764548e-300, 2.4874972547641085e-300, 1.1380971049864826e+300,
+              2.658012884658513e+300, 1.1740793868512777e-150, 1.5153730763345093e+200,
+              1.267209726315872e+299, 1.1578583163470977e-299, 43 * 2.0**-22, 3 * 2.0**-25,
+              1e153, 1e-79, 1e220]
+
+
+def _undecided(v: float, g17: bool) -> bool:
+    """Whether the kernel leaves v to its per-value text, by exact arithmetic: v is neither
+    zero nor finite and normal, or its repr has a power-of-two significand, or a decision
+    (where "%.17g" writes an exponent, any decision) lies within KERNEL_MARGIN of a boundary,
+    or its digits carry to 10^17."""
+    if v == 0 or not 2.2250738585072014e-308 <= abs(v) < math.inf:
+        return v != 0
+    big = Decimal(abs(v)).adjusted()  # the decimal exponent E
+    y = Fraction(abs(v)) * Fraction(10) ** (16 - big)
+    if g17:
+        tie = abs(y - math.floor(y) - Fraction(1, 2)) <= ft.KERNEL_MARGIN
+        return not -4 <= big <= 16 and (tie or round(y) == 10**17)
+    significand, e = math.frexp(abs(v))
+    half = Fraction(2) ** (e - 54) * Fraction(10) ** (16 - big)
+    for unit in (100, 10):  # the 15- and 16-digit roundings
+        dist = abs(y - unit * round(y / unit))
+        if dist >= Fraction(unit, 2) - ft.KERNEL_MARGIN or abs(dist - half) <= ft.KERNEL_MARGIN:
+            return True
+        if dist < half:
+            return significand == 0.5 or unit * round(y / unit) == 10**17
+    return significand == 0.5 or abs(y - round(y)) >= Fraction(1, 2) - ft.KERNEL_MARGIN \
+        or round(y) == 10**17
+
+
+@pytest.mark.parametrize("g17", [False, True])
+def test_kernel_decides_every_finite_normal_entry_but_its_margin_cases(g17, tmp_path, rng):
+    """The decided set, by exact arithmetic: every zero and every finite normal entry but (in
+    repr) a power of two, a decision within KERNEL_MARGIN of a boundary (in "%.17g", one that
+    writes an exponent) and digits that carry to 10^17; the edges above are all undecided."""
+    edges = np.array(_G17_EDGES if g17 else _REPR_EDGES)
+    normal = rng.integers(0, 2**52, 2000, dtype=np.uint64)
+    normal |= rng.integers(1, 2047, 2000).astype(np.uint64) << np.uint64(52)
+    tens = 10.0 ** np.arange(-307, 309)
+    x = np.concatenate([edges, -edges, normal.view(np.float64) * rng.choice([-1, 1], 2000),
+                        tens, np.nextafter(tens, 0), 2.0 ** np.arange(-1022, 1024, 7),
+                        [0.0, -0.0, 5e-324, -1e-310, np.inf, np.nan]])
+    want = np.array([not _undecided(v, g17) for v in x.tolist()])
+    assert not want[:2 * len(edges)].any()
+    _, _, decided = (ft._rounded if g17 else ft._shortest)(x)
+    assert np.array_equal(decided, want)
+    if g17:
+        assert _csv_text(tmp_path, x[:, None]) == _g17_text(x[:, None])
+    else:
+        finite = x[np.isfinite(x)]
+        assert _kernel_text(finite) == _repr_text(finite)
+
+
+def test_kernel_spells_exponent_texts_of_every_length(tmp_path, monkeypatch):
+    """Texts with an exponent from 5 to 24 bytes, of both signs, both spellings, all decided by
+    the kernel: one digit ("1e-05", "1e+100"), two- and three-digit exponents, the switch
+    points, trailing zero runs that end in each 4-digit chunk, and the ends of the normal
+    range."""
+    x = [1e-5, 1e16, 1e17, 1e100, 1e-100, 2.5e-300, 1.2345678901234567e-300, 2.225073858507202e-308,
+         1.7976931348623157e308, 9.5e-5, 3e21, 1.5e-7, 1.7e308, 4.9406564584124654e-300]
+    x += [float(f"{'12345678912345678'[:n]}e{e}") for n in range(1, 18) for e in (-n - 9, 30, -202)]
+    x = np.array(x + [-v for v in x])
+    x = np.resize(x, (-(-io.KERNEL_MIN_SIZE // len(x)) + 1) * len(x))
+    seen = _spied_decisions(monkeypatch)
+    assert _kernel_text(x) == _repr_text(x)
+    table = x.reshape(-1, 2)
+    assert _csv_text(tmp_path, table) == _g17_text(table)
+    assert seen[0].all() and seen[1].all()
+    assert len(max(map(float.__repr__, x.tolist()), key=len)) == 24
 
 
 _BLOCK = io.KERNEL_BLOCK
