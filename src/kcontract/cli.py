@@ -130,14 +130,8 @@ def cmd_spectrum(args) -> int:
     out = {"eigenvalues": spc.eigenvalues(a)}
     if args.check_compound:
         rep = spc.compound_spectrum_check(a, args.check_compound)
-        out["compound_check"] = {
-            "k": rep.k,
-            "sum_distance": rep.sum_distance,
-            "product_distance": rep.product_distance,
-            "tolerance": rep.tolerance,
-            "passed": rep.passed,
-            "ill_conditioned": rep.ill_conditioned,
-        }
+        out["compound_check"] = {key: getattr(rep, key) for key in (
+            "k", "sum_distance", "product_distance", "tolerance", "passed", "ill_conditioned")}
     _emit(out, args)
     return 0
 
@@ -318,6 +312,11 @@ def cmd_seir_diagnostics(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _add_flags(sp, *flags):
+    for flag in flags:  # string flags, None when not given
+        sp.add_argument(flag)
+
+
 def _add_common(sp):
     sp.add_argument("--out", help="write the primary output to this path")
     sp.add_argument("--config", help="JSON file of default flag values (flags win)")
@@ -372,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_simulate)
 
     sp = sub.add_parser("volume", help="parallelotope volume trace along the flow")
-    sp.add_argument("--model")
-    sp.add_argument("--params")
-    sp.add_argument("--matrix")
+    _add_flags(sp, "--model", "--params", "--matrix")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--h", type=float, default=1e-3)
@@ -385,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_volume)
 
     sp = sub.add_parser("floquet", help="periodic orbit, multipliers, orbital stability")
-    sp.add_argument("--model")
-    sp.add_argument("--params")
-    sp.add_argument("--matrix")
+    _add_flags(sp, "--model", "--params", "--matrix")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--period", type=float, default=None)
     sp.add_argument("--h", type=float, default=1e-3)
@@ -400,10 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--norm", choices=["l1", "l2", "linf"], default="l2")
-    sp.add_argument("--matrix")
-    sp.add_argument("--scaling")
-    sp.add_argument("--model")
-    sp.add_argument("--params")
+    _add_flags(sp, "--matrix", "--scaling", "--model", "--params")
     sp.add_argument("--box", help="lo1,lo2,...:hi1,hi2,...")
     sp.add_argument("--grid-counts", help="per-axis sample counts, e.g. 11,11,11")
     sp.add_argument("--weights", help="positive weight vector for scaled-l1")
@@ -415,9 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_certify)
 
     sp = sub.add_parser("subspace", help="decaying-subspace vs compound-decay report")
-    sp.add_argument("--model")
-    sp.add_argument("--params")
-    sp.add_argument("--matrix")
+    _add_flags(sp, "--model", "--params", "--matrix")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--tmax", type=float, default=30.0)
     sp.add_argument("--h", type=float, default=1e-3)
@@ -426,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kcontent", help="k-content of a mapped patch or demo surface")
     sp.add_argument("--surface", choices=["sphere"], default=None)
-    sp.add_argument("--model")
-    sp.add_argument("--params")
-    sp.add_argument("--matrix")
+    _add_flags(sp, "--model", "--params", "--matrix")
     sp.add_argument("--vertices", help="matrix JSON; columns are k+1 patch vertices")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--h", type=float, default=1e-3)
@@ -446,23 +434,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(handler=cmd_seir_diagnostics, model="seir3")
 
+    parser.verbs = sub.choices  # each verb's own parser
     return parser
+
+
+def parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), namespace, messages and exits alike, from the verb's
+    own parser when argv[0] is a verb: the top-level one only refuses what that leaves."""
+    parser = build_parser()
+    if not (argv and argv[0] in parser.verbs):
+        return parser.parse_args(argv)
+    args, extra = parser.verbs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse(argv)
     try:
         if args.config:  # parse again with the config's flags first, so explicit flags win
             with open(args.config) as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise BadParameter(f"--config {args.config} is not a {{flag: value}} object")
+            if bad := [key for key, value in config.items() if isinstance(value, (list, dict))]:
+                raise BadParameter(f"--config {args.config}: {bad[0]} is not a string, number "
+                                   "or boolean")  # the text of --flag=[...] is not the value
             flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()
                      if value is not None and hasattr(args, key.replace("-", "_"))]
             verb = argv.index(args.verb) + 1
-            args = parser.parse_args([*argv[:verb], *flags, *argv[verb:]])
+            args = parse([*argv[:verb], *flags, *argv[verb:]])
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
         return code

@@ -16,6 +16,7 @@ keep the bits of the stage-by-stage loop.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -66,17 +67,27 @@ def _central_differences(stack, xs: np.ndarray, centres: bool):
     call stack(ys, rows): ys holds xs itself when centres is set, then x + step and x - step
     of each column of each row x, and ys[i] steps from xs[rows[i]].  Returns stack's values
     at the centres ((0, m) without them) and the differences."""
-    n, c = xs.shape[1], len(xs) if centres else 0
+    (count, n), c = xs.shape, len(xs) if centres else 0
     steps = DIFFERENCE_STEP * np.fmax(1.0, np.abs(xs))  # fmax(1, nan) is 1, as max(1.0, nan)
-    dx = np.zeros(xs.shape + (n,))
-    dx[:, range(n), range(n)] = steps
-    points = np.stack([xs[:, None] + dx, xs[:, None] - dx], axis=2)  # x + step, x - step
-    rows = np.concatenate([np.arange(c), np.arange(len(xs)).repeat(2 * n)])
-    values = np.asarray(stack(np.concatenate([xs[:c], points.reshape(-1, n)]), rows),
-                        dtype=float).reshape(len(rows), -1)
-    diffs = values[c:].reshape(len(xs), n, 2, -1)
+    dx = np.zeros((count, n, n))
+    dx.reshape(count, -1)[:, ::n + 1] = steps  # row j of dx[i] steps column j of xs[i]
+    ys = np.empty((c + 2 * n * count, n))
+    ys[:c] = xs[:c]
+    ends = ys[c:].reshape(count, n, 2, n)
+    np.add(xs[:, None], dx, out=ends[:, :, 0])
+    np.subtract(xs[:, None], dx, out=ends[:, :, 1])
+    values = np.asarray(stack(ys, _difference_rows(c, count, n)), dtype=float).reshape(len(ys), -1)
+    diffs = values[c:].reshape(count, n, 2, -1)
     return values[:c], np.swapaxes((diffs[:, :, 0] - diffs[:, :, 1]) / (2.0 * steps[..., None]),
                                    1, 2)
+
+
+@functools.lru_cache(maxsize=32)
+def _difference_rows(c: int, count: int, n: int) -> np.ndarray:
+    """The rows of _central_differences' stack: c centres, then 2n steps from each of count."""
+    rows = np.concatenate([np.arange(c), np.arange(count).repeat(2 * n)])
+    rows.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=32)
@@ -85,6 +96,14 @@ def _draws(seed: int, samples: int, width: int) -> np.ndarray:
     draws = np.random.default_rng(seed).random((samples, width))
     draws.flags.writeable = False
     return draws
+
+
+def _grid_counts(counts, dim: int) -> tuple[int, ...]:
+    """counts as a tuple of ints, refused unless it holds dim entries, each at least 1."""
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != dim or any(c < 1 for c in counts):
+        raise DimensionMismatch("bad per-axis grid counts")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -105,8 +124,7 @@ class BoxDomain:
             raise DimensionMismatch("box bounds must be finite")
         if np.any(hi < lo):
             raise DimensionMismatch("upper must dominate lower componentwise")
-        box = cls(lo, hi, counts)
-        return box if counts is None else cls(lo, hi, box.grid_counts())
+        return cls(lo, hi, None if counts is None else _grid_counts(counts, lo.size))
 
     @property
     def dim(self) -> int:
@@ -119,15 +137,10 @@ class BoxDomain:
         )
 
     def grid_counts(self) -> tuple[int, ...]:
-        """Per-axis sample counts: the box's own, else DEFAULT_GRID_COUNT on every axis.
-
-        Refuses counts whose length is not dim or that hold an entry below 1.
-        """
-        counts = (DEFAULT_GRID_COUNT,) * self.dim if self.counts is None else self.counts
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != self.dim or any(c < 1 for c in counts):
-            raise DimensionMismatch("bad per-axis grid counts")
-        return counts
+        """Per-axis sample counts: the box's own, else DEFAULT_GRID_COUNT on every axis,
+        refused unless they hold dim entries, each at least 1."""
+        return _grid_counts((DEFAULT_GRID_COUNT,) * self.dim if self.counts is None
+                            else self.counts, self.dim)
 
     def grid(self) -> np.ndarray:
         """All points of the grid of grid_counts() as an (N, dim) array, row-major over axes."""
@@ -230,7 +243,7 @@ class SystemModel:
         if samples < 1:
             raise DimensionMismatch(f"check_jacobian needs a sample point, got samples={samples}")
         n = self.dim
-        lo, hi = -np.ones(n), np.ones(n)
+        lo, hi = -1.0, 1.0
         if self.domain is not None:
             span = self.domain.upper - self.domain.lower
             lo, hi = self.domain.lower + 0.05 * span, self.domain.upper - 0.05 * span
@@ -240,33 +253,37 @@ class SystemModel:
         values = []
         try:
             values += (self.jacobian(t, x) for t, x in rows)
-            jacs = as_stack(values, square=True)
+            jacs = as_stack(values, square=True).reshape(samples, -1)
         except Exception:
             for value in values:  # the first failure, point by point, as as_matrix words it
                 as_matrix(value, square=True)
             raise
-        checks = []  # (message, bound, the form's values, the reference's values)
+        checks = []  # (message, bound, the form's values, the reference's values), row by point
         if stacked := self.matrix is not None or self.field_entries is not None:
-            fxs = np.array([self.field(t, x) for t, x in rows], dtype=float)
+            fxs = np.empty((samples, n))  # filled below: field_entries refuses a wrong length first
+            fields = np.array([self.field(t, x) for t, x in rows], dtype=float)
         if self.field_entries is not None:  # before the stack: it refuses a wrong length
             entries = [_entry_list(self.field_entries(t, x.tolist()), n) for t, x in rows]
             checks.append(("field_entries disagrees with field by {:.3e}", BATCH_RTOL,
                            np.array(entries, dtype=float), fxs))
         at_xs, fds = _central_differences(lambda ys, i: self.field_stack(times[i], ys), xs, True)
         if stacked:
+            fxs[:] = fields.reshape(samples, -1)  # a scalar field broadcasts over the state
             checks.append(("field_stack disagrees with field by {:.3e}", BATCH_RTOL, at_xs, fxs))
         checks.append((f"Jacobian mismatch {{:.3e}} > {JACOBIAN_RTOL:.1e}", JACOBIAN_RTOL,
-                       fds, jacs))
+                       fds.reshape(samples, -1), jacs))
         if self.matrix is not None or self.jacobian_entries is not None:
             checks.append(("jacobian_stack disagrees with jacobian by {:.3e}", BATCH_RTOL,
-                           self.jacobian_stack(times, xs), jacs))
-        errs = [np.abs(got.reshape(samples, -1) - want.reshape(samples, -1)).max(1)
-                / np.fmax(1.0, np.abs(want).reshape(samples, -1).max(1))
-                for *_, got, want in checks]
-        for x, point in zip(xs, np.array(errs).T.tolist()):  # the first failure, point by point
-            for (message, bound, *_), err in zip(checks, point):
-                if not err <= bound:  # a NaN error fails too
-                    raise JacobianMismatch(f"{message.format(err)} at x={x}")
+                           self.jacobian_stack(times, xs).reshape(samples, -1), jacs))
+        messages, bounds, got, want = zip(*checks)  # all checks in one pass, a check per block
+        starts = list(itertools.accumulate((g.shape[1] for g in got[:-1]), initial=0))
+        got, want = np.concatenate(got, axis=1), np.concatenate(want, axis=1)
+        errs = (np.maximum.reduceat(np.abs(got - want), starts, axis=1)
+                / np.fmax(1.0, np.maximum.reduceat(np.abs(want), starts, axis=1)))
+        passed = errs <= bounds  # a NaN error fails too
+        if not passed.all():  # the first failure, point by point, then check by check
+            point, check = divmod(int(passed.argmin()), len(checks))
+            raise JacobianMismatch(f"{messages[check].format(errs[point, check])} at x={xs[point]}")
         self._jacobian_checked = True
 
 

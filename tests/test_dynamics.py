@@ -685,6 +685,24 @@ def test_asymptotic_subspace_partial():
     assert rep.compound_norm <= np.exp(-0.99 * 30.0)
 
 
+def test_box_domain_of_builds_its_box_once_and_keeps_its_refusals():
+    built = []
+
+    class Counted(dy.BoxDomain):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    box = Counted.of([0.0, 0.0], [1.0, 2.0], [3.0, 4])
+    assert len(built) == 1 and box.counts == box.grid_counts() == (3, 4)
+    assert Counted.of([0.0], [1.0]).grid_counts() == (dy.DEFAULT_GRID_COUNT,)
+    for counts in ((3,), (3, 0), (3, 4, 5)):
+        with pytest.raises(DimensionMismatch, match=r"^bad per-axis grid counts$"):
+            dy.BoxDomain.of([0.0, 0.0], [1.0, 2.0], counts)
+        with pytest.raises(DimensionMismatch, match=r"^bad per-axis grid counts$"):
+            dy.BoxDomain(np.zeros(2), np.ones(2), counts).grid_counts()
+
+
 def test_jacobian_selftest_catches_mismatch():
     bad = dy.SystemModel(
         dim=2,

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kcontract import certify as ce
+from kcontract import cli
 from kcontract import compound as cp
 from kcontract import dynamics as dy
 from kcontract import fileio as io
@@ -1308,6 +1310,85 @@ def test_cli_config_merge(tmp_path, diag2_file, capsys):
     assert run([1], *measure) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: --config {cfg} is not a {{flag: value}} object\n"
+
+
+def test_cli_config_refuses_list_and_object_values(tmp_path, diag2_file, capsys):
+    # the text of --flag=[3, 3] is not the value [3, 3]: such a value exits 3 with one
+    # error line that names the file and the key, before any flag is read
+    cfg = tmp_path / "cfg.json"
+    grid = ["certify", "--rule", "grid", "--model", "hopf", "--box=-1,-1:1,1"]
+    for config, argv in (({"grid_counts": [3, 3]}, grid),
+                         ({"weights": [1, 2, 1]}, ["certify", "--rule", "scaled-l1", "--model",
+                                                   "hopf", "--box=-1,-1:1,1"]),
+                         ({"k": [2]}, ["measure", "--matrix", diag2_file]),
+                         ({"norm": "l1", "tmax": {"a": 1}}, ["measure", "--matrix", diag2_file])):
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg)]) == 3
+        key = list(config)[-1]
+        assert capsys.readouterr() == ("", f"error: --config {cfg}: {key} is not a string, "
+                                           "number or boolean\n")
+
+
+# argvs that the top-level parser words or refuses, or that only the verb's parser reads
+EDGE_ARGVS = [
+    [],
+    ["bogus"],
+    ["-h"],
+    ["--help", "certify"],
+    ["certify", "-h"],
+    ["certify", "--rule", "grid", "--model", "hopf", "--box=-1,-1:1,1", "--bogus"],
+    ["compound", "--k", "2", "--matrix", "A.json", "extra"],
+    ["measure", "--matrix", "A.json", "--nor", "l1", "--k=2"],
+    ["certify", "--rule", "gas", "--model", "hopf", "--g", "3,3"],
+    ["certify", "--rule", "lti", "--matrix", "A.json", "--", "--k", "3"],
+    ["certify", "--rule=grid", "--mod", "hopf", "--grid-c", "3,3"],
+    ["certify"],
+    ["certify", "--rule", "nope"],
+    ["compound", "--k", "two", "--matrix", "A.json"],
+    ["measure", "--matrix"],
+    ["seir-diagnostics", "--x0", "0.6,0.2,0.15", "--t", "1"],
+    ["volume", "--model", "oscillator", "--t", "1", "--h", "0.01", "--k", "-1"],
+    ["wedge", "--vectors", "v.json", "-x"],
+]
+# the argv main parses again for --config {"norm": "linf"} under an abbreviated --nor
+CONFIG_ARGV = ["measure", "--norm=linf", "--matrix", "A.json", "--nor", "l1", "--config", "c"]
+
+
+def _parsed(parse, argv, capsys):
+    """What parse(argv) returns or exits with, and what it prints."""
+    try:
+        out = vars(parse(argv))
+    except SystemExit as exc:
+        out = exc.code
+    return out, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [argv.split() for argv, *_ in README_CALLS] + EDGE_ARGVS
+                         + [CONFIG_ARGV], ids=" ".join)
+def test_cli_parse_matches_the_full_parser(argv, capsys):
+    want = _parsed(cli.build_parser().parse_args, argv, capsys)
+    got = _parsed(cli.parse, argv, capsys)
+    assert got == want
+    if isinstance(want[0], dict):  # the verb first, then the verb's flags, in order
+        assert list(got[0]) == list(want[0])
+
+
+def test_cli_config_call_matches_the_full_parser(tmp_path, diag2_file, capsys, monkeypatch):
+    # the --config re-parse takes the same path: main's output, errors and exit code are
+    # those of main on the full parser, also with an abbreviated explicit flag
+    cfg = tmp_path / "cfg.json"
+    calls = [({"norm": "linf"}, ["measure", "--matrix", diag2_file, "--nor", "l1"]),
+             ({"norm": "l7"}, ["measure", "--matrix", diag2_file]),
+             ({"k": 2}, ["measure", "--matrix", diag2_file, "--bogus"])]
+    parsers = (cli.parse, lambda argv: cli.build_parser().parse_args(argv))
+    for config, argv in calls:
+        cfg.write_text(json.dumps(config))
+        runs = []
+        for parse in parsers:
+            monkeypatch.setattr(cli, "parse", parse)
+            runs.append(_parsed(lambda argv: argparse.Namespace(code=main(argv)),
+                                [*argv, "--config", str(cfg)], capsys))
+        assert runs[0] == runs[1], argv
 
 
 def test_cli_simulate_and_oracle(tmp_path, capsys):

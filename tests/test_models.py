@@ -599,6 +599,40 @@ def test_check_jacobian_reports_the_checks_of_a_point_in_order():
             assert got[1].endswith(f"at x={_sample_x(sysm, 5, 0)}")
 
 
+@pytest.mark.parametrize("samples", [5, 9])
+def test_check_jacobian_reports_the_first_failure_of_the_per_sample_loop(samples):
+    # hopf wrong at point 1 in two checks (its scalar Jacobian fails the differences and
+    # jacobian_stack), at point 2 in two earlier checks (field_entries off, so field_stack
+    # too) and NaN at point 3 (field_stack): the one pass names what the per-sample loop
+    # names, error value and x= included; without the earlier faults, the next point's
+    hopf = _builtin("hopf")
+    times = _points(hopf, samples)[1]
+    entries, jacobian = hopf.field_entries, hopf.jacobian
+
+    def at(t, k, value, off):  # value off by off at point k's time alone
+        return np.where(np.asarray(t) == times[k], value + off, value)
+
+    def wrong(first):  # the faults at the points from first on
+        def field_entries(t, x):
+            values = entries(t, x)
+            if first <= 2:
+                values = [at(t, 2, v, 1e-6) for v in values]
+            return [at(t, 3, v, np.nan) for v in values] if np.ndim(x[0]) else values
+
+        jac = (lambda t, x: np.asarray(jacobian(t, x)) + at(t, 1, 0.0, 1e-2)) if first <= 1 \
+            else jacobian
+        return replace(hopf, field_entries=field_entries, jacobian=jac)
+
+    for first, head in ((1, "Jacobian mismatch 6.996e-03"),
+                        (2, "field_entries disagrees with field by 8.057e-07"),
+                        (3, "field_stack disagrees with field by nan")):
+        sysm = wrong(first)
+        want, got = _verdicts(sysm, samples=samples)
+        assert got == want and got[0] is JacobianMismatch, (first, got, want)
+        assert got[1] == f"{head}{' > 1.0e-04' * (first == 1)} at x=" \
+                         f"{_sample_x(sysm, samples, first)}", (first, got)
+
+
 def _scalar_forms(sysm, t, x):
     """field and jacobian at x, each with the types of x its entry list saw and the
     RuntimeWarnings raised, next to the entry lists evaluated on numpy scalars x[i]."""
