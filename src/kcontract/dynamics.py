@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -184,10 +185,11 @@ class SystemModel:
     each entry is an (N,) column or a constant.  Any other model's one-state RK4
     state pass runs on Python-float components, with the bits of the array
     arithmetic, in one generated loop.  Its stages run ``field_entries`` inline when
-    its operations on t and x are only + - * / ** and negation (see _trace); else
-    they call it, or else ``field``.  The trace is kept on the model, so the
-    constants it reads are those of the model's first one-state pass; a new model
-    traces its entries again.
+    its operations on t and x are only + - * / ** and negation (see _trace), simplified
+    (exact identities such as a * 1 folded, repeats merged: see _simplified) and with no
+    stage times when none reads t; else they call it, or else ``field``.  The trace is kept
+    on the model, so the constants it reads are those of the model's first one-state pass;
+    a new model traces its entries again.
     """
 
     dim: int
@@ -238,7 +240,9 @@ class SystemModel:
         check, whose relative error is not within its bound (so NaN fails), in this order:
         ``field_entries``, then ``field_stack``, against ``field`` (BATCH_RTOL); the
         differences against ``jacobian`` (JACOBIAN_RTOL); ``jacobian_stack`` against
-        ``jacobian`` (BATCH_RTOL).
+        ``jacobian`` (BATCH_RTOL).  A failing ``jacobian`` is raised first.  On any other
+        failure every form but ``jacobian`` is called again at each point alone, in order, so
+        an earlier point's failure comes first (``field_stack`` up to 1 + samples times).
         """
         if samples < 1:
             raise DimensionMismatch(f"check_jacobian needs a sample point, got samples={samples}")
@@ -249,15 +253,21 @@ class SystemModel:
             lo, hi = self.domain.lower + 0.05 * span, self.domain.upper - 0.05 * span
         draws = _draws(JACOBIAN_SEED, samples, n + 1)
         xs, times = lo + draws[:, :n] * (hi - lo), draws[:, n]
-        rows = list(zip(times.tolist(), xs))
-        values = []
+        values, jacs = [], ()
         try:
-            values += (self.jacobian(t, x) for t, x in rows)
+            values += (self.jacobian(t, x) for t, x in zip(times.tolist(), xs))
             jacs = as_stack(values, square=True).reshape(samples, -1)
-        except Exception:
-            for value in values:  # the first failure, point by point, as as_matrix words it
+            self._check_points(xs, times, jacs)
+        except Exception:  # the first failure: a jacobian's, as as_matrix words it, else
+            for value in values:  # that of the first point that fails, checked alone
                 as_matrix(value, square=True)
+            for i in range(len(jacs)):
+                self._check_points(xs[i:i + 1], times[i:i + 1], jacs[i:i + 1])
             raise
+        self._jacobian_checked = True
+
+    def _check_points(self, xs, times, jacs):  # check_jacobian's checks at rows of xs, times
+        (samples, n), rows = xs.shape, list(zip(times.tolist(), xs))
         checks = []  # (message, bound, the form's values, the reference's values), row by point
         if stacked := self.matrix is not None or self.field_entries is not None:
             fxs = np.empty((samples, n))  # filled below: field_entries refuses a wrong length first
@@ -284,7 +294,6 @@ class SystemModel:
         if not passed.all():  # the first failure, point by point, then check by check
             point, check = divmod(int(passed.argmin()), len(checks))
             raise JacobianMismatch(f"{messages[check].format(errs[point, check])} at x={xs[point]}")
-        self._jacobian_checked = True
 
 
 @dataclass
@@ -407,9 +416,9 @@ def _entries_at(entries, form: str, t, xs: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Traced:
-    """A value in a trace of field_entries (see _trace): + - * / **, also reflected, and
-    unary minus append a line to the tape, a float or int operand a constant.  Anything
-    else raises TypeError, so control flow, math calls and numpy scalars stop a trace."""
+    """A value in a trace of field_entries (see _trace): + - * / **, also reflected, and unary
+    minus append a line (op, a, b) to the tape (b None: a negation), a float or int operand a
+    constant.  Anything else raises TypeError: control flow, math calls, numpy scalars."""
 
     __slots__ = ("name", "tape")
     __array_ufunc__ = None  # numpy defers to the reflected method, which refuses it
@@ -417,7 +426,7 @@ class _Traced:
     def __init__(self, name: str, tape: tuple):
         self.name, self.tape = name, tape  # tape: (lines, constants)
 
-    def _of(self, v) -> str:  # v's name in the tape's lines
+    def _of(self, v) -> str:  # v's operand name: its own, or c{j} of constant j
         if isinstance(v, _Traced) and v.tape is self.tape:
             return v.name
         if type(v) not in (float, int):
@@ -425,11 +434,9 @@ class _Traced:
         self.tape[1].append(v)
         return f"c{len(self.tape[1]) - 1}"
 
-    def _op(self, a, op: str, b=None):
-        lines = self.tape[0]
-        lines.append(f"w{len(lines)} = " + (op + self._of(a) if b is None else
-                                            f"{self._of(a)} {op} {self._of(b)}"))
-        return _Traced(f"w{len(lines) - 1}", self.tape)
+    def _op(self, a, op: str, *b):  # b: () for a negation
+        self.tape[0].append((op, self._of(a), self._of(*b) if b else None))
+        return _Traced(f"w{len(self.tape[0]) - 1}", self.tape)
 
     __add__, __radd__ = (lambda s, o: s._op(s, "+", o)), (lambda s, o: s._op(o, "+", s))
     __sub__, __rsub__ = (lambda s, o: s._op(s, "-", o)), (lambda s, o: s._op(o, "-", s))
@@ -442,44 +449,73 @@ class _Traced:
 
 
 def _trace(entries, n: int):
-    """The lines of one RK4 stage that compute {k}0, {k}1, ... from {t} and {x0}, {x1},
-    ... by the operations of entries(t, x) in its order, and their constants; (None, ())
-    when entries does not trace (see _Traced).  n entries are required (_entry_list)."""
-    t = _Traced("{t}", ([], []))
+    """The stage that computes the n entries (_entry_list) from t, x0, x1, ... by the ops of
+    entries(t, x) in its order, simplified (see _simplified), and the constants as recorded;
+    (None, ()) when entries does not trace (see _Traced).  A stage is its lines, line j
+    (op, a, b) computing w{j} from the names t, x{i}, w{i} and c{i}, and its entries' names."""
+    t = _Traced("t", ([], []))
     try:
-        ks = list(entries(t, [_Traced(f"{{x{i}}}", t.tape) for i in range(n)]))
-        if len(ks) == n:
-            lines = [f"{{k}}{i} = {t._of(k)}" for i, k in enumerate(ks)]
-            return tuple(t.tape[0] + lines), tuple(t.tape[1])
+        outs = [t._of(k) for k in entries(t, [_Traced(f"x{i}", t.tape) for i in range(n)])]
     except Exception:  # refused by _Traced, or failing: the opaque call repeats it
         return None, ()
-    return _entry_list(ks, n)  # raises
+    return _simplified(t.tape[0], _entry_list(outs, n), t.tape[1]), tuple(t.tape[1])
+
+
+def _simplified(lines, outs, consts):
+    """lines and outs (see _trace), every value's bits kept: when every ** has an integral
+    constant exponent, so no value is complex, a ** 1, a * 1, 1 * a, a / 1 (1 a float or an
+    int), a - 0.0, a + -0.0 and -0.0 + a fold to a; a line merges into an earlier one with its
+    op and operands, constants alike by type and bits (0.0 == -0.0 and 1 == 1.0 are not).
+    Every other line is kept, used or not: an unused / or ** can raise, failing the step."""
+    pack = functools.partial(struct.pack, "d")
+    keys = {f"c{j}": pack(c) if type(c) is float else c for j, c in enumerate(consts)}
+    real = all(op != "**" or b in keys and consts[int(b[1:])] % 1 == 0 for op, a, b in lines)
+    ones, zero, neg_zero = ({1, pack(1.0)}, pack(0.0), pack(-0.0)) if real else ((), (), ())
+    alias, seen, stage = {}, {}, []
+    for j, (op, a, b) in enumerate(lines):
+        w, a, b = f"w{j}", alias.get(a, a), alias.get(b, b)
+        ka, kb = keys.get(a, a), keys.get(b, b)
+        if op in ("*", "/", "**") and kb in ones or (op, kb) in (("-", zero), ("+", neg_zero)):
+            alias[w] = a
+        elif op == "*" and ka in ones or (op, ka) == ("+", neg_zero):
+            alias[w] = b
+        else:  # the name of an earlier line with this op and these operands, else a new one
+            alias[w] = seen.setdefault((op, ka, kb), f"w{len(stage)}")
+            if alias[w] == f"w{len(stage)}":
+                stage.append((op, a, b))
+    return tuple(stage), tuple(alias.get(v, v) for v in outs)
 
 
 @functools.lru_cache(maxsize=64)
 def _compiled_chunk(n: int, stage: tuple | None, m: int, frames: bool):
-    """chunk(f, caught, isfinite, consts, ts, ys, es, trail, half, hh, sixth), the loop of
-    every RK4 state pass: n components ys, Kahan compensation es, one step per row t,
-    t + h/2, t + h of ts.  A stage runs stage (see _trace) on the m consts, else calls f;
-    an exception in caught gives nan entries.  Returns the new states' components in one
-    flat list, whether the last step failed (not isfinite, or complex), the state and the
-    compensation; with frames, trail takes each step's four stage states, complex as nan."""
+    """chunk(f, caught, isfinite, consts, ts, ys, es, trail, half, hh, sixth), the loop of every
+    RK4 state pass, and whether it is timed: n components ys, Kahan compensation es, one step
+    per row t, t + h/2, t + h of ts, or ts steps when stage reads no t.  A stage runs stage (see
+    _trace) on the m consts, else calls f; an exception in caught gives nan entries.  Returns
+    the new states' components in one flat list, whether the last step failed (not isfinite,
+    or complex), the state and the compensation; with frames, trail takes each step's four
+    stage states, complex as nan."""
     def names(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(i) for i in range(n))
 
-    stage = stage or (names("{{k}}{}, ", "") + "= f({t}, [" + names("{{x{}}}, ", "") + "])",)
+    lines, outs = stage or ((), ())
     loop = []
     for s, (t, x, step) in enumerate([("t1", "y", "half"), ("t2", "y2_", "half"),
                                       ("t2", "y3_", "hh"), ("t3", "y4_", None)], 1):
-        keys = {"t": t, "k": f"k{s}_", **{f"x{i}": f"{x}{i}" for i in range(n)}}
-        loop += ["try:", *("    " + line.format_map(keys) for line in stage), "except caught:",
+        at = {"t": t, **{f"x{i}": f"{x}{i}" for i in range(n)}}.get
+        body = [f"w{j} = " + (op + at(a, a) if b is None else f"{at(a, a)} {op} {at(b, b)}")
+                for j, (op, a, b) in enumerate(lines)]
+        body += ([f"k{s}_{i} = {at(v, v)}" for i, v in enumerate(outs)] if stage else
+                 [names(f"k{s}_{{}}, ", "") + f"= f({t}, [" + names(x + "{}, ", "") + "])"])
+        loop += ["try:", *("    " + line for line in body), "except caught:",
                  f"    {names(f'k{s}_{{}}', ' = ')} = nan"]
         loop += [names(f"y{s + 1}_{{0}} = y{{0}} + {step} * k{s}_{{0}}", "; ")] if step else []
     trail = "".join(names(f"{y}{{}}, ", "") for y in ("y", "y2_", "y3_", "y4_"))
+    timed = stage is None or "t" in itertools.chain(outs, *lines)
     source = f"""def chunk(f, caught, isfinite, consts, ts, ys, es, trail, half, hh, sixth):
     [{", ".join(f"c{j}" for j in range(m))}] = consts
     [{names("y{}")}], [{names("e{}")}], rows = ys, es, []
-    for t1, t2, t3 in ts:
+    for {"t1, t2, t3 in ts" if timed else "_ in repeat(None, ts)"}:
         {(chr(10) + 8 * " ").join(loop)}
         {names("a{0} = sixth * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0}) - e{0}", "; ")}
         {names("n{0} = y{0} + a{0}", "; ")}  # Kahan: keeps roundoff from masking RK4 order
@@ -495,9 +531,9 @@ def _compiled_chunk(n: int, stage: tuple | None, m: int, frames: bool):
         rows += ({names("y{}, ", "")})
     return rows, False, [{names("y{}")}], [{names("e{}")}]
 """
-    scope = {"nan": math.nan}
+    scope = {"nan": math.nan, "repeat": itertools.repeat}
     exec(compile(source, "<rk4 chunk>", "exec"), scope)
-    return scope["chunk"]
+    return scope["chunk"], timed
 
 
 def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: float,
@@ -527,13 +563,13 @@ def _state_pass(system: SystemModel, x0: np.ndarray, times: np.ndarray, hh: floa
         f, (stage, consts) = (lambda t, ys: _entry_list(entries(t, ys), n)), system._trace[1]
         caught = (OverflowError, ZeroDivisionError)  # float ** past the range; inf on an array
     y = [x0] if x0.ndim == 2 else x0.tolist()
-    e, ts = [0.0] * len(y), _stage_times(times, hh)
-    chunk = _compiled_chunk(len(y), stage, len(consts), stages is not None)
+    chunk, timed = _compiled_chunk(len(y), stage, len(consts), stages is not None)
+    e, ts = [0.0] * len(y), _stage_times(times, hh) if timed else None
     states[0] = x0
-    for steps in chunks(len(ts), x0.size, PASS_CHUNK_ELEMENTS):
+    for steps in chunks(len(times) - 1, x0.size, PASS_CHUNK_ELEMENTS):
         trail, s0 = (None if stages is None else []), steps.start
-        rows, failed, y, e = chunk(f, caught, isfinite, consts, ts[steps].tolist(), y, e, trail,
-                                   0.5 * hh, hh, hh / 6.0)
+        rows, failed, y, e = chunk(f, caught, isfinite, consts, ts[steps].tolist() if timed
+                                   else steps.stop - s0, y, e, trail, 0.5 * hh, hh, hh / 6.0)
         rows = np.reshape(rows, (-1,) + x0.shape)  # a flat list converts fastest
         states[s0 + 1:s0 + 1 + len(rows)] = rows
         if trail:

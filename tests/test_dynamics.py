@@ -3,7 +3,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from kcontract import certify as ce
@@ -1173,9 +1173,10 @@ def test_linear_chunks_end_on_block_ends(monkeypatch, name):
 # -- the generated one-state loop ---------------------------------------------
 
 def _opaque(entries):
-    """entries behind a float() of each component: the same values on floats, but
-    untraceable, so the one-state pass calls it once per stage."""
-    return lambda t, x: entries(t, [float(v) for v in x])
+    """entries behind a float() of each component that is not a float or complex (the
+    stage states of a failing step) already: the same values, but untraceable, so the
+    one-state pass calls it once per stage."""
+    return lambda t, x: entries(t, [v if type(v) in (float, complex) else float(v) for v in x])
 
 
 def _entry_model(entries, dim, **kw):
@@ -1346,12 +1347,140 @@ def test_one_state_pass_traces_once_and_compiles_once(monkeypatch):
         dy.integrate(sysm, x0, (0.0, 0.1), 1e-2)
         dy.variational_frame(sysm, [np.add(x0, 0.01), x0], [0.0], (0.0, 0.1), 1e-2)
 
-    run("hopf", None)
     monkeypatch.setattr(dy, "compile", lambda *a: compiles.append(a) or compile(*a),
                         raising=False)
-    for name, params in [("seir3", None), ("seir3", {"q": 0.7, "p": 0.5}), ("hopf", None)]:
+    dy._compiled_chunk.cache_clear()
+    for name, params in [("hopf", None), ("seir3", None), ("seir3", {"q": 0.7, "p": 0.5})]:
         run(name, params)
-    assert compiles == []  # the loop source does not depend on the parameters
+    assert len(compiles) == 6  # each stage once with frames and once without
+    compiles.clear()
+    # a repeated build compiles nothing, and neither does a sweep over values that are no
+    # identity (1, 0.0, -0.0) and equal no other constant: a stage's source depends only on
+    # which constants are.  At q = 0.7 nothing folds, not even c = 1, so c = 1.5 shares it
+    for name, params in [("hopf", None), ("seir3", None), ("seir3", {"q": 1.3, "p": 0.9}),
+                         ("seir3", {"q": 0.8, "p": 0.6, "c": 1.5})]:
+        run(name, params)
+    assert compiles == []
+
+
+def _stage_size(name):
+    sysm = model(name).system
+    (lines, _), _ = dy._trace(sysm.field_entries, sysm.dim)
+    return len(lines), sorted({op for op, _, _ in lines})
+
+
+def test_simplified_stages_of_the_builtin_models():
+    # seir3's defaults q = p = 1 and c = 1 fold x0 ** 1.0, x2 ** 1.0 and two 1.0 * x1;
+    # hopf's two r2 - 1.0 merge
+    assert _stage_size("seir3") == (13, ["*", "+", "-"])
+    assert _stage_size("hopf") == (9, ["*", "+", "-"])
+
+
+@pytest.mark.parametrize("x0", [-0.0, -math.nan])
+def test_simplified_stage_keys_constants_by_type_and_bits(x0):
+    # 0.0 == -0.0 and 1 == 1.0, and each pair hashes alike: x + -0.0 folds and x + 0.0 does
+    # not, and each traced right after the other keeps its own bits.  From -nan every value
+    # of the pass is -nan unless an operation turns its sign, so the raw bytes are compared
+    for entries in [lambda t, x: [x[0] + -0.0], lambda t, x: [x[0] + 0.0],
+                    lambda t, x: [x[0] * 1], lambda t, x: [x[0] * 1.0],
+                    lambda t, x: [-0.0 + x[0]], lambda t, x: [0.0 + x[0]],
+                    lambda t, x: [x[0] - 0.0], lambda t, x: [x[0] - -0.0],
+                    lambda t, x: [0.0 - x[0]], lambda t, x: [x[0] * -1.0]]:
+        want = _pass_bits(_entry_model(_opaque(entries), 1), [x0], 0.25, raw=True)
+        assert _pass_bits(_entry_model(entries, 1), [x0], 0.25, raw=True) == want
+    assert dy._trace(lambda t, x: [x[0] + -0.0], 1)[0] == ((), ("x0",))
+    assert dy._trace(lambda t, x: [x[0] + 0.0], 1)[0] == ((("+", "x0", "c0"),), ("w0",))
+
+
+@pytest.mark.parametrize("entries", [
+    # an unused / by zero fails the step: / and ** are never dropped
+    lambda t, x: (x[0] / (x[1] - x[1]), [-x[0], -x[1]])[1],
+    # an unused * by an int too large for a float raises OverflowError, so it stays too
+    lambda t, x: (x[0] * 10 ** 400, [-x[0], -x[1]])[1],
+    # a complex value with an inf part: its * 1 (nan + inf j) makes the ** 0.5 nan + nan j,
+    # where folding it keeps 6.1e293 + inf j, whose ** 0.5 overflows and so turns x1's entry
+    # nan too: no identity folds in a stage whose ** can make a complex value
+    lambda t, x: [(x[0] ** 0.5 * 1e160 * 1) ** 0.5, -x[1]],
+])
+def test_simplified_stage_keeps_what_raises_and_complex_values(entries):
+    # each step fails; the stage states of the failing step are those of the opaque loop
+    want = _pass_bits(_entry_model(_opaque(entries), 2), [-1e300, 0.5], 0.25)
+    assert want[1] == "non-finite state at t=0.75"
+    assert _pass_bits(_entry_model(entries, 2), [-1e300, 0.5], 0.25) == want
+
+
+def _pass_bits(sysm, x0, h, raw=False):
+    """The bytes of a one-state pass over [0.5, 1.5] and of its frame's stage states, every
+    nan as np.nan unless raw, and the message of its failure.  The sign of a sum of nans of
+    both signs depends on the order in which the machine code takes its operands, which
+    CPython's specialized float + (3.11 on) need not share with the generic one: (-nan) + nan
+    is nan or -nan."""
+    times, hh = dy._steps((0.5, 1.5), h)
+    stages = np.full((len(times) - 1, 4, sysm.dim), 7.0)
+    states, failure = dy._state_pass(sysm, np.array(x0, dtype=float), times, hh, stages)
+    arrays = (a if raw else np.where(np.isnan(a), np.nan, a) for a in (states, stages))
+    return [a.tobytes() for a in arrays], failure and str(failure)
+
+
+_CONSTANTS = [1, 1.0, 0.0, -0.0, 2.5, math.inf, math.nan]
+
+
+@st.composite
+def _entry_programs(draw):
+    """(n, program, outs): program[i] computes value n + 1 + len(_CONSTANTS) + i from
+    earlier values (t, then x0 .. x{n-1}, then the constants) by one op, some repeating an
+    earlier line, and the last one a / that no entry reads."""
+    n = draw(st.integers(1, 3))
+    leaves, program = n + 1 + len(_CONSTANTS), []
+
+    def operand(constants=True):  # t or a component, a constant or a line, alike often
+        lines = [st.integers(leaves, leaves + len(program) - 1)] if program else []
+        return draw(st.one_of([st.integers(0, n)] + [st.integers(n + 1, leaves - 1)] * constants
+                              + lines * (1 + 2 * (not constants))))
+
+    for _ in range(draw(st.integers(1, 12))):
+        if program and draw(st.booleans()):
+            program.append(draw(st.sampled_from(program)))  # a repeated subexpression
+        else:
+            op = draw(st.sampled_from(["+", "-", "*", "/", "**", "neg"]))
+            program.append((op, operand(), operand()))
+    outs = [operand(constants=False) for _ in range(n)]  # mostly lines
+    return n, program + [("/", operand(), operand(constants=False))], outs
+
+
+def _program_entries(n, program, outs):
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "/": lambda a, b: a / b, "**": lambda a, b: a ** b, "neg": lambda a, b: -a}
+
+    def entries(t, x):
+        values = [t, *x, *_CONSTANTS]
+        for op, i, j in program:
+            values.append(ops[op](values[i], values[j]))
+        return [values[i] for i in outs]
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_programs(), st.lists(st.sampled_from([0.5, -0.75, 1.5, 0.0, -0.0, -2.0]),
+                                   min_size=3, max_size=3))
+def test_simplified_stage_keeps_the_bits_of_the_opaque_loop(program, x0):
+    n, program, outs = program
+    entries, x0 = _program_entries(n, program, outs), x0[:n]
+    # an operation on two constants runs in the trace: one that raises or makes a complex
+    # operand stops the trace
+    assume(dy._trace(entries, n)[0] is not None)
+    traced, opaque = _entry_model(entries, n), _entry_model(_opaque(entries), n)
+    assert _pass_bits(traced, x0, 0.125) == _pass_bits(opaque, x0, 0.125)
+    results = []
+    for sysm in (traced, opaque):
+        try:
+            frame = dy.variational_frame(sysm, [np.add(x0, 0.25), x0], [0.0], (0.5, 1.5),
+                                         0.125, domain_exit="ignore")
+            results.append([np.where(np.isnan(a), np.nan, a).tobytes()
+                            for a in (frame.states, frame.frames)])
+        except (NonFiniteState, EvaluationFailure) as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
 
 
 def _seir_diagnostics():

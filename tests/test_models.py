@@ -633,6 +633,28 @@ def test_check_jacobian_reports_the_first_failure_of_the_per_sample_loop(samples
                          f"{_sample_x(sysm, samples, first)}", (first, got)
 
 
+def test_check_jacobian_reports_a_failure_before_a_non_finite_jacobian_stack_row():
+    # hopf's scalar Jacobian off by 1e-2 at point 1, and a NaN jacobian_entries (so a
+    # non-finite jacobian_stack row) at point 3: the per-sample loop names point 1, and so
+    # does check_jacobian, which checks the points one at a time once the stack fails
+    hopf = _builtin("hopf")
+    times = _points(hopf, 5)[1]
+    entries, jacobian = hopf.jacobian_entries, hopf.jacobian
+
+    def jacobian_entries(t, x):
+        return [[np.where(np.asarray(t) == times[3], np.nan, v) for v in row]
+                for row in entries(t, x)]
+
+    sysm = replace(hopf, jacobian_entries=jacobian_entries, jacobian=lambda t, x: np.asarray(
+        jacobian(t, x)) + (1e-2 if t == times[1] else 0.0))
+    want, got = _verdicts(sysm)
+    assert got == want == (JacobianMismatch, f"Jacobian mismatch 6.996e-03 > 1.0e-04 at x="
+                                             f"{_sample_x(sysm, 5, 1)}")
+    # without the fault at point 1, point 3's row is refused
+    want, got = _verdicts(replace(sysm, jacobian=jacobian))
+    assert got == want == (EvaluationFailure, "matrix has non-finite entries")
+
+
 def _scalar_forms(sysm, t, x):
     """field and jacobian at x, each with the types of x its entry list saw and the
     RuntimeWarnings raised, next to the entry lists evaluated on numpy scalars x[i]."""
