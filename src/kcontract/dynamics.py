@@ -240,9 +240,10 @@ class SystemModel:
         check, whose relative error is not within its bound (so NaN fails), in this order:
         ``field_entries``, then ``field_stack``, against ``field`` (BATCH_RTOL); the
         differences against ``jacobian`` (JACOBIAN_RTOL); ``jacobian_stack`` against
-        ``jacobian`` (BATCH_RTOL).  A failing ``jacobian`` is raised first.  On any other
-        failure every form but ``jacobian`` is called again at each point alone, in order, so
-        an earlier point's failure comes first (``field_stack`` up to 1 + samples times).
+        ``jacobian`` (BATCH_RTOL).  A ``jacobian`` fails at its point, before that point's
+        checks.  On any failure every form but ``jacobian`` is called again at each point alone,
+        in order, on the Jacobians already returned, so an earlier point's failure comes first
+        (``field_stack`` up to 1 + samples times).
         """
         if samples < 1:
             raise DimensionMismatch(f"check_jacobian needs a sample point, got samples={samples}")
@@ -253,16 +254,15 @@ class SystemModel:
             lo, hi = self.domain.lower + 0.05 * span, self.domain.upper - 0.05 * span
         draws = _draws(JACOBIAN_SEED, samples, n + 1)
         xs, times = lo + draws[:, :n] * (hi - lo), draws[:, n]
-        values, jacs = [], ()
+        values = []
         try:
             values += (self.jacobian(t, x) for t, x in zip(times.tolist(), xs))
             jacs = as_stack(values, square=True).reshape(samples, -1)
             self._check_points(xs, times, jacs)
-        except Exception:  # the first failure: a jacobian's, as as_matrix words it, else
-            for value in values:  # that of the first point that fails, checked alone
-                as_matrix(value, square=True)
-            for i in range(len(jacs)):
-                self._check_points(xs[i:i + 1], times[i:i + 1], jacs[i:i + 1])
+        except Exception:  # the first failure, point by point: each returned jacobian, as
+            for i, value in enumerate(values):  # as_matrix words it, then that point's checks
+                jac = as_matrix(value, square=True).reshape(1, -1)
+                self._check_points(xs[i:i + 1], times[i:i + 1], jac)
             raise
         self._jacobian_checked = True
 

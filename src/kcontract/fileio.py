@@ -12,8 +12,9 @@ scalar and every key is written as json.dumps writes it, without a call to it pe
 value, and numpy scalars are converted once.  The
 decimal kernel of ``floattext`` writes both spellings, for a large dense array
 or CSV table: ``_write_blocks`` lays each entry's 24-byte text after
-its prefix in a row, KERNEL_BLOCK entries at a time, and drops the rows' NULs.
-An entry the kernel cannot decide takes its per-value text.
+its prefix in a row, KERNEL_BLOCK entries a pass, and turns the rows into text,
+NULs dropped, in pieces of at most SINK_CHARS characters.  An entry the kernel
+cannot decide takes its per-value text.
 """
 
 from __future__ import annotations
@@ -35,17 +36,22 @@ if TYPE_CHECKING:  # annotations only: writing a result executes neither layer
     from .dynamics import FloquetResult, ParallelotopeTrace, SubspaceReport, Trajectory
 
 # the smallest float64 array the JSON writer, and the smallest table write_csv, sends through
-# _spell.  Its fixed cost of about 0.08 ms of numpy calls breaks even with float.__repr__ (about
-# 0.5 us an entry) near 200 entries for a 1-D array and near 150 for rows of 8, and with a CSV
-# table's "%.17g" text near 130 entries in rows of 4 (in-process, 2 shared CPUs, numpy 2.4.6).
+# the decimal kernel.  Its fixed cost of about 0.08 ms of numpy calls breaks even with
+# float.__repr__ (about 0.5 us an entry) near 200 entries for a 1-D array and near 150 for rows
+# of 8, and with a CSV table's "%.17g" text near 130 entries in rows of 4 (in-process, 2 shared
+# CPUs, numpy 2.4.6).
 # One cut-over serves both writers; the benchmark's 15 x 15 compound stays below it
 KERNEL_MIN_SIZE = 240
-# a block's temporaries take about 170 bytes an entry, 0.35 MB, and none of them, not even its
-# rows or bytes, outlives the yield of its text: a buffer still held while the caller wrote sat
-# above the growing text buffer on glibc's heap, which then had to move, and in most benchmark
-# runs compound-algebra peaked 7 MB (11%) higher.  Blocks of 4096 were as fast per entry, but
-# in some runs still peaked 2.5 MB higher
-KERNEL_BLOCK = 2048
+# the entries floattext.write decides per pass.  Each numpy call of a pass has a fixed cost, a
+# third of a pass of 2048; passes of 16384 were no faster and of 32768 slower (in-process).  A
+# pass's temporaries, about 170 bytes an entry, are freed before its text is yielded, but its
+# rows are held while the caller writes, so one buffer serves every pass.  glibc raises its mmap
+# threshold to the largest mapped chunk it frees (a JSON text of megabytes, once written) and
+# then serves every smaller buffer from its heap: rows taken per pass came from the heap's top,
+# where the last pass's temporaries had just been freed, above the growing text (the benchmark's
+# captured stdout), which then had to move, and compound-algebra peaked 3-5 MB higher at 3 of 12
+# seed and stdout settings.  Pieces of a whole pass's text (about 213 KB) peaked 10 MB higher
+KERNEL_BLOCK = 8192
 SINK_CHARS = 65536  # write_json's pending text, written to its files once it reaches this
 
 
@@ -139,7 +145,8 @@ def subspace_to_json(rep: SubspaceReport) -> dict:
 
 def write_csv(path: str, header: str, table) -> None:
     """A header line, then each row of a 2-D float table as "%.17g" values: value by value
-    below KERNEL_MIN_SIZE entries, else by the decimal kernel (_spell) one block at a time."""
+    below KERNEL_MIN_SIZE entries, else by the decimal kernel (_write_blocks), whose text is
+    written a piece of at most SINK_CHARS characters at a time."""
     rows = np.asarray(table, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatch(f"a CSV table must be 2-D, got shape {rows.shape}")
@@ -248,37 +255,36 @@ def _write_dense(a: np.ndarray, indent: str, out: _Sink) -> None:
 
 
 def _write_blocks(a: np.ndarray, prefixes: list[str], g17: bool = False):
-    """Yield the text of each entry of a (see _spell), KERNEL_BLOCK entries at a time, after
+    """Yield the text of each entry of a, float.__repr__ ("%.17g" % v when g17), after
     prefixes[c], where c counts the axes, from the last, whose index restarts at the entry.
-    A row's prefix field is as wide as prefixes[0]; a longer prefix stands there as one mark
-    byte, 0x80 + c (never ASCII), which the block's text then has replaced."""
+    floattext.write decides KERNEL_BLOCK entries at a time into the last 24 bytes of their rows,
+    whose prefix field is as wide as prefixes[0]; a longer prefix stands there as one mark byte,
+    0x80 + c (never ASCII).  A pass's rows then become text, NULs dropped and marks replaced, in
+    pieces of at most SINK_CHARS characters.  Every pass lays its rows in one buffer, taken
+    before the first (see KERNEL_BLOCK)."""
+    from . import floattext  # the first array executes the kernel's module
+
     width = -(-len(prefixes[0]) // 8) * 8 or 8
     marks = {c: (bytes([0x80 + c]), p.encode()) for c, p in enumerate(prefixes) if len(p) > width}
     fields = [marks[c][0] if c in marks else p.encode() for c, p in enumerate(prefixes)]
     table = np.array(fields, f"S{width}").view(np.uint8).reshape(len(prefixes), -1)
+    piece = SINK_CHARS // (max(width, *map(len, prefixes)) + 24)  # rows whose text fits
     flat, spans = a.reshape(-1), np.cumprod(a.shape[::-1])  # entry 0 starts all d spans
+    buffer = np.empty((min(a.size, KERNEL_BLOCK), width + 24), np.uint8)  # every pass's rows
     for start in range(0, a.size, KERNEL_BLOCK):
         x = flat[start:start + KERNEL_BLOCK]
-        rows = np.zeros((len(x), width + 24), np.uint8)
+        rows = buffer[:len(x)]
         rows[:, :width] = table[0]
         firsts = np.arange(-start % a.shape[-1], len(x), a.shape[-1])  # entries starting a row
         kinds = ((start + firsts) % spans[:, None] == 0).sum(0)
         rows[firsts, :width] = table[kinds]
-        text = _spell(x, rows, g17)
-        del rows  # nothing but the text outlives the yield (see KERNEL_BLOCK)
-        for c in marks.keys() & set(kinds.tolist()):
-            text = text.replace(*marks[c])
-        text = text.decode("ascii")
-        yield text
-
-
-def _spell(x: np.ndarray, rows: np.ndarray, g17: bool = False) -> bytes:
-    """Write float.__repr__ of each entry of x ("%.17g" % v when g17) into the last 24 bytes of
-    its row of rows (see floattext.write), and return the bytes of rows without NULs."""
-    from . import floattext  # the first block executes the kernel's module
-
-    floattext.write(x, rows[:, -24:], g17)
-    return rows.tobytes().translate(None, b"\0")
+        floattext.write(x, rows[:, width:], g17)
+        laid = [marks[c] for c in marks.keys() & set(kinds.tolist())]
+        for cut in range(0, len(x), piece):
+            text = rows[cut:cut + piece].tobytes().translate(None, b"\0")
+            for mark in laid:
+                text = text.replace(*mark)
+            yield text.decode("ascii")
 
 
 def _write_rows(a, indent: str, out: _Sink, words) -> None:

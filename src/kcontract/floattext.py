@@ -8,7 +8,7 @@ source.  For a text without an exponent one layout row, chosen by decimal point 
 trailing zero digits, keeps the digits of the text, moves those before the point one byte down
 and adds "0." and leading zeros, or the "."; byte 0 takes the sign.  A second pass over only
 the texts with an exponent lays each out from byte 0 (_exponent).  The text's other bytes are
-NULs, which the caller drops (see fileio._spell).  An entry not decided here (a power of two
+NULs, which the caller drops (see fileio._write_blocks).  An entry not decided here (a power of two
 in repr, a decision within KERNEL_MARGIN of a boundary, a subnormal, NaN or an infinity) takes
 its per-value text.  fileio imports this module on its first large array or CSV table.
 """

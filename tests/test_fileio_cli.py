@@ -236,7 +236,7 @@ def test_write_json_holds_a_large_document_one_piece_at_a_time(rng):
     out = _Recorder()
     io.write_json(obj, out)
     assert "".join(out.writes) == io.dump_json(obj, None) + "\n"
-    # each write is one kernel block's text, or what reached SINK_CHARS
+    # each write is what reached SINK_CHARS, of pieces of at most SINK_CHARS characters each
     assert len(out.writes) > 20 and max(map(len, out.writes)) < 2 * io.SINK_CHARS
 
 
@@ -352,9 +352,10 @@ def _kernel_text(a) -> str:
 
 @st.composite
 def _kernel_arrays(draw):
-    """Finite float64 arrays from KERNEL_MIN_SIZE to past two blocks, of 1-3 axes: random bit
-    patterns, random values of every normal decimal exponent, and drawn floats (hypothesis
-    favours edge cases) at drawn places."""
+    """Finite float64 arrays from KERNEL_MIN_SIZE to past two kernel passes, of 1-3 axes (rows
+    of 7, 13 and 495 straddle the ends of passes and pieces): random bit patterns, random
+    values of every normal decimal exponent, and drawn floats (hypothesis favours edge cases)
+    at drawn places."""
     size = draw(st.integers(io.KERNEL_MIN_SIZE, 2 * io.KERNEL_BLOCK + 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
@@ -363,14 +364,18 @@ def _kernel_arrays(draw):
     drawn = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
     x[rng.integers(0, size, len(drawn))] = drawn
     x[~np.isfinite(x)] = 1.5
-    cut = draw(st.sampled_from([(size,), (1, size), (size // 7, 7), (2, size // 26, 13)]))
+    cuts = [(size,), (1, size), (size // 7, 7), (2, size // 26, 13)]
+    cut = draw(st.sampled_from(cuts + [(size // 495, 495)] * (size >= 495)))
     return x[:int(np.prod(cut))].reshape(cut)
 
 
 @settings(deadline=None, max_examples=60)
 @given(a=_kernel_arrays())
 def test_dense_kernel_writes_float_repr(a):
-    assert _kernel_text(a) == json.dumps(a.tolist(), indent=2)
+    pieces: list[str] = []
+    io._write_dense(a, "", pieces)
+    assert "".join(pieces) == json.dumps(a.tolist(), indent=2)
+    assert max(map(len, pieces)) <= io.SINK_CHARS
     obj = {"m": a, "n": [a[..., :3]]}
     assert io.dump_json(obj, None) == _json_text(obj)
 
@@ -426,10 +431,42 @@ def test_dense_kernel_leaves_undecided_entries_to_float_repr(rng, monkeypatch):
     assert np.flatnonzero(np.concatenate(seen)).tolist() == undecided
 
 
+def _kernel_log(monkeypatch) -> list:
+    """Patch the kernel to log each pass of floattext.write as ("pass", its entries) and each
+    piece of text _write_blocks yields as ("piece", its characters), in the order they come."""
+    log, write, blocks = [], ft.write, io._write_blocks
+
+    def pieces(*args, **kwargs):
+        for text in blocks(*args, **kwargs):
+            log.append(("piece", len(text)))
+            yield text
+
+    monkeypatch.setattr(ft, "write",
+                        lambda x, *rest: log.append(("pass", len(x))) or write(x, *rest))
+    monkeypatch.setattr(io, "_write_blocks", pieces)
+    return log
+
+
+def _passes(log) -> list:
+    """The entries of each kernel pass in a _kernel_log, and the characters of its pieces."""
+    out = []
+    for kind, n in log:
+        if kind == "pass":
+            out.append((n, []))
+        else:
+            out[-1][1].append(n)
+    return out
+
+
+def _assert_pieces_fill_the_sink(passes):
+    # a piece holds at most SINK_CHARS characters, and each but a pass's last more than half
+    for _, pieces in passes:
+        assert max(pieces) <= io.SINK_CHARS
+        assert min(pieces[:-1], default=io.SINK_CHARS) > io.SINK_CHARS // 2
+
+
 def test_dense_kernel_only_spells_large_dense_finite_arrays(rng, monkeypatch):
-    calls = []
-    spell = io._spell
-    monkeypatch.setattr(io, "_spell", lambda x, *rest: calls.append(len(x)) or spell(x, *rest))
+    log = _kernel_log(monkeypatch)
     small = rng.standard_normal(io.KERNEL_MIN_SIZE - 1)
     sparse = np.zeros(io.KERNEL_MIN_SIZE * 2)
     sparse[::3] = rng.standard_normal(len(sparse[::3]))
@@ -438,11 +475,15 @@ def test_dense_kernel_only_spells_large_dense_finite_arrays(rng, monkeypatch):
     powers = 2.0 ** rng.integers(-3, 3, io.KERNEL_MIN_SIZE)  # mostly left to float.__repr__
     for obj in (small, small.reshape(-1, 1), sparse, with_nan, powers, rng.standard_normal(600) + 0j):
         assert io.dump_json(obj, None) == _json_text(obj)
-    assert calls == []
+    assert log == []
     exact = rng.standard_normal((io.KERNEL_MIN_SIZE // 8, 8))
     large = rng.standard_normal((3, io.KERNEL_BLOCK))
     assert io.dump_json({"a": exact, "b": large}, None) == _json_text({"a": exact, "b": large})
-    assert calls == [io.KERNEL_MIN_SIZE, io.KERNEL_BLOCK, io.KERNEL_BLOCK, io.KERNEL_BLOCK]
+    passes = _passes(log)
+    assert [n for n, _ in passes] == [io.KERNEL_MIN_SIZE, io.KERNEL_BLOCK, io.KERNEL_BLOCK,
+                                      io.KERNEL_BLOCK]
+    assert len(passes[0][1]) == 1 and min(len(pieces) for _, pieces in passes[1:]) > 1
+    _assert_pieces_fill_the_sink(passes)
 
 
 def test_matrix_to_json_matches_float_conversion(rng):
@@ -605,15 +646,17 @@ def test_write_csv_kernel_sweep_gives_the_per_row_text(tmp_path):
 
 
 def test_write_csv_spells_large_tables_in_kernel_blocks(tmp_path, rng, monkeypatch):
-    calls = []
-    spell = io._spell
-    monkeypatch.setattr(io, "_spell", lambda x, *rest: calls.append(len(x)) or spell(x, *rest))
+    log = _kernel_log(monkeypatch)
     small = io.KERNEL_MIN_SIZE // 4
     for shape in ((0, 4), (3, 0), (1, 1), (small - 1, 4), (small, 4),
-                  (io.KERNEL_BLOCK // 3 + 1, 3)):  # a row straddles the block end
+                  (io.KERNEL_BLOCK // 3 + 1, 3)):  # a row straddles the pass's end
         table = rng.standard_normal(shape)
         assert _csv_text(tmp_path, table) == _g17_text(table)
-    assert calls == [io.KERNEL_MIN_SIZE, io.KERNEL_BLOCK, 3 - io.KERNEL_BLOCK % 3]
+    passes = _passes(log)
+    assert [n for n, _ in passes] == [io.KERNEL_MIN_SIZE, io.KERNEL_BLOCK, 3 - io.KERNEL_BLOCK % 3]
+    # a CSV row of rows is 32 bytes (an 8-byte prefix field and 24), so a piece is that many rows
+    assert [len(pieces) for _, pieces in passes] == [1, io.KERNEL_BLOCK * 32 // io.SINK_CHARS, 1]
+    _assert_pieces_fill_the_sink(passes)
 
 
 def test_small_csv_tables_have_the_kernels_bytes(tmp_path, rng):
@@ -778,15 +821,47 @@ _BLOCK = io.KERNEL_BLOCK
     (2, _BLOCK), (4, _BLOCK // 2), (_BLOCK // 4 + 3, 4),  # rows start at each block edge
     (3, _BLOCK - 1), (2, _BLOCK + 1), (_BLOCK // 3 + 2, 3), (1, 2 * _BLOCK + 5),  # and inside
     (2, 2, _BLOCK // 2), (3, 2, _BLOCK // 4), (3, 5, 547), (2, _BLOCK + 1, 1),
+    (2 * _BLOCK // 3 + 2, 3), (40, 495),  # rows of 3 and 495 straddle passes and pieces
+    (3, 4, 1000),  # the planes' prefix, a mark, lands in later pieces of the first pass
 ])
-def test_kernel_rows_start_inside_and_at_block_edges(shape, tmp_path, rng):
+def test_kernel_rows_start_inside_and_at_block_edges(shape, tmp_path, rng, monkeypatch):
     """Both spellings of arrays of 1-3 axes whose rows, and planes, start at and between
-    the entries where a KERNEL_BLOCK begins."""
+    the entries where a kernel pass, of KERNEL_BLOCK entries, or a piece of its text begins."""
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 16, shape)
     x.flat[::97] = np.round(x.flat[::97], 2)  # some texts end in a run of zeros
+    log = _kernel_log(monkeypatch)
     assert io.dump_json({"a": x}, None) == _json_text({"a": x})
     table = x.reshape(-1, shape[-1])
     assert _csv_text(tmp_path, table) == _g17_text(table)
+    assert max(n for kind, n in log if kind == "piece") <= io.SINK_CHARS
+
+
+# the rows of a piece of text where every prefix fits its 8-byte field (a CSV table, a 1-D
+# array at indent ""): rows of 32 bytes
+_PIECE = io.SINK_CHARS // 32
+# at and around the end of a piece and of a pass, on both sides of the cut: texts with an
+# exponent, of 5 and 24 bytes, and per-value texts (a power of two, a rounding tie, a subnormal)
+_CUT_VALUES = [1e-5, -1.2345678901234567e-300, 2.0, 1 + 2.0**-17, 5e-324, -0.5, 1.5e300]
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5,
+                                  _PIECE - 1, _PIECE, _PIECE + 1, _BLOCK + _PIECE + 1])
+def test_kernel_texts_at_pass_and_piece_ends(size, tmp_path, rng, monkeypatch):
+    """1-D arrays and 1-column tables that end, or hold exponent texts and per-value texts,
+    at, before and after the end of a piece of text or of a kernel pass."""
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 10, size)
+    for cut in _PIECE, _BLOCK, _BLOCK + _PIECE:
+        for i, v in zip(range(cut - 3, min(cut + 4, size)), _CUT_VALUES):
+            x[i] = v
+    log = _kernel_log(monkeypatch)
+    assert _kernel_text(x) == _repr_text(x)
+    table = x.reshape(-1, 1)
+    assert _csv_text(tmp_path, table) == _g17_text(table)
+    passes = _passes(log)
+    sizes = [min(_BLOCK, size - start) for start in range(0, size, _BLOCK)]
+    assert [n for n, _ in passes] == sizes * 2  # the JSON array's, then the table's
+    assert [len(pieces) for _, pieces in passes] == [-(-n // _PIECE) for n, _ in passes]
+    _assert_pieces_fill_the_sink(passes)
 
 
 @pytest.mark.parametrize("lengths", [(1, 1, 1), (8, 8, 8), (8, 9, 20), (9, 16, 17),

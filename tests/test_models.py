@@ -655,6 +655,34 @@ def test_check_jacobian_reports_a_failure_before_a_non_finite_jacobian_stack_row
     assert got == want == (EvaluationFailure, "matrix has non-finite entries")
 
 
+def test_check_jacobian_reports_a_mismatch_before_a_later_non_finite_jacobian():
+    # hopf's scalar Jacobian off by 1e-2 at point 1 and NaN at point 3: the per-sample loop
+    # names point 1, and so does check_jacobian, which walks the Jacobians it was returned
+    # point by point, each with its point's checks, and calls jacobian once per point
+    hopf = _builtin("hopf")
+    times = _points(hopf, 5)[1]
+    jacobian, calls = hopf.jacobian, []
+
+    def off(t, x):
+        calls.append(t)
+        return np.asarray(jacobian(t, x)) + (1e-2 if t == times[1] else np.nan if t == times[3]
+                                             else 0.0)
+
+    sysm = replace(hopf, jacobian=off)
+    want, got = _verdicts(sysm)
+    assert got == want == (JacobianMismatch, f"Jacobian mismatch 6.996e-03 > 1.0e-04 at x="
+                                             f"{_sample_x(sysm, 5, 1)}")
+    calls.clear()
+    with pytest.raises(JacobianMismatch):
+        sysm.check_jacobian()
+    assert len(calls) == 5
+    # without the fault at point 1, point 3's Jacobian is refused
+    fault = replace(hopf, jacobian=lambda t, x: np.asarray(jacobian(t, x)) + (
+        np.nan if t == times[3] else 0.0))
+    want, got = _verdicts(fault)
+    assert got == want == (EvaluationFailure, "matrix has non-finite entries")
+
+
 def _scalar_forms(sysm, t, x):
     """field and jacobian at x, each with the types of x its entry list saw and the
     RuntimeWarnings raised, next to the entry lists evaluated on numpy scalars x[i]."""
