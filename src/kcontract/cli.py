@@ -90,7 +90,7 @@ def _emit(obj: dict, args) -> None:
     """Stream obj's JSON to --out, when given, and to stdout."""
     if not getattr(args, "out", None):
         return io.write_json(obj, sys.stdout)
-    with open(args.out, "w") as fh:  # opened first: a path that fails leaves stdout empty
+    with io.output_file(args.out) as fh:  # opened first: a path that fails leaves stdout empty
         io.write_json(obj, fh, sys.stdout)
 
 

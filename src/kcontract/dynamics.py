@@ -458,18 +458,24 @@ def _trace(entries, n: int):
         outs = [t._of(k) for k in entries(t, [_Traced(f"x{i}", t.tape) for i in range(n)])]
     except Exception:  # refused by _Traced, or failing: the opaque call repeats it
         return None, ()
-    return _simplified(t.tape[0], _entry_list(outs, n), t.tape[1]), tuple(t.tape[1])
+    consts = tuple(t.tape[1])
+    bits = tuple(struct.pack("d", c) if type(c) is float else c for c in consts)
+    return _simplified(tuple(t.tape[0]), tuple(_entry_list(outs, n)), bits), consts
 
 
-def _simplified(lines, outs, consts):
-    """lines and outs (see _trace), every value's bits kept: when every ** has an integral
+@functools.lru_cache(maxsize=64)
+def _simplified(lines: tuple, outs: tuple, bits: tuple):
+    """lines and outs (see _trace), every value's bits kept, with constant j known by bits[j]:
+    a float's packed bytes, an int itself, so alike by type and bits (0.0 == -0.0 and 1 == 1.0
+    are not), and a model built again shares its stage.  When every ** has an integral
     constant exponent, so no value is complex, a ** 1, a * 1, 1 * a, a / 1 (1 a float or an
     int), a - 0.0, a + -0.0 and -0.0 + a fold to a; a line merges into an earlier one with its
-    op and operands, constants alike by type and bits (0.0 == -0.0 and 1 == 1.0 are not).
-    Every other line is kept, used or not: an unused / or ** can raise, failing the step."""
+    op and operands.  Every other line is kept, used or not: an unused / or ** can raise,
+    failing the step."""
     pack = functools.partial(struct.pack, "d")
-    keys = {f"c{j}": pack(c) if type(c) is float else c for j, c in enumerate(consts)}
-    real = all(op != "**" or b in keys and consts[int(b[1:])] % 1 == 0 for op, a, b in lines)
+    keys = {f"c{j}": c for j, c in enumerate(bits)}
+    real = all(op != "**" or type(c := keys.get(b)) is int
+               or type(c) is bytes and struct.unpack("d", c)[0] % 1 == 0 for op, a, b in lines)
     ones, zero, neg_zero = ({1, pack(1.0)}, pack(0.0), pack(-0.0)) if real else ((), (), ())
     alias, seen, stage = {}, {}, []
     for j, (op, a, b) in enumerate(lines):

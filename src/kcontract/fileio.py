@@ -15,12 +15,20 @@ or CSV table: ``_write_blocks`` lays each entry's 24-byte text after
 its prefix in a row, KERNEL_BLOCK entries a pass, and turns the rows into text,
 NULs dropped, in pieces of at most SINK_CHARS characters.  An entry the kernel
 cannot decide takes its per-value text.
+
+Every file written here is opened by ``output_file``: written over in place, not truncated,
+then cut to the length written, so it holds the bytes, inode and mode a truncating write
+leaves.  A process killed mid-write leaves the old file's tail after the new prefix, where
+truncation left the prefix alone; neither way calls fsync.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import asdict
 from io import StringIO
 from json.encoder import encode_basestring_ascii
@@ -77,8 +85,37 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return m
 
 
+@contextlib.contextmanager
+def output_file(path):
+    """open(path, "w") less its truncation: the old bytes are written over in place, as
+    truncating can cost more than the write.  On any exit it flushes what it can, cuts a regular
+    file longer than what was written at the descriptor's offset, so it holds exactly the bytes
+    written, with its inode and mode (a device or a FIFO is never cut), and closes; the first
+    error is the one raised."""
+    fh = open(path, "w", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666))
+    error, old = None, 0
+    try:
+        info = os.fstat(fh.fileno())
+        old = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        yield fh
+    except BaseException as exc:
+        error = exc
+
+    def cut():  # only when needed: an ftruncate to the same length costs time too
+        if old and (end := os.lseek(fh.fileno(), 0, os.SEEK_CUR)) < old:
+            os.ftruncate(fh.fileno(), end)
+
+    for step in (fh.flush, cut, fh.close):
+        try:
+            step()
+        except Exception as exc:
+            error = error or exc
+    if error is not None:
+        raise error
+
+
 def save_matrix_json(path: str, a) -> None:
-    with open(path, "w") as fh:
+    with output_file(path) as fh:
         json.dump(matrix_to_json(a), fh, sort_keys=True)
         fh.write("\n")
 
@@ -150,7 +187,7 @@ def write_csv(path: str, header: str, table) -> None:
     rows = np.asarray(table, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatch(f"a CSV table must be 2-D, got shape {rows.shape}")
-    with open(path, "w") as fh:
+    with output_file(path) as fh:
         fh.write(header)
         if rows.size < KERNEL_MIN_SIZE:  # a row of no columns is an empty line
             fh.writelines("\n" + ",".join(map("%.17g".__mod__, row)) for row in rows.tolist())
@@ -306,7 +343,7 @@ def dump_json(obj: dict, path: str | None) -> str:
     """
     text = StringIO()
     if path:
-        with open(path, "w") as fh:
+        with output_file(path) as fh:
             write_json(obj, text, fh)
     else:
         write_json(obj, text)

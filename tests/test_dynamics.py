@@ -1392,6 +1392,23 @@ def test_simplified_stage_keys_constants_by_type_and_bits(x0):
     assert dy._trace(lambda t, x: [x[0] + 0.0], 1)[0] == ((("+", "x0", "c0"),), ("w0",))
 
 
+def test_equal_tapes_share_one_simplified_stage():
+    # a model built again traces the same tape and takes the memo's stage; the memo keys
+    # constants by type and bits, so 0.0 and -0.0 (x + -0.0 folds, x + 0.0 does not) and 1 and
+    # 1.0, equal and hashing alike, never share one
+    first, again = (dy._trace(model("seir3").system.field_entries, 3)[0] for _ in range(2))
+    assert first is again
+
+    def stage(c):
+        return dy._trace(lambda t, x: [x[0] + c, x[1] * 0.375 - c], 2)[0]
+
+    for c in (0.0, -0.0, 1, 1.0):
+        assert stage(c) is stage(c)
+    assert stage(-0.0) == ((("*", "x1", "c1"), ("-", "w0", "c2")), ("x0", "w1"))
+    assert stage(0.0) == ((("+", "x0", "c0"), ("*", "x1", "c1")), ("w0", "w1"))
+    assert stage(1) is not stage(1.0) and stage(1) == stage(1.0)
+
+
 @pytest.mark.parametrize("entries", [
     # an unused / by zero fails the step: / and ** are never dropped
     lambda t, x: (x[0] / (x[1] - x[1]), [-x[0], -x[1]])[1],

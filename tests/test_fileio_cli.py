@@ -5,8 +5,10 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -301,6 +303,112 @@ def test_cli_out_path_that_cannot_be_opened_leaves_stdout_empty(tmp_path, diag2_
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: [Errno 2] ")
     assert captured.err.count("\n") == 1 and not out.parent.exists()
+
+
+# an --out verb of each format, on inputs written by the test: (argv, --out file name)
+OUT_CALLS = [("compound --k 3 --matrix a.json --kind multiplicative", "c.json"),
+             ("simulate --model seir3 --x0=0.2,0.3,0.1 --t 0.5", "traj.csv")]
+
+
+def _out_call(argv, out, capsys):
+    """main's exit code and stdout for argv --out out, in the current directory."""
+    code = main([*argv.split(), "--out", str(out)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, name", OUT_CALLS, ids=[name for _, name in OUT_CALLS])
+@pytest.mark.parametrize("old", ["longer", "shorter", "equal"])
+def test_out_over_an_existing_file_gives_the_bytes_of_a_fresh_one(argv, name, old, tmp_path,
+                                                                  monkeypatch, capsys, rng):
+    # outputs are written over the old file in place and cut to length: the bytes are those
+    # of a first write, in the same file (its inode) with the same mode bits
+    monkeypatch.chdir(tmp_path)
+    io.save_matrix_json("a.json", rng.standard_normal((7, 7)))
+    assert _out_call(argv, "fresh", capsys)[0] == 0
+    want = pathlib.Path("fresh").read_bytes()
+    size = {"longer": 3 * len(want) + 5, "shorter": len(want) // 3, "equal": len(want)}[old]
+    path = tmp_path / name
+    path.write_bytes(bytes(rng.integers(32, 127, size, dtype=np.uint8)))
+    path.chmod(0o604)
+    before = path.stat()
+    code, stdout = _out_call(argv, path, capsys)
+    assert code == 0 and path.read_bytes() == want
+    after = path.stat()
+    assert (after.st_ino, after.st_dev, after.st_mode) == (before.st_ino, before.st_dev,
+                                                           before.st_mode)
+    if name.endswith(".json"):
+        assert stdout.encode() == want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="writes to /dev/null")
+@pytest.mark.parametrize("argv, name", OUT_CALLS, ids=[name for _, name in OUT_CALLS])
+def test_out_to_dev_null_is_written_and_never_cut(argv, name, tmp_path, monkeypatch, capsys,
+                                                  rng):
+    monkeypatch.chdir(tmp_path)
+    io.save_matrix_json("a.json", rng.standard_normal((7, 7)))
+    # an ftruncate of the device fails, which would exit 3
+    assert _out_call(argv, "/dev/null", capsys) == (0, _out_call(argv, "fresh", capsys)[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+@pytest.mark.parametrize("argv, name", OUT_CALLS, ids=[name for _, name in OUT_CALLS])
+def test_out_to_a_fifo_gets_the_whole_text(argv, name, tmp_path, monkeypatch, capsys, rng):
+    monkeypatch.chdir(tmp_path)
+    io.save_matrix_json("a.json", rng.standard_normal((7, 7)))
+    assert _out_call(argv, "fresh", capsys)[0] == 0
+    os.mkfifo("fifo")
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pathlib.Path("fifo").read_bytes()))
+    reader.start()  # the writer's open waits for this reader
+    try:
+        assert _out_call(argv, "fifo", capsys)[0] == 0
+    finally:
+        reader.join(timeout=60)
+    assert read == [pathlib.Path("fresh").read_bytes()]
+
+
+_FSIZE_PROBE = """
+import resource, signal, sys
+import kcontract.compound, kcontract.fileio, kcontract.floattext
+from kcontract.cli import main
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+limit = int(sys.argv[3])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(["compound", "--k", "3", "--matrix", sys.argv[1], "--kind", "multiplicative",
+               "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_out_write_that_fails_midway_leaves_a_prefix_and_no_old_tail(tmp_path):
+    # a file size limit below the document's: the write fails part of the way, the verb exits 3
+    # with one error line, stdout still gets the whole document, and the file holds a prefix of
+    # it, never followed by bytes of the longer file it was written over
+    src, out = tmp_path / "a.json", tmp_path / "c.json"
+    io.save_matrix_json(src, np.random.default_rng(1).standard_normal((11, 11)))
+    limit = 100_003
+    out.write_bytes(b"x" * 10 * limit)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cp.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", _FSIZE_PROBE, str(src), str(out), str(limit)],
+                         capture_output=True, env=env, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.decode().startswith("error: [Errno 27] ") and run.stderr.count(b"\n") == 1
+    doc, written = run.stdout, out.read_bytes()
+    assert len(doc) > 2 * limit and 0 < len(written) <= limit and doc.startswith(written)
+
+
+def test_output_file_keeps_the_bytes_written_and_the_first_error(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("x" * 100)
+    with pytest.raises(KeyError, match="first"):
+        with io.output_file(path) as fh:
+            fh.write("abc")
+            raise KeyError("first")
+    assert path.read_text() == "abc"
+    with io.output_file(path) as fh:
+        fh.write("abcdef")
+    assert path.read_text() == "abcdef"
 
 
 _PEAK_PROBE = """
